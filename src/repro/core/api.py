@@ -55,7 +55,7 @@ from repro.core.pipeline import PipelineConfig
 from repro.tda.complexes import SimplicialComplex
 from repro.tda.rips import RipsComplex
 from repro.tda.takens import TakensEmbedding
-from repro.utils.validation import check_integer
+from repro.utils.validation import check_bool, check_integer
 
 #: Version of the request/result wire format.  Bump on any incompatible
 #: change to the dictionaries emitted by ``as_dict`` (consumers validate it
@@ -239,6 +239,7 @@ class EstimationRequest(_RequestBase):
 
     def __post_init__(self):
         object.__setattr__(self, "k", check_integer(self.k, "k", minimum=0))
+        object.__setattr__(self, "compute_exact", check_bool(self.compute_exact, "compute_exact"))
         if (self.simplices is None) == (self.points is None):
             raise ValueError("exactly one of 'simplices' and 'points' must be provided")
         if self.simplices is not None:
@@ -403,6 +404,7 @@ class PipelineRequest(_RequestBase):
             if epsilon < 0:
                 raise ValueError("epsilon must be non-negative")
             object.__setattr__(self, "epsilon", epsilon)
+        object.__setattr__(self, "include_exact", check_bool(self.include_exact, "include_exact"))
         if self.include_exact and self.point_clouds is None:
             raise ValueError("include_exact=True requires point_clouds input")
 
@@ -601,9 +603,9 @@ class ObserveRequest(_RequestBase):
         if not isinstance(self.session, str) or not self.session:
             raise ValueError("session must be a non-empty string")
         arr = np.asarray(self.samples, dtype=float)
-        if arr.ndim > 1:
+        if arr.ndim != 1:
             raise ValueError("samples must be a 1-D sequence of raw time-series values")
-        object.__setattr__(self, "samples", tuple(float(x) for x in arr.reshape(-1)))
+        object.__setattr__(self, "samples", tuple(float(x) for x in arr))
         object.__setattr__(
             self, "window_length", check_integer(self.window_length, "window_length", minimum=1)
         )

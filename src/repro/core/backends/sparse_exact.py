@@ -37,6 +37,7 @@ the ≥3× speedup on a ~1000-simplex complex.
 from __future__ import annotations
 
 import numpy as np
+from scipy.sparse import identity
 from scipy.sparse import linalg as _sparse_linalg
 
 from repro.core.backends.base import BackendResult, EstimationProblem, register_backend
@@ -143,6 +144,9 @@ class SparseExactBackend:
         if asymmetry.nnz and asymmetry.max() > 1e-10:
             raise ValueError("laplacian must be symmetric")
         lam = operator.gershgorin_bound()
+        opinv = self._shift_invert_operator(lap)
+        if opinv is None:
+            return None
 
         m = min(self.num_eigenvalues, n - 2)
         while True:
@@ -154,6 +158,7 @@ class SparseExactBackend:
                     which="LM",
                     return_eigenvectors=False,
                     tol=self.lanczos_tol,
+                    OPinv=opinv,
                 )
             except (_sparse_linalg.ArpackError, RuntimeError, ValueError):
                 return None
@@ -189,6 +194,28 @@ class SparseExactBackend:
         hi = float(np.clip(hi + shift, floor, lam))
         bulk = np.linspace(lo, hi, rest) if rest > 1 else np.array([(lo + hi) / 2.0])
         return np.concatenate([computed, bulk]), lam
+
+    def _shift_invert_operator(self, lap):
+        """``(Δ_k - σI)^{-1}`` as a factorised operator, or ``None`` if singular.
+
+        ``Δ_k - σI`` is symmetric positive definite, so the factorisation
+        uses a symmetric fill-reducing ordering (minimum degree on ``A + Aᵀ``)
+        and no partial pivoting — markedly less fill, and so cheaper Lanczos
+        solves, than the general-purpose LU :func:`eigsh` builds on its own.
+        One factorisation serves every window doubling.
+        """
+        n = lap.shape[0]
+        shifted = (lap - self.shift * identity(n, format="csc")).tocsc()
+        try:
+            lu = _sparse_linalg.splu(
+                shifted,
+                permc_spec="MMD_AT_PLUS_A",
+                diag_pivot_thresh=0.0,
+                options={"SymmetricMode": True},
+            )
+        except RuntimeError:
+            return None
+        return _sparse_linalg.LinearOperator((n, n), matvec=lu.solve, dtype=float)
 
 
 register_backend(SparseExactBackend.name, SparseExactBackend())

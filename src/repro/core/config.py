@@ -27,7 +27,12 @@ from repro.quantum.channels import (
     _normalise_gate_strengths,
 )
 from repro.quantum.noise import NOISE_CHANNELS, NoiseModel
-from repro.utils.validation import check_integer, check_positive_integer, check_probability
+from repro.utils.validation import (
+    check_bool,
+    check_integer,
+    check_positive_integer,
+    check_probability,
+)
 
 #: Allowed padding modes (Eq. 7 identity padding vs the naive zero padding).
 PADDING_MODES = ("identity", "zero")
@@ -224,8 +229,8 @@ class QTDAConfig:
             self.trace_deflation_rank, "trace_deflation_rank", minimum=0
         )
         self.noise_strength = check_probability(self.noise_strength, "noise_strength")
-        self.use_purification = bool(self.use_purification)
-        self.fuse_purified = bool(self.fuse_purified)
+        self.use_purification = check_bool(self.use_purification, "use_purification")
+        self.fuse_purified = check_bool(self.fuse_purified, "fuse_purified")
         self.noise_gate_strengths = _normalise_gate_strengths(self.noise_gate_strengths)
         if (
             self.noise_two_qubit_channel is not None
@@ -281,6 +286,15 @@ class QTDAConfig:
             raise ValueError(
                 f"circuit_engine={self.circuit_engine!r} cannot simulate noise "
                 "channels; use circuit_engine='ptm', 'trajectory', 'density' (or 'auto')"
+            )
+        if self.seed is not None and not isinstance(
+            self.seed, (np.random.Generator, np.random.SeedSequence)
+        ):
+            self.seed = check_integer(self.seed, "seed", minimum=0)
+        self.zero_eigenvalue_atol = float(self.zero_eigenvalue_atol)
+        if not (np.isfinite(self.zero_eigenvalue_atol) and self.zero_eigenvalue_atol >= 0):
+            raise ValueError(
+                f"zero_eigenvalue_atol must be finite and >= 0, got {self.zero_eigenvalue_atol}"
             )
         if self.noise_strength > 0 and self.noise_channel is None and self.noise_model is None:
             # Without this check the strength would be silently ignored and a

@@ -40,8 +40,11 @@ from repro.quantum.operations import Gate
 
 #: Byte budget for retained plans (gate matrices dominate; wide pass-through
 #: controlled powers are counted too — at q system qubits each is a
-#: ``2^(1+q) x 2^(1+q)`` complex matrix).
-FUSION_CACHE_MAX_BYTES = 256 * 1024 * 1024
+#: ``2^(1+q) x 2^(1+q)`` complex matrix, so a q=6, t=4 plan is ~1 MB).
+#: Sized by the hit ratio, not the working set: distinct clouds give distinct
+#: circuits, and repeated requests are answered by the service result cache
+#: before they reach fusion (DESIGN.md §11).
+FUSION_CACHE_MAX_BYTES = 16 * 1024 * 1024
 
 #: Entry-count backstop on top of the byte budget.
 FUSION_CACHE_MAXSIZE = 128

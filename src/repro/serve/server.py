@@ -36,6 +36,14 @@ Errors always arrive as a structured envelope::
     {"schema_version": 4, "error": {"code": 429, "reason": "quota",
      "message": "...", "retry_after_s": 0.7}}
 
+The transport guards the handler threads before any of that runs: a
+malformed ``Content-Length`` gets a 400 (``invalid_header``), a body over
+:data:`MAX_BODY_BYTES` a 413 (``body_too_large``), and a client that stalls
+mid-body a 408 (``body_timeout``) after the handler's socket ``timeout``.
+Each leaves (the rest of) the body unread, so the connection is closed
+behind the answer.  Every answer is one ``sendall`` on a ``TCP_NODELAY``
+socket (DESIGN.md §15).
+
 Caller identity for quotas is the ``X-Caller`` header when present, else the
 peer address — good enough for LAN deployments; put a real authenticating
 proxy in front for anything else.
@@ -45,6 +53,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import threading
 import time
 from dataclasses import dataclass
@@ -62,6 +71,7 @@ from repro.serve.metrics import MetricsRegistry
 from repro.serve.quotas import AdmissionController, AdmissionRejected
 
 __all__ = [
+    "MAX_BODY_BYTES",
     "SERVED_KINDS",
     "ServeConfig",
     "QTDAServer",
@@ -73,6 +83,29 @@ logger = logging.getLogger("repro.serve")
 
 #: Request kinds the HTTP adapter exposes (``experiment`` is CLI-only).
 SERVED_KINDS = ("estimate", "pipeline", "sweep", "observe")
+
+#: Largest request body the adapter accepts.  A QTDA request is a small
+#: complex or cloud (tens of points); 1 MiB holds ~50k coordinates.
+MAX_BODY_BYTES = 1 << 20
+
+
+def _finite_float(text: str) -> float:
+    """``json`` hook for floats and the ``NaN``/``Infinity`` tokens: the wire
+    format has no non-finite numbers (``1e999`` overflows to one)."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite number {text!r}")
+    return value
+
+
+def _decode_body(raw: bytes) -> Any:
+    """Strict JSON: UTF-8, finite numbers only."""
+    return json.loads(raw.decode("utf-8"), parse_float=_finite_float, parse_constant=_finite_float)
+
+
+def _body_too_large(length: int) -> Tuple[int, str, str]:
+    message = f"request body of {length} bytes exceeds the {MAX_BODY_BYTES}-byte limit"
+    return 413, "body_too_large", message
 
 
 @dataclass
@@ -120,6 +153,12 @@ class _RequestHandler(BaseHTTPRequestHandler):
 
     app: "QTDAServer"  # bound by QTDAServer via a subclass attribute
     protocol_version = "HTTP/1.1"
+    # Responses leave in one write (see _send_json); TCP_NODELAY also covers
+    # the two-write answers http.server itself sends (send_error).
+    disable_nagle_algorithm = True
+    # Socket timeout (seconds) for every read and write: a client that goes
+    # quiet mid-request, or idles on a keep-alive connection, frees its thread.
+    timeout = 10.0
 
     # BaseHTTPRequestHandler logs every request line to stderr by default;
     # route it through the package logger at debug instead.
@@ -132,15 +171,56 @@ class _RequestHandler(BaseHTTPRequestHandler):
     def _send_json(
         self, status: int, document: Mapping[str, Any], headers: Optional[Dict[str, str]] = None
     ) -> None:
+        """Send status line, headers and body in a single ``sendall``.
+
+        ``end_headers()`` followed by a separate body write puts two small
+        segments on the wire; Nagle's algorithm holds the second until the
+        client's delayed ACK for the first, ~40 ms on every answer.
+        """
         payload = json.dumps(document).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(payload)))
-        self.send_header("X-QTDA-Schema-Version", str(SCHEMA_VERSION))
-        for name, value in (headers or {}).items():
-            self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(payload)
+        self.log_request(status)
+        lines = [
+            f"{self.protocol_version} {status} {self.responses.get(status, ('',))[0]}",
+            f"Server: {self.version_string()}",
+            f"Date: {self.date_time_string()}",
+            "Content-Type: application/json",
+            f"Content-Length: {len(payload)}",
+            f"X-QTDA-Schema-Version: {SCHEMA_VERSION}",
+            *(f"{name}: {value}" for name, value in (headers or {}).items()),
+        ]
+        if self.close_connection:
+            lines.append("Connection: close")
+        self.wfile.write("\r\n".join(lines).encode("latin-1") + b"\r\n\r\n" + payload)
+
+    def _read_body(self) -> Tuple[bytes, Optional[Tuple[int, str, str]]]:
+        """The request body, or ``(b"", (status, reason, message))`` when refused.
+
+        A refused body is left unread, so the connection is marked for
+        closing: its remaining bytes would otherwise be parsed as the next
+        request line.
+        """
+        def refused(status: int, reason: str, message: str):
+            self.close_connection = True
+            return b"", (status, reason, message)
+
+        values = self.headers.get_all("Content-Length") or ["0"]
+        text = values[0].strip()
+        if len(set(values)) > 1 or not (text.isascii() and text.isdigit()):
+            return refused(
+                400, "invalid_header", f"Content-Length must be one non-negative integer, got {values!r}"
+            )
+        length = int(text)
+        if length > MAX_BODY_BYTES:
+            return refused(*_body_too_large(length))
+        try:
+            raw = self.rfile.read(length) if length else b""
+        except TimeoutError:
+            return refused(408, "body_timeout", f"request body not received within {self.timeout:g}s")
+        if len(raw) < length:
+            return refused(
+                400, "incomplete_body", f"connection closed after {len(raw)} of {length} body bytes"
+            )
+        return raw, None
 
     def do_GET(self) -> None:  # noqa: N802 - http.server API
         if self.path == "/v1/health":
@@ -155,14 +235,11 @@ class _RequestHandler(BaseHTTPRequestHandler):
     def do_POST(self) -> None:  # noqa: N802 - http.server API
         # Drain the body before routing: on a keep-alive connection an
         # unread body would be parsed as the next request line.
-        length = int(self.headers.get("Content-Length") or 0)
-        raw = self.rfile.read(length) if length else b""
-        kind = None
-        if self.path.startswith("/v1/"):
-            candidate = self.path[len("/v1/"):]
-            if candidate in SERVED_KINDS:
-                kind = candidate
-        if kind is None:
+        raw, refusal = self._read_body()
+        # The route's latency window: body in hand -> answer on the wire.
+        start = time.perf_counter()
+        route = self.path[len("/v1/"):] if self.path.startswith("/v1/") else None
+        if route not in SERVED_KINDS:
             self._send_json(
                 404,
                 error_envelope(
@@ -173,8 +250,14 @@ class _RequestHandler(BaseHTTPRequestHandler):
                 ),
             )
             return
-        status, document, headers = self.app.handle_post(kind, raw, self._caller())
+        if refusal is not None:
+            status, document, headers = self.app.refuse(route, *refusal)
+        else:
+            status, document, headers = self.app.handle_post(route, raw, self._caller())
         self._send_json(status, document, headers)
+        self.app.metrics.histogram(f"requests.{route}.latency").record(
+            time.perf_counter() - start
+        )
 
 
 class QTDAServer:
@@ -286,24 +369,18 @@ class QTDAServer:
 
         Factored out of the socket handler so tests can drive the full
         pipeline (parsing, negotiation, admission, coalescing, execution,
-        metering) without a network round trip when they want to.
+        metering) without a network round trip when they want to.  The
+        route's latency histogram is the handler's: it also times the send.
         """
-        self.metrics.counter("requests.total").inc()
-        self.metrics.counter(f"requests.{route}.count").inc()
-
-        def _reject(status: int, document: Dict[str, Any], headers: Optional[Dict[str, str]] = None):
-            self.metrics.counter("requests.errors").inc()
-            self.metrics.counter(f"requests.{route}.errors").inc()
-            return status, document, headers or {}
-
+        self._count(route)
+        if len(raw) > MAX_BODY_BYTES:
+            return self._reject(route, *_body_too_large(len(raw)))
         try:
-            body = json.loads(raw.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            return _reject(400, error_envelope(400, "invalid_json", f"request body is not JSON: {exc}"))
+            body = _decode_body(raw)
+        except (ValueError, RecursionError) as exc:
+            return self._reject(route, 400, "invalid_json", f"request body is not JSON: {exc}")
         if not isinstance(body, dict):
-            return _reject(
-                400, error_envelope(400, "invalid_request", "request body must be a JSON object")
-            )
+            return self._reject(route, 400, "invalid_request", "request body must be a JSON object")
 
         # Schema-version negotiation: the wire format is versioned and this
         # build speaks exactly one version; the error names it so clients can
@@ -311,42 +388,38 @@ class QTDAServer:
         version = body.get("schema_version")
         if version != SCHEMA_VERSION:
             reason = "missing_schema_version" if version is None else "unsupported_schema_version"
-            return _reject(
+            return self._reject(
+                route,
                 400,
-                error_envelope(
-                    400,
-                    reason,
-                    f"request schema_version {version!r} is not supported",
-                    supported_versions=[SCHEMA_VERSION],
-                ),
+                reason,
+                f"request schema_version {version!r} is not supported",
+                supported_versions=[SCHEMA_VERSION],
             )
         kind = body.setdefault("kind", route)
         if kind != route:
-            return _reject(
-                400,
-                error_envelope(
-                    400, "kind_mismatch", f"request kind {kind!r} does not match route /v1/{route}"
-                ),
+            return self._reject(
+                route, 400, "kind_mismatch", f"request kind {kind!r} does not match route /v1/{route}"
             )
 
         try:
             request = request_from_dict(body)
-        except (TypeError, ValueError) as exc:
-            return _reject(400, error_envelope(400, "invalid_request", str(exc)))
+        except (TypeError, ValueError, OverflowError, RecursionError) as exc:
+            return self._reject(route, 400, "invalid_request", str(exc))
 
         try:
             self.admission.admit(caller)
         except AdmissionRejected as exc:
             status = 503 if exc.reason == "draining" else 429
-            headers = {"Retry-After": f"{max(exc.retry_after_s, 0.0):.3f}"}
-            return _reject(
+            return self._reject(
+                route,
                 status,
-                error_envelope(status, exc.reason, str(exc), retry_after_s=exc.retry_after_s),
-                headers,
+                exc.reason,
+                str(exc),
+                headers={"Retry-After": f"{max(exc.retry_after_s, 0.0):.3f}"},
+                retry_after_s=exc.retry_after_s,
             )
 
         self.metrics.gauge("queue.depth").set(self.admission.depth)
-        start = time.perf_counter()
         try:
             # Observe requests are stateful (never coalescable); everything
             # else goes through the coalescer when one is configured.
@@ -356,18 +429,40 @@ class QTDAServer:
                 result, coalesced = self.service.run(request), False
         except Exception as exc:  # noqa: BLE001 - the adapter must not crash the worker
             logger.exception("request execution failed")
-            return _reject(500, error_envelope(500, "internal_error", f"{type(exc).__name__}: {exc}"))
+            return self._reject(route, 500, "internal_error", f"{type(exc).__name__}: {exc}")
         finally:
             self.admission.release()
             self.metrics.gauge("queue.depth").set(self.admission.depth)
 
-        elapsed = time.perf_counter() - start
-        self.metrics.histogram(f"requests.{route}.latency").record(elapsed)
         if coalesced:
             self.metrics.counter(f"requests.{route}.coalesced").inc()
         document = result.as_dict()
         document["coalesced"] = coalesced
         return 200, document, {}
+
+    def refuse(
+        self, route: str, status: int, reason: str, message: str
+    ) -> Tuple[int, Dict[str, Any], Dict[str, str]]:
+        """Count and answer a request the transport refused before decoding."""
+        self._count(route)
+        return self._reject(route, status, reason, message)
+
+    def _count(self, route: str) -> None:
+        self.metrics.counter("requests.total").inc()
+        self.metrics.counter(f"requests.{route}.count").inc()
+
+    def _reject(
+        self,
+        route: str,
+        status: int,
+        reason: str,
+        message: str,
+        headers: Optional[Dict[str, str]] = None,
+        **extra: Any,
+    ) -> Tuple[int, Dict[str, Any], Dict[str, str]]:
+        self.metrics.counter("requests.errors").inc()
+        self.metrics.counter(f"requests.{route}.errors").inc()
+        return status, error_envelope(status, reason, message, **extra), headers or {}
 
     # -- observability ---------------------------------------------------------
     def health(self) -> Dict[str, Any]:

@@ -24,6 +24,13 @@ def check_integer(value: Any, name: str, minimum: int | None = None, maximum: in
     return value
 
 
+def check_bool(value: Any, name: str) -> bool:
+    """Validate that ``value`` is a boolean (not merely truthy)."""
+    if not isinstance(value, (bool, np.bool_)):
+        raise TypeError(f"{name} must be a boolean, got {type(value).__name__}")
+    return bool(value)
+
+
 def check_positive_integer(value: Any, name: str) -> int:
     """Validate that ``value`` is a strictly positive integer."""
     return check_integer(value, name, minimum=1)

@@ -203,6 +203,29 @@ def test_fusion_cache_byte_budget_evicts_and_skips_oversize(monkeypatch):
     assert fusion_cache_info()["entries"] == 0  # but nothing was pinned
 
 
+def test_paper_scale_qtda_plan_is_cached_under_the_budget():
+    """A q=6, t=4 QTDA circuit (the ensemble route's circuit) fits the byte
+    budget, so a warm run at that size re-plans nothing."""
+    import repro.quantum.fusion as fusion
+    from repro.core.hamiltonian import build_hamiltonian
+    from repro.core.qtda_circuit import qtda_circuit
+
+    basis = np.random.default_rng(2023).standard_normal((48, 46))
+    laplacian = basis @ basis.T  # 48 simplices, padded to 2^6
+    hamiltonian = build_hamiltonian((laplacian + laplacian.T) / 2.0, delta=6.0)
+    circuit, spec = qtda_circuit(
+        hamiltonian, precision_qubits=4, use_purification=False, power_synthesis="spectral"
+    )
+    assert (spec.system_qubits, circuit.num_qubits) == (6, 10)
+    clear_fusion_cache()
+    plan = fuse_circuit(circuit)
+    assert fusion._plan_bytes(plan) <= fusion.FUSION_CACHE_MAX_BYTES
+    assert fuse_circuit(circuit) is plan  # the second call is a cache hit
+    info = fusion_cache_info()
+    assert (info["hits"], info["misses"], info["entries"]) == (1, 1, 1)
+    clear_fusion_cache()
+
+
 def test_circuit_fingerprint_tracks_content_not_identity():
     rng = np.random.default_rng(8)
     u = _random_unitary(rng, 1)

@@ -7,6 +7,7 @@ same path production traffic takes — via the keep-alive
 
 import contextlib
 import json
+import socket
 import threading
 import time
 
@@ -27,12 +28,14 @@ from repro.core.pipeline import PipelineConfig
 from repro.datasets import HighDimStreamConfig, generate_highdim_cloud_stream
 from repro.datasets.point_clouds import circle_cloud
 from repro.serve import (
+    MAX_BODY_BYTES,
     QTDAServer,
     ServeConfig,
     ServiceClient,
     ServiceError,
     validate_stats_dict,
 )
+from repro.serve import server as server_module
 
 TRIANGLE = ((0,), (1,), (2,), (0, 1), (0, 2), (1, 2))
 
@@ -219,6 +222,158 @@ class TestErrorEnvelopes:
         assert excinfo.value.status == 500
         assert excinfo.value.reason == "internal_error"
         assert client.health()["status"] == "ok"  # server is still alive
+
+
+def raw_exchange(server, head: bytes, body: bytes = b""):
+    """Send raw request bytes, read until the server closes the connection.
+
+    Returns ``(status, headers, envelope)``.  Reading to EOF is itself an
+    assertion: a refusal must close the connection, not wait for more.
+    """
+    with socket.create_connection((server.host, server.port), timeout=10.0) as sock:
+        sock.sendall(head + b"\r\n" + body)
+        chunks = []
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                break
+            chunks.append(chunk)
+    head_text, _, payload = b"".join(chunks).partition(b"\r\n\r\n")
+    status_line, *header_lines = head_text.decode("latin-1").split("\r\n")
+    headers = dict(line.split(": ", 1) for line in header_lines)
+    return int(status_line.split()[1]), headers, json.loads(payload)
+
+
+def post_head(content_length: str) -> bytes:
+    return (
+        "POST /v1/estimate HTTP/1.1\r\nHost: test\r\nContent-Type: application/json\r\n"
+        f"Content-Length: {content_length}\r\n"
+    ).encode("latin-1")
+
+
+class TestHeaderRobustness:
+    """Malformed or hostile framing gets a counted error envelope, and the
+    connection is closed because the body is left unread."""
+
+    @staticmethod
+    def assert_refused(server, status, reason, raw_status, headers, envelope):
+        assert raw_status == status
+        assert envelope["schema_version"] == SCHEMA_VERSION
+        assert envelope["error"]["code"] == status
+        assert envelope["error"]["reason"] == reason
+        assert headers["Connection"] == "close"
+        stats = server.stats()
+        validate_stats_dict(stats)
+        route = stats["requests"]["by_route"]["estimate"]
+        assert (route["count"], route["errors"], route["latency_ms"]["count"]) == (1, 1, 1)
+        assert stats["requests"]["errors"] == 1
+
+    @pytest.mark.parametrize("value", ["abc", "-1", "1_0", "+5"])
+    def test_malformed_content_length_is_400(self, value):
+        with serve() as (server, _client):
+            answer = raw_exchange(server, post_head(value))
+            self.assert_refused(server, 400, "invalid_header", *answer)
+
+    def test_conflicting_content_lengths_are_400(self):
+        with serve() as (server, _client):
+            answer = raw_exchange(server, post_head("2") + b"Content-Length: 3\r\n")
+            self.assert_refused(server, 400, "invalid_header", *answer)
+
+    def test_oversized_body_is_413_unread(self):
+        with serve() as (server, _client):
+            answer = raw_exchange(server, post_head(str(MAX_BODY_BYTES + 1)))
+            self.assert_refused(server, 413, "body_too_large", *answer)
+
+    def test_stalled_body_times_out_with_408(self, monkeypatch):
+        monkeypatch.setattr(server_module._RequestHandler, "timeout", 0.2)
+        with serve() as (server, _client):
+            answer = raw_exchange(server, post_head("100"), b'{"schema_version"')
+            self.assert_refused(server, 408, "body_timeout", *answer)
+
+    def test_handler_timeout_is_set(self):
+        assert server_module._RequestHandler.timeout is not None
+        assert server_module._RequestHandler.timeout > 0
+
+
+class _SendCounter:
+    """Socket proxy that counts the writes a handler makes on its connection."""
+
+    def __init__(self, sock):
+        self._sock = sock
+        self.sends = 0
+
+    def sendall(self, data, *args):
+        self.sends += 1
+        return self._sock.sendall(data, *args)
+
+    def send(self, data, *args):
+        self.sends += 1
+        return self._sock.send(data, *args)
+
+    def __getattr__(self, name):
+        return getattr(self._sock, name)
+
+
+@contextlib.contextmanager
+def counted_connections(server):
+    """Record every accepted connection as ``(send counter, TCP_NODELAY)``."""
+    accepted = []
+    base = server._httpd.RequestHandlerClass
+
+    class CountingHandler(base):
+        def setup(self):
+            self.request = _SendCounter(self.request)
+            super().setup()
+            nodelay = self.connection.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+            accepted.append((self.request, nodelay))
+
+    server._httpd.RequestHandlerClass = CountingHandler
+    try:
+        yield accepted
+    finally:
+        server._httpd.RequestHandlerClass = base
+
+
+class TestTransport:
+    """The response path: one socket write per answer on a no-delay socket."""
+
+    def test_each_response_is_one_send_on_a_nodelay_socket(self):
+        with serve() as (server, client), counted_connections(server) as accepted:
+            client.close()  # reconnect so the counting handler serves it
+            client.health()
+            client.estimate(estimate_request())
+            with pytest.raises(ServiceError):
+                client.estimate({"schema_version": SCHEMA_VERSION + 1})
+            client.stats()
+            assert len(accepted) == 1
+            counter, nodelay = accepted[0]
+            assert counter.sends == 4
+            assert nodelay == 1
+
+    def test_keep_alive_serves_back_to_back_requests(self):
+        with serve() as (server, client), counted_connections(server) as accepted:
+            client.close()
+            # Distinct seeds: each request executes (no result-cache replay).
+            envelopes = [client.estimate(estimate_request(seed=seed)) for seed in (1, 2, 3)]
+            assert [e["coalesced"] for e in envelopes] == [False, False, False]
+            assert len(accepted) == 1  # all three rode one connection
+            assert accepted[0][0].sends == 3
+
+    def test_latency_histogram_counts_every_answered_request(self):
+        """The route histogram times every answer, rejected ones included."""
+        with serve() as (_server, client):
+            client.estimate(estimate_request())
+            client.estimate(estimate_request(seed=8))
+            for body in ({"schema_version": SCHEMA_VERSION + 1}, {"schema_version": SCHEMA_VERSION}):
+                with pytest.raises(ServiceError):
+                    client.estimate(body)
+            with pytest.raises(ServiceError):
+                client.request("POST", "/v1/estimate", None)  # empty body: invalid JSON
+            stats = client.stats()
+            validate_stats_dict(stats)
+            route = stats["requests"]["by_route"]["estimate"]
+            assert route["count"] == 5 and route["errors"] == 3
+            assert route["latency_ms"]["count"] == route["count"]
 
 
 class TestQuotasOverHTTP:

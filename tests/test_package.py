@@ -49,6 +49,23 @@ def test_all_round_trips_every_exported_symbol():
         assert name in repro.__all__, f"repro.api name {name!r} not advertised in __all__"
 
 
+def test_pyproject_entry_point_resolves():
+    """pyproject.toml exists, uses the src/ layout and its console script is real."""
+    import importlib
+    from pathlib import Path
+
+    tomllib = pytest.importorskip("tomllib")  # stdlib from Python 3.11
+    root = Path(__file__).resolve().parents[1]
+    project = tomllib.loads((root / "pyproject.toml").read_text())
+    assert project["build-system"]["build-backend"] == "setuptools.build_meta"
+    assert project["tool"]["setuptools"]["packages"]["find"]["where"] == ["src"]
+    target = project["project"]["scripts"]["repro-experiments"]
+    module_name, _, attribute = target.partition(":")
+    entry = getattr(importlib.import_module(module_name), attribute)
+    assert callable(entry)
+    assert entry(["list-backends"]) == 0
+
+
 def test_api_module_importable():
     """The repro.api alias module re-exports the core implementation."""
     import repro.api
