@@ -130,14 +130,6 @@ def main() -> None:
         f"[route={sampled.engine_route}, {sampled.n_trajectories} trajectories]"
     )
 
-    # 5½. Scaling out: `config={"shards": 4, "shard_backend": "process"}`
-    #    splits the ensemble's batch axis (or the trajectory axis) across a
-    #    spawn-context process pool — bit-identical to the unsharded run,
-    #    with `shards`/`shard_backend`/device stamped into the provenance
-    #    (DESIGN.md §14).  With CuPy installed, `REPRO_ARRAY_MODULE=cupy`
-    #    or `shard_backend="device"` (`QTDAConfig.devices=(0, 1)` to pick
-    #    GPUs) runs the same shards on device contexts instead.
-
     # 6. What the circuit looks like for beta_1.
     laplacian = combinatorial_laplacian(complex_, 1)
     hamiltonian = build_hamiltonian(laplacian)

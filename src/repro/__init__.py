@@ -42,11 +42,8 @@ Quick start — one request in, one result envelope out::
 
 The same service fans batches across a worker pool (``service.map``), runs
 requests asynchronously (``service.submit``) and streams ε-sweeps
-incrementally (``service.stream_sweep``).  Heavy single requests can shard
-the circuit engine's batch axis across CPU processes — or CuPy devices via
-``REPRO_ARRAY_MODULE=cupy`` / ``QTDAConfig.devices`` — with
-``config={"shards": 4}`` (bit-identical to the unsharded run; see DESIGN.md
-§14).  The pre-service entry points remain available and bit-identical::
+incrementally (``service.stream_sweep``).  The pre-service entry points
+remain available and bit-identical::
 
     from repro import QTDABettiEstimator
 
@@ -98,8 +95,6 @@ _LAZY_EXPORTS = {
     "repro.quantum": (
         "EnsembleExecutor",
         "QuantumCircuit",
-        "ShardPlan",
-        "ShardedExecutor",
         "StatevectorSimulator",
     ),
 }

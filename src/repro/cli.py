@@ -87,21 +87,6 @@ def _add_noise_options(parser) -> None:
         default=0.0,
         help="per-bit readout flip probability applied to measured marginals",
     )
-    parser.add_argument(
-        "--shards",
-        type=int,
-        default=1,
-        help=(
-            "split the circuit engine's batch axis across this many shards "
-            "(bit-identical to unsharded; throughput only)"
-        ),
-    )
-    parser.add_argument(
-        "--shard-backend",
-        choices=("serial", "thread", "process", "device"),
-        default="process",
-        help="where shards run ('device' needs cupy and a visible GPU)",
-    )
 
 
 def _add_batch_options(parser) -> None:
@@ -351,8 +336,6 @@ def _run_table1(args) -> str:
         "circuit_engine": args.circuit_engine,
         "n_trajectories": args.n_trajectories,
         "readout_error": args.readout_error,
-        "shards": args.shards,
-        "shard_backend": args.shard_backend,
     }
     if args.paper_scale:
         params["paper_scale"] = True
@@ -394,8 +377,6 @@ def _run_appendix(args) -> str:
         "circuit_engine": args.circuit_engine,
         "n_trajectories": args.n_trajectories,
         "readout_error": args.readout_error,
-        "shards": args.shards,
-        "shard_backend": args.shard_backend,
     }
     return _run_experiment("appendix", params, args.json)
 
@@ -418,8 +399,6 @@ def _run_timeseries(args) -> str:
         "circuit_engine": args.circuit_engine,
         "n_trajectories": args.n_trajectories,
         "readout_error": args.readout_error,
-        "shards": args.shards,
-        "shard_backend": args.shard_backend,
         "signal": args.signal,
     }
     return _run_experiment("timeseries", params, args.json)

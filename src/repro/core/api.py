@@ -32,13 +32,11 @@ tests in ``tests/core/test_api.py`` pin that equivalence.
 
 from __future__ import annotations
 
-import atexit
 import copy
 import hashlib
 import json
 import threading
 import time
-import weakref
 from collections import OrderedDict
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -60,16 +58,19 @@ from repro.utils.validation import check_bool, check_integer
 #: Version of the request/result wire format.  Bump on any incompatible
 #: change to the dictionaries emitted by ``as_dict`` (consumers validate it
 #: through :meth:`EstimationResult.validate_dict`).
-#: History: 4 — provenance gained required ``shards``/``shard_backend``/
-#: ``device`` fields and ``QTDAConfig`` gained ``shards``/``shard_backend``/
-#: ``devices`` (request fingerprints changed); 3 — provenance gained required
-#: ``n_trajectories``/``noise_spec`` fields and ``QTDAConfig`` gained the
-#: :class:`repro.quantum.channels.NoiseSpec` fields plus
-#: ``n_trajectories``/``fuse_purified`` (request fingerprints changed); 2 —
-#: provenance gained required ``engine_route``/``fused_gates`` fields and
+#: History: 5 — the sharding layer was removed: provenance lost
+#: ``shards``/``shard_backend``/``device`` and ``QTDAConfig`` lost
+#: ``shards``/``shard_backend``/``devices`` (request fingerprints changed; a
+#: config carrying them is rejected); 4 — provenance gained required
+#: ``shards``/``shard_backend``/``device`` fields and ``QTDAConfig`` gained
+#: ``shards``/``shard_backend``/``devices`` (request fingerprints changed);
+#: 3 — provenance gained required ``n_trajectories``/``noise_spec`` fields
+#: and ``QTDAConfig`` gained the :class:`repro.quantum.channels.NoiseSpec`
+#: fields plus ``n_trajectories``/``fuse_purified`` (request fingerprints
+#: changed); 2 — provenance gained required ``engine_route``/``fused_gates`` fields and
 #: ``QTDAConfig`` gained ``circuit_engine`` (request fingerprints changed);
 #: 1 — initial service wire format.
-SCHEMA_VERSION = 4
+SCHEMA_VERSION = 5
 
 #: The request kinds the service understands, in dispatch order.
 #: ``observe`` (added within schema version 3 — purely additive) feeds raw
@@ -735,10 +736,7 @@ class Provenance:
     block count (fused gates on the ensemble engine, fused superoperators on
     the PTM route); ``n_trajectories``/``noise_spec`` record the trajectory-route
     repetition count and the resolved noise description the run executed
-    under (``None`` for noiseless runs); ``shards``/``shard_backend``/
-    ``device`` record how the engine's batch/trajectory axis was sharded and
-    where the shards ran (:mod:`repro.quantum.sharding`; ``None`` for
-    unsharded runs).
+    under (``None`` for noiseless runs).
     """
 
     request_kind: str
@@ -755,9 +753,6 @@ class Provenance:
     fused_gates: Optional[int] = None
     n_trajectories: Optional[int] = None
     noise_spec: Optional[Dict[str, Any]] = None
-    shards: Optional[int] = None
-    shard_backend: Optional[str] = None
-    device: Optional[str] = None
     schema_version: int = SCHEMA_VERSION
 
     def as_dict(self) -> Dict[str, Any]:
@@ -777,9 +772,6 @@ class Provenance:
             "fused_gates": self.fused_gates,
             "n_trajectories": self.n_trajectories,
             "noise_spec": self.noise_spec,
-            "shards": self.shards,
-            "shard_backend": self.shard_backend,
-            "device": self.device,
         }
 
 
@@ -800,9 +792,6 @@ _PROVENANCE_FIELDS = (
     "fused_gates",
     "n_trajectories",
     "noise_spec",
-    "shards",
-    "shard_backend",
-    "device",
 )
 
 
@@ -939,8 +928,6 @@ def _run_table1(params: Dict[str, Any]) -> Tuple[Dict[str, Any], str, Optional[i
             "circuit_engine",
             "n_trajectories",
             "readout_error",
-            "shards",
-            "shard_backend",
         }
         unknown = set(params) - allowed
         if unknown:
@@ -1042,38 +1029,6 @@ _EXPERIMENT_RUNNERS = {
 # The service
 # ---------------------------------------------------------------------------
 
-#: Live (not yet closed) services, tracked weakly so tracking never extends a
-#: service's lifetime.  The interpreter-exit hook closes whatever is left —
-#: a service abandoned without ``close()`` must not leave shard worker
-#: processes behind — then tears down the process-wide shard pools.
-_LIVE_SERVICES: "weakref.WeakSet[QTDAService]" = weakref.WeakSet()
-_ATEXIT_LOCK = threading.Lock()
-_ATEXIT_REGISTERED = False
-
-
-def _close_live_services() -> None:
-    """Interpreter-exit hook: close leaked services, then the shard pools."""
-    for service in list(_LIVE_SERVICES):
-        try:
-            service.close()
-        except Exception:  # pragma: no cover - nothing to do at exit
-            pass
-    from repro.quantum.sharding import shutdown_shard_pools
-
-    shutdown_shard_pools()
-
-
-def _track_service(service: "QTDAService") -> None:
-    global _ATEXIT_REGISTERED
-    with _ATEXIT_LOCK:
-        # Lazy registration keeps import side-effect free: the hook exists
-        # only once the first service does.
-        if not _ATEXIT_REGISTERED:
-            atexit.register(_close_live_services)
-            _ATEXIT_REGISTERED = True
-        _LIVE_SERVICES.add(service)
-
-
 class _ObserveSession:
     """Server-side state of one named streaming session.
 
@@ -1143,40 +1098,22 @@ class QTDAService:
         self._pool_lock = threading.Lock()
         self._closed = False
         self.result_cache_hits = 0
-        self._executors: Dict[str, Any] = {}
-        self._executors_lock = threading.Lock()
-        _track_service(self)
 
     # -- lifecycle ------------------------------------------------------------
     def close(self) -> None:
         """Shut the worker pool down; pending futures finish first.
 
-        Idempotent — the second and later calls return immediately, so the
-        interpreter-exit hook (every service is registered with ``atexit``
-        on construction) can close a service the caller already closed.
-        Registered shard executors are closed too, and the process-wide
-        shard pools are torn down once no executors remain registered
-        anywhere obvious — closing a service is the "I'm done with sharding"
-        signal (pools recreate on demand, so this is always safe).
+        Idempotent — the second and later calls return immediately.
         """
         with self._pool_lock:
             if self._closed:
                 return
             pool, self._pool = self._pool, None
             self._closed = True
-        _LIVE_SERVICES.discard(self)
         if pool is not None:
             pool.shutdown(wait=True)
         with self._sessions_lock:
             self._sessions.clear()
-        with self._executors_lock:
-            executors, self._executors = dict(self._executors), {}
-        for executor in executors.values():
-            executor.close()
-        if executors:
-            from repro.quantum.sharding import shutdown_shard_pools
-
-            shutdown_shard_pools()
 
     def __enter__(self) -> "QTDAService":
         return self
@@ -1240,57 +1177,6 @@ class QTDAService:
             **spectrum,
         }
 
-    # -- executor registry ----------------------------------------------------
-    def register_executor(self, name: str, executor: Any) -> None:
-        """Register a shard-executor profile under ``name``.
-
-        ``executor`` is a :class:`~repro.quantum.sharding.ShardedExecutor`
-        (or anything exposing ``num_shards``/``backend``/``devices`` and
-        ``close()``).  :meth:`submit`/:meth:`map` can then schedule
-        estimation requests onto it by name: the request's config is
-        rewritten to the executor's shard settings before execution, so one
-        service can spread a stream of requests across, say, a CPU process
-        pool and one profile per GPU.  Registered executors are closed by
-        :meth:`close`.
-        """
-        if not name:
-            raise ValueError("executor name must be non-empty")
-        with self._executors_lock:
-            if name in self._executors:
-                raise ValueError(f"executor {name!r} is already registered")
-            self._executors[name] = executor
-
-    @property
-    def executors(self) -> Tuple[str, ...]:
-        """Names of the registered shard executors (sorted)."""
-        with self._executors_lock:
-            return tuple(sorted(self._executors))
-
-    def _resolve_executor(self, name: str) -> Any:
-        with self._executors_lock:
-            try:
-                return self._executors[name]
-            except KeyError:
-                raise ValueError(
-                    f"unknown executor {name!r}; registered: {sorted(self._executors)}"
-                ) from None
-
-    @staticmethod
-    def _request_on_executor(request: Request, executor: Any) -> Request:
-        """The request rewritten to run on ``executor``'s shard settings.
-
-        Only estimation requests carry a circuit-engine config; other kinds
-        pass through unchanged (their work has no shardable batch axis yet).
-        """
-        if not isinstance(request, EstimationRequest):
-            return request
-        config = request.config.replace(
-            shards=int(executor.num_shards),
-            shard_backend=str(executor.backend),
-            devices=getattr(executor, "devices", None),
-        )
-        return replace(request, config=config)
-
     # -- public API -----------------------------------------------------------
     def run(self, request: Request) -> EstimationResult:
         """Execute one request synchronously and return its result envelope.
@@ -1331,9 +1217,7 @@ class QTDAService:
             self._store_result(fingerprint, result)
         return result
 
-    def submit(
-        self, request: Request, executor: Optional[str] = None
-    ) -> "Future[EstimationResult]":
+    def submit(self, request: Request) -> "Future[EstimationResult]":
         """Schedule a request on the worker pool; returns a future.
 
         Results are identical to :meth:`run` — per-request seeds make them
@@ -1343,17 +1227,8 @@ class QTDAService:
         this layer; deploy behind :class:`repro.serve.RequestCoalescer`
         (what the HTTP server does) to deduplicate identical concurrent
         deterministic requests.
-
-        ``executor`` names a registered shard executor
-        (:meth:`register_executor`): the request is rewritten to that
-        executor's ``shards``/``shard_backend``/``devices`` before running,
-        so heavy estimations shard across its worker pool.  Sharding never
-        changes numbers (bit-identical to unsharded), so the rewrite only
-        affects provenance and throughput.
         """
         self._check_request(request)
-        if executor is not None:
-            request = self._request_on_executor(request, self._resolve_executor(executor))
         # The pool submission happens under the pool lock so a concurrent
         # close() either waits for it or makes this raise the service's own
         # closed error — never the executor's shutdown exception.
@@ -1366,15 +1241,9 @@ class QTDAService:
                 )
             return self._pool.submit(self.run, request)
 
-    def map(
-        self, requests: Iterable[Request], executor: Optional[str] = None
-    ) -> List[EstimationResult]:
-        """Fan a batch of requests across the pool; results in request order.
-
-        ``executor`` routes every request onto a registered shard executor,
-        as in :meth:`submit`.
-        """
-        futures = [self.submit(request, executor=executor) for request in requests]
+    def map(self, requests: Iterable[Request]) -> List[EstimationResult]:
+        """Fan a batch of requests across the pool; results in request order."""
+        futures = [self.submit(request) for request in requests]
         return [future.result() for future in futures]
 
     def run_dict(self, data: Mapping[str, Any]) -> EstimationResult:
@@ -1537,8 +1406,7 @@ class QTDAService:
 
         Returns ``(payload, backend, operator_format, seed, extras)`` where
         ``extras`` holds whatever optional :class:`Provenance` fields the
-        execution produced (``betti_std``, ``engine_route``,
-        ``shards``/``shard_backend``/``device``, ...) — ``run()`` splats it
+        execution produced (``betti_std``, ``engine_route``, ...) — ``run()`` splats it
         into the provenance record, so new execution-side provenance only
         needs to appear here.
         """
@@ -1558,9 +1426,6 @@ class QTDAService:
                     "fused_gates": estimate.fused_gates,
                     "n_trajectories": estimate.n_trajectories,
                     "noise_spec": estimate.noise_spec,
-                    "shards": estimate.shards,
-                    "shard_backend": estimate.shard_backend,
-                    "device": estimate.device,
                 },
             )
         if isinstance(request, PipelineRequest):

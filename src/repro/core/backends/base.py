@@ -128,15 +128,6 @@ class BackendResult:
         :class:`repro.quantum.channels.NoiseSpec` the run was executed under
         (circuit backends with any declarative noise configured); ``None``
         for noiseless runs and non-circuit backends.
-    shards, shard_backend:
-        How the circuit engine's batch/trajectory axis was sharded
-        (``QTDAConfig.shards``/``shard_backend`` as actually executed —
-        :mod:`repro.quantum.sharding`); ``None`` when the run used the plain
-        single-executor path.
-    device:
-        Where sharded work ran (``"cpu"`` or ``"cuda:<ordinals>"``, from
-        :attr:`repro.quantum.sharding.ShardedExecutor.device_label`);
-        ``None`` for unsharded runs.
     """
 
     distribution: np.ndarray
@@ -147,9 +138,6 @@ class BackendResult:
     fused_gates: "int | None" = None
     n_trajectories: "int | None" = None
     noise_spec: "dict | None" = None
-    shards: "int | None" = None
-    shard_backend: "str | None" = None
-    device: "str | None" = None
 
 
 @runtime_checkable

@@ -51,7 +51,6 @@ from repro.quantum.density_matrix import DensityMatrix, DensityMatrixSimulator
 from repro.quantum.engine import EnsembleExecutor
 from repro.quantum.noise import NoiseModel
 from repro.quantum.ptm import PTMExecutor
-from repro.quantum.sharding import ShardedExecutor
 from repro.quantum.statevector import StatevectorSimulator
 from repro.utils.rng import as_rng
 
@@ -131,25 +130,6 @@ def mixed_initial_state(spec: QTDACircuitSpec) -> DensityMatrix:
     return DensityMatrix(rho)
 
 
-def _resolve_engine_executor(config, fuse: bool = True):
-    """The engine executor a circuit route should run on.
-
-    Returns ``(executor, shard_info)`` where ``shard_info`` is a
-    ``(shards, shard_backend, device)`` provenance triple, all ``None`` for
-    the plain single-executor path.  ``config.shards > 1`` selects a
-    :class:`~repro.quantum.sharding.ShardedExecutor` over the configured
-    backend — sharded results are bit-identical to the unsharded executor's,
-    so routing through here never changes numbers, only throughput.
-    """
-    shards = int(getattr(config, "shards", 1) or 1)
-    if shards <= 1:
-        return EnsembleExecutor(fuse=fuse), (None, None, None)
-    shard_backend = str(getattr(config, "shard_backend", "process"))
-    devices = getattr(config, "devices", None)
-    executor = ShardedExecutor(shards, backend=shard_backend, devices=devices, fuse=fuse)
-    return executor, (executor.num_shards, executor.backend, executor.device_label)
-
-
 def _ensemble_route_result(problem: EstimationProblem, config, synthesis: str) -> BackendResult:
     """Batched-statevector execution of the mixed-state circuit.
 
@@ -171,7 +151,7 @@ def _ensemble_route_result(problem: EstimationProblem, config, synthesis: str) -
         trotter_order=config.trotter_order,
         power_synthesis="spectral" if synthesis == "exact" else "chain",
     )
-    executor, (shards, shard_backend, device) = _resolve_engine_executor(config)
+    executor = EnsembleExecutor()
     plan = executor.gate_plan(circuit)
     distribution = executor.basis_ensemble_distribution(
         circuit,
@@ -185,9 +165,6 @@ def _ensemble_route_result(problem: EstimationProblem, config, synthesis: str) -
         lambda_max=hamiltonian.padded.lambda_max,
         engine_route="ensemble",
         fused_gates=len(plan),
-        shards=shards,
-        shard_backend=shard_backend,
-        device=device,
     )
 
 
@@ -219,7 +196,7 @@ def _trajectory_route_result(
         power_synthesis="spectral" if synthesis == "exact" else "chain",
     )
     n_trajectories = int(getattr(config, "n_trajectories", 8))
-    executor, (shards, shard_backend, device) = _resolve_engine_executor(config, fuse=False)
+    executor = EnsembleExecutor(fuse=False)
     distribution, sem = executor.trajectory_basis_distribution(
         circuit,
         qubits=list(circuit_spec.precision_register),
@@ -236,9 +213,6 @@ def _trajectory_route_result(
         engine_route="trajectory",
         n_trajectories=n_trajectories,
         noise_spec=spec.as_dict(),
-        shards=shards,
-        shard_backend=shard_backend,
-        device=device,
     )
 
 
@@ -255,9 +229,7 @@ def _ptm_route_result(
     circuit+NoiseSpec fingerprint), then a single real ``4^(t+q)`` Pauli
     vector evolves through the program.  No sampling: the readout equals the
     density route's to floating point, and ``fused_gates`` carries the fused
-    superoperator count.  The Pauli state is one column, so ``config.shards``
-    has no batch axis to split here — the route runs unsharded (provenance
-    ``shards=None``) regardless.
+    superoperator count.
     """
     hamiltonian = problem.dense_hamiltonian(config)
     circuit, circuit_spec = qtda_circuit(

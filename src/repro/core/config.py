@@ -20,7 +20,6 @@ import numpy as np
 
 from repro.core.backends import available_backends
 from repro.core.backends.statevector import CIRCUIT_ROUTES
-from repro.quantum.sharding import SHARD_BACKENDS
 from repro.quantum.channels import (
     TWO_QUBIT_NOISE_CHANNELS,
     NoiseSpec,
@@ -145,26 +144,6 @@ class QTDAConfig:
         Optional explicit noise model object; takes precedence over
         ``noise_channel``/``noise_strength`` when set (only honoured by
         circuit backends).
-    shards:
-        Number of shards the circuit engine's batch axis (ensemble route) or
-        trajectory axis (trajectory route) is split across
-        (:class:`repro.quantum.sharding.ShardedExecutor`).  ``1`` (default)
-        keeps the single-executor path; sharded results are bit-identical to
-        unsharded ones for the same seed, so this is purely a throughput
-        knob.  Only the ``ensemble``/``trajectory`` routes shard; the legacy
-        pinned routes ignore it.
-    shard_backend:
-        Worker flavour for ``shards > 1`` — one of
-        :data:`repro.quantum.sharding.SHARD_BACKENDS`:
-        ``"process"`` (default; spawn-context CPU processes), ``"thread"``,
-        ``"serial"`` (in-process, the determinism reference) or ``"device"``
-        (one CuPy device context per shard; requires cupy + CUDA hardware).
-    devices:
-        CUDA device ordinals for the ``"device"`` shard backend, assigned to
-        shards round-robin.  Setting ``devices`` while ``shard_backend`` is
-        the default ``"process"`` selects ``"device"`` automatically;
-        combining it with an explicit ``"serial"``/``"thread"`` backend is an
-        error.
     trace_deflation_rank:
         Hutch++-style variance reduction for the ``stochastic-trace``
         backend: when positive, a rank-``r`` near-kernel subspace is resolved
@@ -194,9 +173,6 @@ class QTDAConfig:
     noise_two_qubit_strength: float = 0.0
     readout_error: float = 0.0
     n_trajectories: int = 8
-    shards: int = 1
-    shard_backend: str = "process"
-    devices: Optional[tuple] = None
     noise_model: Optional[NoiseModel] = None
     trace_deflation_rank: int = 0
     seed: Optional[int] = None
@@ -245,27 +221,6 @@ class QTDAConfig:
         )
         self.readout_error = check_probability(self.readout_error, "readout_error")
         self.n_trajectories = check_positive_integer(self.n_trajectories, "n_trajectories")
-        self.shards = check_positive_integer(self.shards, "shards")
-        if self.shard_backend not in SHARD_BACKENDS:
-            raise ValueError(
-                f"shard_backend must be one of {SHARD_BACKENDS}, got {self.shard_backend!r}"
-            )
-        if self.devices is not None:
-            self.devices = tuple(
-                check_integer(d, "devices", minimum=0) for d in self.devices
-            )
-            if not self.devices:
-                self.devices = None
-        if self.devices is not None:
-            if self.shard_backend == "process":
-                # devices are meaningless on CPU workers: naming them selects
-                # the device backend (process is only the un-asked-for default).
-                self.shard_backend = "device"
-            elif self.shard_backend != "device":
-                raise ValueError(
-                    f"devices={self.devices} requires shard_backend='device', "
-                    f"got {self.shard_backend!r}"
-                )
         if self.noise_gate_strengths and self.noise_channel is None:
             raise ValueError("noise_gate_strengths requires a noise_channel")
         if self.noise_two_qubit_strength > 0 and self.noise_two_qubit_channel is None:

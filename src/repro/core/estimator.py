@@ -74,12 +74,6 @@ class BettiEstimate:
         Kraus-trajectory repetitions (``trajectory`` route) and the JSON-safe
         resolved :class:`~repro.quantum.channels.NoiseSpec` the run executed
         under.  ``None`` for noiseless / non-circuit runs.
-    shards, shard_backend, device:
-        Sharded-execution provenance echoed from
-        :class:`~repro.core.backends.BackendResult`: how many shards the
-        engine's batch/trajectory axis was split across, the worker flavour
-        (:data:`~repro.quantum.sharding.SHARD_BACKENDS`) and where they ran
-        (``"cpu"`` / ``"cuda:<ordinals>"``).  ``None`` for unsharded runs.
     """
 
     betti_estimate: float
@@ -98,9 +92,6 @@ class BettiEstimate:
     fused_gates: Optional[int] = None
     n_trajectories: Optional[int] = None
     noise_spec: Optional[Dict[str, object]] = None
-    shards: Optional[int] = None
-    shard_backend: Optional[str] = None
-    device: Optional[str] = None
 
     @property
     def absolute_error(self) -> Optional[float]:
@@ -137,9 +128,6 @@ class BettiEstimate:
             "fused_gates": self.fused_gates,
             "n_trajectories": self.n_trajectories,
             "noise_spec": None if self.noise_spec is None else dict(self.noise_spec),
-            "shards": self.shards,
-            "shard_backend": self.shard_backend,
-            "device": self.device,
         }
 
 
@@ -258,9 +246,6 @@ class QTDABettiEstimator:
             fused_gates=result.fused_gates,
             n_trajectories=result.n_trajectories,
             noise_spec=result.noise_spec,
-            shards=result.shards,
-            shard_backend=result.shard_backend,
-            device=result.device,
         )
 
     def estimate_betti_numbers(

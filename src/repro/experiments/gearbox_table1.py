@@ -70,9 +70,6 @@ class GearboxExperimentConfig:
     circuit_engine: str = "auto"
     n_trajectories: int = 8
     readout_error: float = 0.0
-    #: Circuit-engine sharding (QTDAConfig fields; bit-identical, throughput only).
-    shards: int = 1
-    shard_backend: str = "process"
     gearbox: GearboxDatasetConfig = field(default_factory=GearboxDatasetConfig)
     batch: BatchConfig = field(default_factory=BatchConfig)
 
@@ -241,8 +238,6 @@ def run_gearbox_table1(config: GearboxExperimentConfig | None = None) -> Table1R
             circuit_engine=cfg.circuit_engine,
             n_trajectories=cfg.n_trajectories,
             readout_error=cfg.readout_error,
-            shards=cfg.shards,
-            shard_backend=cfg.shard_backend,
             seed=derive_seed(cfg.seed, precision),
         )
         estimated, exact = _betti_features(
@@ -344,8 +339,6 @@ def run_timeseries_classification(
     circuit_engine: str = "auto",
     n_trajectories: int = 8,
     readout_error: float = 0.0,
-    shards: int = 1,
-    shard_backend: str = "process",
     window_stride: Optional[int] = None,
     streaming: bool = False,
     signal: str = "gearbox",
@@ -371,9 +364,7 @@ def run_timeseries_classification(
     :mod:`repro.datasets.synthetic` drift/anomaly stream — regime switch in
     both classes, injected transients in class 1) or ``"adversarial"`` (the
     drift stream pushed through the heavy-tailed-impulse + sensor-occlusion
-    corruption wrapper — the robustness stress test).  ``shards``/
-    ``shard_backend`` shard the circuit engine's batch axis per estimate
-    (:mod:`repro.quantum.sharding`; bit-identical, throughput only).
+    corruption wrapper — the robustness stress test).
     """
     if streaming and window_stride is None:
         raise ValueError("streaming=True requires window_stride (overlapping windows)")
@@ -441,8 +432,6 @@ def run_timeseries_classification(
             circuit_engine=circuit_engine,
             n_trajectories=n_trajectories,
             readout_error=readout_error,
-            shards=shards,
-            shard_backend=shard_backend,
             seed=derive_seed(seed, 3),
         )
         if use_quantum

@@ -124,8 +124,6 @@ def run_worked_example(
     circuit_engine: str = "auto",
     n_trajectories: int = 8,
     readout_error: float = 0.0,
-    shards: int = 1,
-    shard_backend: str = "process",
 ) -> WorkedExampleResult:
     """Execute the Appendix A pipeline and return all intermediates.
 
@@ -135,8 +133,7 @@ def run_worked_example(
     ``noise_strength`` parametrise the noisy workloads, with
     ``circuit_engine`` / ``n_trajectories`` / ``readout_error`` selecting and
     tuning the execution route (noisy runs resolve to the trajectory route
-    under ``"auto"``); ``shards``/``shard_backend`` shard the engine's batch
-    axis (:mod:`repro.quantum.sharding`; bit-identical, throughput only).
+    under ``"auto"``).
     """
     complex_ = appendix_complex()
     d1 = boundary_matrix(complex_, 1)
@@ -159,8 +156,6 @@ def run_worked_example(
             circuit_engine=circuit_engine,
             n_trajectories=n_trajectories,
             readout_error=readout_error,
-            shards=shards,
-            shard_backend=shard_backend,
         )
     )
     estimate = estimator.estimate(complex_, 1)

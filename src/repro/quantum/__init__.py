@@ -13,10 +13,6 @@ scratch on NumPy:
   one ``(2^n, B)`` array behind an array-module seam (NumPy/CuPy), plus a
   gate-fusion pass cached per circuit fingerprint
   (:mod:`repro.quantum.engine`, :mod:`repro.quantum.fusion`);
-* a sharded execution layer that splits the ensemble batch axis (and the
-  trajectory axis) across CPU processes or CuPy device contexts while
-  staying bit-identical to the unsharded engine
-  (:mod:`repro.quantum.sharding`);
 * measurement / shot sampling (:mod:`repro.quantum.measurement`);
 * the quantum Fourier transform and quantum phase estimation circuit
   builders (:mod:`repro.quantum.qft`, :mod:`repro.quantum.qpe`);
@@ -63,18 +59,6 @@ from repro.quantum.engine import (
     array_module,
     derive_trajectory_seeds,
     sample_channel_branches,
-    trajectory_mean_and_sem,
-)
-from repro.quantum.sharding import (
-    SHARD_BACKENDS,
-    ShardPlan,
-    ShardedExecutor,
-    device_backend_available,
-    get_shard_pool,
-    merge_moments,
-    moments_from_rows,
-    moments_mean_and_sem,
-    shutdown_shard_pools,
 )
 from repro.quantum.channels import (
     NOISE_CHANNELS,
@@ -150,16 +134,6 @@ __all__ = [
     "array_module",
     "derive_trajectory_seeds",
     "sample_channel_branches",
-    "trajectory_mean_and_sem",
-    "SHARD_BACKENDS",
-    "ShardPlan",
-    "ShardedExecutor",
-    "device_backend_available",
-    "get_shard_pool",
-    "merge_moments",
-    "moments_from_rows",
-    "moments_mean_and_sem",
-    "shutdown_shard_pools",
     "NOISE_CHANNELS",
     "TWO_QUBIT_NOISE_CHANNELS",
     "NoiseSpec",

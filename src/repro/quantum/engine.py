@@ -55,9 +55,10 @@ DEFAULT_MAX_FUSE_QUBITS = 3
 #: kernels pick different micro-kernel tails for different operand widths, so
 #: the same column evolved in a 6-wide and a 16-wide batch can differ by one
 #: ulp; evolving every ensemble in fixed blocks of this many columns makes
-#: the readout bit-identical under any block-aligned partition of the batch
-#: axis — the invariant the sharded executor's split points rely on.  16
-#: columns keeps the contraction wide enough to amortise per-gate overhead.
+#: the readout independent of how the batch is chunked (whenever the memory
+#: budget holds one block), and changing the width would change existing
+#: answers.  16 columns keeps the contraction wide enough to amortise
+#: per-gate overhead.
 DEFAULT_COLUMN_BLOCK = 16
 
 _ARRAY_MODULE_OVERRIDE = None
@@ -124,9 +125,8 @@ def derive_trajectory_seeds(rng: np.random.Generator, n_trajectories: int) -> Tu
     derivation :func:`repro.utils.rng.spawn_rngs` uses) seeds every
     trajectory up front, so trajectory ``i``'s random stream depends only on
     the estimator seed and ``i`` — never on how the trajectories are batched
-    or scheduled.  This is what lets the sharded executor
-    (:mod:`repro.quantum.sharding`) split the trajectory axis across workers
-    while staying bit-identical to the serial run.
+    or scheduled.  Drawing the seeds any other way would change existing
+    answers.
     """
     n_trajectories = int(n_trajectories)
     if n_trajectories < 1:
@@ -148,23 +148,6 @@ def _normalised_weights(weights, count: int) -> np.ndarray:
         # Caught here rather than as NaNs three layers downstream.
         raise ValueError("weights must have a positive sum")
     return w / total_weight
-
-
-def trajectory_mean_and_sem(rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Mean distribution and per-outcome standard error of trajectory rows.
-
-    The single reduction both the serial and the sharded trajectory paths
-    share: given the stacked ``(T, out_dim)`` per-trajectory distributions it
-    returns ``(mean, std(ddof=1)/sqrt(T))`` (zeros for a single trajectory).
-    """
-    rows = np.asarray(rows, dtype=float)
-    n_trajectories, out_dim = rows.shape
-    mean = rows.mean(axis=0)
-    if n_trajectories > 1:
-        sem = rows.std(axis=0, ddof=1) / np.sqrt(n_trajectories)
-    else:
-        sem = np.zeros(out_dim)
-    return mean, sem
 
 
 def apply_gate_to_ensemble(
@@ -305,9 +288,6 @@ class EnsembleExecutor:
     memory_budget_bytes:
         Ceiling on one chunk's state memory; :meth:`basis_ensemble_distribution`
         splits wider ensembles into column chunks that fit.
-    column_block:
-        Pinned evolution width of the ensemble readout routes (defaults to
-        :data:`DEFAULT_COLUMN_BLOCK`); see :meth:`evolution_block`.
     xp:
         Array module override; defaults to :func:`array_module`.
     """
@@ -317,15 +297,11 @@ class EnsembleExecutor:
         fuse: bool = True,
         max_fuse_qubits: int = DEFAULT_MAX_FUSE_QUBITS,
         memory_budget_bytes: int = DEFAULT_MEMORY_BUDGET_BYTES,
-        column_block: Optional[int] = None,
         xp=None,
     ):
         self.fuse = bool(fuse)
         self.max_fuse_qubits = int(max_fuse_qubits)
         self.memory_budget_bytes = int(memory_budget_bytes)
-        self.column_block = int(column_block) if column_block is not None else DEFAULT_COLUMN_BLOCK
-        if self.column_block < 1:
-            raise ValueError("column_block must be >= 1")
         self.xp = xp if xp is not None else array_module()
 
     # -- planning -------------------------------------------------------------
@@ -345,13 +321,12 @@ class EnsembleExecutor:
     def evolution_block(self, num_qubits: int) -> int:
         """The pinned column width the ensemble readout routes evolve at.
 
-        The memory budget caps it, ``column_block`` pins it: GEMM results for
-        one column depend (at the ulp level) on the operand width, so a fixed
-        width — rather than "whatever fits" — is what makes the readout
-        reproducible across machines with different budgets and across the
-        sharded executor's block-aligned splits.
+        The memory budget caps it, :data:`DEFAULT_COLUMN_BLOCK` pins it: GEMM
+        results for one column depend (at the ulp level) on the operand width,
+        so a fixed width — rather than "whatever fits" — is what makes the
+        readout reproducible across machines with different budgets.
         """
-        return max(1, min(self.max_batch(num_qubits), self.column_block))
+        return max(1, min(self.max_batch(num_qubits), DEFAULT_COLUMN_BLOCK))
 
     # -- execution ------------------------------------------------------------
     def run(self, circuit: QuantumCircuit, initial_states) -> np.ndarray:
@@ -413,10 +388,9 @@ class EnsembleExecutor:
         ensemble_member_marginal_probabilities`) which is then contracted
         with the block's weights — so no per-member probability vector over
         the full register is ever materialised, and because every block is
-        evolved at the same pinned width the result is bit-identical under
-        any block-aligned partition of the batch axis (the invariant the
-        sharded executor relies on).  ``plan`` lets callers that already
-        obtained :meth:`gate_plan` for this circuit skip re-fingerprinting it.
+        evolved at the same pinned width the result does not depend on the
+        memory budget.  ``plan`` lets callers that already obtained
+        :meth:`gate_plan` for this circuit skip re-fingerprinting it.
         """
         n = circuit.num_qubits
         basis = self._validated_basis(circuit, basis_states)
@@ -427,39 +401,12 @@ class EnsembleExecutor:
         total: Optional[np.ndarray] = None
         for start in range(0, len(basis), chunk):
             block = basis[start : start + chunk]
-            marginals = self._member_marginal_block(block, prepared, n, qubits)
+            states = self._evolve(self._basis_block(block, n), prepared, n)
+            marginals = ensemble_member_marginal_probabilities(states, n, qubits, xp=xp)
             partial = to_host(marginals @ xp.asarray(w[start : start + len(block)]))
             total = partial if total is None else total + partial
         assert total is not None
         return total / total.sum()
-
-    def basis_ensemble_member_marginals(
-        self,
-        circuit: QuantumCircuit,
-        qubits: Sequence[int],
-        basis_states: Sequence[int],
-        plan: Optional[Tuple[Gate, ...]] = None,
-    ) -> np.ndarray:
-        """Per-member marginal readouts: an ``(out_dim, B)`` host matrix.
-
-        Column ``b`` is the marginal distribution of ensemble member
-        ``|basis_states[b]>`` on ``qubits`` after ``circuit``.  The batch is
-        evolved in the same fixed column blocks as
-        :meth:`basis_ensemble_distribution`; because the width of every
-        evolution is pinned (:meth:`evolution_block`), the result is
-        bit-identical under any block-aligned split of the members across
-        workers — which is exactly how
-        :class:`repro.quantum.sharding.ShardedExecutor` uses this method.
-        """
-        n = circuit.num_qubits
-        basis = self._validated_basis(circuit, basis_states)
-        prepared = self._prepare(plan if plan is not None else self.gate_plan(circuit))
-        chunk = self.evolution_block(n)
-        blocks = []
-        for start in range(0, len(basis), chunk):
-            block = basis[start : start + chunk]
-            blocks.append(to_host(self._member_marginal_block(block, prepared, n, qubits)))
-        return np.hstack(blocks)
 
     def _validated_basis(self, circuit: QuantumCircuit, basis_states) -> list:
         dim = 2**circuit.num_qubits
@@ -471,14 +418,12 @@ class EnsembleExecutor:
                 raise ValueError(f"basis state {b} out of range for {circuit.num_qubits} qubits")
         return basis
 
-    def _member_marginal_block(self, block, prepared, num_qubits: int, qubits):
-        """Evolve one chunk of basis columns and reduce to ``(out_dim, len(block))``."""
-        xp = self.xp
-        states = xp.zeros((2**num_qubits, len(block)), dtype=complex)
+    def _basis_block(self, block, num_qubits: int):
+        """A ``(2^n, len(block))`` array whose column ``i`` is ``|block[i]>``."""
+        states = self.xp.zeros((2**num_qubits, len(block)), dtype=complex)
         for column, b in enumerate(block):
             states[b, column] = 1.0
-        states = self._evolve(states, prepared, num_qubits)
-        return ensemble_member_marginal_probabilities(states, num_qubits, qubits, xp=xp)
+        return states
 
     def trajectory_basis_distribution(
         self,
@@ -499,7 +444,8 @@ class EnsembleExecutor:
         contraction per gate across the batch.  The whole run is repeated
         ``n_trajectories`` times; the mean over trajectories estimates the
         density-matrix result and the spread is returned as a per-outcome
-        standard error (zeros for a single trajectory).
+        standard error (``std(ddof=1)/sqrt(T)``; zeros for a single
+        trajectory).
 
         Gate fusion is deliberately bypassed: the density route injects noise
         after every *original* gate, and fusing would move the injection
@@ -509,36 +455,12 @@ class EnsembleExecutor:
 
         Each trajectory runs under its own seed derived from ``rng``
         (:func:`derive_trajectory_seeds`): trajectory ``i``'s branch draws
-        depend only on ``seeds[i]``, never on the other trajectories, so the
-        trajectory axis can be split across shard workers bit-identically.
+        depend only on ``seeds[i]``, never on the other trajectories.
 
         Returns ``(mean_distribution, standard_error)`` as host arrays.
         """
         seeds = derive_trajectory_seeds(rng, n_trajectories)
-        rows = self.trajectory_rows(circuit, qubits, basis_states, noise_spec, seeds, weights)
-        return trajectory_mean_and_sem(rows)
-
-    def trajectory_rows(
-        self,
-        circuit: QuantumCircuit,
-        qubits: Sequence[int],
-        basis_states: Sequence[int],
-        noise_spec: NoiseSpec,
-        seeds: Sequence[int],
-        weights: Optional[Sequence[float]] = None,
-    ) -> np.ndarray:
-        """One readout distribution per trajectory seed: a ``(T, out_dim)`` matrix.
-
-        Row ``i`` is the (readout-error-adjusted) ensemble-averaged marginal
-        of one full stochastic Kraus unravelling driven by
-        ``default_rng(seeds[i])``.  Because every row depends only on its own
-        seed, any slicing of ``seeds`` across workers reproduces exactly the
-        corresponding rows — :class:`repro.quantum.sharding.ShardedExecutor`
-        splits here.  :meth:`trajectory_basis_distribution` is the
-        ``derive_trajectory_seeds`` + mean/SEM composition of this method.
-        """
         n = circuit.num_qubits
-        dim = 2**n
         basis = self._validated_basis(circuit, basis_states)
         w = _normalised_weights(weights, len(basis))
         xp = self.xp
@@ -547,15 +469,13 @@ class EnsembleExecutor:
         noise_plan = [noise_spec.channels_for_gate(g) for g in gates]
         chunk = self.max_batch(n)
         out_dim = 2 ** len(list(qubits))
-        per_trajectory = np.zeros((len(seeds), out_dim))
+        rows = np.zeros((len(seeds), out_dim))
         for trajectory, seed in enumerate(seeds):
             trajectory_rng = np.random.default_rng(int(seed))
             total: Optional[np.ndarray] = None
             for start in range(0, len(basis), chunk):
                 block = basis[start : start + chunk]
-                states = xp.zeros((dim, len(block)), dtype=complex)
-                for column, b in enumerate(block):
-                    states[b, column] = 1.0
+                states = self._basis_block(block, n)
                 for (matrix, gate_qubits), placed in zip(prepared, noise_plan):
                     states = apply_gate_to_ensemble(states, matrix, gate_qubits, n, xp=xp)
                     for channel, targets in placed:
@@ -569,5 +489,10 @@ class EnsembleExecutor:
             distribution = total / total.sum()
             if noise_spec.readout_error > 0:
                 distribution = apply_readout_error(distribution, noise_spec.readout_error)
-            per_trajectory[trajectory] = distribution
-        return per_trajectory
+            rows[trajectory] = distribution
+        mean = rows.mean(axis=0)
+        if len(seeds) > 1:
+            sem = rows.std(axis=0, ddof=1) / np.sqrt(len(seeds))
+        else:
+            sem = np.zeros(out_dim)
+        return mean, sem

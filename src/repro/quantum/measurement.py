@@ -130,9 +130,9 @@ def ensemble_member_marginal_probabilities(
     member's reduction runs over a contiguous block with strides that do not
     depend on the batch width.  That makes the result *bit-identical under
     any partition of the batch axis* — computing columns ``[s:e]`` from the
-    sliced ensemble yields exactly the bytes of ``result[:, s:e]`` — which is
-    the invariant the sharded executor (:mod:`repro.quantum.sharding`) builds
-    on.  (The batch-last layout of :func:`ensemble_marginal_probabilities`
+    sliced ensemble yields exactly the bytes of ``result[:, s:e]`` — so the
+    engine's readout does not depend on how its batch is chunked.  (The
+    batch-last layout of :func:`ensemble_marginal_probabilities`
     does not have this property: NumPy's pairwise-summation tree over strided
     axes changes with the trailing batch width.)
     """

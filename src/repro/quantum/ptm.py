@@ -433,11 +433,10 @@ class PTMExecutor:
 
     Mirrors :class:`~repro.quantum.engine.EnsembleExecutor`: the batch axis
     is processed in pinned column blocks (``evolution_block``) sized to a
-    byte budget, so any batch-axis split at block boundaries is bit-identical
-    to the unsharded run; the array module is the ``xp`` seam
+    byte budget, so the result does not depend on how the batch is chunked;
+    the array module is the ``xp`` seam
     (:func:`~repro.quantum.engine.array_module`).  The QTDA route runs a
-    single column (the one mixed initial state), but the batched form is what
-    sharding and ensemble workloads build on.
+    single column (the one mixed initial state).
     """
 
     def __init__(

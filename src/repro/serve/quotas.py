@@ -11,7 +11,7 @@ Shutdown is graceful: :meth:`AdmissionController.begin_drain` flips the
 controller into a draining state (new requests are rejected with
 ``reason="draining"``) and :meth:`AdmissionController.drain` waits for the
 in-flight count to reach zero, so the server stops accepting before the
-service tears down its caches and shard pools.
+service tears down its caches.
 """
 
 from __future__ import annotations

@@ -27,13 +27,12 @@ is cheap and every executed request is metered:
 3. coalescing (:mod:`repro.serve.coalescer`): identical concurrent
    deterministic requests execute once; estimation leaders sharing geometry
    serialise so each Laplacian is built into the shared spectrum cache once;
-4. execution on the shared :class:`~repro.core.api.QTDAService` — including
-   process-sharded configs (``config={"shards": ..., "shard_backend":
-   "process"}``), which are bit-identical to in-process runs.
+4. execution on the shared :class:`~repro.core.api.QTDAService`.
 
-Errors always arrive as a structured envelope::
+Errors always arrive as a structured envelope (``schema_version`` is
+:data:`~repro.core.api.SCHEMA_VERSION`)::
 
-    {"schema_version": 4, "error": {"code": 429, "reason": "quota",
+    {"schema_version": ..., "error": {"code": 429, "reason": "quota",
      "message": "...", "retry_after_s": 0.7}}
 
 The transport guards the handler threads before any of that runs: a
@@ -273,7 +272,7 @@ class QTDAServer:
 
     ``stop()`` drains gracefully: admission flips to rejecting, in-flight
     requests finish (bounded by ``drain_timeout``), then the listener and the
-    service (with its shard pools) shut down.
+    service shut down.
     """
 
     def __init__(self, config: Optional[ServeConfig] = None, service: Optional[QTDAService] = None):

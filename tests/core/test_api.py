@@ -158,12 +158,6 @@ class TestRequestHashingAndRoundTrip:
                 seed=2,
             ),
         ),
-        # Sharded/device config: the devices tuple must survive the wire.
-        lambda: EstimationRequest(
-            simplices=TRIANGLE,
-            k=1,
-            config=QTDAConfig(shards=2, shard_backend="device", devices=(0, 1), seed=3),
-        ),
     ])
     def test_wire_format_round_trip(self, build):
         """as_dict -> actual JSON bytes -> from_dict preserves equality and fingerprint.
@@ -691,28 +685,6 @@ class TestServiceLifecycle:
         service.close()  # second close must be a no-op, not an error
         with pytest.raises(RuntimeError, match="closed"):
             service.submit(EstimationRequest(simplices=TRIANGLE))
-
-    def test_services_registered_for_atexit_until_closed(self):
-        import repro.core.api as api_module
-
-        service = QTDAService()
-        # The hook is registered lazily, on first service construction.
-        assert api_module._ATEXIT_REGISTERED
-        assert service in api_module._LIVE_SERVICES
-        service.close()
-        assert service not in api_module._LIVE_SERVICES
-
-    def test_atexit_hook_closes_leaked_services(self):
-        from repro.core.api import _LIVE_SERVICES, _close_live_services
-
-        service = QTDAService()
-        try:
-            _close_live_services()  # what the interpreter-exit hook runs
-            assert service not in _LIVE_SERVICES
-            with pytest.raises(RuntimeError, match="closed"):
-                service.submit(EstimationRequest(simplices=TRIANGLE))
-        finally:
-            service.close()
 
 
 def test_result_envelope_through_json_bytes():

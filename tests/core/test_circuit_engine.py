@@ -300,31 +300,6 @@ def test_ptm_route_matches_ensemble_when_noise_free():
     assert ptm.p_zero == pytest.approx(ensemble.p_zero, abs=1e-9)
 
 
-def test_ptm_route_ignores_shards_gracefully():
-    """The PTM route evolves a single Pauli column: ``shards`` has no batch
-    axis to split, so the run succeeds and provenance carries no shard
-    stamp."""
-    sharded = _estimate(
-        "statevector",
-        "appendix",
-        "ptm",
-        noise_channel="depolarizing",
-        noise_strength=0.02,
-        shards=2,
-        shard_backend="serial",
-    )
-    plain = _estimate(
-        "statevector",
-        "appendix",
-        "ptm",
-        noise_channel="depolarizing",
-        noise_strength=0.02,
-    )
-    assert sharded.engine_route == "ptm"
-    assert sharded.shards is None
-    assert sharded.p_zero == plain.p_zero
-
-
 def test_ptm_runs_leave_density_and_trajectory_routes_bit_identical():
     """Satellite pin: adding the PTM route must not perturb the existing
     noisy routes — identical configs produce bit-identical results whether
@@ -471,114 +446,10 @@ def test_service_provenance_records_trajectory_route_and_noise_spec():
     assert document["provenance"]["noise_spec"]["strength"] == 0.02
 
 
-# ---------------------------------------------------------------------------
-# Sharded execution through the service (DESIGN.md §14)
-# ---------------------------------------------------------------------------
-
-
-def test_config_validates_shard_fields():
-    with pytest.raises(ValueError):
-        QTDAConfig(shards=0)
-    with pytest.raises(ValueError):
-        QTDAConfig(shard_backend="mpi")
-    with pytest.raises(ValueError):
-        QTDAConfig(devices=(0,), shard_backend="serial")  # devices need the device backend
-    # devices with the default backend auto-select the device backend.
-    coerced = QTDAConfig(devices=(0, 1))
-    assert coerced.shard_backend == "device"
-    assert coerced.devices == (0, 1)
-    assert QTDAConfig(devices=()).devices is None  # empty normalises away
-
-
-def test_sharded_service_run_is_bit_identical_and_stamped_in_provenance():
-    import json
-
-    from repro.api import EstimationRequest, EstimationResult, QTDAService
-    from repro.experiments.worked_example import APPENDIX_SIMPLICES
-
-    base = dict(precision_qubits=3, shots=None, delta=6.0, backend="statevector")
-    with QTDAService(max_workers=1) as service:
-        plain = service.run(
-            EstimationRequest(simplices=APPENDIX_SIMPLICES, k=1, config=QTDAConfig(**base))
-        )
-        sharded = service.run(
-            EstimationRequest(
-                simplices=APPENDIX_SIMPLICES,
-                k=1,
-                config=QTDAConfig(**base, shards=2, shard_backend="serial"),
-            )
-        )
-    assert sharded.payload["betti_estimate"] == plain.payload["betti_estimate"]
-    assert sharded.payload["p_zero"] == plain.payload["p_zero"]
-    # Unsharded runs carry nulls; sharded runs carry the full identity.
-    assert (plain.provenance.shards, plain.provenance.shard_backend) == (None, None)
-    assert plain.provenance.device is None
-    assert sharded.provenance.shards == 2
-    assert sharded.provenance.shard_backend == "serial"
-    assert sharded.provenance.device == "cpu"
-    document = json.loads(sharded.to_json())
-    EstimationResult.validate_dict(document)
-    assert document["schema_version"] == 4
-    assert document["provenance"]["shards"] == 2
-    assert document["provenance"]["shard_backend"] == "serial"
-    assert document["provenance"]["device"] == "cpu"
-
-
-def test_sharded_trajectory_route_through_service_is_bit_identical():
-    from repro.api import EstimationRequest, QTDAService
-    from repro.experiments.worked_example import APPENDIX_SIMPLICES
-
-    base = dict(
-        precision_qubits=3,
-        shots=None,
-        delta=6.0,
-        backend="statevector",
-        circuit_engine="trajectory",
-        noise_channel="depolarizing",
-        noise_strength=0.02,
-        n_trajectories=4,
-        seed=3,
-    )
-    with QTDAService(max_workers=1) as service:
-        plain = service.run(
-            EstimationRequest(simplices=APPENDIX_SIMPLICES, k=1, config=QTDAConfig(**base))
-        )
-        sharded = service.run(
-            EstimationRequest(
-                simplices=APPENDIX_SIMPLICES,
-                k=1,
-                config=QTDAConfig(**base, shards=2, shard_backend="serial"),
-            )
-        )
-    assert sharded.payload["betti_estimate"] == plain.payload["betti_estimate"]
-    assert sharded.payload["betti_std"] == plain.payload["betti_std"]
-    assert sharded.provenance.engine_route == "trajectory"
-    assert sharded.provenance.shards == 2
-
-
-def test_executor_registry_schedules_requests_onto_shard_pools():
-    from repro.api import EstimationRequest, QTDAService
-    from repro.experiments.worked_example import APPENDIX_SIMPLICES
-    from repro.quantum.sharding import ShardedExecutor
-
-    request = EstimationRequest(
-        simplices=APPENDIX_SIMPLICES,
-        k=1,
-        config=QTDAConfig(precision_qubits=3, shots=None, delta=6.0, backend="statevector"),
-    )
-    with QTDAService(max_workers=2) as service:
-        service.register_executor("pool", ShardedExecutor(2, backend="thread"))
-        assert service.executors == ("pool",)
-        with pytest.raises(ValueError, match="pool"):
-            service.register_executor("pool", ShardedExecutor(2, backend="thread"))
-        direct = service.run(request)
-        routed = service.submit(request, executor="pool").result()
-        mapped = list(service.map([request], executor="pool"))[0]
-        with pytest.raises(ValueError, match="registered"):
-            service.submit(request, executor="nope")
-    assert routed.provenance.shards == 2
-    assert routed.provenance.shard_backend == "thread"
-    assert mapped.provenance.shards == 2
-    # Scheduling changes where the work ran, never what it computed.
-    assert routed.payload["betti_estimate"] == direct.payload["betti_estimate"]
-    assert mapped.payload["betti_estimate"] == direct.payload["betti_estimate"]
+def test_config_rejects_removed_shard_fields():
+    """Sharding was removed (wire schema 5): its config fields are unknown."""
+    for removed in ({"shards": 2}, {"shard_backend": "process"}, {"devices": (0,)}):
+        with pytest.raises(TypeError, match=next(iter(removed))):
+            QTDAConfig(**removed)
+        with pytest.raises(TypeError):
+            QTDAConfig.from_dict({**QTDAConfig().as_dict(), **removed})

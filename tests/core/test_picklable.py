@@ -1,9 +1,9 @@
-"""Spawn-context pickling audit of every wire-facing object.
+"""Pickling audit of every wire-facing object.
 
-The sharded executor ships circuits, gate plans, and channel IR to
-spawn-context process workers (``repro.quantum.sharding``), and the service
-requests are the cross-process wire format — so each of these must survive
-``pickle`` byte-for-byte *and* its own ``as_dict``/``from_dict`` round trip.
+The batch engine's ``processes`` backend ships configs to worker processes,
+and the service requests are the cross-process wire format — so each of
+these must survive ``pickle`` byte-for-byte *and* its own
+``as_dict``/``from_dict`` round trip.
 Frozen dataclasses with precomputed derived fields (the usual spawn-pickling
 culprits) get their derived state checked explicitly.
 """
@@ -52,13 +52,12 @@ def test_quantum_circuit_pickles_with_content_intact():
     assert copy.num_qubits == circuit.num_qubits
     assert copy.name == circuit.name
     assert len(copy.instructions) == len(circuit.instructions)
-    # Content equality via the fusion-cache fingerprint — the exact property
-    # the sharded workers rely on when executing a shipped plan.
+    # Content equality via the fusion-cache fingerprint.
     assert copy.fingerprint() == circuit.fingerprint()
 
 
 def test_fused_gate_plan_pickles():
-    """The coordinator ships the *fused* plan once per shard — it must pickle."""
+    """A *fused* plan must pickle with its gate matrices intact."""
     rng = np.random.default_rng(2)
     circuit = QuantumCircuit(3)
     m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
@@ -110,15 +109,13 @@ def test_noise_spec_pickle_and_wire_roundtrip():
 # ---------------------------------------------------------------------------
 
 
-def test_qtda_config_pickle_and_wire_roundtrip_including_shard_fields():
+def test_qtda_config_pickle_and_wire_roundtrip():
     config = QTDAConfig(
         precision_qubits=4,
         shots=256,
         seed=11,
         noise_channel="depolarizing",
         noise_strength=0.01,
-        shards=4,
-        shard_backend="thread",
     )
     assert _roundtrip(config) == config
     assert QTDAConfig.from_dict(config.as_dict()) == config
@@ -133,7 +130,7 @@ def _request_zoo():
     yield EstimationRequest(
         k=1,
         simplices=TRIANGLE,
-        config=QTDAConfig(precision_qubits=3, shots=None, seed=3, shards=2, shard_backend="serial"),
+        config=QTDAConfig(precision_qubits=3, shots=None, seed=3),
     )
     yield EstimationRequest(
         k=0, points=((0.0, 0.0), (1.0, 0.0), (0.0, 1.0)), epsilon=1.5, config=QTDAConfig(seed=5)

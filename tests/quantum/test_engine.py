@@ -9,6 +9,7 @@ same computation — batched, fused, chunked or not.
 import numpy as np
 import pytest
 
+from repro.quantum.channels import NoiseSpec
 from repro.quantum.circuit import QuantumCircuit
 from repro.quantum.engine import (
     DEFAULT_MEMORY_BUDGET_BYTES,
@@ -282,6 +283,37 @@ def test_basis_ensemble_distribution_validates_input():
         executor.basis_ensemble_distribution(circuit, [0], [0, 1], weights=[1.0])
     with pytest.raises(ValueError, match="positive sum"):
         executor.basis_ensemble_distribution(circuit, [0], [0, 1], weights=[0.0, 0.0])
+    spec = NoiseSpec(channel="depolarizing", strength=0.01)
+    with pytest.raises(ValueError, match="match basis_states"):
+        executor.trajectory_basis_distribution(
+            circuit, [0], [0, 1], spec, np.random.default_rng(0), weights=[1.0]
+        )
+
+
+def test_weighted_trajectory_run_is_reproducible_and_honours_weights():
+    n = 3
+    circuit = _random_circuit(np.random.default_rng(2), n, num_gates=6)
+    basis = list(range(2**n))
+    weights = list(np.random.default_rng(3).random(len(basis)))
+    executor = EnsembleExecutor(fuse=False)
+    spec = NoiseSpec(channel="bit-flip", strength=0.05)
+    runs = [
+        executor.trajectory_basis_distribution(
+            circuit, [0, 2], basis, spec, np.random.default_rng(21), n_trajectories=5,
+            weights=weights,
+        )
+        for _ in range(2)
+    ]
+    assert np.array_equal(runs[0][0], runs[1][0])
+    assert np.array_equal(runs[0][1], runs[1][1])
+    # Without noise every trajectory is the weighted ensemble readout.
+    mean, sem = executor.trajectory_basis_distribution(
+        circuit, [0, 2], basis, NoiseSpec(), np.random.default_rng(21), n_trajectories=3,
+        weights=weights,
+    )
+    expected = executor.basis_ensemble_distribution(circuit, [0, 2], basis, weights=weights)
+    np.testing.assert_allclose(mean, expected, atol=1e-12)
+    np.testing.assert_allclose(sem, 0.0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -346,9 +346,10 @@ def test_fuse_ptm_program_validates_window():
 
 
 def test_executor_batch_splits_at_block_boundaries_are_bit_identical():
-    """The sharding contract: splitting the batch axis at pinned block
-    boundaries and concatenating equals the unsharded run bit-for-bit
-    (each pinned column block is evolved by the identical kernel calls)."""
+    """The answer does not depend on how the batch is chunked: splitting
+    the batch axis at pinned block boundaries and concatenating equals the
+    whole-batch run bit-for-bit (each pinned column block is evolved by the
+    identical kernel calls)."""
     rng = np.random.default_rng(13)
     n = 3
     circ = QuantumCircuit(n)

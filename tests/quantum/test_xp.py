@@ -1,4 +1,4 @@
-"""Self-tests for the ``xp`` array-module seam (DESIGN.md §11, §14).
+"""Self-tests for the ``xp`` array-module seam (DESIGN.md §11).
 
 The seam has three resolution layers — ``set_array_module`` override,
 ``REPRO_ARRAY_MODULE`` environment variable, autodetection — and a GPU path
@@ -16,7 +16,21 @@ from repro.quantum.engine import (
     set_array_module,
     to_host,
 )
-from repro.quantum.sharding import device_backend_available
+
+
+def device_backend_available():
+    """Whether the CuPy path can run here, with the reason (never raises)."""
+    try:
+        import cupy
+    except Exception as exc:  # pragma: no cover - depends on environment
+        return False, f"cupy not importable: {exc}"
+    try:  # pragma: no cover - requires CUDA hardware
+        count = int(cupy.cuda.runtime.getDeviceCount())
+    except Exception as exc:  # pragma: no cover - depends on environment
+        return False, f"no usable CUDA runtime: {exc}"
+    if count < 1:  # pragma: no cover - requires CUDA hardware
+        return False, "no CUDA devices present"
+    return True, f"{count} CUDA device(s)"  # pragma: no cover - requires hardware
 
 
 @pytest.fixture(autouse=True)

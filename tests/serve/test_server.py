@@ -7,6 +7,7 @@ same path production traffic takes — via the keep-alive
 
 import contextlib
 import json
+import multiprocessing
 import socket
 import threading
 import time
@@ -23,7 +24,6 @@ from repro.core.api import (
     QTDAService,
     SweepRequest,
 )
-from repro.core.config import QTDAConfig
 from repro.core.pipeline import PipelineConfig
 from repro.datasets import HighDimStreamConfig, generate_highdim_cloud_stream
 from repro.datasets.point_clouds import circle_cloud
@@ -468,25 +468,38 @@ class TestCoalescingOverHTTP:
             assert stats["coalescer"] == {"enabled": False}
 
 
-class TestShardedOverHTTP:
-    def test_process_sharded_request_matches_in_process_run(self):
-        """A shard_backend='process' request served over HTTP is byte-identical
-        (through JSON) to the same request run in-process — the acceptance
-        criterion that sharding and serving compose without changing numbers."""
-        request = EstimationRequest(
-            simplices=TRIANGLE,
-            k=1,
-            config=QTDAConfig(
-                precision_qubits=4, shots=300, seed=11, shards=2, shard_backend="process"
-            ),
-        )
-        with QTDAService() as service:
-            expected = service.run(request)
-        expected_payload = json.loads(json.dumps(expected.as_dict()))["payload"]
-        with serve() as (_server, client):
-            envelope = client.estimate(request)
-        assert envelope["payload"] == expected_payload
-        assert envelope["payload"]["counts"] == expected_payload["counts"]  # full distribution
+class TestRemovedShardConfig:
+    """Wire schema 5 has no sharding: a body that still asks for shards gets a
+    structured 400 and never starts worker processes."""
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"shards": 5},
+            {"shards": 9, "shard_backend": "process"},
+            {"devices": [0]},
+        ],
+    )
+    def test_shard_fields_get_a_400_and_spawn_nothing(self, shared, fields):
+        _server, client = shared
+        body = estimate_request().as_dict()
+        body["config"].update(fields)
+        with pytest.raises(ServiceError) as excinfo:
+            client.estimate(body)
+        assert excinfo.value.status == 400
+        assert excinfo.value.reason == "invalid_request"
+        assert excinfo.value.envelope["schema_version"] == SCHEMA_VERSION
+        assert multiprocessing.active_children() == []
+
+    def test_schema_version_4_body_is_unsupported(self, shared):
+        _server, client = shared
+        body = estimate_request().as_dict()
+        body["schema_version"] = 4
+        with pytest.raises(ServiceError) as excinfo:
+            client.estimate(body)
+        assert excinfo.value.status == 400
+        assert excinfo.value.reason == "unsupported_schema_version"
+        assert excinfo.value.envelope["error"]["supported_versions"] == [5]
 
 
 class TestHighDimStreamOverHTTP:
