@@ -37,7 +37,6 @@ def _run_noise_sweep(strengths=(0.0, 0.002, 0.01, 0.05)):
             shots=None,
             backend="statevector",
             delta=6.0,
-            use_purification=False,
             noise_model=noise,
             seed=SEED,
         )

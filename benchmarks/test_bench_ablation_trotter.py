@@ -34,7 +34,6 @@ def _run_trotter_ablation(steps_grid=(1, 2, 4, 8)):
             backend="trotter",
             delta=6.0,
             trotter_steps=steps,
-            use_purification=False,
         )
         estimate = estimator.estimate(complex_, 1)
         rows.append([steps, f"{synthesis_error:.4f}", f"{estimate.betti_estimate:.3f}", estimate.betti_rounded])

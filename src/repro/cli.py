@@ -55,8 +55,9 @@ def _add_noise_options(parser) -> None:
         "--noise-channel",
         default=None,
         help=(
-            "per-gate noise channel for the noisy-density backend "
-            "(depolarizing, bit-flip, phase-flip or amplitude-damping)"
+            "per-gate noise channel for the circuit backends "
+            "(depolarizing, bit-flip, phase-flip or amplitude-damping); "
+            "--circuit-engine density runs it on the exact density-matrix route"
         ),
     )
     parser.add_argument(
@@ -70,7 +71,7 @@ def _add_noise_options(parser) -> None:
         choices=("auto", "ensemble", "ptm", "trajectory", "purified", "density"),
         default="auto",
         help=(
-            "circuit execution route for the statevector/noisy backends "
+            "circuit execution route for the statevector/trotter backends "
             "('auto' picks ensemble when noise-free, the exact ptm route for "
             "declarative noise on small registers, trajectory above)"
         ),

@@ -14,7 +14,7 @@ The pipeline implemented here follows Section 3 of the paper step by step:
    (mixed-state preparation + QPE with the chosen number of precision
    qubits).
 5. :mod:`repro.core.backends` — the pluggable execution-backend registry
-   (analytical, sparse spectral, circuit, Trotterised, noisy density-matrix
+   (analytical, sparse spectral, stochastic trace, circuit and Trotterised
    paths; see DESIGN.md §5).
 6. :mod:`repro.core.estimator` — resolve the configured backend, read off
    ``p(0)`` and return ``β̃_k = 2^q · p(0)`` (Eqs. 10–11).

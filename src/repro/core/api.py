@@ -58,7 +58,13 @@ from repro.utils.validation import check_bool, check_integer
 #: Version of the request/result wire format.  Bump on any incompatible
 #: change to the dictionaries emitted by ``as_dict`` (consumers validate it
 #: through :meth:`EstimationResult.validate_dict`).
-#: History: 5 — the sharding layer was removed: provenance lost
+#: History: 6 — the superseded circuit-route knobs were removed:
+#: ``QTDAConfig`` lost ``use_purification``/``fuse_purified`` and the
+#: ``noisy-density`` backend alias is gone (request fingerprints changed; a
+#: config carrying either field or naming that backend is rejected), and a
+#: noise-free ``trajectory`` run reports ``noise_spec`` as ``None`` like every
+#: other route; 5 — the
+#: sharding layer was removed: provenance lost
 #: ``shards``/``shard_backend``/``device`` and ``QTDAConfig`` lost
 #: ``shards``/``shard_backend``/``devices`` (request fingerprints changed; a
 #: config carrying them is rejected); 4 — provenance gained required
@@ -70,7 +76,7 @@ from repro.utils.validation import check_bool, check_integer
 #: changed); 2 — provenance gained required ``engine_route``/``fused_gates`` fields and
 #: ``QTDAConfig`` gained ``circuit_engine`` (request fingerprints changed);
 #: 1 — initial service wire format.
-SCHEMA_VERSION = 5
+SCHEMA_VERSION = 6
 
 #: The request kinds the service understands, in dispatch order.
 #: ``observe`` (added within schema version 3 — purely additive) feeds raw

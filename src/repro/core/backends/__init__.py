@@ -14,8 +14,6 @@ name                      realisation
                           (matrix-free, reports error bars)
 ``statevector``           explicit Fig. 6 circuit, exact controlled powers
 ``trotter``               Fig. 6 with Trotterised evolution (Fig. 7)
-``noisy-density``         Fig. 6 on the density-matrix simulator with a
-                          per-gate noise channel
 ========================  ====================================================
 
 Backends receive :class:`EstimationProblem`\\ s carrying a
@@ -50,7 +48,6 @@ from repro.core.backends.sparse_exact import SparseExactBackend
 from repro.core.backends.stochastic_trace import StochasticTraceBackend
 from repro.core.backends.statevector import StatevectorBackend
 from repro.core.backends.trotter import TrotterBackend
-from repro.core.backends.noisy_density import NoisyDensityBackend
 
 __all__ = [
     "BackendResult",
@@ -70,5 +67,4 @@ __all__ = [
     "StochasticTraceBackend",
     "StatevectorBackend",
     "TrotterBackend",
-    "NoisyDensityBackend",
 ]

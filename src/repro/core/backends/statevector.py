@@ -1,7 +1,7 @@
 """The ``statevector`` backend — the explicit Fig. 6 circuit.
 
 Builds the full QTDA circuit with exact controlled powers of ``U = exp(iH)``
-and executes it over one of three routes (``QTDAConfig.circuit_engine``,
+and executes it over one of five routes (``QTDAConfig.circuit_engine``,
 DESIGN.md §11):
 
 * ``ensemble`` (the default for noise-free runs) — the maximally mixed input
@@ -25,21 +25,22 @@ DESIGN.md §11):
   each gate), repeated ``n_trajectories`` times; the mean estimates the
   density result and the spread becomes ``p_zero_std``.
 * ``purified`` — the Fig. 2 construction: auxiliary qubits and Bell pairs,
-  statevector simulation on ``t + 2q`` qubits (legacy route,
-  bit-identity-pinned; opt-in gate fusion via ``QTDAConfig.fuse_purified``).
+  unfused statevector simulation on ``t + 2q`` qubits (legacy route,
+  bit-identity-pinned).
 * ``density`` — density-matrix evolution of ``|0><0| ⊗ I/2^q`` on ``t + q``
   qubits, gate by gate (legacy route, bit-identity-pinned; the exact Kraus
   contraction, and the only noise route for hand-built ``NoiseModel``
   objects no :class:`~repro.quantum.channels.NoiseSpec` can express).
 
-This module also hosts the circuit-execution plumbing shared by the
-``trotter`` and ``noisy-density`` backends, which differ only in how ``U`` is
-synthesised and in how noise is injected.
+Noise is declared on :class:`~repro.core.config.QTDAConfig` (``noise_channel``,
+``noise_strength`` and the extended :class:`~repro.quantum.channels.NoiseSpec`
+fields) or as an explicit ``noise_model``.  This module also hosts the
+circuit-execution plumbing shared with the ``trotter`` backend, which differs
+only in how ``U`` is synthesised.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace as dc_replace
 from typing import Optional
 
 import numpy as np
@@ -130,140 +131,6 @@ def mixed_initial_state(spec: QTDACircuitSpec) -> DensityMatrix:
     return DensityMatrix(rho)
 
 
-def _ensemble_route_result(problem: EstimationProblem, config, synthesis: str) -> BackendResult:
-    """Batched-statevector execution of the mixed-state circuit.
-
-    The circuit is built without purification on ``t + q`` qubits; the
-    ``2^q`` system basis states form the ensemble (full-register basis index
-    ``b`` — the precision register reads ``|0...0>``, so the indices coincide).
-    The exact synthesis uses spectral controlled powers (one ``eigh`` of
-    ``H``, phases raised to ``2^j``); the engine fuses adjacent small gates
-    (cached per circuit fingerprint) and chunks the batch to its memory
-    budget.
-    """
-    hamiltonian = problem.dense_hamiltonian(config)
-    circuit, spec = qtda_circuit(
-        hamiltonian,
-        precision_qubits=config.precision_qubits,
-        use_purification=False,
-        synthesis=synthesis,
-        trotter_steps=config.trotter_steps,
-        trotter_order=config.trotter_order,
-        power_synthesis="spectral" if synthesis == "exact" else "chain",
-    )
-    executor = EnsembleExecutor()
-    plan = executor.gate_plan(circuit)
-    distribution = executor.basis_ensemble_distribution(
-        circuit,
-        qubits=list(spec.precision_register),
-        basis_states=range(2**spec.system_qubits),
-        plan=plan,
-    )
-    return BackendResult(
-        distribution=distribution,
-        num_system_qubits=hamiltonian.num_qubits,
-        lambda_max=hamiltonian.padded.lambda_max,
-        engine_route="ensemble",
-        fused_gates=len(plan),
-    )
-
-
-def _trajectory_route_result(
-    problem: EstimationProblem,
-    config,
-    synthesis: str,
-    spec: NoiseSpec,
-    rng: np.random.Generator,
-) -> BackendResult:
-    """Stochastic Kraus-trajectory execution of the noisy mixed-state circuit.
-
-    The circuit construction mirrors :func:`_ensemble_route_result` (no
-    purification, ``t + q`` qubits); both synthesis styles emit the same gate
-    *sequence* as the legacy density route, so ``spec.channels_for_gate``
-    places noise at identical points and the trajectory mean converges to the
-    density result.  Fusion is bypassed inside the executor for the same
-    reason.  The spread over ``config.n_trajectories`` repetitions surfaces
-    as ``p_zero_std``.
-    """
-    hamiltonian = problem.dense_hamiltonian(config)
-    circuit, circuit_spec = qtda_circuit(
-        hamiltonian,
-        precision_qubits=config.precision_qubits,
-        use_purification=False,
-        synthesis=synthesis,
-        trotter_steps=config.trotter_steps,
-        trotter_order=config.trotter_order,
-        power_synthesis="spectral" if synthesis == "exact" else "chain",
-    )
-    n_trajectories = int(getattr(config, "n_trajectories", 8))
-    executor = EnsembleExecutor(fuse=False)
-    distribution, sem = executor.trajectory_basis_distribution(
-        circuit,
-        qubits=list(circuit_spec.precision_register),
-        basis_states=range(2**circuit_spec.system_qubits),
-        noise_spec=spec,
-        rng=rng,
-        n_trajectories=n_trajectories,
-    )
-    return BackendResult(
-        distribution=distribution,
-        num_system_qubits=hamiltonian.num_qubits,
-        lambda_max=hamiltonian.padded.lambda_max,
-        p_zero_std=float(sem[0]) if n_trajectories > 1 else None,
-        engine_route="trajectory",
-        n_trajectories=n_trajectories,
-        noise_spec=spec.as_dict(),
-    )
-
-
-def _ptm_route_result(
-    problem: EstimationProblem, config, synthesis: str, spec: NoiseSpec
-) -> BackendResult:
-    """Exact noisy execution on the fused Pauli-transfer-matrix route.
-
-    The circuit construction mirrors :func:`_ensemble_route_result` (no
-    purification, ``t + q`` qubits, spectral controlled powers for the exact
-    synthesis); gates and their attached noise channels are lowered to PTMs
-    and fused into single superoperators
-    (:func:`~repro.quantum.fusion.fuse_ptm_program`, cached per
-    circuit+NoiseSpec fingerprint), then a single real ``4^(t+q)`` Pauli
-    vector evolves through the program.  No sampling: the readout equals the
-    density route's to floating point, and ``fused_gates`` carries the fused
-    superoperator count.
-    """
-    hamiltonian = problem.dense_hamiltonian(config)
-    circuit, circuit_spec = qtda_circuit(
-        hamiltonian,
-        precision_qubits=config.precision_qubits,
-        use_purification=False,
-        synthesis=synthesis,
-        trotter_steps=config.trotter_steps,
-        trotter_order=config.trotter_order,
-        power_synthesis="spectral" if synthesis == "exact" else "chain",
-    )
-    executor = PTMExecutor()
-    gate_spec = spec if spec.has_gate_noise else None
-    program = executor.program(circuit, noise_spec=gate_spec)
-    distribution = executor.qtda_distribution(
-        circuit,
-        precision_qubits=list(circuit_spec.precision_register),
-        precision_count=circuit_spec.precision_qubits,
-        system_count=circuit_spec.system_qubits,
-        noise_spec=gate_spec,
-        program=program,
-    )
-    if spec.readout_error > 0:
-        distribution = apply_readout_error(distribution, spec.readout_error)
-    return BackendResult(
-        distribution=distribution,
-        num_system_qubits=hamiltonian.num_qubits,
-        lambda_max=hamiltonian.padded.lambda_max,
-        engine_route="ptm",
-        fused_gates=program.num_superops,
-        noise_spec=spec.as_dict() if not spec.is_noiseless else None,
-    )
-
-
 def _executed_noise_spec(config, noise_model: Optional[NoiseModel]) -> NoiseSpec:
     """The :class:`NoiseSpec` a run executes under: the model's spec form (if
     any) with the config's declarative ``readout_error`` folded in."""
@@ -281,45 +148,32 @@ def circuit_backend_result(
     config,
     synthesis: str,
     noise_model: Optional[NoiseModel],
-    use_purification: Optional[bool] = None,
     rng: Optional[np.random.Generator] = None,
 ) -> BackendResult:
     """Build and execute the Fig. 6 circuit, returning the readout distribution.
 
     The route comes from ``config.circuit_engine`` via
-    :func:`resolve_circuit_route`; the legacy ``use_purification`` keyword,
-    when passed explicitly, forces the corresponding legacy route (purified
-    statevector, or the density-matrix evolution — noise always implies the
-    latter), bypassing the ensemble engine.  ``rng`` drives the trajectory
-    route's branch sampling (falls back to a ``config.seed``-derived
-    generator); a configured ``readout_error`` is applied to the final
-    distribution on every route (exact per-bit confusion contraction).
-    """
-    if use_purification is None:
-        # The auto PTM-vs-trajectory threshold needs the register size; the
-        # padded Hamiltonian (a Gershgorin bound, no eigensolve) is cheap.
-        total_qubits = config.precision_qubits + problem.dense_hamiltonian(config).num_qubits
-        route = resolve_circuit_route(config, noise_model, total_qubits=total_qubits)
-    else:
-        route = "purified" if (use_purification and noise_model is None) else "density"
-    spec = _executed_noise_spec(config, noise_model)
-    if route == "ptm":
-        return _ptm_route_result(problem, config, synthesis, spec)
-    if route == "trajectory":
-        if rng is None:
-            rng = as_rng(getattr(config, "seed", None))
-        return _trajectory_route_result(problem, config, synthesis, spec, rng)
-    if route == "ensemble":
-        result = _ensemble_route_result(problem, config, synthesis)
-        if spec.readout_error > 0:
-            result = dc_replace(
-                result,
-                distribution=apply_readout_error(result.distribution, spec.readout_error),
-                noise_spec=spec.as_dict(),
-            )
-        return result
+    :func:`resolve_circuit_route`.  One circuit serves every route: the
+    ``purified`` route adds the Fig. 2 auxiliary register; the other routes
+    run on ``t + q`` qubits.  The ``ensemble``, ``ptm`` and ``trajectory``
+    routes build the exact synthesis from spectral controlled powers (one
+    ``eigh`` of ``H``, phases raised to ``2^j``); the bit-identity-pinned
+    ``purified`` and ``density`` routes keep the ``expm`` chain.  Every
+    synthesis style emits the same gate *sequence*, so
+    ``spec.channels_for_gate`` places noise at identical points on the
+    ``ptm``, ``trajectory`` and ``density`` routes.
 
+    ``rng`` drives the trajectory route's branch sampling (falls back to a
+    ``config.seed``-derived generator).  A configured ``readout_error`` is
+    applied to the final distribution on every route (exact per-bit
+    confusion contraction).
+    """
     hamiltonian = problem.dense_hamiltonian(config)
+    route = resolve_circuit_route(
+        config, noise_model, total_qubits=config.precision_qubits + hamiltonian.num_qubits
+    )
+    spec = _executed_noise_spec(config, noise_model)
+    spectral = synthesis == "exact" and route in ("ensemble", "ptm", "trajectory")
     circuit, circuit_spec = qtda_circuit(
         hamiltonian,
         precision_qubits=config.precision_qubits,
@@ -327,25 +181,69 @@ def circuit_backend_result(
         synthesis=synthesis,
         trotter_steps=config.trotter_steps,
         trotter_order=config.trotter_order,
+        power_synthesis="spectral" if spectral else "chain",
     )
     precision_register = list(circuit_spec.precision_register)
-    if route == "density":
+    system_basis = range(2**circuit_spec.system_qubits)
+    p_zero_std = fused_gates = n_trajectories = None
+
+    if route == "trajectory":
+        # Fusion is bypassed so noise lands after every original gate; the
+        # engine applies the readout error per trajectory, so the spread over
+        # the repetitions (``p_zero_std``) accounts for it.
+        n_trajectories = int(getattr(config, "n_trajectories", 8))
+        distribution, sem = EnsembleExecutor(fuse=False).trajectory_basis_distribution(
+            circuit,
+            qubits=precision_register,
+            basis_states=system_basis,
+            noise_spec=spec,
+            rng=rng if rng is not None else as_rng(getattr(config, "seed", None)),
+            n_trajectories=n_trajectories,
+        )
+        if n_trajectories > 1:
+            p_zero_std = float(sem[0])
+    elif route == "ensemble":
+        # The 2^q system basis states form one batched array (full-register
+        # basis index b: the precision register reads |0...0>); the engine
+        # fuses adjacent small gates and chunks the batch to its budget.
+        executor = EnsembleExecutor()
+        plan = executor.gate_plan(circuit)
+        distribution = executor.basis_ensemble_distribution(
+            circuit, qubits=precision_register, basis_states=system_basis, plan=plan
+        )
+        fused_gates = len(plan)
+    elif route == "ptm":
+        # Gates and their channels lowered to PTMs and fused into single
+        # superoperators; one real 4^(t+q) Pauli vector evolves through them.
+        executor = PTMExecutor()
+        gate_spec = spec if spec.has_gate_noise else None
+        program = executor.program(circuit, noise_spec=gate_spec)
+        distribution = executor.qtda_distribution(
+            circuit,
+            precision_qubits=precision_register,
+            precision_count=circuit_spec.precision_qubits,
+            system_count=circuit_spec.system_qubits,
+            noise_spec=gate_spec,
+            program=program,
+        )
+        fused_gates = program.num_superops
+    elif route == "density":
         sim = DensityMatrixSimulator(noise_model=noise_model)
         final = sim.run(circuit, initial_state=mixed_initial_state(circuit_spec))
         distribution = final.marginal_probabilities(precision_register)
     else:
-        fuse_purified = bool(getattr(config, "fuse_purified", False))
-        distribution = StatevectorSimulator(fuse=fuse_purified).probabilities(
-            circuit, qubits=precision_register
-        )
-    if spec.readout_error > 0:
+        distribution = StatevectorSimulator().probabilities(circuit, qubits=precision_register)
+    if route != "trajectory" and spec.readout_error > 0:
         distribution = apply_readout_error(distribution, spec.readout_error)
     return BackendResult(
         distribution=distribution,
         num_system_qubits=hamiltonian.num_qubits,
         lambda_max=hamiltonian.padded.lambda_max,
+        p_zero_std=p_zero_std,
         engine_route=route,
-        noise_spec=spec.as_dict() if not spec.is_noiseless else None,
+        fused_gates=fused_gates,
+        n_trajectories=n_trajectories,
+        noise_spec=None if spec.is_noiseless else spec.as_dict(),
     )
 
 

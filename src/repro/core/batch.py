@@ -23,7 +23,7 @@ seed, regardless of worker count or chunking.
 Estimator backends are orthogonal to these *execution* backends: the engine
 builds a :class:`QTDABettiEstimator` per sample from ``config.estimator``, so
 any backend registered in :mod:`repro.core.backends` (``exact``,
-``sparse-exact``, ``stochastic-trace``, ``noisy-density``, ...) passes
+``sparse-exact``, ``stochastic-trace``, ``statevector``, ...) passes
 through unchanged.  The engine additionally *negotiates the operator format*
 with the configured backend (DESIGN.md §9): sparse-capable backends receive
 flag-array Laplacians built directly as CSR matrices, so large-window sweeps

@@ -27,7 +27,6 @@ from repro.quantum.channels import (
 )
 from repro.quantum.noise import NOISE_CHANNELS, NoiseModel
 from repro.utils.validation import (
-    check_bool,
     check_integer,
     check_positive_integer,
     check_probability,
@@ -37,7 +36,7 @@ from repro.utils.validation import (
 PADDING_MODES = ("identity", "zero")
 
 #: Circuit-execution engine choices for the faithful Fig. 6 backends
-#: (``statevector``/``trotter``/``noisy-density``): ``"auto"`` plus the
+#: (``statevector``/``trotter``): ``"auto"`` plus the
 #: concrete routes, derived from the route module's single source of truth
 #: (:data:`repro.core.backends.statevector.CIRCUIT_ROUTES`); see
 #: :func:`repro.core.backends.statevector.resolve_circuit_route` and
@@ -66,8 +65,8 @@ class QTDAConfig:
     backend:
         Name of a registered estimation backend (see
         :func:`repro.core.backends.available_backends`; the built-ins are
-        ``"exact"``, ``"sparse-exact"``, ``"statevector"``, ``"trotter"``
-        and ``"noisy-density"``).
+        ``"exact"``, ``"sparse-exact"``, ``"stochastic-trace"``,
+        ``"statevector"`` and ``"trotter"``).
     padding:
         ``"identity"`` for the paper's λ̃_max/2-identity padding (Eq. 7) or
         ``"zero"`` for the naive zero padding it argues against.
@@ -105,21 +104,11 @@ class QTDAConfig:
 
         All noise-free routes agree to better than ``1e-10``; only the
         legacy two are pinned bit-exactly across releases.
-    use_purification:
-        Legacy route selector, superseded by ``circuit_engine`` (an explicit
-        ``circuit_engine`` always wins; ``"auto"`` no longer consults this
-        flag).  Retained for wire-format compatibility and for direct
-        :func:`repro.core.qtda_circuit.qtda_circuit` callers.
-    fuse_purified:
-        Opt-in gate fusion for the legacy ``purified`` route (the fusion
-        pass of :mod:`repro.quantum.fusion` run inside the single-state
-        simulator).  Off by default: fusion changes floating-point
-        association, and the purified route is bit-identity-pinned.
     noise_channel, noise_strength:
-        Declarative noise parametrisation consumed by the ``noisy-density``
-        backend (and honoured by the other circuit backends): a channel name
-        from :data:`repro.quantum.noise.NOISE_CHANNELS` and its per-gate
-        error probability.  Unlike ``noise_model`` these fields are plain
+        Declarative noise parametrisation honoured by the circuit backends
+        (``statevector``/``trotter``): a channel name from
+        :data:`repro.quantum.noise.NOISE_CHANNELS` and its per-gate error
+        probability.  Unlike ``noise_model`` these fields are plain
         data, so configs stay serialisable (:meth:`as_dict`).
     noise_gate_strengths:
         Optional per-gate-class strength overrides for ``noise_channel``,
@@ -164,8 +153,6 @@ class QTDAConfig:
     trotter_steps: int = 4
     trotter_order: int = 1
     circuit_engine: str = "auto"
-    use_purification: bool = True
-    fuse_purified: bool = False
     noise_channel: Optional[str] = None
     noise_strength: float = 0.0
     noise_gate_strengths: Optional[object] = None
@@ -205,8 +192,6 @@ class QTDAConfig:
             self.trace_deflation_rank, "trace_deflation_rank", minimum=0
         )
         self.noise_strength = check_probability(self.noise_strength, "noise_strength")
-        self.use_purification = check_bool(self.use_purification, "use_purification")
-        self.fuse_purified = check_bool(self.fuse_purified, "fuse_purified")
         self.noise_gate_strengths = _normalise_gate_strengths(self.noise_gate_strengths)
         if (
             self.noise_two_qubit_channel is not None

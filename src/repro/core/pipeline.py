@@ -14,7 +14,8 @@ features in two flavours:
 parameters configurable through :class:`repro.core.config.QTDAConfig`.  The
 pipeline never inspects the backend name: any backend registered with
 :func:`repro.core.backends.register_backend` (including ``sparse-exact`` and
-``noisy-density``) flows through unchanged via the estimator.
+the noisy circuit routes of ``statevector``) flows through unchanged via the
+estimator.
 """
 
 from __future__ import annotations

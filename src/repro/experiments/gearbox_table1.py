@@ -62,8 +62,8 @@ class GearboxExperimentConfig:
     #: Any registered estimator backend (repro.core.backends); the paper's
     #: sweep uses the analytical ``exact`` path.
     backend: str = "exact"
-    #: Noise parametrisation forwarded to QTDAConfig (used by noisy-density
-    #: and the trajectory route of the statevector backend).
+    #: Noise parametrisation forwarded to QTDAConfig (used by the noisy
+    #: circuit routes of the statevector and trotter backends).
     noise_channel: Optional[str] = None
     noise_strength: float = 0.0
     #: Circuit-execution route and trajectory-route knobs (QTDAConfig fields).

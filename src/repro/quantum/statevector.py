@@ -128,26 +128,11 @@ class StatevectorSimulator:
     ----------
     validate_unitaries, atol:
         Optionally check every gate matrix is unitary before applying it.
-    fuse:
-        Run circuits through the gate-fusion pass
-        (:func:`repro.quantum.fusion.fuse_circuit`) before execution.  Off by
-        default: fusion changes floating-point association, and this
-        simulator backs the bit-identity-pinned legacy circuit routes.
-    max_fuse_qubits:
-        Fusion window when ``fuse`` is enabled.
     """
 
-    def __init__(
-        self,
-        validate_unitaries: bool = False,
-        atol: float = 1e-8,
-        fuse: bool = False,
-        max_fuse_qubits: int = 3,
-    ):
+    def __init__(self, validate_unitaries: bool = False, atol: float = 1e-8):
         self.validate_unitaries = bool(validate_unitaries)
         self.atol = float(atol)
-        self.fuse = bool(fuse)
-        self.max_fuse_qubits = int(max_fuse_qubits)
 
     def run(
         self,
@@ -169,15 +154,7 @@ class StatevectorSimulator:
                     f"Initial state has dimension {init.size}, expected {2**n} for {n} qubits"
                 )
             psi = init.reshape(-1).astype(complex)
-        if self.fuse:
-            from repro.quantum.fusion import fuse_circuit
-
-            instructions: Sequence[object] = fuse_circuit(
-                circuit, max_fuse_qubits=self.max_fuse_qubits
-            )
-        else:
-            instructions = circuit.instructions
-        for op in instructions:
+        for op in circuit.instructions:
             if isinstance(op, Gate):
                 if self.validate_unitaries:
                     op.validate_unitary(atol=self.atol)

@@ -506,7 +506,8 @@ class TestUnserialisableConfigs:
             estimator=QTDAConfig(
                 precision_qubits=2,
                 shots=50,
-                backend="noisy-density",
+                backend="statevector",
+                circuit_engine="density",
                 noise_model=NoiseModel.from_channel("depolarizing", 0.01),
                 seed=1,
             ),
@@ -523,7 +524,8 @@ class TestUnserialisableConfigs:
             estimator=QTDAConfig(
                 precision_qubits=2,
                 shots=50,
-                backend="noisy-density",
+                backend="statevector",
+                circuit_engine="density",
                 noise_model=NoiseModel.from_channel("depolarizing", 0.01),
                 seed=1,
             ),
@@ -554,7 +556,8 @@ def test_unserialisable_request_is_still_hashable():
     from repro.quantum.noise import NoiseModel
 
     config = QTDAConfig(
-        backend="noisy-density",
+        backend="statevector",
+        circuit_engine="density",
         noise_model=NoiseModel.from_channel("depolarizing", 0.01),
     )
     request = EstimationRequest(simplices=TRIANGLE, config=config)
@@ -667,7 +670,9 @@ class TestGeometryFingerprint:
         from repro.quantum.noise import NoiseModel
 
         config = QTDAConfig(
-            backend="noisy-density", noise_model=NoiseModel.from_channel("depolarizing", 0.01)
+            backend="statevector",
+            circuit_engine="density",
+            noise_model=NoiseModel.from_channel("depolarizing", 0.01),
         )
         request = EstimationRequest(simplices=TRIANGLE, config=config)
         assert request.geometry_fingerprint() == EstimationRequest(simplices=TRIANGLE).geometry_fingerprint()

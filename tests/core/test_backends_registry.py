@@ -24,7 +24,6 @@ BUILTIN_BACKENDS = {
     "stochastic-trace",
     "statevector",
     "trotter",
-    "noisy-density",
 }
 
 
@@ -213,7 +212,6 @@ def test_backend_formats_rejects_unknown_names():
 
 
 def test_backend_supports_noise_flags():
-    assert backend_supports_noise(get_backend("noisy-density"))
     assert backend_supports_noise(get_backend("statevector"))
     assert backend_supports_noise(get_backend("trotter"))
     assert not backend_supports_noise(get_backend("exact"))

@@ -147,7 +147,7 @@ def test_pure_state_engines_reject_noise():
             resolve_circuit_route(config, NoiseModel.depolarizing(0.01))
         with pytest.raises(ValueError, match="noise"):
             QTDAConfig(
-                backend="noisy-density",
+                backend="statevector",
                 circuit_engine=engine,
                 noise_channel="depolarizing",
                 noise_strength=0.01,
@@ -161,22 +161,12 @@ def test_config_validates_circuit_engine():
     assert QTDAConfig.from_dict(config.as_dict()).circuit_engine == "ensemble"
 
 
-def test_noisy_density_backend_rejects_pure_state_engines():
-    """Even channel-less (where config validation cannot catch it), an
-    explicit pure-state engine must raise, not silently run density."""
-    for engine in ("ensemble", "purified"):
-        estimator = QTDABettiEstimator(
-            precision_qubits=3, shots=None, backend="noisy-density", circuit_engine=engine
-        )
-        with pytest.raises(ValueError, match="density-matrix route"):
-            estimator.estimate(appendix_complex(), 1)
-
-
 def test_noisy_density_backend_still_routes_density():
     estimate = QTDABettiEstimator(
         precision_qubits=3,
         shots=None,
-        backend="noisy-density",
+        backend="statevector",
+        circuit_engine="density",
         delta=6.0,
         noise_channel="depolarizing",
         noise_strength=0.02,
@@ -367,18 +357,6 @@ def test_readout_error_composes_with_the_ensemble_route():
     assert noisy.p_zero != pytest.approx(clean.p_zero, abs=1e-6)
 
 
-def test_purified_route_fusion_is_opt_in_and_bit_identical_when_off():
-    """Satellite: the PR 5 fusion pass wired into the legacy purified route
-    behind ``fuse_purified`` — off by default, bit-identical when off."""
-    baseline = _estimate("statevector", "appendix", "purified")
-    off = _estimate("statevector", "appendix", "purified", fuse_purified=False)
-    assert off.p_zero == baseline.p_zero
-    assert off.betti_estimate == baseline.betti_estimate
-    fused = _estimate("statevector", "appendix", "purified", fuse_purified=True)
-    assert fused.engine_route == "purified"
-    assert fused.p_zero == pytest.approx(baseline.p_zero, abs=1e-10)
-
-
 # ---------------------------------------------------------------------------
 # Service provenance
 # ---------------------------------------------------------------------------
@@ -410,7 +388,8 @@ def test_service_provenance_records_engine_route_and_fusion():
 
 def test_service_provenance_records_trajectory_route_and_noise_spec():
     """Wire schema v3: route, trajectory count and resolved noise spec flow
-    BackendResult -> BettiEstimate -> Provenance and validate end to end."""
+    BackendResult -> BettiEstimate -> Provenance and validate end to end; a
+    noise-free trajectory run reports no noise spec, like every other route."""
     import json
 
     from repro.api import EstimationRequest, EstimationResult, QTDAService
@@ -444,6 +423,28 @@ def test_service_provenance_records_trajectory_route_and_noise_spec():
     assert document["provenance"]["engine_route"] == "trajectory"
     assert document["provenance"]["n_trajectories"] == 4
     assert document["provenance"]["noise_spec"]["strength"] == 0.02
+
+    with QTDAService(max_workers=1) as service:
+        noise_free = service.run(
+            EstimationRequest(
+                simplices=APPENDIX_SIMPLICES,
+                k=1,
+                config=QTDAConfig(
+                    precision_qubits=3,
+                    shots=None,
+                    delta=6.0,
+                    backend="statevector",
+                    circuit_engine="trajectory",
+                    n_trajectories=4,
+                    seed=3,
+                ),
+            )
+        )
+    assert noise_free.provenance.engine_route == "trajectory"
+    assert noise_free.provenance.noise_spec is None
+    document = json.loads(noise_free.to_json())
+    EstimationResult.validate_dict(document)
+    assert document["provenance"]["noise_spec"] is None
 
 
 def test_config_rejects_removed_shard_fields():

@@ -90,7 +90,8 @@ def test_round_trip_through_dict_covers_noise_fields():
         precision_qubits=5,
         shots=None,
         delta=6.0,
-        backend="noisy-density",
+        backend="statevector",
+        circuit_engine="density",
         noise_channel="amplitude-damping",
         noise_strength=0.125,
         seed=7,
@@ -148,7 +149,6 @@ def test_round_trip_covers_extended_noise_fields():
         noise_two_qubit_strength=0.02,
         readout_error=0.04,
         n_trajectories=12,
-        fuse_purified=True,
         seed=9,
     )
     restored = QTDAConfig.from_dict(config.as_dict())

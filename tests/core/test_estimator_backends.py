@@ -49,28 +49,26 @@ def test_exact_equals_statevector_ensemble_route(small_complex):
 
 def test_trotter_converges_to_exact(small_complex):
     exact = _estimate(small_complex, "exact")
-    coarse = _estimate(small_complex, "trotter", trotter_steps=1, use_purification=False)
-    fine = _estimate(small_complex, "trotter", trotter_steps=12, use_purification=False)
+    coarse = _estimate(small_complex, "trotter", trotter_steps=1)
+    fine = _estimate(small_complex, "trotter", trotter_steps=12)
     assert abs(fine.p_zero - exact.p_zero) <= abs(coarse.p_zero - exact.p_zero) + 1e-12
     assert fine.p_zero == pytest.approx(exact.p_zero, abs=0.02)
 
 
 def test_all_backends_round_to_true_betti(appendix_k):
     for backend in ("exact", "statevector", "trotter"):
-        kwargs = {"use_purification": False} if backend != "exact" else {}
         estimator = QTDABettiEstimator(
-            precision_qubits=3, shots=None, backend=backend, delta=6.0, trotter_steps=8, **kwargs
+            precision_qubits=3, shots=None, backend=backend, delta=6.0, trotter_steps=8
         )
         assert estimator.estimate(appendix_k, 1).betti_rounded == 1, backend
 
 
 def test_noise_degrades_estimate_smoothly(small_complex):
-    clean = _estimate(small_complex, "statevector", use_purification=False)
+    clean = _estimate(small_complex, "statevector")
     noisy = QTDABettiEstimator(
         precision_qubits=3,
         shots=None,
         backend="statevector",
-        use_purification=False,
         noise_model=NoiseModel.depolarizing(0.02),
     ).estimate(small_complex, 1)
     # Noise perturbs but does not destroy the estimate at this strength.
@@ -81,7 +79,7 @@ def test_noise_degrades_estimate_smoothly(small_complex):
 def test_shot_sampling_consistent_across_backends(small_complex):
     exact = QTDABettiEstimator(precision_qubits=3, shots=4000, backend="exact", seed=3).estimate(small_complex, 1)
     sv = QTDABettiEstimator(
-        precision_qubits=3, shots=4000, backend="statevector", seed=3, use_purification=True
+        precision_qubits=3, shots=4000, backend="statevector", seed=3
     ).estimate(small_complex, 1)
     # Same underlying distribution → estimates within a few shot-noise sigmas.
     sigma = 8 * np.sqrt(0.25 / 4000)

@@ -1,4 +1,5 @@
-"""Tests for the ``noisy-density`` backend and the noise parametrisation."""
+"""Tests for the noisy density-matrix route (``statevector`` backend,
+``circuit_engine="density"``) and the noise parametrisation."""
 
 import numpy as np
 import pytest
@@ -9,7 +10,9 @@ from repro.quantum.noise import NOISE_CHANNELS, NoiseModel
 
 
 def _estimate(complex_, **config_kwargs):
-    defaults = dict(precision_qubits=3, shots=None, delta=6.0, backend="noisy-density")
+    defaults = dict(
+        precision_qubits=3, shots=None, delta=6.0, backend="statevector", circuit_engine="density"
+    )
     defaults.update(config_kwargs)
     return QTDABettiEstimator(QTDAConfig(**defaults)).estimate(complex_, 1)
 
@@ -62,7 +65,8 @@ def test_noisy_backend_with_shots_is_reproducible(hollow_triangle):
         precision_qubits=3,
         shots=200,
         delta=6.0,
-        backend="noisy-density",
+        backend="statevector",
+        circuit_engine="density",
         noise_channel="depolarizing",
         noise_strength=0.02,
         seed=42,
@@ -83,7 +87,8 @@ def test_noisy_backend_through_pipeline(circle_points):
             estimator=QTDAConfig(
                 precision_qubits=2,
                 shots=None,
-                backend="noisy-density",
+                backend="statevector",
+                circuit_engine="density",
                 noise_channel="depolarizing",
                 noise_strength=0.01,
             ),

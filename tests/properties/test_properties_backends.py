@@ -1,12 +1,11 @@
-"""Property: all registered noiseless backends agree with classical homology.
+"""Property: all registered backends, run noise-free, agree with classical homology.
 
 For random small complexes (fixed seeds, so the suite is deterministic),
-every noiseless registered backend's rounded estimate must equal the
+every registered backend's noise-free rounded estimate must equal the
 classical ``betti_number`` — the registry guarantees interchangeable
-*semantics*, not just a shared interface.  ``noisy-density`` is exercised
-separately (its whole point is to deviate under noise); unknown third-party
-backends registered at runtime are picked up automatically because the test
-iterates ``available_backends()``.
+*semantics*, not just a shared interface.  Unknown third-party backends
+registered at runtime are picked up automatically because the test iterates
+``available_backends()``.
 """
 
 import pytest
@@ -16,23 +15,16 @@ from repro.core.estimator import QTDABettiEstimator
 from repro.tda.betti import betti_number
 from repro.tda.random_complexes import random_simplicial_complex
 
-#: Backends whose *purpose* is to deviate from the ideal algorithm.
-_NOISY_BACKENDS = {"noisy-density"}
-
 #: Fixed seeds keep the property deterministic while still sampling a range
 #: of shapes (trees, loops, filled triangles — f-vectors from (5,3) to (5,6,2));
 #: seeds 0–11 were all verified to pass, these four keep the suite snappy.
 _SEEDS = (2, 5, 8, 11)
 
 
-def _noiseless_backends():
-    return [name for name in available_backends() if name not in _NOISY_BACKENDS]
-
-
 #: Circuit backends are exercised on both the default batched route and the
 #: legacy density-matrix route (DESIGN.md §11); spectral backends ignore the
 #: knob, so they run once under "auto".
-_CIRCUIT_BACKENDS = {"statevector", "trotter", "noisy-density"}
+_CIRCUIT_BACKENDS = {"statevector", "trotter"}
 
 
 @pytest.mark.parametrize("seed", _SEEDS)
@@ -40,7 +32,7 @@ def test_noiseless_backends_round_to_classical_betti(seed):
     complex_ = random_simplicial_complex(5, max_dimension=2, seed=seed)
     for k in (0, 1):
         truth = betti_number(complex_, k)
-        for name in _noiseless_backends():
+        for name in available_backends():
             backend = get_backend(name)
             engines = ("auto", "density") if name in _CIRCUIT_BACKENDS else ("auto",)
             for engine in engines:

@@ -83,20 +83,6 @@ def test_fused_execution_matches_unfused(seed):
     np.testing.assert_allclose(fused, unfused, atol=1e-11)
 
 
-def test_statevector_simulator_fuse_option():
-    """The simulator's opt-in fusion matches its default unfused execution."""
-    rng = np.random.default_rng(15)
-    circuit = _random_circuit(rng, 4, num_gates=12)
-    psi = _random_states(rng, 4, batch=1)[:, 0]
-    plain = StatevectorSimulator().run(circuit, initial_state=psi).amplitudes
-    fused = StatevectorSimulator(fuse=True, max_fuse_qubits=3).run(
-        circuit, initial_state=psi
-    ).amplitudes
-    np.testing.assert_allclose(fused, plain, atol=1e-11)
-    # Fusion actually engaged (same plan source as the executor).
-    assert len(fuse_circuit(circuit, 3)) < circuit.num_gates
-
-
 def test_batch_one_is_bit_identical_to_simulator():
     """The simulator *is* the batch-1 path — not approximately, bitwise."""
     rng = np.random.default_rng(7)

@@ -217,7 +217,8 @@ class TestCoalescingEligibility:
             estimator=QTDAConfig(
                 precision_qubits=2,
                 shots=20,
-                backend="noisy-density",
+                backend="statevector",
+                circuit_engine="density",
                 noise_model=NoiseModel.from_channel("depolarizing", 0.01),
                 seed=1,
             ),

@@ -469,7 +469,7 @@ class TestCoalescingOverHTTP:
 
 
 class TestRemovedShardConfig:
-    """Wire schema 5 has no sharding: a body that still asks for shards gets a
+    """Wire schema 5 dropped sharding: a body that still asks for shards gets a
     structured 400 and never starts worker processes."""
 
     @pytest.mark.parametrize(
@@ -499,7 +499,42 @@ class TestRemovedShardConfig:
             client.estimate(body)
         assert excinfo.value.status == 400
         assert excinfo.value.reason == "unsupported_schema_version"
-        assert excinfo.value.envelope["error"]["supported_versions"] == [5]
+        assert excinfo.value.envelope["error"]["supported_versions"] == [6]
+
+
+class TestRemovedConfig:
+    """Wire schema 6 dropped the superseded route knobs and the
+    ``noisy-density`` alias: such a body gets a structured 400 and never
+    starts worker processes."""
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"use_purification": True},
+            {"fuse_purified": True},
+            {"backend": "noisy-density"},
+        ],
+    )
+    def test_removed_fields_get_a_400_and_spawn_nothing(self, shared, fields):
+        _server, client = shared
+        body = estimate_request().as_dict()
+        body["config"].update(fields)
+        with pytest.raises(ServiceError) as excinfo:
+            client.estimate(body)
+        assert excinfo.value.status == 400
+        assert excinfo.value.reason == "invalid_request"
+        assert excinfo.value.envelope["schema_version"] == SCHEMA_VERSION
+        assert multiprocessing.active_children() == []
+
+    def test_schema_version_5_body_is_unsupported(self, shared):
+        _server, client = shared
+        body = estimate_request().as_dict()
+        body["schema_version"] = 5
+        with pytest.raises(ServiceError) as excinfo:
+            client.estimate(body)
+        assert excinfo.value.status == 400
+        assert excinfo.value.reason == "unsupported_schema_version"
+        assert excinfo.value.envelope["error"]["supported_versions"] == [6]
 
 
 class TestHighDimStreamOverHTTP:

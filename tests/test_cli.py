@@ -78,7 +78,7 @@ def test_list_backends_table_shows_capabilities(capsys):
     rows = {line.split()[0]: line for line in lines[2:] if line.strip()}
     assert "sparse,dense" in rows["sparse-exact"] and "  no " in rows["sparse-exact"]
     assert "matrix-free,sparse,dense" in rows["stochastic-trace"]
-    assert "  yes " in rows["noisy-density"]
+    assert "  yes " in rows["trotter"]
     assert "  yes " in rows["statevector"]
     # Column positions line up with the header (it really is a table).
     assert rows["exact"].index("dense") == header.index("formats")
@@ -103,14 +103,15 @@ def test_appendix_noisy_density_with_noise_flags(capsys):
         [
             "appendix",
             "--shots", "100",
-            "--backend", "noisy-density",
+            "--backend", "statevector",
+            "--circuit-engine", "density",
             "--noise-channel", "depolarizing",
             "--noise-strength", "0.02",
         ]
     )
     captured = capsys.readouterr().out
     assert exit_code == 0
-    assert "backend=noisy-density" in captured
+    assert "backend=statevector" in captured
 
 
 def test_parsers_accept_backend_and_noise_flags():
@@ -123,8 +124,11 @@ def test_parsers_accept_backend_and_noise_flags():
     assert args.noise_strength == 0.1
     args = parser.parse_args(["fig3", "--backend", "sparse-exact"])
     assert args.backend == "sparse-exact"
-    args = parser.parse_args(["timeseries", "--backend", "noisy-density"])
-    assert args.backend == "noisy-density"
+    args = parser.parse_args(
+        ["timeseries", "--backend", "statevector", "--circuit-engine", "density"]
+    )
+    assert args.backend == "statevector"
+    assert args.circuit_engine == "density"
 
 
 def test_json_flag_present_on_experiment_commands():
