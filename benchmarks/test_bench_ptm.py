@@ -1,22 +1,23 @@
-"""Benchmark — the fused-PTM noise route vs the noisy density-matrix route.
+"""Benchmark — the fused-superoperator ``ptm`` route vs the noisy density route.
 
-The PTM route (DESIGN.md §16) is the *exact* fast path for declarative
-noise: every gate and attached channel becomes a real Pauli-transfer
-matrix, adjacent PTMs fuse greedily into single superoperators, and one
-``4^n`` Pauli vector is evolved instead of a ``2^n x 2^n`` density matrix.
-No trajectories, no sampling spread — the answer must match the density
-contraction to machine precision, at gate-fusion speed.
+The ``ptm`` route (DESIGN.md §16) is the *exact* fast path for declarative
+noise: every gate and attached channel becomes a Liouville superoperator,
+adjacent superoperators fuse greedily, and one density tensor evolves
+through the fused program, holding each qubit only from its first op to its
+last.  No trajectories, no sampling spread — the answer must match the
+gate-by-gate density contraction to machine precision, at gate-fusion speed.
 
 The gate: at ``q = 6`` system qubits and ``t = 4`` precision qubits (the
 same 48-dimensional workload Laplacian as the other circuit-engine
-benchmarks) under per-gate-class depolarising noise, the warm PTM route
-must beat the noisy density-matrix route by at least 5× while agreeing
-with it to 1e-8 (absolute, per readout probability — an exactness pin,
-not a statistical tolerance).
+benchmarks) under per-gate-class depolarising noise, the warm ``ptm`` route
+(median of ``WARM_REPEATS`` runs) must beat the noisy density route by at
+least 5× while agreeing with it to 1e-12 (absolute, per readout probability
+— an exactness pin, not a statistical tolerance).
 """
 
 from __future__ import annotations
 
+import statistics
 import time
 
 import numpy as np
@@ -34,6 +35,8 @@ NOISE_STRENGTH = 0.002
 GATE_STRENGTHS = {"c-U": 0.004, "H": 0.001}
 GATE = 5.0
 SEED = 2023
+#: Warm runs behind the reported median and interquartile range.
+WARM_REPEATS = 7
 
 
 def _workload_laplacian(dim: int = DIMENSION) -> np.ndarray:
@@ -75,10 +78,15 @@ def test_bench_ptm_route_speedup(benchmark, paper_scale, bench_json):
     cold_seconds, ptm = _route_seconds(problem, "ptm")
     density_seconds, density = _route_seconds(problem, "density")
 
-    warm = benchmark.pedantic(
-        lambda: _route_seconds(problem, "ptm")[0], rounds=1, iterations=1
+    warm_runs = []
+    benchmark.pedantic(
+        lambda: warm_runs.append(_route_seconds(problem, "ptm")[0]),
+        rounds=WARM_REPEATS,
+        iterations=1,
     )
-    ptm_warm_seconds = float(warm)
+    ptm_warm_seconds = statistics.median(warm_runs)
+    quartiles = statistics.quantiles(warm_runs, n=4)
+    ptm_warm_iqr = quartiles[2] - quartiles[0]
 
     dim = 2**6
     betti_ptm = dim * float(ptm.distribution[0])
@@ -89,7 +97,8 @@ def test_bench_ptm_route_speedup(benchmark, paper_scale, bench_json):
     print(
         f"q=6 t={PRECISION} depolarizing p={NOISE_STRENGTH} "
         f"gate_strengths={GATE_STRENGTHS}: ptm {cold_seconds:.3f}s cold / "
-        f"{ptm_warm_seconds:.3f}s warm ({ptm.fused_gates} fused superops) | "
+        f"{ptm_warm_seconds:.3f}s warm median (IQR {ptm_warm_iqr:.3f}s, "
+        f"{len(warm_runs)} runs; {ptm.fused_gates} fused superops) | "
         f"density {density_seconds:.3f}s | speedup {speedup:.1f}x | "
         f"betti {betti_ptm:.6f} vs density {betti_density:.6f} "
         f"(max |Δp| = {max_abs_diff:.2e})"
@@ -105,6 +114,8 @@ def test_bench_ptm_route_speedup(benchmark, paper_scale, bench_json):
             "noise_gate_strengths": dict(GATE_STRENGTHS),
             "ptm_cold_seconds": cold_seconds,
             "ptm_warm_seconds": ptm_warm_seconds,
+            "ptm_warm_iqr_seconds": ptm_warm_iqr,
+            "ptm_warm_repeats": len(warm_runs),
             "density_seconds": density_seconds,
             "speedup_vs_density": speedup,
             "fused_superoperators": ptm.fused_gates,
@@ -119,10 +130,11 @@ def test_bench_ptm_route_speedup(benchmark, paper_scale, bench_json):
     assert ptm.fused_gates is not None and ptm.fused_gates > 0
     assert ptm.noise_spec is not None
     assert density.engine_route == "density"
-    # Exactness pin: the PTM route is the same contraction in a different
-    # basis — machine-precision agreement, no statistical tolerance.
-    assert max_abs_diff <= 1e-8, (
-        f"ptm and density distributions diverge by {max_abs_diff:.2e} (> 1e-8)"
+    # Exactness pin: the ptm route is the same contraction, fused and
+    # restricted to the live qubits — machine-precision agreement, no
+    # statistical tolerance.
+    assert max_abs_diff <= 1e-12, (
+        f"ptm and density distributions diverge by {max_abs_diff:.2e} (> 1e-12)"
     )
     # The acceptance criterion of the fused-PTM-route PR.
     assert speedup >= GATE, (

@@ -3,18 +3,18 @@
 Declarative noise (``QTDAConfig.noise_channel`` & friends) can run three
 ways (DESIGN.md §12, §16):
 
-* ``ptm``        — fused Pauli-transfer matrices: every gate and its
-  attached channel become one real ``4^n`` superoperator, adjacent PTMs
-  fuse, and a single Pauli vector evolves.  *Exact* — same contraction as
-  density in a different basis — and the ``auto`` default while
-  ``t + q <= 12``;
+* ``ptm``        — fused superoperators: every gate and its attached
+  channel become Liouville superoperators, adjacent ones fuse, and one
+  density tensor evolves, holding each qubit only from its first op to its
+  last.  *Exact* — the same contraction as density, fused — and the
+  ``auto`` default while ``t + q <= 12``;
 * ``density``    — density-matrix evolution with Kraus operators applied
   gate by gate.  Exact too, but squares the state and cannot fuse across
   channels;
 * ``trajectory`` — stochastic Kraus unravelling over ``n_trajectories``
   pure-state repetitions.  Unbiased with a ±spread error bar; the ``auto``
-  choice above 12 total qubits, where the ``4^n`` Pauli vector no longer
-  fits.
+  choice above 12 total qubits, where the ``4^n`` density tensor no
+  longer fits.
 
 This script runs the same per-gate-class depolarising workload through all
 three, printing wall times, the Betti estimates, and each route's maximum
@@ -111,8 +111,8 @@ def main() -> None:
         f"({results['trajectory'].n_trajectories} trajectories)"
     )
     print()
-    print("ptm is the same linear map as density in the Pauli basis — identical")
-    print("answers at a fraction of the cost (benchmarks/test_bench_ptm.py gates")
+    print("ptm is the same linear map as density, fused into superoperators —")
+    print("identical answers at a fraction of the cost (benchmarks/test_bench_ptm.py gates")
     print(">= 5x at q=6, t=4).  trajectory trades exactness for an error bar and")
     print("a pure-state memory footprint; `auto` prefers ptm up to 12 total")
     print("qubits and trajectory beyond.")

@@ -109,7 +109,7 @@ def main() -> None:
     )
 
     #    Prefer a Monte-Carlo error bar (or a register too wide for the
-    #    4^n Pauli vector)?  `circuit_engine="trajectory"` runs stochastic
+    #    4^n density tensor)?  `circuit_engine="trajectory"` runs stochastic
     #    Kraus unravelling over n_trajectories repetitions instead, whose
     #    spread becomes the ± bar; `auto` picks trajectory by itself above
     #    12 total qubits.  examples/circuit_engine.py compares the routes.

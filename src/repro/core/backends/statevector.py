@@ -15,9 +15,9 @@ DESIGN.md §11):
   density matrix, with no purification qubits.
 * ``ptm`` (the default for noisy runs up to ``PTM_AUTO_QUBIT_THRESHOLD``
   total qubits) — the circuit and its noise channels are lowered to
-  Pauli-transfer matrices and fused into single superoperators
-  (:mod:`repro.quantum.ptm`, DESIGN.md §16); a single real ``4^(t+q)``
-  Pauli vector evolves through the fused program, so the result is *exact*
+  Liouville superoperators and fused (:mod:`repro.quantum.ptm`, DESIGN.md
+  §16); one density tensor evolves through the fused program, holding each
+  qubit only from its first op to its last, so the result is *exact*
   (agrees with ``density`` to floating point) at gate-fusion speed.
 * ``trajectory`` (the default for noisy runs above the PTM threshold) — the
   same batched ensemble, unravelled through the configured noise channels by
@@ -59,9 +59,10 @@ from repro.utils.rng import as_rng
 CIRCUIT_ROUTES = ("ensemble", "trajectory", "ptm", "purified", "density")
 
 #: Largest ``t + q`` for which ``auto`` prefers the exact ``ptm`` route for
-#: declarative noise.  The PTM state is a real ``4^(t+q)`` vector (8 bytes an
-#: entry: 134 MB at 12 qubits, 2 GB at 14), so above the threshold ``auto``
-#: falls back to stochastic trajectories, whose state stays ``2^(t+q)``.
+#: declarative noise.  The route's state is a complex density tensor of at
+#: most ``4^(t+q)`` entries (16 bytes an entry: 268 MB at 12 qubits, 4.3 GB
+#: at 14), so above the threshold ``auto`` falls back to stochastic
+#: trajectories, whose state stays ``2^(t+q)``.
 PTM_AUTO_QUBIT_THRESHOLD = 12
 
 
@@ -74,7 +75,7 @@ def resolve_circuit_route(
     ``purified`` choice combined with noise raises instead of silently
     dropping either).  ``"auto"`` resolves declarative noise (any model
     expressible as a :class:`~repro.quantum.channels.NoiseSpec`) to the exact
-    ``ptm`` route while the register fits the Pauli-vector budget
+    ``ptm`` route while the register fits the density-tensor budget
     (``total_qubits`` is the circuit's ``t + q``; ``None`` — callers that
     cannot know the size — counts as fitting), and to the stochastic
     ``trajectory`` route above :data:`PTM_AUTO_QUBIT_THRESHOLD`.
@@ -213,8 +214,9 @@ def circuit_backend_result(
         )
         fused_gates = len(plan)
     elif route == "ptm":
-        # Gates and their channels lowered to PTMs and fused into single
-        # superoperators; one real 4^(t+q) Pauli vector evolves through them.
+        # Gates and their channels lowered to Liouville superoperators and
+        # fused; one complex density tensor (at most 4^(t+q) entries) evolves
+        # through them, each qubit held from its first op to its last.
         executor = PTMExecutor()
         gate_spec = spec if spec.has_gate_noise else None
         program = executor.program(circuit, noise_spec=gate_spec)

@@ -201,16 +201,17 @@ def fuse_circuit(circuit: QuantumCircuit, max_fuse_qubits: int = 3) -> Tuple[Gat
 
 # --- PTM-program fusion (the noisy twin of fuse_circuit) --------------------
 #
-# In the Pauli-transfer representation (repro.quantum.ptm, DESIGN.md §16)
-# noise channels compose exactly like gates: both are real superoperator
-# matrices that left-multiply.  The greedy walk below is therefore the same
-# algorithm as fuse_circuit, run over the interleaved stream of gate-PTMs and
-# their attached channel-PTMs (NoiseSpec.channels_for_gate, the placement the
-# density route uses), so an entire gate+noise run collapses into one fused
-# superoperator per `max_fuse_qubits` window.  Wide controlled powers cannot
-# have explicit PTMs (4^(1+q) blows up); they pass through as unitaries with
-# a precomputed controlled-block fast path and act as block boundaries — but
-# their *noise* is small and keeps fusing on either side.
+# In the Liouville representation (repro.quantum.ptm, DESIGN.md §16) noise
+# channels compose exactly like gates: both are superoperator matrices that
+# left-multiply.  The greedy walk below is therefore the same algorithm as
+# fuse_circuit, run over the interleaved stream of gate superoperators and
+# their attached channel superoperators (NoiseSpec.channels_for_gate, the
+# placement the density route uses), so an entire gate+noise run collapses
+# into one fused superoperator per `max_fuse_qubits` window.  Wide
+# controlled powers cannot have explicit superoperators (4^(1+q) blows up);
+# they pass through as unitaries with a precomputed controlled-block fast
+# path and act as block boundaries — but their *noise* is small and keeps
+# fusing on either side.
 
 PTM_CACHE_MAX_BYTES = 256 * 1024 * 1024
 
@@ -260,37 +261,43 @@ def _noise_spec_key(noise_spec: Optional[NoiseSpec]) -> str:
 
 
 def _embed_ptm(matrix: np.ndarray, qubits: Tuple[int, ...], support: Tuple[int, ...]) -> np.ndarray:
-    """Expand a PTM on ``qubits`` to the full ``support`` register.
+    """Expand a superoperator on ``qubits`` to the full ``support`` register.
 
-    The dim-4 twin of :func:`_embed_matrix`: applying the superoperator to
-    the ``4^s`` Pauli basis vectors (the identity matrix viewed as an
-    ensemble) produces the embedded matrix column by column.
+    ``matrix ⊗ I`` acts on the digits ``qubits + (the rest of support)``;
+    permuting the digit axes into ``support`` order gives the embedding.
+    Only entries are copied, so the result is exact.
     """
     if tuple(qubits) == tuple(support):
-        return np.asarray(matrix, dtype=float)
-    from repro.quantum.ptm import apply_ptm_to_ensemble
-
-    positions = [support.index(q) for q in qubits]
-    s = len(support)
-    identity = np.eye(4**s)
-    return apply_ptm_to_ensemble(identity, np.asarray(matrix, dtype=float), positions, s)
+        return np.asarray(matrix, dtype=complex)
+    s, k = len(support), len(qubits)
+    rest = [q for q in support if q not in qubits]
+    # Axes of the outer product: qubits' out, qubits' in, rest out, rest in.
+    out_axis = {q: j for j, q in enumerate(qubits)}
+    out_axis.update({q: 2 * k + j for j, q in enumerate(rest)})
+    in_axis = {q: axis + (k if q in qubits else s - k) for q, axis in out_axis.items()}
+    full = np.multiply.outer(
+        np.asarray(matrix, dtype=complex).reshape((4,) * (2 * k)),
+        np.eye(4 ** (s - k)).reshape((4,) * (2 * (s - k))),
+    )
+    full = full.transpose([out_axis[q] for q in support] + [in_axis[q] for q in support])
+    return full.reshape(4**s, 4**s)
 
 
 def _ptm_op_stream(circuit: QuantumCircuit, noise_spec: Optional[NoiseSpec]):
-    """Yield ``(qubits, gate_or_channel_ptm, is_gate)`` in execution order.
+    """Yield ``(qubits, gate_or_channel_superop, is_gate)`` in execution order.
 
     Mirrors the density simulator's op walk: each gate, then the channels
     :meth:`NoiseSpec.channels_for_gate` attaches to it (channels arrive
-    already lowered to their memoised PTMs).
+    already lowered to their memoised superoperators).
     """
-    from repro.quantum.ptm import channel_ptm
+    from repro.quantum.ptm import channel_superop
 
     noisy = noise_spec is not None and noise_spec.has_gate_noise
     for gate in circuit.gates:
         yield gate.qubits, gate, True
         if noisy:
             for channel, qubits in noise_spec.channels_for_gate(gate):
-                yield qubits, channel_ptm(channel), False
+                yield qubits, channel_superop(channel), False
 
 
 def fuse_ptm_program(
@@ -301,8 +308,8 @@ def fuse_ptm_program(
     """The circuit + noise lowered to a fused :class:`~repro.quantum.ptm.
     PTMProgram` (cached per circuit fingerprint + NoiseSpec + window).
 
-    Gates within the window and every attached noise channel become PTMs and
-    fuse greedily into single superoperators; wider gates pass through as
+    Gates within the window and every attached noise channel become
+    superoperators and fuse greedily; wider gates pass through as
     :class:`~repro.quantum.ptm.WideUnitaryOp` boundaries.  Applying the
     returned ops in order equals the density route's gate-then-Kraus walk
     exactly (up to floating-point association inside each fused product).
@@ -312,7 +319,7 @@ def fuse_ptm_program(
         PTMProgram,
         WideUnitaryOp,
         controlled_block,
-        gate_ptm,
+        gate_superop,
     )
 
     if max_fuse_qubits < 1:
@@ -360,11 +367,11 @@ def fuse_ptm_program(
             )
             source_ops += 1
             continue
-        ptm = gate_ptm(payload.matrix) if is_gate else payload
+        superop = gate_superop(payload.matrix) if is_gate else payload
         source_ops += 1
         if support is None:
             support = tuple(sorted(qubits))
-            matrix = _embed_ptm(ptm, qubits, support)
+            matrix = _embed_ptm(superop, qubits, support)
             sources = 1
             continue
         union = tuple(sorted(set(support) | set(qubits)))
@@ -372,13 +379,13 @@ def fuse_ptm_program(
             if union != support:
                 matrix = _embed_ptm(matrix, support, union)
             # Later op acts after the block: left-multiply its embedding.
-            matrix = _embed_ptm(ptm, qubits, union) @ matrix
+            matrix = _embed_ptm(superop, qubits, union) @ matrix
             support = union
             sources += 1
         else:
             flush()
             support = tuple(sorted(qubits))
-            matrix = _embed_ptm(ptm, qubits, support)
+            matrix = _embed_ptm(superop, qubits, support)
             sources = 1
     flush()
 

@@ -1,44 +1,38 @@
-"""Pauli-transfer-matrix (PTM) representation and execution of noisy circuits.
+"""Exact noisy-circuit execution over a Liouville-basis density tensor.
 
 The density route contracts every gate *and* every Kraus operator against a
-``2^n x 2^n`` density matrix — exact, but each noise channel is a Python-level
-loop of per-qubit Kraus conjugations, and nothing fuses across the
-gate/channel boundary.  This module represents the same evolution in the
-*Pauli basis* (in the spirit of quantumsim's ``ptm.py``):
+``2^n x 2^n`` density matrix, one channel at a time, and nothing fuses across
+the gate/channel boundary.  This module runs the same evolution as a chain
+of fused *superoperators* (the ``ptm`` route — the name is historical; in
+the spirit of quantumsim's ``ptm.py``):
 
-* the state is a real length-``4^n`` vector ``r`` with
-  ``rho = sum_i r_i P~_i`` over the normalised Pauli basis
-  ``P~_i = P_i / sqrt(2)`` per qubit (``Tr[P~_i P~_j] = delta_ij``);
-* every ``k``-qubit gate or channel becomes its PTM — a **real**
-  ``4^k x 4^k`` matrix ``R_ij = Tr[P~_i E(P~_j)]`` — and composition is plain
+* the state is the density matrix as a complex tensor with one row axis and
+  one column axis per qubit, i.e. in the matrix-unit (Liouville) basis
+  ``|r><c|``; qubit ``j``'s pair is the base-4 digit ``2 r + c``;
+* a ``k``-qubit unitary ``U`` becomes ``U ⊗ Ū`` and a channel becomes
+  ``Σ_m K_m ⊗ K̄_m``, each a ``4^k x 4^k`` matrix with the digits of each
+  qubit in (row, col) order (:func:`superop_from_kraus`).  Composition is
   matrix product, so noise channels fuse with gates exactly like gates fuse
   with gates (:func:`repro.quantum.fusion.fuse_ptm_program`);
-* executing the circuit is a chain of batched ``tensordot`` contractions over
-  a ``(4^n, B)`` array behind the same ``xp = numpy|cupy`` seam the ensemble
-  engine uses, with the same memory-budget column chunking.
+* controlled powers of ``U`` are too wide for an explicit superoperator
+  (``4^k`` with ``k = 1 + q``), so they pass through as unitaries and are
+  applied as ``U ρ U†``: one contraction on the row axes, one on the column
+  axes, with a fast path exploiting the ``I (+) V`` controlled block
+  structure.
 
-Exactness is the point: unlike the trajectory route there is no sampling —
-the final Pauli vector *is* the density matrix, so the readout matches the
-density route to floating-point accuracy while the per-gate noise rides
-inside fused superoperators instead of per-qubit Kraus loops.
+The input is a product state, so the tensor only ever holds the qubits that
+still matter (:meth:`PTMExecutor.reduced_state`): a qubit joins at its first
+op, an unmeasured qubit is traced out right after its last op, and an op
+outside the backward light cone of the measured qubits is skipped.  All
+three are exact because every program op is trace-preserving.  The readout
+is the diagonal over the measured qubits, so the result matches the density
+route to floating-point accuracy.
 
-Conventions (shared with the rest of the module):
-
-* Pauli index digits are base-4 (``0..3 = I, X, Y, Z``); the first qubit of
-  a support tuple is the most significant digit, matching the
-  :class:`~repro.quantum.operations.Gate` bit convention.
-* A trace-preserving channel has first PTM row ``e_0`` (``Tr`` of the
-  normalised identity is preserved); a unitary channel has an orthogonal
-  PTM.  Both are pinned by the property tests.
-
-Controlled powers of ``U`` are too wide for an explicit PTM (``4^k`` with
-``k = 1 + q``), so they are applied by a basis round-trip: each support axis
-is rotated from the Pauli basis to the matrix-unit basis (a single-qubit
-unitary ``T``), the row/col bit groups are conjugated by the unitary (with a
-fast path exploiting the ``I (+) V`` controlled block structure), and the
-axes are rotated back — the Pauli-basis analogue of the density route's
-two-sided contraction, at the same leading cost but without giving up fusion
-for everything else.
+Conventions: the first qubit of a support tuple is the most significant
+digit, matching the :class:`~repro.quantum.operations.Gate` bit convention.
+A trace-preserving superoperator satisfies ``vec(I)ᵀ S = vec(I)ᵀ``; a
+unitary gate gives a unitary superoperator.  Both are pinned by the property
+tests.
 """
 
 from __future__ import annotations
@@ -47,57 +41,20 @@ import hashlib
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from functools import lru_cache, reduce
 from typing import Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.quantum.channels import QuantumChannel
-from repro.quantum.engine import (
-    DEFAULT_COLUMN_BLOCK,
-    DEFAULT_MAX_FUSE_QUBITS,
-    DEFAULT_MEMORY_BUDGET_BYTES,
-    array_module,
-    to_host,
-)
-
-#: Single-qubit Pauli matrices in index order I, X, Y, Z (unnormalised).
-PAULIS = (
-    np.eye(2, dtype=complex),
-    np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
-    np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
-    np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
-)
+from repro.quantum.engine import DEFAULT_MAX_FUSE_QUBITS, array_module, to_host
 
 
-@lru_cache(maxsize=8)
-def pauli_basis(num_qubits: int) -> np.ndarray:
-    """The normalised ``num_qubits``-qubit Pauli basis, shape ``(4^k, 2^k, 2^k)``.
+def superop_from_kraus(kraus_ops: Sequence[np.ndarray]) -> np.ndarray:
+    """The Liouville superoperator of ``rho -> sum_m K_m rho K_m†``.
 
-    ``basis[i]`` is the tensor product of single-qubit ``P~ = P / sqrt(2)``
-    selected by the base-4 digits of ``i`` (first qubit = most significant
-    digit), so ``Tr[basis[i].conj().T @ basis[j]] = delta_ij``.
-    """
-    k = int(num_qubits)
-    if k < 1:
-        raise ValueError(f"num_qubits must be >= 1, got {num_qubits}")
-    single = np.stack(PAULIS) / np.sqrt(2.0)
-    out = single
-    for _ in range(k - 1):
-        dim_p, dim_m = out.shape[0], out.shape[1]
-        out = np.einsum("iab,jcd->ijacbd", out, single).reshape(
-            4 * dim_p, 2 * dim_m, 2 * dim_m
-        )
-    out.setflags(write=False)
-    return out
-
-
-def ptm_from_kraus(kraus_ops: Sequence[np.ndarray]) -> np.ndarray:
-    """The PTM of the channel ``rho -> sum_m K_m rho K_m†``.
-
-    Returns the real ``(4^k, 4^k)`` matrix ``R_ij = Tr[P~_i sum_m K_m P~_j
-    K_m†]``; any Hermiticity-preserving map has a real PTM, so the imaginary
-    part (floating-point dust) is dropped.
+    Returns the complex ``(4^k, 4^k)`` matrix ``Σ_m K_m ⊗ K̄_m`` with each
+    qubit's (row, col) bits adjacent, so qubit ``j`` owns base-4 digit ``j``
+    of both the output and the input index.
     """
     ops = [np.asarray(op, dtype=complex) for op in kraus_ops]
     if not ops:
@@ -106,25 +63,27 @@ def ptm_from_kraus(kraus_ops: Sequence[np.ndarray]) -> np.ndarray:
     k = int(round(np.log2(dim)))
     if 2**k != dim or any(op.shape != (dim, dim) for op in ops):
         raise ValueError("Kraus operators must be square with power-of-two dimension")
-    basis = pauli_basis(k)
-    ptm = np.zeros((4**k, 4**k))
-    for op in ops:
-        conjugated = np.einsum("ab,jbc,dc->jad", op, basis, op.conj())
-        ptm += np.einsum("iab,jba->ij", basis, conjugated).real
-    return ptm
+    # Outer-product axes: out rows r, in rows r', out cols c, in cols c'
+    # (k bits each); regroup as (r_1 c_1 .. r_k c_k, r'_1 c'_1 .. r'_k c'_k).
+    total = sum(np.multiply.outer(op, op.conj()) for op in ops)
+    perm = [axis for j in range(k) for axis in (j, 2 * k + j)]
+    perm += [axis + k for axis in perm]
+    return np.ascontiguousarray(total.reshape((2,) * (4 * k)).transpose(perm)).reshape(
+        4**k, 4**k
+    )
 
 
-def gate_ptm(matrix: np.ndarray) -> np.ndarray:
-    """The (orthogonal) PTM of a unitary gate — a one-Kraus channel."""
-    return ptm_from_kraus([matrix])
+def gate_superop(matrix: np.ndarray) -> np.ndarray:
+    """The (unitary) superoperator ``U ⊗ Ū`` of a gate — a one-Kraus channel."""
+    return superop_from_kraus([matrix])
 
 
-# --- per-channel-content PTM memo -----------------------------------------
+# --- per-channel-content superoperator memo ---------------------------------
 #
 # `QuantumChannel` is frozen and `from_name` is lru-cached, but sweeps over
-# noise strengths build fresh channel objects per strength; keying the PTM by
-# the channel's *content* lets every circuit sharing a channel (and every
-# repeat of a sweep point) reuse one 4^k x 4^k construction.
+# noise strengths build fresh channel objects per strength; keying the
+# superoperator by the channel's *content* lets every circuit sharing a
+# channel (and every repeat of a sweep point) reuse one 4^k x 4^k build.
 
 _PTM_MEMO_MAXSIZE = 256
 _PTM_MEMO: "OrderedDict[str, np.ndarray]" = OrderedDict()
@@ -143,8 +102,8 @@ def channel_content_key(channel: QuantumChannel) -> str:
     return digest.hexdigest()
 
 
-def channel_ptm(channel: QuantumChannel) -> np.ndarray:
-    """The channel's PTM, memoised per channel content (read-only array)."""
+def channel_superop(channel: QuantumChannel) -> np.ndarray:
+    """The channel's superoperator, memoised per channel content (read-only)."""
     global _PTM_MEMO_HITS, _PTM_MEMO_MISSES
     key = channel_content_key(channel)
     with _PTM_MEMO_LOCK:
@@ -153,21 +112,21 @@ def channel_ptm(channel: QuantumChannel) -> np.ndarray:
             _PTM_MEMO.move_to_end(key)
             _PTM_MEMO_HITS += 1
             return cached
-    ptm = ptm_from_kraus(channel.kraus_ops)
-    ptm.setflags(write=False)
+    superop = superop_from_kraus(channel.kraus_ops)
+    superop.setflags(write=False)
     with _PTM_MEMO_LOCK:
         _PTM_MEMO_MISSES += 1
         if key not in _PTM_MEMO:
-            _PTM_MEMO[key] = ptm
+            _PTM_MEMO[key] = superop
             while len(_PTM_MEMO) > _PTM_MEMO_MAXSIZE:
                 _PTM_MEMO.popitem(last=False)
         else:
-            ptm = _PTM_MEMO[key]
-    return ptm
+            superop = _PTM_MEMO[key]
+    return superop
 
 
 def ptm_memo_info() -> Dict[str, int]:
-    """Hit/miss/size counters of the per-channel PTM memo."""
+    """Hit/miss/size counters of the per-channel superoperator memo."""
     with _PTM_MEMO_LOCK:
         return {
             "hits": _PTM_MEMO_HITS,
@@ -177,7 +136,7 @@ def ptm_memo_info() -> Dict[str, int]:
 
 
 def clear_ptm_memo() -> None:
-    """Drop the channel-PTM memo and reset its counters (tests)."""
+    """Drop the channel-superoperator memo and reset its counters (tests)."""
     global _PTM_MEMO_HITS, _PTM_MEMO_MISSES
     with _PTM_MEMO_LOCK:
         _PTM_MEMO.clear()
@@ -185,91 +144,38 @@ def clear_ptm_memo() -> None:
         _PTM_MEMO_MISSES = 0
 
 
-# --- Pauli-vector states and readout ---------------------------------------
+# --- kernels on the Liouville tensor ----------------------------------------
 
-#: Pauli coefficients of |0><0| = (I + Z)/2 in the normalised basis.
-_ZERO_FACTOR = np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2.0)
-#: Pauli coefficients of the maximally mixed single-qubit state I/2.
-_MIXED_FACTOR = np.array([1.0, 0.0, 0.0, 0.0]) / np.sqrt(2.0)
-
-
-def qtda_initial_pauli_vector(precision_qubits: int, system_qubits: int) -> np.ndarray:
-    """Pauli vector of ``|0><0|^t (x) I/2^q`` — the QTDA mixed input state.
-
-    Shape ``(4^(t+q),)``; a Kronecker product of per-qubit factors, so no
-    density matrix is ever materialised.
-    """
-    t, q = int(precision_qubits), int(system_qubits)
-    if t < 0 or q < 0 or t + q < 1:
-        raise ValueError("need at least one qubit")
-    factors = [_ZERO_FACTOR] * t + [_MIXED_FACTOR] * q
-    return reduce(np.kron, factors)
+#: Single-qubit QTDA input states: ``|0><0|`` (precision) and ``I/2`` (system).
+_ZERO_STATE = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
+_MIXED_STATE = np.eye(2, dtype=complex) / 2.0
 
 
-def apply_ptm_to_ensemble(vectors, ptm, qubits: Sequence[int], num_qubits: int, xp=np):
-    """Apply a ``k``-qubit PTM to every column of a ``(4^n, B)`` Pauli array.
-
-    The Pauli-basis twin of :func:`repro.quantum.engine.
-    apply_gate_to_ensemble`: one ``tensordot`` of the superoperator's column
-    digits against the target qubit axes of the rank-``n+1`` tensor (batch
-    axis last), so a fused noise+gate block costs one sweep of the array.
-    """
-    qubits = [int(q) for q in qubits]
-    k = len(qubits)
-    batch = vectors.shape[-1]
-    tensor = vectors.reshape([4] * num_qubits + [batch])
-    op = ptm.reshape([4] * (2 * k))
-    tensor = xp.tensordot(op, tensor, axes=(list(range(k, 2 * k)), qubits))
-    tensor = xp.moveaxis(tensor, list(range(k)), qubits)
-    return xp.ascontiguousarray(tensor).reshape(4**num_qubits, batch)
-
-
-@lru_cache(maxsize=1)
-def _pauli_to_matrix_unit() -> np.ndarray:
-    """Unitary ``T`` with ``T[2r + c, i] = P~_i[r, c]`` (Pauli -> matrix unit)."""
-    t = pauli_basis(1).reshape(4, 4).T.copy()
-    t.setflags(write=False)
-    return t
-
-
-#: Axes converted per pass in the wide-gate basis round-trip.  Each pass
-#: sweeps the whole tensor, so grouping (a ``4^g x 4^g`` Kronecker power of
-#: ``T`` per pass) trades tiny-matrix passes for fewer full-array sweeps.
-_CONVERT_GROUP = 3
-
-
-@lru_cache(maxsize=8)
-def _convert_kron(group: int, inverse: bool) -> np.ndarray:
-    """``T`` (or ``T†``) Kronecker-powered over ``group`` qubits."""
-    single = _pauli_to_matrix_unit()
-    if inverse:
-        single = single.conj().T
-    out = single
-    for _ in range(group - 1):
-        out = np.kron(out, single)
-    out = np.ascontiguousarray(out)
-    out.setflags(write=False)
+def _outer_product(matrices: Sequence[np.ndarray]) -> np.ndarray:
+    """``⊗_j matrices[j]`` as a tensor with axes ``(r_1, c_1, r_2, c_2, ...)``."""
+    out = np.ones((), dtype=complex)
+    for matrix in matrices:
+        out = np.multiply.outer(out, np.asarray(matrix, dtype=complex))
     return out
 
 
-def _convert_leading_axes(tensor, k: int, xp, inverse: bool):
-    """Rotate the ``k`` leading size-4 axes between Pauli and matrix-unit
-    bases, ``_CONVERT_GROUP`` axes per full-tensor pass."""
-    start = 0
-    while start < k:
-        group = min(_CONVERT_GROUP, k - start)
-        conv = xp.asarray(_convert_kron(group, inverse)).reshape([4] * (2 * group))
-        tensor = xp.moveaxis(
-            xp.tensordot(
-                conv,
-                tensor,
-                axes=(list(range(group, 2 * group)), list(range(start, start + group))),
-            ),
-            list(range(group)),
-            list(range(start, start + group)),
-        )
-        start += group
-    return tensor
+def _bit_axes(positions: Sequence[int]):
+    """The (row bit, col bit) tensor axes of the qubits at ``positions``."""
+    return [axis for p in positions for axis in (2 * p, 2 * p + 1)]
+
+
+def apply_superop(tensor, superop, positions: Sequence[int], xp=np):
+    """Apply a ``k``-qubit superoperator to the qubits at ``positions``.
+
+    ``tensor`` holds two size-2 axes per qubit, row bit then col bit.  One
+    ``tensordot`` of the superoperator's input digits against the target
+    axes; the result is left as ``tensordot`` lays it out — the ``k``
+    targets' axis pairs first (in ``positions`` order), then the other
+    pairs in their previous order — so no copy is spent moving them back.
+    """
+    k = len(positions)
+    op = superop.reshape((2,) * (4 * k))
+    return xp.tensordot(op, tensor, axes=(list(range(2 * k, 4 * k)), _bit_axes(positions)))
 
 
 def controlled_block(matrix: np.ndarray) -> Optional[np.ndarray]:
@@ -289,106 +195,57 @@ def controlled_block(matrix: np.ndarray) -> Optional[np.ndarray]:
 
 
 def apply_unitary_to_pauli_ensemble(
-    vectors,
+    tensor,
     unitary,
-    qubits: Sequence[int],
-    num_qubits: int,
+    positions: Sequence[int],
     xp=np,
     block: Optional[np.ndarray] = None,
 ):
-    """Conjugate a ``(4^n, B)`` Pauli array by a unitary too wide for a PTM.
+    """Conjugate the Liouville tensor by a unitary too wide for a superoperator.
 
-    Each support axis is rotated to the matrix-unit basis (``T``, 4x4), the
-    grouped row/col bit axes are conjugated as ``U rho U†``, and the axes are
-    rotated back; the result is real up to floating-point dust, which is
-    dropped.  ``block`` (from :func:`controlled_block`) enables the
-    controlled fast path: with ``U = I (+) V`` only the control=1 half of the
-    rows/columns is touched, at a quarter of the generic contraction cost.
+    The wide-unitary kernel of the route (the name predates the Liouville
+    state and is kept because the benchmark tracer wraps it).  The support
+    axes split into (row bit, col bit), all row bits and all col bits are
+    grouped, and ``U rho U†`` is two plain contractions.  ``block`` (from
+    :func:`controlled_block`) enables the controlled fast path: with
+    ``U = I (+) V`` only the control=1 half of the rows and of the columns is
+    touched, at a quarter of the generic contraction cost.
     """
-    qubits = [int(q) for q in qubits]
-    k = len(qubits)
-    batch = vectors.shape[-1]
+    positions = [int(p) for p in positions]
+    k = len(positions)
     dim = 2**k
-    tensor = xp.asarray(vectors).astype(complex).reshape([4] * num_qubits + [batch])
-    tensor = xp.moveaxis(tensor, qubits, list(range(k)))
-    rest_shape = tensor.shape[k:]
-    tensor = _convert_leading_axes(tensor, k, xp, inverse=False)
-    # Split each support axis 4 -> (row bit, col bit), then group all row
-    # bits and all col bits so the conjugation is two plain contractions.
-    tensor = tensor.reshape((2, 2) * k + tuple(rest_shape))
-    row_axes = list(range(0, 2 * k, 2))
-    col_axes = list(range(1, 2 * k, 2))
-    tensor = xp.moveaxis(tensor, row_axes + col_axes, list(range(2 * k)))
-    tensor = xp.ascontiguousarray(tensor).reshape(dim, dim, -1)
+    rest = [axis for axis in range(tensor.ndim) if axis not in _bit_axes(positions)]
+    perm = [2 * p for p in positions] + [2 * p + 1 for p in positions] + rest
+    work = xp.ascontiguousarray(xp.transpose(tensor, perm)).reshape(dim, dim, -1)
     if block is not None:
         half = dim // 2
-        v = xp.asarray(block).astype(complex)
-        tensor[half:, :, :] = xp.tensordot(v, tensor[half:, :, :], axes=([1], [0]))
-        tensor[:, half:, :] = xp.moveaxis(
-            xp.tensordot(xp.conj(v), tensor[:, half:, :], axes=([1], [1])), 0, 1
-        )
+        v = xp.asarray(block)
+        work[half:] = xp.matmul(v, work[half:].reshape(half, -1)).reshape(half, dim, -1)
+        work[:, half:] = xp.matmul(xp.conj(v), work[:, half:])
     else:
-        u = xp.asarray(unitary).astype(complex)
-        tensor = xp.tensordot(u, tensor, axes=([1], [0]))
-        tensor = xp.moveaxis(xp.tensordot(xp.conj(u), tensor, axes=([1], [1])), 0, 1)
-    tensor = tensor.reshape((2,) * (2 * k) + tuple(rest_shape))
-    tensor = xp.moveaxis(tensor, list(range(2 * k)), row_axes + col_axes)
-    tensor = tensor.reshape((4,) * k + tuple(rest_shape))
-    tensor = _convert_leading_axes(tensor, k, xp, inverse=True)
-    tensor = xp.real(tensor)
-    tensor = xp.moveaxis(tensor, list(range(k)), qubits)
-    return xp.ascontiguousarray(tensor).reshape(4**num_qubits, batch)
+        u = xp.asarray(unitary)
+        work = xp.matmul(u, work.reshape(dim, -1)).reshape(dim, dim, -1)
+        work = xp.matmul(xp.conj(u), work)
+    return xp.transpose(work.reshape((2,) * tensor.ndim), np.argsort(perm).tolist())
 
 
-#: Trace over a qubit: ``Tr[P~_i] = sqrt(2) delta_i0``.
-_TRACE_FACTOR = np.array([np.sqrt(2.0), 0.0, 0.0, 0.0])
-#: Readout row ``b``: ``Tr[P~_i (I + (-1)^b Z)/2]`` — maps (I, Z) to (p0, p1).
-_READOUT = np.array([[1.0, 0.0, 0.0, 1.0], [1.0, 0.0, 0.0, -1.0]]) / np.sqrt(2.0)
-
-
-def pauli_vector_marginals(vectors, num_qubits: int, qubits: Sequence[int], xp=np):
-    """Measurement marginals of a ``(4^n, B)`` Pauli array over ``qubits``.
-
-    Returns a ``(2^k, B)`` array of probabilities; ``qubits[0]`` is the most
-    significant readout bit, matching :func:`repro.quantum.measurement.
-    marginal_probabilities`.  Unmeasured qubits are traced out (their ``I``
-    component), measured axes are projected through the (I, Z) -> (p0, p1)
-    readout map.
-    """
-    qubits = [int(q) for q in qubits]
-    batch = vectors.shape[-1]
-    tensor = vectors.reshape([4] * num_qubits + [batch])
-    trace = xp.asarray(_TRACE_FACTOR)
-    readout = xp.asarray(_READOUT)
-    for axis in sorted(set(range(num_qubits)) - set(qubits), reverse=True):
-        tensor = xp.tensordot(tensor, trace, axes=([axis], [0]))
-    remaining = sorted(qubits)
-    for qubit in qubits:
-        position = remaining.index(qubit)
-        tensor = xp.tensordot(tensor, readout, axes=([position], [1]))
-        remaining.pop(position)
-    # Axes now: batch, then one bit per measured qubit in request order.
-    tensor = xp.moveaxis(tensor, 0, -1)
-    return xp.ascontiguousarray(tensor).reshape(2 ** len(qubits), batch)
-
-
-# --- the PTM program IR ------------------------------------------------------
+# --- the superoperator program IR -------------------------------------------
 
 
 @dataclass(frozen=True)
 class PTMOp:
-    """One fused superoperator: a real ``4^k x 4^k`` PTM on ``qubits``."""
+    """One fused superoperator: a complex ``4^k x 4^k`` matrix on ``qubits``."""
 
     qubits: Tuple[int, ...]
     matrix: np.ndarray
-    #: How many source gate/channel PTMs were fused into this block.
+    #: How many source gate/channel superoperators were fused into this block.
     sources: int = 1
     name: str = "ptm"
 
 
 @dataclass(frozen=True)
 class WideUnitaryOp:
-    """A unitary too wide for an explicit PTM, applied by basis round-trip."""
+    """A unitary too wide for an explicit superoperator, applied as ``U ρ U†``."""
 
     qubits: Tuple[int, ...]
     matrix: np.ndarray
@@ -402,7 +259,7 @@ PTMProgramOp = Union[PTMOp, WideUnitaryOp]
 
 @dataclass(frozen=True)
 class PTMProgram:
-    """A noisy circuit lowered to Pauli-transfer form: ops applied in order."""
+    """A noisy circuit lowered to fused superoperators: ops applied in order."""
 
     num_qubits: int
     ops: Tuple[PTMProgramOp, ...]
@@ -429,88 +286,88 @@ class PTMProgram:
 
 
 class PTMExecutor:
-    """Executes :class:`PTMProgram` s over batched Pauli-vector arrays.
+    """Evolves product-state inputs through a :class:`PTMProgram`.
 
-    Mirrors :class:`~repro.quantum.engine.EnsembleExecutor`: the batch axis
-    is processed in pinned column blocks (``evolution_block``) sized to a
-    byte budget, so the result does not depend on how the batch is chunked;
-    the array module is the ``xp`` seam
-    (:func:`~repro.quantum.engine.array_module`).  The QTDA route runs a
-    single column (the one mixed initial state).
+    The array module is the ``xp`` seam
+    (:func:`~repro.quantum.engine.array_module`) the ensemble engine uses.
     """
 
-    def __init__(
-        self,
-        max_fuse_qubits: int = DEFAULT_MAX_FUSE_QUBITS,
-        memory_budget_bytes: int = DEFAULT_MEMORY_BUDGET_BYTES,
-        column_block: Optional[int] = None,
-        xp=None,
-    ):
+    def __init__(self, max_fuse_qubits: int = DEFAULT_MAX_FUSE_QUBITS, xp=None):
         self.max_fuse_qubits = int(max_fuse_qubits)
-        self.memory_budget_bytes = int(memory_budget_bytes)
-        self.column_block = column_block
         self.xp = xp if xp is not None else array_module()
 
     def program(self, circuit, noise_spec=None) -> PTMProgram:
-        """The circuit's fused PTM program (cached per circuit + spec)."""
+        """The circuit's fused superoperator program (cached per circuit + spec)."""
         from repro.quantum.fusion import fuse_ptm_program
 
         return fuse_ptm_program(
             circuit, noise_spec=noise_spec, max_fuse_qubits=self.max_fuse_qubits
         )
 
-    def max_batch(self, num_qubits: int) -> int:
-        """Columns that fit the byte budget (complex wide-gate intermediates
-        dominate at 16 bytes per entry)."""
-        bytes_per_column = (4**num_qubits) * 16
-        return max(1, self.memory_budget_bytes // bytes_per_column)
+    def reduced_state(
+        self, program: PTMProgram, initial_states: Sequence[np.ndarray], qubits: Sequence[int]
+    ) -> np.ndarray:
+        """Reduced density matrix over ``qubits`` after the program, on host.
 
-    def evolution_block(self, num_qubits: int) -> int:
-        """Pinned column-block width (budget-capped), for stable chunk cuts."""
-        block = self.column_block if self.column_block is not None else DEFAULT_COLUMN_BLOCK
-        return max(1, min(self.max_batch(num_qubits), int(block)))
-
-    def run(self, program: PTMProgram, vectors) -> np.ndarray:
-        """Apply the program to a ``(4^n, B)`` Pauli array, returning on host."""
-        n = program.num_qubits
-        vectors = np.asarray(vectors, dtype=float)
-        if vectors.ndim == 1:
-            vectors = vectors[:, None]
-        if vectors.shape[0] != 4**n:
+        The input is the product ``⊗_j initial_states[j]`` of single-qubit
+        density matrices.  Only ops in the backward light cone of ``qubits``
+        run: an op touching none of the qubits that later ops (or the
+        readout) depend on is trace-preserving on qubits that are traced out
+        anyway.  A qubit joins the tensor at its first such op and, unless
+        kept, leaves right after its last one.  Returns the
+        ``(2^k, 2^k)`` matrix with ``qubits[0]`` as the most significant bit.
+        """
+        xp = self.xp
+        keep = [int(q) for q in qubits]
+        if len(set(keep)) != len(keep) or any(not 0 <= q < program.num_qubits for q in keep):
+            raise ValueError(f"invalid readout qubits {keep} for {program.num_qubits} qubits")
+        if len(initial_states) != program.num_qubits:
             raise ValueError(
-                f"expected leading dimension {4**n} for {n} qubits, got {vectors.shape[0]}"
+                f"expected {program.num_qubits} initial states, got {len(initial_states)}"
             )
-        xp = self.xp
-        prepared = self._prepare(program)
-        block = self.evolution_block(n)
-        out = np.empty_like(vectors)
-        for start in range(0, vectors.shape[1], block):
-            chunk = xp.asarray(vectors[:, start : start + block])
-            out[:, start : start + block] = to_host(self._evolve(chunk, prepared, n))
-        return out
+        live = set(keep)
+        ops = []
+        for op in reversed(program.ops):
+            if live.intersection(op.qubits):
+                live.update(op.qubits)
+                ops.append(op)
+        ops.reverse()
+        last = {q: index for index, op in enumerate(ops) for q in op.qubits}
 
-    def _prepare(self, program: PTMProgram):
-        """Device-resident op matrices (one transfer per run)."""
-        xp = self.xp
-        prepared = []
-        for op in program.ops:
+        def join(tensor, new):
+            """Append the input factors of qubits ``new`` as trailing axis pairs."""
+            factor = _outer_product([initial_states[q] for q in new])
+            axes.extend(new)
+            return tensor.reshape(tensor.shape + (1,) * factor.ndim) * xp.asarray(factor)
+
+        tensor = xp.ones((), dtype=complex)
+        axes = []  # qubit label of each (row bit, col bit) axis pair
+        for index, op in enumerate(ops):
+            new = [q for q in op.qubits if q not in axes]
+            if new:
+                tensor = join(tensor, new)
+            positions = [axes.index(q) for q in op.qubits]
             if isinstance(op, PTMOp):
-                prepared.append((op, xp.asarray(op.matrix), None))
+                tensor = apply_superop(tensor, xp.asarray(op.matrix), positions, xp=xp)
+                axes[:] = list(op.qubits) + [q for q in axes if q not in op.qubits]
             else:
                 block = xp.asarray(op.block) if op.block is not None else None
-                prepared.append((op, xp.asarray(op.matrix), block))
-        return prepared
-
-    def _evolve(self, chunk, prepared, num_qubits: int):
-        xp = self.xp
-        for op, matrix, block in prepared:
-            if isinstance(op, PTMOp):
-                chunk = apply_ptm_to_ensemble(chunk, matrix, op.qubits, num_qubits, xp=xp)
-            else:
-                chunk = apply_unitary_to_pauli_ensemble(
-                    chunk, matrix, op.qubits, num_qubits, xp=xp, block=block
+                tensor = apply_unitary_to_pauli_ensemble(
+                    tensor, xp.asarray(op.matrix), positions, xp=xp, block=block
                 )
-        return chunk
+            leaving = [q for q in op.qubits if last[q] == index and q not in keep]
+            if leaving:
+                identity = xp.asarray(_outer_product([np.eye(2)] * len(leaving)))
+                targets = _bit_axes([axes.index(q) for q in leaving])
+                tensor = xp.tensordot(tensor, identity, axes=(targets, list(range(identity.ndim))))
+                axes[:] = [q for q in axes if q not in leaving]
+        missing = [q for q in keep if q not in axes]
+        if missing:
+            tensor = join(tensor, missing)
+        order = [axes.index(q) for q in keep]
+        tensor = xp.transpose(tensor, [2 * p for p in order] + [2 * p + 1 for p in order])
+        dim = 2 ** len(keep)
+        return to_host(xp.ascontiguousarray(tensor).reshape(dim, dim))
 
     def qtda_distribution(
         self,
@@ -523,15 +380,18 @@ class PTMExecutor:
     ) -> np.ndarray:
         """Readout distribution of the mixed-input QTDA circuit, exactly.
 
-        Builds (or reuses) the fused program, evolves the single
-        ``|0><0|^t (x) I/2^q`` Pauli vector, and returns the host
-        ``(2^t,)`` marginal over ``precision_qubits``.
+        Builds (or reuses) the fused program, evolves the
+        ``|0><0|^t (x) I/2^q`` input, and returns the host ``(2^t,)``
+        marginal over ``precision_qubits``.
         """
         if program is None:
             program = self.program(circuit, noise_spec=noise_spec)
-        initial = qtda_initial_pauli_vector(precision_count, system_count)
-        final = self.run(program, initial)
-        marginal = pauli_vector_marginals(
-            final, program.num_qubits, list(precision_qubits), xp=np
-        )
-        return np.ascontiguousarray(marginal[:, 0])
+        t, q = int(precision_count), int(system_count)
+        if t < 0 or q < 0 or t + q != program.num_qubits:
+            raise ValueError(
+                f"precision {t} + system {q} qubits do not match the "
+                f"{program.num_qubits}-qubit program"
+            )
+        states = [_ZERO_STATE] * t + [_MIXED_STATE] * q
+        reduced = self.reduced_state(program, states, precision_qubits)
+        return np.ascontiguousarray(np.diagonal(reduced).real)
