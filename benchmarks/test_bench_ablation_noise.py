@@ -19,7 +19,6 @@ import pytest
 
 from repro.core.estimator import QTDABettiEstimator
 from repro.experiments.worked_example import appendix_complex
-from repro.quantum.noise import NoiseModel
 from repro.utils.ascii_plots import render_table
 
 SEED = 17
@@ -31,14 +30,14 @@ def _run_noise_sweep(strengths=(0.0, 0.002, 0.01, 0.05)):
     estimates = []
     routes = []
     for p in strengths:
-        noise = None if p == 0.0 else NoiseModel.depolarizing(p)
+        noise = {} if p == 0.0 else {"noise_channel": "depolarizing", "noise_strength": p}
         estimator = QTDABettiEstimator(
             precision_qubits=3,
             shots=None,
             backend="statevector",
             delta=6.0,
-            noise_model=noise,
             seed=SEED,
+            **noise,
         )
         estimate = estimator.estimate(complex_, 1)
         rows.append(

@@ -1,19 +1,21 @@
-"""Where each circuit-execution route wins: ensemble vs purified vs density.
+"""Why the noise-free route is the batched ensemble: ensemble vs purified vs density.
 
 The faithful Fig. 6 backends can simulate the maximally mixed input three
-ways (``QTDAConfig.circuit_engine``, DESIGN.md §11):
+ways; only the first is a route (``QTDAConfig.circuit_engine``, DESIGN.md
+§11), the other two are the reference oracles it is pinned against:
 
 * ``ensemble``  — batched statevector: the 2^q basis states evolve as one
   ``(2^(t+q), 2^q)`` array with fused gates;
-* ``purified``  — Fig. 2 purification: one statevector on t + 2q qubits;
+* ``purified``  — Fig. 2 purification: one statevector on t + 2q qubits
+  (``purified_reference_distribution``);
 * ``density``   — density-matrix evolution of ``|0><0| ⊗ I/2^q`` on t + q
-  qubits (the only route that can carry noise channels).
+  qubits (``density_reference_distribution``).
 
 This script sweeps the system-register size q on synthetic Laplacians and
 times all three, printing per-gate state sizes alongside the wall times so
-the asymptotics are visible: the density route squares the state
+the asymptotics are visible: the density simulation squares the state
 (``4^(t+q)`` entries per gate, 2^t times more than the others), while the
-ensemble route matches the purified route's raw count (``2^(t+q) · 2^q``)
+ensemble route matches the purified circuit's raw count (``2^(t+q) · 2^q``)
 but runs a fused, shorter circuit, needs no auxiliary register, and chunks
 the batch to a memory budget instead of holding one monolithic
 ``2^(t+2q)``-amplitude vector.
@@ -28,11 +30,19 @@ import time
 import numpy as np
 
 from repro.core.backends import EstimationProblem
-from repro.core.backends.statevector import circuit_backend_result
+from repro.core.backends.statevector import (
+    circuit_backend_result,
+    density_reference_distribution,
+    purified_reference_distribution,
+)
 from repro.core.config import QTDAConfig
 
 PRECISION = 4
 ROUTES = ("ensemble", "purified", "density")
+ORACLES = {
+    "purified": purified_reference_distribution,
+    "density": density_reference_distribution,
+}
 
 
 def synthetic_laplacian(dim: int, seed: int = 0) -> np.ndarray:
@@ -48,12 +58,13 @@ def synthetic_laplacian(dim: int, seed: int = 0) -> np.ndarray:
 
 
 def time_route(problem: EstimationProblem, route: str) -> tuple[float, np.ndarray]:
-    config = QTDAConfig(
-        precision_qubits=PRECISION, shots=None, backend="statevector", circuit_engine=route
-    )
+    config = QTDAConfig(precision_qubits=PRECISION, shots=None, backend="statevector")
     start = time.perf_counter()
-    result = circuit_backend_result(problem, config, "exact", None)
-    return time.perf_counter() - start, result.distribution
+    if route in ORACLES:
+        distribution = ORACLES[route](problem, config, "exact")
+    else:
+        distribution = circuit_backend_result(problem, config, "exact").distribution
+    return time.perf_counter() - start, distribution
 
 
 def main() -> None:
@@ -85,8 +96,8 @@ def main() -> None:
     print("ensemble wins structurally: gate fusion shortens the circuit, there is no")
     print("2q-qubit monolithic vector (the batch chunks to a memory budget), no Bell-")
     print("pair preparation, and the batch axis feeds one GEMM instead of a longer")
-    print("contraction.  Noise channels run on the ptm, trajectory, or density")
-    print("routes instead (see examples/noise_routes.py) —")
+    print("contraction.  Noise channels run on the ptm or trajectory routes")
+    print("instead (see examples/noise_routes.py) —")
     print("QTDAConfig(circuit_engine=...) picks the route.")
 
 

@@ -1,20 +1,21 @@
-"""The three noisy routes compared: ptm vs density vs trajectory.
+"""The two noisy routes against the density oracle: ptm vs trajectory vs density.
 
-Declarative noise (``QTDAConfig.noise_channel`` & friends) can run three
-ways (DESIGN.md §12, §16):
+Noise (``QTDAConfig.noise_channel`` & friends, one
+:class:`~repro.quantum.channels.NoiseSpec`) runs on two routes, checked
+here against the reference simulation (DESIGN.md §12, §16):
 
 * ``ptm``        — fused superoperators: every gate and its attached
   channel become Liouville superoperators, adjacent ones fuse, and one
   density tensor evolves, holding each qubit only from its first op to its
   last.  *Exact* — the same contraction as density, fused — and the
   ``auto`` default while ``t + q <= 12``;
-* ``density``    — density-matrix evolution with Kraus operators applied
-  gate by gate.  Exact too, but squares the state and cannot fuse across
-  channels;
 * ``trajectory`` — stochastic Kraus unravelling over ``n_trajectories``
   pure-state repetitions.  Unbiased with a ±spread error bar; the ``auto``
   choice above 12 total qubits, where the ``4^n`` density tensor no
-  longer fits.
+  longer fits;
+* ``density``    — the oracle, ``density_reference_distribution``:
+  density-matrix evolution with Kraus operators applied gate by gate.
+  Exact too, but squares the state and cannot fuse across channels.
 
 This script runs the same per-gate-class depolarising workload through all
 three, printing wall times, the Betti estimates, and each route's maximum
@@ -32,12 +33,15 @@ import time
 import numpy as np
 
 from repro.core.backends import EstimationProblem
-from repro.core.backends.statevector import circuit_backend_result
+from repro.core.backends.statevector import (
+    circuit_backend_result,
+    density_reference_distribution,
+)
 from repro.core.config import QTDAConfig
 from repro.utils.rng import as_rng
 
 PRECISION = 4
-ROUTES = ("ptm", "density", "trajectory")
+ROUTES = ("ptm", "trajectory")
 NOISE_STRENGTH = 0.002
 GATE_STRENGTHS = {"c-U": 0.004, "H": 0.001}
 N_TRAJECTORIES = 16
@@ -51,8 +55,8 @@ def synthetic_laplacian(dim: int, seed: int = 0) -> np.ndarray:
     return (lap + lap.T) / 2.0
 
 
-def run_route(problem: EstimationProblem, route: str):
-    config = QTDAConfig(
+def noisy_config(route: str = "auto") -> QTDAConfig:
+    return QTDAConfig(
         precision_qubits=PRECISION,
         shots=None,
         backend="statevector",
@@ -63,12 +67,19 @@ def run_route(problem: EstimationProblem, route: str):
         n_trajectories=N_TRAJECTORIES,
         seed=11,
     )
-    noise_model = config.resolved_noise_model()
+
+
+def run_route(problem: EstimationProblem, route: str):
+    config = noisy_config(route)
     start = time.perf_counter()
-    result = circuit_backend_result(
-        problem, config, "exact", noise_model, rng=as_rng(config.seed)
-    )
+    result = circuit_backend_result(problem, config, "exact", rng=as_rng(config.seed))
     return time.perf_counter() - start, result
+
+
+def run_oracle(problem: EstimationProblem):
+    start = time.perf_counter()
+    distribution = density_reference_distribution(problem, noisy_config(), "exact")
+    return time.perf_counter() - start, distribution
 
 
 def main() -> None:
@@ -78,7 +89,7 @@ def main() -> None:
     )
     print(
         f"{'q':>3} {'dim':>5} | "
-        + " | ".join(f"{route:>11}" for route in ROUTES)
+        + " | ".join(f"{route:>11}" for route in ROUTES + ("density",))
         + " | ptm |Δp|  | traj |Δp|"
     )
     print("-" * 78)
@@ -88,18 +99,19 @@ def main() -> None:
         seconds, results = {}, {}
         for route in ROUTES:
             seconds[route], results[route] = run_route(problem, route)
-        reference = results["density"].distribution
+        seconds["density"], reference = run_oracle(problem)
         ptm_diff = float(np.max(np.abs(results["ptm"].distribution - reference)))
         traj_diff = float(
             np.max(np.abs(results["trajectory"].distribution - reference))
         )
-        cells = " | ".join(f"{seconds[route]:>10.3f}s" for route in ROUTES)
+        cells = " | ".join(f"{seconds[name]:>10.3f}s" for name in ROUTES + ("density",))
         print(f"{q:>3} {dim:>5} | {cells} | {ptm_diff:>9.1e} | {traj_diff:>9.1e}")
 
     # Estimates from the largest run: the exact routes agree to machine
     # precision; the trajectory mean carries its repetition spread.
     dim = 2**6
     betti = {route: dim * float(results[route].distribution[0]) for route in ROUTES}
+    betti["density"] = dim * float(reference[0])
     std = results["trajectory"].p_zero_std
     spread = f" ± {dim * std:.3f}" if std is not None else ""
     print()

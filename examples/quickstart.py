@@ -15,8 +15,9 @@ Walks the whole pipeline on a small cloud shaped like a noisy circle:
 
 See examples/service_api.py for the full service tour (futures, batched
 `map`, streaming ε-sweeps, the JSON wire format) and
-examples/circuit_engine.py for the circuit-execution routes
-(`QTDAConfig.circuit_engine`: batched ensemble vs purified vs density).
+examples/circuit_engine.py and examples/noise_routes.py for the
+circuit-execution routes (`QTDAConfig.circuit_engine`) against the
+purified and density-matrix reference simulations.
 
 Run with:  python examples/quickstart.py
 """
@@ -51,9 +52,8 @@ def main() -> None:
     #    The faithful circuit backends (backend="statevector"/"trotter")
     #    additionally take a `circuit_engine` knob: the default "auto" runs
     #    noise-free circuits on the batched ensemble statevector engine
-    #    (DESIGN.md §11) — set "purified" or "density" to force the legacy
-    #    Fig. 2 / density-matrix routes, e.g.
-    #    QTDABettiEstimator(backend="statevector", circuit_engine="density").
+    #    and noisy ones on the exact "ptm" route (DESIGN.md §11), e.g.
+    #    QTDABettiEstimator(backend="statevector", circuit_engine="ptm").
     estimator = QTDABettiEstimator(precision_qubits=6, shots=4000, seed=11)
     for k in (0, 1):
         result = estimator.estimate(complex_, k)
@@ -86,11 +86,11 @@ def main() -> None:
     )
 
     # 5. A noisy run.  Declaring a channel on the config routes the circuit
-    #    through the fused-PTM engine (DESIGN.md §16): every gate and its
-    #    attached channel become one real Pauli-transfer matrix, adjacent
-    #    PTMs fuse into single superoperators, and the answer is *exact* —
-    #    it matches the density-matrix contraction to machine precision at
-    #    gate-fusion speed, no sampling spread.  See
+    #    through the fused "ptm" engine (DESIGN.md §16): every gate and its
+    #    attached channel become one Liouville superoperator, adjacent ones
+    #    fuse, and one density tensor evolves through them.  The answer is
+    #    *exact* — it matches the density-matrix contraction to machine
+    #    precision at gate-fusion speed, no sampling spread.  See
     #    examples/zne_extrapolation.py for recovering the noiseless answer
     #    from a strength sweep.
     noisy = QTDABettiEstimator(
@@ -112,7 +112,7 @@ def main() -> None:
     #    4^n density tensor)?  `circuit_engine="trajectory"` runs stochastic
     #    Kraus unravelling over n_trajectories repetitions instead, whose
     #    spread becomes the ± bar; `auto` picks trajectory by itself above
-    #    12 total qubits.  examples/circuit_engine.py compares the routes.
+    #    12 total qubits.  examples/noise_routes.py compares the routes.
     sampled = QTDABettiEstimator(
         precision_qubits=6,
         shots=4000,

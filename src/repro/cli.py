@@ -51,13 +51,15 @@ def _add_backend_option(parser, default: str = "exact") -> None:
 
 
 def _add_noise_options(parser) -> None:
+    from repro.core.config import CIRCUIT_ENGINES
+
     parser.add_argument(
         "--noise-channel",
         default=None,
         help=(
             "per-gate noise channel for the circuit backends "
             "(depolarizing, bit-flip, phase-flip or amplitude-damping); "
-            "--circuit-engine density runs it on the exact density-matrix route"
+            "--circuit-engine ptm runs it on the exact density-tensor route"
         ),
     )
     parser.add_argument(
@@ -68,7 +70,7 @@ def _add_noise_options(parser) -> None:
     )
     parser.add_argument(
         "--circuit-engine",
-        choices=("auto", "ensemble", "ptm", "trajectory", "purified", "density"),
+        choices=CIRCUIT_ENGINES,
         default="auto",
         help=(
             "circuit execution route for the statevector/trotter backends "

@@ -50,15 +50,20 @@ from repro.core.config import QTDAConfig
 from repro.core.estimator import QTDABettiEstimator
 from repro.core.hamiltonian import SpectrumCache
 from repro.core.pipeline import PipelineConfig
-from repro.tda.complexes import SimplicialComplex
+from repro.tda.complexes import SimplicialComplex, check_closed
 from repro.tda.rips import RipsComplex
+from repro.tda.simplex import Simplex
 from repro.tda.takens import TakensEmbedding
 from repro.utils.validation import check_bool, check_integer
 
 #: Version of the request/result wire format.  Bump on any incompatible
 #: change to the dictionaries emitted by ``as_dict`` (consumers validate it
 #: through :meth:`EstimationResult.validate_dict`).
-#: History: 6 — the superseded circuit-route knobs were removed:
+#: History: 7 — ``QTDAConfig`` lost its Kraus-list noise-object field
+#: (noise is the plain-data ``NoiseSpec`` fields only) and the ``density``/
+#: ``purified`` values of ``circuit_engine`` (a config naming either is
+#: rejected), and an ``estimate`` request whose ``simplices`` miss a face is
+#: rejected at validation; 6 — the superseded circuit-route knobs were removed:
 #: ``QTDAConfig`` lost ``use_purification``/``fuse_purified`` and the
 #: ``noisy-density`` backend alias is gone (request fingerprints changed; a
 #: config carrying either field or naming that backend is rejected), and a
@@ -76,7 +81,7 @@ from repro.utils.validation import check_bool, check_integer
 #: changed); 2 — provenance gained required ``engine_route``/``fused_gates`` fields and
 #: ``QTDAConfig`` gained ``circuit_engine`` (request fingerprints changed);
 #: 1 — initial service wire format.
-SCHEMA_VERSION = 6
+SCHEMA_VERSION = 7
 
 #: The request kinds the service understands, in dispatch order.
 #: ``observe`` (added within schema version 3 — purely additive) feeds raw
@@ -157,13 +162,14 @@ def _freeze_matrix(matrix: Any, name: str) -> Tuple[Tuple[float, ...], ...]:
 def _request_hash(self) -> int:
     """Content hash shared by every request class (see :meth:`fingerprint`).
 
-    Requests whose config cannot serialise (an explicit ``noise_model``
-    object) fall back to a per-type constant: they all collide in one hash
-    bucket, but set/dict membership stays correct through ``__eq__``.
+    Requests whose config cannot serialise (a ``np.random.Generator`` or
+    ``SeedSequence`` seed makes :meth:`fingerprint` raise ``TypeError``) fall
+    back to a per-type constant: they all collide in one hash bucket, but
+    set/dict membership stays correct through ``__eq__``.
     """
     try:
         return hash((type(self).__name__, self.fingerprint()))
-    except (TypeError, ValueError):
+    except TypeError:
         return hash(type(self).__name__)
 
 
@@ -255,6 +261,9 @@ class EstimationRequest(_RequestBase):
             simplices = tuple(tuple(int(v) for v in s) for s in self.simplices)
             if not simplices:
                 raise ValueError("'simplices' must not be empty")
+            # Checked here, not at build time, so an unclosed complex is a
+            # client error (400 on the wire) rather than a failed execution.
+            check_closed({Simplex(s) for s in simplices})
             object.__setattr__(self, "simplices", simplices)
         else:
             if self.epsilon is None:
@@ -737,10 +746,9 @@ class Provenance:
     best-effort attribution (the counters are shared), while totals remain
     exact through :attr:`QTDAService.stats`.  ``engine_route``/``fused_gates``
     record, for single-estimate requests on circuit backends, the concrete
-    circuit-execution route taken (``ensemble``/``ptm``/``trajectory``/
-    ``purified``/``density``, DESIGN.md §11–12, §16) and the post-fusion
-    block count (fused gates on the ensemble engine, fused superoperators on
-    the PTM route); ``n_trajectories``/``noise_spec`` record the trajectory-route
+    circuit-execution route taken (``ensemble``/``ptm``/``trajectory``,
+    DESIGN.md §11–12, §16) and the post-fusion block count (fused gates on
+    the ensemble engine, fused superoperators on the PTM route); ``n_trajectories``/``noise_spec`` record the trajectory-route
     repetition count and the resolved noise description the run executed
     under (``None`` for noiseless runs).
     """
@@ -1192,9 +1200,10 @@ class QTDAService:
         including every call from the :class:`~repro.core.pipeline.
         QTDAPipeline` shim, whose private service disables the result cache —
         skip it and carry an empty ``provenance.request_fingerprint``.
-        Requests whose config cannot serialise (an explicit ``noise_model``
-        object) execute fine; they are simply uncacheable and their envelope
-        cannot be emitted as JSON.
+        Requests whose config cannot serialise (a generator seed on an
+        otherwise deterministic request, e.g. a classical pipeline) execute
+        fine; they are simply uncacheable and their envelope cannot be
+        emitted as JSON.
         """
         self._check_request(request)
         fingerprint = self._fingerprint_or_none(request) if self._cacheable(request) else None
@@ -1368,7 +1377,7 @@ class QTDAService:
         """The request fingerprint, or ``None`` for unserialisable requests."""
         try:
             return request.fingerprint()
-        except (TypeError, ValueError):
+        except TypeError:
             return None
 
     def _cached_result(self, fingerprint: str) -> Optional[EstimationResult]:
@@ -1498,10 +1507,10 @@ class QTDAService:
         """Get or create the named session; validate the configuration key."""
         try:
             key: Optional[str] = canonical_json(request.session_config())
-        except (TypeError, ValueError):
-            # Unserialisable pipeline (explicit noise_model object): the
-            # session still works, but config matching degrades to trusting
-            # the caller (both sides carry a None key).
+        except TypeError:
+            # Unserialisable pipeline (a generator seed): the session still
+            # works, but config matching degrades to trusting the caller
+            # (both sides carry a None key).
             key = None
         with self._sessions_lock:
             session = self._sessions.get(request.session)

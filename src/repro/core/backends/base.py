@@ -111,8 +111,8 @@ class BackendResult:
         :attr:`BettiEstimate.betti_std`.
     engine_route:
         For circuit backends, the concrete execution route taken
-        (``"ensemble"``, ``"ptm"``, ``"trajectory"``, ``"purified"`` or
-        ``"density"`` — see ``QTDAConfig.circuit_engine`` and DESIGN.md
+        (``"ensemble"``, ``"ptm"`` or ``"trajectory"`` — see
+        ``QTDAConfig.circuit_engine`` and DESIGN.md
         §11–12, §16); ``None`` for non-circuit backends.  Surfaced through
         :attr:`BettiEstimate.engine_route` into service provenance.
     fused_gates:
@@ -215,7 +215,7 @@ def preferred_format(backend: "BettiBackend") -> str:
 
 
 def backend_supports_noise(backend: "BettiBackend") -> bool:
-    """Whether ``backend`` honours ``QTDAConfig.noise_channel``/``noise_model``."""
+    """Whether ``backend`` honours the config's noise fields (``resolved_noise_spec``)."""
     return bool(getattr(backend, "supports_noise", False))
 
 

@@ -1,7 +1,7 @@
 """The ``statevector`` backend — the explicit Fig. 6 circuit.
 
 Builds the full QTDA circuit with exact controlled powers of ``U = exp(iH)``
-and executes it over one of five routes (``QTDAConfig.circuit_engine``,
+and executes it over one of three routes (``QTDAConfig.circuit_engine``,
 DESIGN.md §11):
 
 * ``ensemble`` (the default for noise-free runs) — the maximally mixed input
@@ -18,23 +18,21 @@ DESIGN.md §11):
   Liouville superoperators and fused (:mod:`repro.quantum.ptm`, DESIGN.md
   §16); one density tensor evolves through the fused program, holding each
   qubit only from its first op to its last, so the result is *exact*
-  (agrees with ``density`` to floating point) at gate-fusion speed.
+  (agrees with the density oracle to floating point) at gate-fusion speed.
 * ``trajectory`` (the default for noisy runs above the PTM threshold) — the
   same batched ensemble, unravelled through the configured noise channels by
   stochastic Kraus-branch sampling (one branch per ensemble member after
   each gate), repeated ``n_trajectories`` times; the mean estimates the
   density result and the spread becomes ``p_zero_std``.
-* ``purified`` — the Fig. 2 construction: auxiliary qubits and Bell pairs,
-  unfused statevector simulation on ``t + 2q`` qubits (legacy route,
-  bit-identity-pinned).
-* ``density`` — density-matrix evolution of ``|0><0| ⊗ I/2^q`` on ``t + q``
-  qubits, gate by gate (legacy route, bit-identity-pinned; the exact Kraus
-  contraction, and the only noise route for hand-built ``NoiseModel``
-  objects no :class:`~repro.quantum.channels.NoiseSpec` can express).
 
 Noise is declared on :class:`~repro.core.config.QTDAConfig` (``noise_channel``,
 ``noise_strength`` and the extended :class:`~repro.quantum.channels.NoiseSpec`
-fields) or as an explicit ``noise_model``.  This module also hosts the
+fields); :meth:`~repro.core.config.QTDAConfig.resolved_noise_spec` is the one
+noise description every route reads.  Two plain simulations of the same
+circuit stay here as reference oracles, not routes:
+:func:`density_reference_distribution` (gate-by-gate density-matrix
+evolution) and :func:`purified_reference_distribution` (the Fig. 2
+purification on ``t + 2q`` qubits).  This module also hosts the
 circuit-execution plumbing shared with the ``trotter`` backend, which differs
 only in how ``U`` is synthesised.
 """
@@ -46,123 +44,73 @@ from typing import Optional
 import numpy as np
 
 from repro.core.backends.base import BackendResult, EstimationProblem, register_backend
-from repro.core.qtda_circuit import QTDACircuitSpec, qtda_circuit
-from repro.quantum.channels import NoiseSpec, apply_readout_error
+from repro.core.qtda_circuit import qtda_circuit
+from repro.quantum.channels import apply_readout_error
 from repro.quantum.density_matrix import DensityMatrix, DensityMatrixSimulator
 from repro.quantum.engine import EnsembleExecutor
-from repro.quantum.noise import NoiseModel
 from repro.quantum.ptm import PTMExecutor
 from repro.quantum.statevector import StatevectorSimulator
 from repro.utils.rng import as_rng
 
 #: Concrete circuit-execution routes (``"auto"`` resolves to one of these).
-CIRCUIT_ROUTES = ("ensemble", "trajectory", "ptm", "purified", "density")
+CIRCUIT_ROUTES = ("ensemble", "trajectory", "ptm")
 
 #: Largest ``t + q`` for which ``auto`` prefers the exact ``ptm`` route for
-#: declarative noise.  The route's state is a complex density tensor of at
+#: noisy runs.  The route's state is a complex density tensor of at
 #: most ``4^(t+q)`` entries (16 bytes an entry: 268 MB at 12 qubits, 4.3 GB
 #: at 14), so above the threshold ``auto`` falls back to stochastic
 #: trajectories, whose state stays ``2^(t+q)``.
 PTM_AUTO_QUBIT_THRESHOLD = 12
 
 
-def resolve_circuit_route(
-    config, noise_model: Optional[NoiseModel], total_qubits: Optional[int] = None
-) -> str:
+def resolve_circuit_route(config, total_qubits: Optional[int] = None) -> str:
     """Resolve ``config.circuit_engine`` to a concrete route.
 
-    Gate noise excludes the pure-state routes (an *explicit* ``ensemble`` or
-    ``purified`` choice combined with noise raises instead of silently
-    dropping either).  ``"auto"`` resolves declarative noise (any model
-    expressible as a :class:`~repro.quantum.channels.NoiseSpec`) to the exact
-    ``ptm`` route while the register fits the density-tensor budget
-    (``total_qubits`` is the circuit's ``t + q``; ``None`` — callers that
-    cannot know the size — counts as fitting), and to the stochastic
-    ``trajectory`` route above :data:`PTM_AUTO_QUBIT_THRESHOLD`.
-    Hand-built Kraus lists and gate-filtered models fall back to the exact
-    ``density`` contraction (and reject an explicit ``trajectory`` or
-    ``ptm`` request — neither can place noise without a spec).
-    Noise-free runs resolve ``"auto"`` to ``ensemble``; a zero-strength
-    channel counts as noise-free.
+    Gate noise (``config.resolved_noise_spec().has_gate_noise``) excludes the
+    pure-state ``ensemble`` route: an explicit ``ensemble`` choice combined
+    with noise raises instead of silently dropping it.  ``"auto"`` resolves
+    noisy runs to the exact ``ptm`` route while the register fits the
+    density-tensor budget (``total_qubits`` is the circuit's ``t + q``;
+    ``None`` — callers that cannot know the size — counts as fitting), and to
+    the stochastic ``trajectory`` route above
+    :data:`PTM_AUTO_QUBIT_THRESHOLD`.  Noise-free runs resolve ``"auto"`` to
+    ``ensemble``; a zero-strength channel counts as noise-free.
     """
-    engine = getattr(config, "circuit_engine", "auto")
+    engine = config.circuit_engine
     if engine not in ("auto",) + CIRCUIT_ROUTES:
         raise ValueError(
             f"circuit_engine must be one of {('auto',) + CIRCUIT_ROUTES}, got {engine!r}"
         )
-    spec = noise_model.to_spec() if noise_model is not None else None
-    has_gate_noise = noise_model is not None and (spec is None or spec.has_gate_noise)
-    if has_gate_noise:
-        if engine in ("ensemble", "purified"):
-            raise ValueError(
-                f"circuit_engine={engine!r} cannot simulate noise channels; "
-                "use 'ptm', 'trajectory', 'density' (or 'auto')"
-            )
-        if engine == "density":
-            return "density"
-        if spec is None:
-            # Hand-built Kraus operators / gate filters have no NoiseSpec
-            # form, so neither PTM lowering nor trajectory sampling can
-            # place them.
-            if engine in ("trajectory", "ptm"):
-                raise ValueError(
-                    f"circuit_engine={engine!r} requires declarative noise "
-                    "(noise_channel & friends); explicit NoiseModel objects "
-                    "run on the density route"
-                )
-            return "density"
-        if engine in ("trajectory", "ptm"):
-            return engine
-        if total_qubits is not None and total_qubits > PTM_AUTO_QUBIT_THRESHOLD:
-            return "trajectory"
-        return "ptm"
-    if engine == "auto":
-        return "ensemble"
-    return engine
-
-
-def mixed_initial_state(spec: QTDACircuitSpec) -> DensityMatrix:
-    """``|0><0|`` on precision (and auxiliary) registers, ``I/2^q`` on the system."""
-    t, q, aux = spec.precision_qubits, spec.system_qubits, spec.auxiliary_qubits
-    rho_precision = DensityMatrix.zero_state(t).matrix
-    rho_system = DensityMatrix.maximally_mixed(q).matrix
-    rho = np.kron(rho_precision, rho_system)
-    if aux:
-        rho = np.kron(rho, DensityMatrix.zero_state(aux).matrix)
-    return DensityMatrix(rho)
-
-
-def _executed_noise_spec(config, noise_model: Optional[NoiseModel]) -> NoiseSpec:
-    """The :class:`NoiseSpec` a run executes under: the model's spec form (if
-    any) with the config's declarative ``readout_error`` folded in."""
-    spec = noise_model.to_spec() if noise_model is not None else None
-    readout = float(getattr(config, "readout_error", 0.0) or 0.0)
-    if spec is None:
-        return NoiseSpec(readout_error=readout)
-    if readout > spec.readout_error:
-        spec = NoiseSpec.from_dict({**spec.as_dict(), "readout_error": readout})
-    return spec
+    if not config.resolved_noise_spec().has_gate_noise:
+        return "ensemble" if engine == "auto" else engine
+    if engine == "ensemble":
+        raise ValueError(
+            "circuit_engine='ensemble' cannot simulate noise channels; "
+            "use 'ptm', 'trajectory' (or 'auto')"
+        )
+    if engine != "auto":
+        return engine
+    if total_qubits is not None and total_qubits > PTM_AUTO_QUBIT_THRESHOLD:
+        return "trajectory"
+    return "ptm"
 
 
 def circuit_backend_result(
     problem: EstimationProblem,
     config,
     synthesis: str,
-    noise_model: Optional[NoiseModel],
     rng: Optional[np.random.Generator] = None,
 ) -> BackendResult:
     """Build and execute the Fig. 6 circuit, returning the readout distribution.
 
     The route comes from ``config.circuit_engine`` via
-    :func:`resolve_circuit_route`.  One circuit serves every route: the
-    ``purified`` route adds the Fig. 2 auxiliary register; the other routes
-    run on ``t + q`` qubits.  The ``ensemble``, ``ptm`` and ``trajectory``
-    routes build the exact synthesis from spectral controlled powers (one
-    ``eigh`` of ``H``, phases raised to ``2^j``); the bit-identity-pinned
-    ``purified`` and ``density`` routes keep the ``expm`` chain.  Every
+    :func:`resolve_circuit_route` and the noise from
+    ``config.resolved_noise_spec()``.  Every route runs the circuit on
+    ``t + q`` qubits; the exact synthesis builds its controlled powers
+    spectrally (one ``eigh`` of ``H``, phases raised to ``2^j``).  Every
     synthesis style emits the same gate *sequence*, so
     ``spec.channels_for_gate`` places noise at identical points on the
-    ``ptm``, ``trajectory`` and ``density`` routes.
+    ``ptm`` and ``trajectory`` routes and in :func:`density_reference_distribution`.
 
     ``rng`` drives the trajectory route's branch sampling (falls back to a
     ``config.seed``-derived generator).  A configured ``readout_error`` is
@@ -171,18 +119,17 @@ def circuit_backend_result(
     """
     hamiltonian = problem.dense_hamiltonian(config)
     route = resolve_circuit_route(
-        config, noise_model, total_qubits=config.precision_qubits + hamiltonian.num_qubits
+        config, total_qubits=config.precision_qubits + hamiltonian.num_qubits
     )
-    spec = _executed_noise_spec(config, noise_model)
-    spectral = synthesis == "exact" and route in ("ensemble", "ptm", "trajectory")
+    spec = config.resolved_noise_spec()
     circuit, circuit_spec = qtda_circuit(
         hamiltonian,
         precision_qubits=config.precision_qubits,
-        use_purification=route == "purified",
+        use_purification=False,
         synthesis=synthesis,
         trotter_steps=config.trotter_steps,
         trotter_order=config.trotter_order,
-        power_synthesis="spectral" if spectral else "chain",
+        power_synthesis="spectral" if synthesis == "exact" else "chain",
     )
     precision_register = list(circuit_spec.precision_register)
     system_basis = range(2**circuit_spec.system_qubits)
@@ -192,13 +139,13 @@ def circuit_backend_result(
         # Fusion is bypassed so noise lands after every original gate; the
         # engine applies the readout error per trajectory, so the spread over
         # the repetitions (``p_zero_std``) accounts for it.
-        n_trajectories = int(getattr(config, "n_trajectories", 8))
+        n_trajectories = config.n_trajectories
         distribution, sem = EnsembleExecutor(fuse=False).trajectory_basis_distribution(
             circuit,
             qubits=precision_register,
             basis_states=system_basis,
             noise_spec=spec,
-            rng=rng if rng is not None else as_rng(getattr(config, "seed", None)),
+            rng=rng if rng is not None else as_rng(config.seed),
             n_trajectories=n_trajectories,
         )
         if n_trajectories > 1:
@@ -213,10 +160,10 @@ def circuit_backend_result(
             circuit, qubits=precision_register, basis_states=system_basis, plan=plan
         )
         fused_gates = len(plan)
-    elif route == "ptm":
-        # Gates and their channels lowered to Liouville superoperators and
-        # fused; one complex density tensor (at most 4^(t+q) entries) evolves
-        # through them, each qubit held from its first op to its last.
+    else:
+        # ptm: gates and their channels lowered to Liouville superoperators
+        # and fused; one complex density tensor (at most 4^(t+q) entries)
+        # evolves through them, each qubit held from its first op to its last.
         executor = PTMExecutor()
         gate_spec = spec if spec.has_gate_noise else None
         program = executor.program(circuit, noise_spec=gate_spec)
@@ -229,12 +176,6 @@ def circuit_backend_result(
             program=program,
         )
         fused_gates = program.num_superops
-    elif route == "density":
-        sim = DensityMatrixSimulator(noise_model=noise_model)
-        final = sim.run(circuit, initial_state=mixed_initial_state(circuit_spec))
-        distribution = final.marginal_probabilities(precision_register)
-    else:
-        distribution = StatevectorSimulator().probabilities(circuit, qubits=precision_register)
     if route != "trajectory" and spec.readout_error > 0:
         distribution = apply_readout_error(distribution, spec.readout_error)
     return BackendResult(
@@ -249,19 +190,73 @@ def circuit_backend_result(
     )
 
 
+def _reference_circuit(problem: EstimationProblem, config, synthesis: str, use_purification: bool):
+    """The Fig. 6 circuit the oracles simulate: ``U`` powered by the ``expm`` chain."""
+    return qtda_circuit(
+        problem.dense_hamiltonian(config),
+        precision_qubits=config.precision_qubits,
+        use_purification=use_purification,
+        synthesis=synthesis,
+        trotter_steps=config.trotter_steps,
+        trotter_order=config.trotter_order,
+        power_synthesis="chain",
+    )
+
+
+def density_reference_distribution(
+    problem: EstimationProblem, config, synthesis: str = "exact"
+) -> np.ndarray:
+    """Readout distribution of the gate-by-gate density-matrix simulation.
+
+    Evolves ``|0><0| ⊗ I/2^q`` on ``t + q`` qubits, contracting the Kraus
+    channels ``config.resolved_noise_spec()`` places after each gate, then
+    applies the readout error.  This is the exact oracle the routes are
+    pinned against (``ptm`` to 1e-12, ``ensemble`` to 1e-10 noise-free,
+    ``trajectory`` to 3σ); it is not a route because ``ptm`` computes the
+    same contraction faster.
+    """
+    spec = config.resolved_noise_spec()
+    circuit, circuit_spec = _reference_circuit(problem, config, synthesis, use_purification=False)
+    initial = np.kron(
+        DensityMatrix.zero_state(circuit_spec.precision_qubits).matrix,
+        DensityMatrix.maximally_mixed(circuit_spec.system_qubits).matrix,
+    )
+    final = DensityMatrixSimulator(spec).run(circuit, initial_state=DensityMatrix(initial))
+    distribution = final.marginal_probabilities(list(circuit_spec.precision_register))
+    return apply_readout_error(distribution, spec.readout_error)
+
+
+def purified_reference_distribution(
+    problem: EstimationProblem, config, synthesis: str = "exact"
+) -> np.ndarray:
+    """Readout distribution of the Fig. 2 purified circuit.
+
+    Prepares the maximally mixed input with auxiliary qubits and Bell pairs
+    and runs one unfused statevector on ``t + 2q`` qubits, then applies the
+    readout error.  A pure-state simulation, so a config with gate noise
+    raises.  The noise-free oracle of the ``ensemble`` route (1e-10).
+    """
+    spec = config.resolved_noise_spec()
+    if spec.has_gate_noise:
+        raise ValueError("the purified circuit cannot simulate noise channels")
+    circuit, circuit_spec = _reference_circuit(problem, config, synthesis, use_purification=True)
+    distribution = StatevectorSimulator().probabilities(
+        circuit, qubits=list(circuit_spec.precision_register)
+    )
+    return apply_readout_error(distribution, spec.readout_error)
+
+
 class StatevectorBackend:
     """Explicit Fig. 6 circuit with exact controlled powers of ``U``."""
 
     name = "statevector"
-    description = "explicit Fig. 6 circuit with exact controlled powers of U (ensemble, ptm, trajectory, purified or density route)"
+    description = "explicit Fig. 6 circuit with exact controlled powers of U (ensemble, ptm or trajectory route)"
     prefers_sparse = False
     supported_formats = ("dense",)
     supports_noise = True
 
     def run(self, problem: EstimationProblem, config, rng: np.random.Generator) -> BackendResult:
-        return circuit_backend_result(
-            problem, config, "exact", config.resolved_noise_model(), rng=rng
-        )
+        return circuit_backend_result(problem, config, "exact", rng=rng)
 
 
 register_backend(StatevectorBackend.name, StatevectorBackend())

@@ -24,9 +24,7 @@ class TrotterBackend:
     supports_noise = True
 
     def run(self, problem: EstimationProblem, config, rng: np.random.Generator) -> BackendResult:
-        return circuit_backend_result(
-            problem, config, "trotter", config.resolved_noise_model(), rng=rng
-        )
+        return circuit_backend_result(problem, config, "trotter", rng=rng)
 
 
 register_backend(TrotterBackend.name, TrotterBackend())

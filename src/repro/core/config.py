@@ -21,11 +21,11 @@ import numpy as np
 from repro.core.backends import available_backends
 from repro.core.backends.statevector import CIRCUIT_ROUTES
 from repro.quantum.channels import (
+    NOISE_CHANNELS,
     TWO_QUBIT_NOISE_CHANNELS,
     NoiseSpec,
     _normalise_gate_strengths,
 )
-from repro.quantum.noise import NOISE_CHANNELS, NoiseModel
 from repro.utils.validation import (
     check_integer,
     check_positive_integer,
@@ -81,35 +81,29 @@ class QTDAConfig:
           budget, gates fused) and average the readout; no auxiliary qubits,
           no density matrix.
         * ``"ptm"`` — the *exact* noise route (DESIGN.md §16): gates and
-          their attached channels are lowered to Pauli-transfer matrices,
-          fused into single superoperators, and a real ``4^(t+q)`` Pauli
-          vector evolves through the fused program.  Deterministic; agrees
-          with ``density`` to floating point at gate-fusion speed.
+          their attached channels are lowered to Liouville superoperators
+          and fused, and one complex density tensor evolves through the
+          fused program, holding each qubit only from its first op to its
+          last.  Deterministic; agrees with the density-matrix oracle to
+          floating point at gate-fusion speed.
         * ``"trajectory"`` — the noisy counterpart of ``ensemble``:
           stochastic Kraus-branch trajectories on the same ``(2^(t+q), B)``
           array, one sampled branch per ensemble member after each gate,
           repeated ``n_trajectories`` times (mean converges to the density
           result; spread becomes ``p_zero_std``).
-        * ``"purified"`` — Fig. 2 purification, statevector on ``t + 2q``
-          qubits (legacy, bit-identity-pinned).
-        * ``"density"`` — density-matrix evolution of ``|0><0| ⊗ I/2^q`` on
-          ``t + q`` qubits (legacy, bit-identity-pinned; exact Kraus
-          contraction for noise).
-        * ``"auto"`` (default) — for declarative gate noise, ``ptm`` while
-          ``t + q`` stays within
+        * ``"auto"`` (default) — for gate noise, ``ptm`` while ``t + q``
+          stays within
           :data:`repro.core.backends.statevector.PTM_AUTO_QUBIT_THRESHOLD`
-          and ``trajectory`` above it; ``density`` for explicit
-          ``noise_model`` objects the spec cannot express; ``ensemble``
-          otherwise.
+          and ``trajectory`` above it; ``ensemble`` otherwise.
 
-        All noise-free routes agree to better than ``1e-10``; only the
-        legacy two are pinned bit-exactly across releases.
+        All noise-free routes agree to better than ``1e-10``.
     noise_channel, noise_strength:
         Declarative noise parametrisation honoured by the circuit backends
         (``statevector``/``trotter``): a channel name from
-        :data:`repro.quantum.noise.NOISE_CHANNELS` and its per-gate error
-        probability.  Unlike ``noise_model`` these fields are plain
-        data, so configs stay serialisable (:meth:`as_dict`).
+        :data:`repro.quantum.channels.NOISE_CHANNELS` and its per-gate error
+        probability.  Together with the fields below they make up the
+        config's :class:`~repro.quantum.channels.NoiseSpec`
+        (:meth:`resolved_noise_spec`).
     noise_gate_strengths:
         Optional per-gate-class strength overrides for ``noise_channel``,
         keyed by gate name (``"H"``, ``"CNOT"``, ``"CU"``, ...).  Accepts a
@@ -129,10 +123,6 @@ class QTDAConfig:
         Number of stochastic Kraus-trajectory repetitions for the
         ``trajectory`` route; their spread surfaces as
         ``p_zero_std``/``betti_std``.
-    noise_model:
-        Optional explicit noise model object; takes precedence over
-        ``noise_channel``/``noise_strength`` when set (only honoured by
-        circuit backends).
     trace_deflation_rank:
         Hutch++-style variance reduction for the ``stochastic-trace``
         backend: when positive, a rank-``r`` near-kernel subspace is resolved
@@ -160,7 +150,6 @@ class QTDAConfig:
     noise_two_qubit_strength: float = 0.0
     readout_error: float = 0.0
     n_trajectories: int = 8
-    noise_model: Optional[NoiseModel] = None
     trace_deflation_rank: int = 0
     seed: Optional[int] = None
     zero_eigenvalue_atol: float = 1e-8
@@ -213,19 +202,15 @@ class QTDAConfig:
                 f"noise_two_qubit_strength={self.noise_two_qubit_strength} requires "
                 "a noise_two_qubit_channel"
             )
-        if self.noise_model is not None and not isinstance(self.noise_model, NoiseModel):
-            raise TypeError("noise_model must be a repro.quantum.NoiseModel or None")
-        if self.circuit_engine in ("ensemble", "purified") and (
-            self.noise_model is not None
-            or self.noise_channel is not None
-            or self.noise_two_qubit_channel is not None
+        if self.circuit_engine == "ensemble" and (
+            self.noise_channel is not None or self.noise_two_qubit_channel is not None
         ):
-            # Pure-state routes cannot express Kraus channels; a config
+            # The pure-state route cannot express Kraus channels; a config
             # claiming both would silently drop the noise.  (readout_error is
             # classical post-processing and composes with every route.)
             raise ValueError(
-                f"circuit_engine={self.circuit_engine!r} cannot simulate noise "
-                "channels; use circuit_engine='ptm', 'trajectory', 'density' (or 'auto')"
+                "circuit_engine='ensemble' cannot simulate noise channels; "
+                "use circuit_engine='ptm', 'trajectory' (or 'auto')"
             )
         if self.seed is not None and not isinstance(
             self.seed, (np.random.Generator, np.random.SeedSequence)
@@ -236,25 +221,19 @@ class QTDAConfig:
             raise ValueError(
                 f"zero_eigenvalue_atol must be finite and >= 0, got {self.zero_eigenvalue_atol}"
             )
-        if self.noise_strength > 0 and self.noise_channel is None and self.noise_model is None:
+        if self.noise_strength > 0 and self.noise_channel is None:
             # Without this check the strength would be silently ignored and a
             # run claiming noise would report noiseless results.
             raise ValueError(
                 f"noise_strength={self.noise_strength} requires a noise_channel "
-                f"(one of {NOISE_CHANNELS}) or an explicit noise_model"
+                f"(one of {NOISE_CHANNELS})"
             )
 
-    def _has_extended_noise_fields(self) -> bool:
-        """Whether any beyond-legacy gate-noise field is set (per-gate-class
-        overrides or a correlated two-qubit channel)."""
-        return bool(self.noise_gate_strengths) or self.noise_two_qubit_channel is not None
-
     def resolved_noise_spec(self) -> NoiseSpec:
-        """The declarative noise description of this config as a :class:`NoiseSpec`.
+        """The noise description of this config as a :class:`NoiseSpec`.
 
-        Covers the plain-data fields only; an explicit ``noise_model`` object
-        (which may carry hand-built Kraus operators no spec can express) is
-        the caller's to inspect via :meth:`resolved_noise_model`.
+        The one noise object every circuit route (and the density-matrix
+        oracle) reads.
         """
         return NoiseSpec(
             channel=self.noise_channel,
@@ -265,24 +244,6 @@ class QTDAConfig:
             readout_error=self.readout_error,
         )
 
-    def resolved_noise_model(self) -> Optional[NoiseModel]:
-        """The effective noise model of this config.
-
-        An explicit ``noise_model`` object wins; otherwise one is built from
-        the declarative fields (the legacy single-channel adapter when only
-        ``noise_channel``/``noise_strength`` are set — keeping the density
-        route bit-identical — or a spec-driven adapter when per-gate-class
-        strengths or a two-qubit channel are configured); ``None`` means no
-        gate noise.
-        """
-        if self.noise_model is not None:
-            return self.noise_model
-        if self._has_extended_noise_fields():
-            return NoiseModel.from_spec(self.resolved_noise_spec())
-        if self.noise_channel is None:
-            return None
-        return NoiseModel.from_channel(self.noise_channel, self.noise_strength)
-
     def replace(self, **overrides) -> "QTDAConfig":
         """Copy with selected fields overridden (dataclasses.replace wrapper)."""
         from dataclasses import replace as dc_replace
@@ -290,20 +251,8 @@ class QTDAConfig:
         return dc_replace(self, **overrides)
 
     def as_dict(self) -> Dict[str, object]:
-        """Plain-dictionary view, round-trippable through :meth:`from_dict`.
-
-        Raises when an explicit ``noise_model`` object is attached — Kraus
-        operators are not plain data; use ``noise_channel``/``noise_strength``
-        for serialisable noise configuration.
-        """
-        if self.noise_model is not None:
-            raise ValueError(
-                "QTDAConfig with an explicit noise_model object is not serialisable; "
-                "use noise_channel/noise_strength instead"
-            )
-        data = {f.name: getattr(self, f.name) for f in fields(self)}
-        del data["noise_model"]
-        return data
+        """Plain-dictionary view, round-trippable through :meth:`from_dict`."""
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "QTDAConfig":

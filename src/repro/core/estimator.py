@@ -64,9 +64,9 @@ class BettiEstimate:
     engine_route, fused_gates:
         Circuit-execution provenance echoed from
         :class:`~repro.core.backends.BackendResult`: the concrete route the
-        circuit backend took (``"ensemble"``/``"ptm"``/``"trajectory"``/
-        ``"purified"``/``"density"``) and the post-fusion block count — fused
-        gates on the ensemble engine, fused superoperators on the PTM route.
+        circuit backend took (``"ensemble"``/``"ptm"``/``"trajectory"``) and
+        the post-fusion block count — fused gates on the ensemble engine,
+        fused superoperators on the PTM route.
         ``None`` for non-circuit backends.
     n_trajectories, noise_spec:
         Noise-execution provenance echoed from

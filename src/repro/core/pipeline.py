@@ -84,9 +84,7 @@ class PipelineConfig:
         """Plain-dictionary view, round-trippable through :meth:`from_dict`.
 
         The nested estimator config serialises through
-        :meth:`repro.core.config.QTDAConfig.as_dict` (and therefore rejects
-        explicit ``noise_model`` objects — use the declarative
-        ``noise_channel``/``noise_strength`` fields).
+        :meth:`repro.core.config.QTDAConfig.as_dict`.
         """
         from dataclasses import fields as dc_fields
 

@@ -8,7 +8,7 @@ scratch on NumPy:
   (:mod:`repro.quantum.circuit`);
 * a dense statevector simulator (:mod:`repro.quantum.statevector`) and a
   density-matrix simulator with noise channels
-  (:mod:`repro.quantum.density_matrix`, :mod:`repro.quantum.noise`);
+  (:mod:`repro.quantum.density_matrix`, :mod:`repro.quantum.channels`);
 * a batched ("ensemble") execution engine that evolves many pure states as
   one ``(2^n, B)`` array behind an array-module seam (NumPy/CuPy), plus a
   gate-fusion pass cached per circuit fingerprint
@@ -65,8 +65,12 @@ from repro.quantum.channels import (
     TWO_QUBIT_NOISE_CHANNELS,
     NoiseSpec,
     QuantumChannel,
+    amplitude_damping_kraus,
     apply_readout_error,
+    bit_flip_kraus,
     correlated_zz_kraus,
+    depolarizing_kraus,
+    phase_flip_kraus,
     two_qubit_depolarizing_kraus,
 )
 from repro.quantum.fusion import fuse_circuit, fusion_cache_info
@@ -90,13 +94,6 @@ from repro.quantum.trotter import (
     pauli_evolution_circuit,
     pauli_string_evolution_circuit,
     trotter_unitary_error,
-)
-from repro.quantum.noise import (
-    NoiseModel,
-    amplitude_damping_kraus,
-    bit_flip_kraus,
-    depolarizing_kraus,
-    phase_flip_kraus,
 )
 from repro.quantum.drawer import draw_circuit
 
@@ -159,7 +156,6 @@ __all__ = [
     "pauli_evolution_circuit",
     "pauli_string_evolution_circuit",
     "trotter_unitary_error",
-    "NoiseModel",
     "amplitude_damping_kraus",
     "bit_flip_kraus",
     "depolarizing_kraus",

@@ -1,11 +1,12 @@
 """First-class quantum channels: the Kraus IR shared by every noise route.
 
-Historically noise lived entirely inside :class:`repro.quantum.noise.
-NoiseModel` as a density-tensor-only operation, which forced every noisy run
-onto the quadratic density-matrix route.  This module lifts the channel into
-a standalone IR consumed by *three* execution paths:
+The Kraus factories, the channel registry and :class:`NoiseSpec` — the one
+noise description of the library — live here, consumed by:
 
-* the density-matrix simulator (exact Kraus contraction, legacy route);
+* the ``ptm`` route (channels lowered to Liouville superoperators, see
+  :mod:`repro.quantum.ptm`);
+* the density-matrix simulator (exact Kraus contraction, the reference
+  oracle of the routes);
 * the ensemble engine's **trajectory** route (stochastic Kraus-branch
   unravelling — sample one branch per ensemble member per gate, see
   :mod:`repro.quantum.engine`);
@@ -28,8 +29,8 @@ Two objects matter:
     correlated two-qubit channel injected after two-qubit gates (CNOT and
     friends), and readout error.  ``QTDAConfig`` carries its fields as plain
     data; :meth:`NoiseSpec.channels_for_gate` is the single source of noise
-    *placement* shared by the density and trajectory routes (which is what
-    makes the trajectory mean converge to the density result).
+    *placement* shared by every consumer above (which is what makes the
+    trajectory mean converge to the density result).
 """
 
 from __future__ import annotations
@@ -397,9 +398,10 @@ class NoiseSpec:
     def channels_for_gate(self, gate: Gate) -> List[Tuple[QuantumChannel, Tuple[int, ...]]]:
         """The ``(channel, target qubits)`` list injected after ``gate``.
 
-        The single source of noise *placement*: the density route contracts
-        each returned channel into the density tensor, the trajectory route
-        samples one Kraus branch of each per ensemble member.  Order: the
+        The single source of noise *placement*: the ``ptm`` route lowers each
+        returned channel to a superoperator, the density simulator contracts
+        it into the density tensor, the trajectory route samples one Kraus
+        branch of each per ensemble member.  Order: the
         per-qubit single-qubit channel on every touched qubit, then the
         correlated two-qubit channel when the gate acts on exactly two
         qubits.
@@ -443,7 +445,7 @@ class NoiseSpec:
         return cls(channel=channel, strength=strength if channel is not None else 0.0)
 
     def describe(self) -> Dict[str, object]:
-        """Summary dictionary (experiment reports, ``NoiseModel.describe``)."""
+        """Summary dictionary (experiment reports)."""
         summary = self.as_dict()
         summary["is_noiseless"] = self.is_noiseless
         return summary

@@ -22,6 +22,7 @@ from typing import Dict, Iterable, Optional, Sequence
 
 import numpy as np
 
+from repro.quantum.channels import NoiseSpec
 from repro.quantum.circuit import QuantumCircuit
 from repro.quantum.measurement import marginal_probabilities, sample_counts
 from repro.quantum.operations import Barrier, Gate, Measurement
@@ -130,10 +131,15 @@ def _apply_matrix_rows(rho_tensor: np.ndarray, gate: np.ndarray, qubits: Sequenc
 
 
 class DensityMatrixSimulator:
-    """Executes circuits (optionally with a noise model) on density matrices."""
+    """Executes circuits (optionally under a noise spec) on density matrices.
 
-    def __init__(self, noise_model: Optional["NoiseModel"] = None):  # noqa: F821 - forward ref
-        self.noise_model = noise_model
+    ``noise_spec`` places its Kraus channels after each gate through
+    :meth:`~repro.quantum.channels.NoiseSpec.channels_for_gate` — the same
+    placement the ``ptm`` and ``trajectory`` routes use.
+    """
+
+    def __init__(self, noise_spec: Optional[NoiseSpec] = None):
+        self.noise_spec = noise_spec
 
     def run(
         self,
@@ -151,8 +157,9 @@ class DensityMatrixSimulator:
                 # U ρ U†: rows with U, columns with U* (conjugate).
                 tensor = _apply_matrix_rows(tensor, op.matrix, qubits, 2 * n)
                 tensor = _apply_matrix_rows(tensor, op.matrix.conj(), col_qubits, 2 * n)
-                if self.noise_model is not None:
-                    tensor = self.noise_model.apply_after_gate(tensor, op, n)
+                if self.noise_spec is not None:
+                    for channel, targets in self.noise_spec.channels_for_gate(op):
+                        tensor = apply_kraus(tensor, channel.kraus_ops, targets, n)
             elif isinstance(op, (Measurement, Barrier)):
                 continue
             else:  # pragma: no cover - defensive

@@ -447,7 +447,7 @@ class EnsembleExecutor:
         standard error (``std(ddof=1)/sqrt(T)``; zeros for a single
         trajectory).
 
-        Gate fusion is deliberately bypassed: the density route injects noise
+        Gate fusion is deliberately bypassed: the density oracle injects noise
         after every *original* gate, and fusing would move the injection
         points, so the trajectory mean would converge to a different channel
         composition.  Readout error is applied to each trajectory's marginal

@@ -206,7 +206,7 @@ def fuse_circuit(circuit: QuantumCircuit, max_fuse_qubits: int = 3) -> Tuple[Gat
 # left-multiply.  The greedy walk below is therefore the same algorithm as
 # fuse_circuit, run over the interleaved stream of gate superoperators and
 # their attached channel superoperators (NoiseSpec.channels_for_gate, the
-# placement the density route uses), so an entire gate+noise run collapses
+# placement the density oracle uses), so an entire gate+noise run collapses
 # into one fused superoperator per `max_fuse_qubits` window.  Wide
 # controlled powers cannot have explicit superoperators (4^(1+q) blows up);
 # they pass through as unitaries with a precomputed controlled-block fast
@@ -311,7 +311,7 @@ def fuse_ptm_program(
     Gates within the window and every attached noise channel become
     superoperators and fuse greedily; wider gates pass through as
     :class:`~repro.quantum.ptm.WideUnitaryOp` boundaries.  Applying the
-    returned ops in order equals the density route's gate-then-Kraus walk
+    returned ops in order equals the density simulator's gate-then-Kraus walk
     exactly (up to floating-point association inside each fused product).
     """
     from repro.quantum.ptm import (

@@ -1,8 +1,8 @@
 """Exact noisy-circuit execution over a Liouville-basis density tensor.
 
-The density route contracts every gate *and* every Kraus operator against a
-``2^n x 2^n`` density matrix, one channel at a time, and nothing fuses across
-the gate/channel boundary.  This module runs the same evolution as a chain
+The density-matrix simulator contracts every gate *and* every Kraus
+operator against a ``2^n x 2^n`` density matrix, one channel at a time, and
+nothing fuses across the gate/channel boundary.  This module runs the same evolution as a chain
 of fused *superoperators* (the ``ptm`` route — the name is historical; in
 the spirit of quantumsim's ``ptm.py``):
 

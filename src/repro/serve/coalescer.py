@@ -98,9 +98,9 @@ class RequestCoalescer:
             return None
         try:
             return request.fingerprint()
-        except (TypeError, ValueError):
-            # Unserialisable config (explicit noise_model object): runs fine,
-            # just never coalesces.
+        except TypeError:
+            # Unserialisable config (a generator seed on a classical
+            # pipeline): runs fine, just never coalesces.
             return None
 
     # -- geometry grouping -----------------------------------------------------

@@ -17,6 +17,18 @@ import networkx as nx
 from repro.tda.simplex import Simplex
 
 
+def check_closed(simplices: set) -> None:
+    """Raise ``ValueError`` unless the set of :class:`Simplex` holds every face
+    of each of its members."""
+    for simplex in simplices:
+        for face in simplex.faces():
+            if face not in simplices:
+                raise ValueError(
+                    f"{simplex} is present but its face {face} is missing; "
+                    "pass close_downward=True to add faces automatically"
+                )
+
+
 class SimplicialComplex:
     """A finite abstract simplicial complex.
 
@@ -43,13 +55,7 @@ class SimplicialComplex:
                 closure.update(simplex.all_subsimplices())
             collected = closure
         else:
-            for simplex in collected:
-                for face in simplex.faces():
-                    if face not in collected:
-                        raise ValueError(
-                            f"{simplex} is present but its face {face} is missing; "
-                            "pass close_downward=True to add faces automatically"
-                        )
+            check_closed(collected)
         self._by_dim: Dict[int, List[Simplex]] = {}
         for simplex in collected:
             self._by_dim.setdefault(simplex.dimension, []).append(simplex)

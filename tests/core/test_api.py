@@ -495,42 +495,29 @@ class TestExperimentParamValidation:
         assert result.provenance.backend == "classical-exact"
 
 
-class TestUnserialisableConfigs:
-    def test_shim_works_with_explicit_noise_model(self, clouds):
-        """Legacy call sites with a noise_model object keep working (shim policy):
-        such requests execute fine, they are just uncacheable/unserialisable."""
-        from repro.quantum.noise import NoiseModel
+def _generator_seed_pipeline() -> PipelineConfig:
+    """A classical pipeline whose estimator seed is a ``np.random.Generator``:
+    deterministic (no quantum sampling), but its config cannot serialise."""
+    return PipelineConfig(
+        epsilon=0.8,
+        use_quantum=False,
+        estimator=QTDAConfig(precision_qubits=2, seed=np.random.default_rng(1)),
+    )
 
-        config = PipelineConfig(
-            epsilon=0.8,
-            estimator=QTDAConfig(
-                precision_qubits=2,
-                shots=50,
-                backend="statevector",
-                circuit_engine="density",
-                noise_model=NoiseModel.from_channel("depolarizing", 0.01),
-                seed=1,
-            ),
-        )
+
+class TestUnserialisableConfigs:
+    def test_shim_works_with_generator_seed(self, clouds):
+        """Call sites holding a generator seed keep working (shim policy):
+        such requests execute fine, they are just uncacheable/unserialisable."""
+        config = _generator_seed_pipeline()
         legacy = BatchFeatureEngine(config).transform_point_clouds(clouds[:1])
         shim = QTDAPipeline(config).transform_point_clouds(clouds[:1])
         assert np.array_equal(shim, legacy)
 
     def test_service_runs_unserialisable_request_uncached(self, clouds):
-        from repro.quantum.noise import NoiseModel
-
-        config = PipelineConfig(
-            epsilon=0.8,
-            estimator=QTDAConfig(
-                precision_qubits=2,
-                shots=50,
-                backend="statevector",
-                circuit_engine="density",
-                noise_model=NoiseModel.from_channel("depolarizing", 0.01),
-                seed=1,
-            ),
-        )
-        request = PipelineRequest(point_clouds=clouds[:1], pipeline=config)
+        request = PipelineRequest(point_clouds=clouds[:1], pipeline=_generator_seed_pipeline())
+        with pytest.raises(TypeError):
+            request.fingerprint()
         with QTDAService() as service:
             first = service.run(request)
             second = service.run(request)
@@ -552,18 +539,12 @@ class TestUnserialisableConfigs:
 
 
 def test_unserialisable_request_is_still_hashable():
-    """hash() must not raise for noise_model-bearing requests (set/dict use)."""
-    from repro.quantum.noise import NoiseModel
-
-    config = QTDAConfig(
-        backend="statevector",
-        circuit_engine="density",
-        noise_model=NoiseModel.from_channel("depolarizing", 0.01),
-    )
+    """hash() must not raise for generator-seeded requests (set/dict use)."""
+    config = QTDAConfig(seed=np.random.default_rng(0))
     request = EstimationRequest(simplices=TRIANGLE, config=config)
     assert isinstance(hash(request), int)
     assert request in {request}
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         request.fingerprint()
 
 
@@ -667,13 +648,7 @@ class TestGeometryFingerprint:
     def test_unserialisable_config_does_not_break_geometry_hash(self):
         """The geometry fingerprint ignores the config, so requests whose
         config cannot serialise still group by geometry."""
-        from repro.quantum.noise import NoiseModel
-
-        config = QTDAConfig(
-            backend="statevector",
-            circuit_engine="density",
-            noise_model=NoiseModel.from_channel("depolarizing", 0.01),
-        )
+        config = QTDAConfig(seed=np.random.default_rng(0))
         request = EstimationRequest(simplices=TRIANGLE, config=config)
         assert request.geometry_fingerprint() == EstimationRequest(simplices=TRIANGLE).geometry_fingerprint()
 

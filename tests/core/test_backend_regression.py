@@ -7,11 +7,21 @@ is deterministic given (complex, config, seed), so any drift here means a
 backend's execution path changed, not just its packaging.
 """
 
+import numpy as np
 import pytest
 
+from repro.core.backends import EstimationProblem
+from repro.core.backends.statevector import (
+    density_reference_distribution,
+    purified_reference_distribution,
+)
+from repro.core.config import QTDAConfig
 from repro.core.estimator import QTDABettiEstimator
 from repro.experiments.worked_example import appendix_complex
+from repro.quantum.measurement import sample_counts
 from repro.tda.complexes import SimplicialComplex
+from repro.tda.laplacian import combinatorial_laplacian
+from repro.utils.rng import as_rng
 
 
 def _square_tail() -> SimplicialComplex:
@@ -30,11 +40,11 @@ _CASES = {
 #: (backend, shots, case) -> (betti_estimate, p_zero, betti_rounded, q, lambda_max)
 #: captured at commit 93335dd with precision_qubits=3, delta=6.0,
 #: trotter_steps=4, seed=11, no purification for circuit backends.
-#: Since the ensemble execution engine became the default noise-free route,
-#: circuit backends pin the legacy route explicitly via
-#: ``circuit_engine="density"`` (same route those numbers were captured on);
-#: the ensemble route is pinned separately, to 1e-10 agreement, in
-#: tests/core/test_circuit_engine.py.
+#: The circuit backends' numbers were captured on the density-matrix
+#: simulation of the circuit, which is no longer a route: they now pin
+#: :func:`density_reference_distribution` (with the estimator's readout,
+#: :func:`_oracle_estimate`), and the routes are pinned to that oracle in
+#: tests/core/test_circuit_engine.py (ensemble 1e-10, ptm 1e-8/1e-12).
 _PINNED = {
     ("exact", None, "appendix"): (1.0979011690891878, 0.13723764613614847, 1, 3, 6.0),
     ("exact", None, "square_tail"): (1.0714667568731957, 0.13393334460914946, 1, 3, 5.0),
@@ -56,45 +66,56 @@ _PINNED = {
     ("trotter", 500, "square_tail_b0"): (1.024, 0.128, 1, 3, 6.0),
 }
 
-#: Purified statevector route, captured with the same settings (shots=None).
+#: Purified statevector simulation, captured with the same settings (shots=None).
 _PINNED_PURIFIED = (1.0979011690891878, 0.13723764613614847, 1)
+
+_SYNTHESIS = {"statevector": "exact", "trotter": "trotter"}
+
+
+def _oracle_estimate(oracle, complex_, k, config, synthesis):
+    """``(betti_estimate, p_zero, betti_rounded, q, lambda_max)`` of an oracle
+    distribution, read out as :class:`QTDABettiEstimator` reads a backend's."""
+    problem = EstimationProblem(laplacian=combinatorial_laplacian(complex_, k))
+    hamiltonian = problem.dense_hamiltonian(config)
+    distribution = oracle(problem, config, synthesis)
+    if config.shots is None:
+        p_zero = float(distribution[0])
+    else:
+        num_bits = int(np.log2(distribution.size))
+        counts = sample_counts(distribution, config.shots, num_bits=num_bits, seed=as_rng(config.seed))
+        p_zero = counts.get("0" * num_bits, 0) / config.shots
+    estimate = float(2**hamiltonian.num_qubits * p_zero)
+    return estimate, p_zero, int(round(estimate)), hamiltonian.num_qubits, hamiltonian.padded.lambda_max
 
 
 @pytest.mark.parametrize("backend,shots,case", sorted(_PINNED, key=str))
 def test_backends_bit_identical_to_pre_registry_estimator(backend, shots, case):
     make, k = _CASES[case]
-    expected_estimate, expected_p_zero, expected_rounded, expected_q, expected_lam = _PINNED[
-        (backend, shots, case)
-    ]
-    kwargs = {"circuit_engine": "density"} if backend != "exact" else {}
-    estimate = QTDABettiEstimator(
-        precision_qubits=3,
-        shots=shots,
-        backend=backend,
-        delta=6.0,
-        trotter_steps=4,
-        seed=11,
-        **kwargs,
-    ).estimate(make(), k)
-    assert estimate.betti_estimate == expected_estimate
-    assert estimate.p_zero == expected_p_zero
-    assert estimate.betti_rounded == expected_rounded
-    assert estimate.num_system_qubits == expected_q
-    assert estimate.lambda_max == expected_lam
+    config = QTDAConfig(
+        precision_qubits=3, shots=shots, backend=backend, delta=6.0, trotter_steps=4, seed=11
+    )
+    if backend == "exact":
+        estimate = QTDABettiEstimator(config).estimate(make(), k)
+        got = (
+            estimate.betti_estimate,
+            estimate.p_zero,
+            estimate.betti_rounded,
+            estimate.num_system_qubits,
+            estimate.lambda_max,
+        )
+    else:
+        got = _oracle_estimate(
+            density_reference_distribution, make(), k, config, _SYNTHESIS[backend]
+        )
+    assert got == _PINNED[(backend, shots, case)]
 
 
 def test_purified_statevector_bit_identical():
-    estimate = QTDABettiEstimator(
-        precision_qubits=3,
-        shots=None,
-        backend="statevector",
-        delta=6.0,
-        circuit_engine="purified",
-    ).estimate(appendix_complex(), 1)
-    expected_estimate, expected_p_zero, expected_rounded = _PINNED_PURIFIED
-    assert estimate.betti_estimate == expected_estimate
-    assert estimate.p_zero == expected_p_zero
-    assert estimate.betti_rounded == expected_rounded
+    config = QTDAConfig(precision_qubits=3, shots=None, backend="statevector", delta=6.0)
+    estimate, p_zero, rounded, _q, _lam = _oracle_estimate(
+        purified_reference_distribution, appendix_complex(), 1, config, "exact"
+    )
+    assert (estimate, p_zero, rounded) == _PINNED_PURIFIED
 
 
 def test_sparse_exact_matches_exact_on_worked_example():
@@ -161,9 +182,9 @@ def test_pinned_estimates_unchanged_by_operator_negotiation():
 
 
 #: p(0) on the appendix complex (k=1, precision_qubits=3, shots=None,
-#: delta=6.0) through the exact density-matrix route: noise-free and under
+#: delta=6.0) from the exact density-matrix simulation: noise-free and under
 #: each declarative channel at strength 0.03.  Captured through the retired
-#: backend alias for this route, before it was removed.
+#: ``noisy-density`` backend alias, before it was removed.
 _PINNED_NOISY_DENSITY = {
     None: 0.13723764613614853,
     "amplitude-damping": 0.17664742304912046,
@@ -173,31 +194,44 @@ _PINNED_NOISY_DENSITY = {
 }
 
 
+def _appendix_density_p_zero(**noise) -> float:
+    config = QTDAConfig(precision_qubits=3, shots=None, backend="statevector", delta=6.0, **noise)
+    return _oracle_estimate(
+        density_reference_distribution, appendix_complex(), 1, config, "exact"
+    )[1]
+
+
 @pytest.mark.parametrize("channel", sorted(_PINNED_NOISY_DENSITY, key=str))
 def test_density_route_noisy_p_zero_bit_identical(channel):
     noise = {} if channel is None else {"noise_channel": channel, "noise_strength": 0.03}
-    estimate = QTDABettiEstimator(
-        precision_qubits=3,
-        shots=None,
-        backend="statevector",
-        delta=6.0,
-        circuit_engine="density",
-        **noise,
-    ).estimate(appendix_complex(), 1)
-    assert estimate.p_zero == _PINNED_NOISY_DENSITY[channel]
-    assert estimate.engine_route == "density"
+    assert _appendix_density_p_zero(**noise) == _PINNED_NOISY_DENSITY[channel]
 
 
 def test_density_route_noise_free_equals_zero_strength_channel():
-    """A zero-strength channel is the identity map: the density route gives
+    """A zero-strength channel is the identity map: the density oracle gives
     the noise-free pin bit for bit."""
-    estimate = QTDABettiEstimator(
-        precision_qubits=3,
-        shots=None,
-        backend="statevector",
-        delta=6.0,
-        circuit_engine="density",
-        noise_channel="depolarizing",
-        noise_strength=0.0,
+    p_zero = _appendix_density_p_zero(noise_channel="depolarizing", noise_strength=0.0)
+    assert p_zero == _PINNED_NOISY_DENSITY[None]
+
+
+#: p(0) on the appendix complex (same settings as above) under depolarising
+#: noise of strength 0.05 after one gate class only.  Captured from the
+#: gate-filtered Kraus-list model (``gate_filter=[name]``) this spec form
+#: replaced.  The uncontrolled circuit holds no bare ``CNOT``, so that filter
+#: reproduces the noise-free pin.
+_PINNED_GATE_FILTERED = {
+    "CNOT": 0.13723764613614853,
+    "H": 0.14456278369508083,
+    "c-U^4": 0.1317709652910361,
+}
+
+
+@pytest.mark.parametrize("gate", sorted(_PINNED_GATE_FILTERED))
+def test_gate_filtered_noise_as_a_spec_bit_identical(gate):
+    noise = dict(noise_channel="depolarizing", noise_strength=0.0, noise_gate_strengths={gate: 0.05})
+    assert _appendix_density_p_zero(**noise) == _PINNED_GATE_FILTERED[gate]
+    ptm = QTDABettiEstimator(
+        precision_qubits=3, shots=None, backend="statevector", delta=6.0, circuit_engine="ptm", **noise
     ).estimate(appendix_complex(), 1)
-    assert estimate.p_zero == _PINNED_NOISY_DENSITY[None]
+    assert ptm.engine_route == "ptm"
+    assert abs(ptm.p_zero - _PINNED_GATE_FILTERED[gate]) <= 1e-12

@@ -1,21 +1,29 @@
-"""Regression and routing tests for the batched (``ensemble``) circuit route.
+"""Regression and routing tests for the circuit routes.
 
-The legacy ``purified``/``density`` routes stay bit-identity-pinned in
-``test_backend_regression.py``; here the new route is pinned to agree with
-the density-matrix evolution of ``|0><0| ⊗ I/2^q`` within 1e-10 on the
-reference complexes, and the ``circuit_engine`` knob's resolution rules are
-locked down.
+The density-matrix and purified simulations of the circuit are oracles, not
+routes, and stay bit-identity-pinned in ``test_backend_regression.py``; here
+the routes are pinned to agree with the density-matrix evolution of
+``|0><0| ⊗ I/2^q`` (within 1e-10 noise-free, 1e-8 under noise, 3σ for
+trajectories) on the reference complexes, and the ``circuit_engine`` knob's
+resolution rules are locked down.
 """
 
 import numpy as np
 import pytest
 
-from repro.core.backends.statevector import resolve_circuit_route
+from repro.core.backends import EstimationProblem
+from repro.core.backends.statevector import (
+    density_reference_distribution,
+    purified_reference_distribution,
+    resolve_circuit_route,
+)
 from repro.core.config import QTDAConfig
 from repro.core.estimator import QTDABettiEstimator
 from repro.experiments.worked_example import appendix_complex
-from repro.quantum.noise import NoiseModel
+from repro.quantum.measurement import sample_counts
 from repro.tda.complexes import SimplicialComplex
+from repro.tda.laplacian import combinatorial_laplacian
+from repro.utils.rng import as_rng
 
 
 def _square_tail() -> SimplicialComplex:
@@ -45,6 +53,17 @@ def _estimate(backend, case, circuit_engine, **overrides):
     return QTDABettiEstimator(**kwargs).estimate(make(), k)
 
 
+def _oracle(backend, case, oracle=density_reference_distribution, **overrides):
+    """The oracle's readout distribution for the config :func:`_estimate` builds."""
+    make, k = _REFERENCE[case]
+    kwargs = {"precision_qubits": 3, "shots": None, "backend": backend, "delta": 6.0,
+              "trotter_steps": 4}
+    kwargs.update(overrides)
+    problem = EstimationProblem(laplacian=combinatorial_laplacian(make(), k))
+    synthesis = "trotter" if backend == "trotter" else "exact"
+    return oracle(problem, QTDAConfig(**kwargs), synthesis)
+
+
 # ---------------------------------------------------------------------------
 # Numerical agreement: ensemble vs the density-matrix reference
 # ---------------------------------------------------------------------------
@@ -55,41 +74,36 @@ def _estimate(backend, case, circuit_engine, **overrides):
 def test_ensemble_route_matches_density_route_to_1e10(backend, case):
     """The PR's acceptance pin: same circuit semantics, 1e-10 agreement."""
     ensemble = _estimate(backend, case, "ensemble")
-    density = _estimate(backend, case, "density")
+    density = _oracle(backend, case)
     assert ensemble.engine_route == "ensemble"
-    assert density.engine_route == "density"
-    assert ensemble.p_zero == pytest.approx(density.p_zero, abs=1e-10)
-    assert ensemble.betti_estimate == pytest.approx(density.betti_estimate, abs=1e-10)
-    assert ensemble.betti_rounded == density.betti_rounded
-    assert ensemble.num_system_qubits == density.num_system_qubits
-    assert ensemble.lambda_max == density.lambda_max
+    assert ensemble.p_zero == pytest.approx(density[0], abs=1e-10)
+    assert ensemble.betti_estimate == pytest.approx(
+        2**ensemble.num_system_qubits * density[0], abs=1e-10
+    )
+    assert ensemble.betti_rounded == round(2**ensemble.num_system_qubits * density[0])
 
 
 def test_ensemble_route_matches_purified_route(case="appendix"):
     ensemble = _estimate("statevector", case, "ensemble")
-    purified = _estimate("statevector", case, "purified")
-    assert purified.engine_route == "purified"
-    assert ensemble.p_zero == pytest.approx(purified.p_zero, abs=1e-10)
+    purified = _oracle("statevector", case, purified_reference_distribution)
+    assert ensemble.p_zero == pytest.approx(purified[0], abs=1e-10)
 
 
 def test_ensemble_is_the_default_noise_free_route():
     estimate = _estimate("statevector", "appendix", "auto")
     assert estimate.engine_route == "ensemble"
     assert estimate.fused_gates is not None and estimate.fused_gates > 0
-    # The fused plan is shorter than the raw gate list (the inverse QFT run
-    # and the Hadamard layer fuse; the wide controlled powers pass through).
-    density = _estimate("statevector", "appendix", "density")
-    assert density.fused_gates is None
 
 
 def test_ensemble_shots_are_sampled_from_the_same_distribution():
     """Finite-shot behaviour is the estimator's job and is seeded identically
-    across routes; with distributions equal to 1e-10 the sampled counts of
-    the two routes coincide for a fixed seed."""
+    across routes; with distributions equal to 1e-10 the counts sampled from
+    the route and from the density oracle coincide for a fixed seed."""
     a = _estimate("statevector", "appendix", "ensemble", shots=2000, seed=11)
-    b = _estimate("statevector", "appendix", "density", shots=2000, seed=11)
-    assert a.counts == b.counts
-    assert a.p_zero == b.p_zero
+    density = _oracle("statevector", "appendix")
+    counts = sample_counts(density, 2000, num_bits=3, seed=as_rng(11))
+    assert a.counts == counts
+    assert a.p_zero == counts.get("000", 0) / 2000
 
 
 # ---------------------------------------------------------------------------
@@ -101,77 +115,64 @@ def test_resolve_circuit_route_table():
     from repro.core.backends.statevector import PTM_AUTO_QUBIT_THRESHOLD
 
     noiseless = QTDAConfig(backend="statevector")
-    assert resolve_circuit_route(noiseless, None) == "ensemble"
-    for engine in ("ensemble", "ptm", "trajectory", "purified", "density"):
+    assert resolve_circuit_route(noiseless) == "ensemble"
+    for engine in ("ensemble", "ptm", "trajectory"):
         config = QTDAConfig(backend="statevector", circuit_engine=engine)
-        assert resolve_circuit_route(config, None) == engine
-    noise = NoiseModel.depolarizing(0.01)
-    # Declarative (spec-expressible) noise resolves auto to the exact PTM
-    # route while the register fits, trajectory above the threshold; explicit
-    # density/trajectory/ptm requests are honoured.
-    assert resolve_circuit_route(noiseless, noise) == "ptm"
+        assert resolve_circuit_route(config) == engine
+    noise = dict(noise_channel="depolarizing", noise_strength=0.01)
+    noisy = QTDAConfig(backend="statevector", **noise)
+    # Noise resolves auto to the exact PTM route while the register fits,
+    # trajectory above the threshold; explicit trajectory/ptm requests are
+    # honoured.
+    assert resolve_circuit_route(noisy) == "ptm"
+    assert resolve_circuit_route(noisy, total_qubits=PTM_AUTO_QUBIT_THRESHOLD) == "ptm"
     assert (
-        resolve_circuit_route(noiseless, noise, total_qubits=PTM_AUTO_QUBIT_THRESHOLD)
-        == "ptm"
-    )
-    assert (
-        resolve_circuit_route(
-            noiseless, noise, total_qubits=PTM_AUTO_QUBIT_THRESHOLD + 1
-        )
+        resolve_circuit_route(noisy, total_qubits=PTM_AUTO_QUBIT_THRESHOLD + 1)
         == "trajectory"
     )
-    density = QTDAConfig(backend="statevector", circuit_engine="density")
-    assert resolve_circuit_route(density, noise) == "density"
-    trajectory = QTDAConfig(backend="statevector", circuit_engine="trajectory")
-    assert resolve_circuit_route(trajectory, noise) == "trajectory"
-    ptm = QTDAConfig(backend="statevector", circuit_engine="ptm")
-    assert resolve_circuit_route(ptm, noise) == "ptm"
+    for engine in ("trajectory", "ptm"):
+        config = QTDAConfig(backend="statevector", circuit_engine=engine, **noise)
+        assert resolve_circuit_route(config, total_qubits=PTM_AUTO_QUBIT_THRESHOLD + 1) == engine
     # Zero-strength channels count as noise-free.
-    assert resolve_circuit_route(noiseless, NoiseModel.depolarizing(0.0)) == "ensemble"
-    # Hand-built Kraus lists have no NoiseSpec form: auto falls back to the
-    # exact density contraction, and explicit trajectory/ptm requests raise.
-    custom = NoiseModel(
-        [np.sqrt(0.99) * np.eye(2), np.sqrt(0.01) * np.array([[0, 1], [1, 0]])]
+    zero = QTDAConfig(backend="statevector", noise_channel="depolarizing", noise_strength=0.0)
+    assert resolve_circuit_route(zero) == "ensemble"
+    # A gate-class override alone is gate noise.
+    gate_only = QTDAConfig(
+        backend="statevector",
+        noise_channel="depolarizing",
+        noise_strength=0.0,
+        noise_gate_strengths={"CNOT": 0.05},
     )
-    assert resolve_circuit_route(noiseless, custom) == "density"
-    with pytest.raises(ValueError, match="density route"):
-        resolve_circuit_route(trajectory, custom)
-    with pytest.raises(ValueError, match="density route"):
-        resolve_circuit_route(ptm, custom)
+    assert resolve_circuit_route(gate_only) == "ptm"
 
 
 def test_pure_state_engines_reject_noise():
-    for engine in ("ensemble", "purified"):
-        config = QTDAConfig(backend="statevector", circuit_engine=engine)
-        with pytest.raises(ValueError, match="noise"):
-            resolve_circuit_route(config, NoiseModel.depolarizing(0.01))
-        with pytest.raises(ValueError, match="noise"):
-            QTDAConfig(
-                backend="statevector",
-                circuit_engine=engine,
-                noise_channel="depolarizing",
-                noise_strength=0.01,
-            )
+    config = QTDAConfig(backend="statevector", circuit_engine="ensemble")
+    # A config mutated after validation is still caught at route resolution.
+    config.noise_channel, config.noise_strength = "depolarizing", 0.01
+    with pytest.raises(ValueError, match="noise"):
+        resolve_circuit_route(config)
+    with pytest.raises(ValueError, match="noise"):
+        QTDAConfig(
+            backend="statevector",
+            circuit_engine="ensemble",
+            noise_channel="depolarizing",
+            noise_strength=0.01,
+        )
+    with pytest.raises(ValueError, match="noise"):
+        _oracle("statevector", "appendix", purified_reference_distribution,
+                noise_channel="depolarizing", noise_strength=0.01)
 
 
 def test_config_validates_circuit_engine():
     with pytest.raises(ValueError, match="circuit_engine"):
         QTDAConfig(circuit_engine="warp")
+    # The density-matrix and purified simulations are oracles, not routes.
+    for removed in ("density", "purified"):
+        with pytest.raises(ValueError, match="circuit_engine"):
+            QTDAConfig(circuit_engine=removed)
     config = QTDAConfig(circuit_engine="ensemble")
     assert QTDAConfig.from_dict(config.as_dict()).circuit_engine == "ensemble"
-
-
-def test_noisy_density_backend_still_routes_density():
-    estimate = QTDABettiEstimator(
-        precision_qubits=3,
-        shots=None,
-        backend="statevector",
-        circuit_engine="density",
-        delta=6.0,
-        noise_channel="depolarizing",
-        noise_strength=0.02,
-    ).estimate(appendix_complex(), 1)
-    assert estimate.engine_route == "density"
 
 
 # ---------------------------------------------------------------------------
@@ -231,12 +232,13 @@ def test_trajectory_mean_matches_density_within_3_sigma():
     )
     for case in sorted(_REFERENCE):
         make, k = _REFERENCE[case]
-        density = QTDABettiEstimator(circuit_engine="density", **common).estimate(make(), k)
+        density = _oracle("statevector", case, noise_channel="depolarizing", noise_strength=0.03)
         trajectory = QTDABettiEstimator(
             circuit_engine="trajectory", n_trajectories=64, seed=5, **common
         ).estimate(make(), k)
+        density_betti = 2**trajectory.num_system_qubits * density[0]
         sigma = max(trajectory.betti_std or 0.0, 1e-6)
-        assert abs(trajectory.betti_estimate - density.betti_estimate) < 3 * sigma, case
+        assert abs(trajectory.betti_estimate - density_betti) < 3 * sigma, case
 
 
 def test_trajectory_route_is_deterministic_given_seed():
@@ -274,11 +276,12 @@ def test_ptm_route_matches_noisy_density_to_1e8(case):
         readout_error=0.01,
     )
     ptm = _estimate("statevector", case, "ptm", **common)
-    density = _estimate("statevector", case, "density", **common)
+    density = _oracle("statevector", case, **common)
     assert ptm.engine_route == "ptm"
-    assert density.engine_route == "density"
-    assert ptm.p_zero == pytest.approx(density.p_zero, abs=1e-8)
-    assert ptm.betti_estimate == pytest.approx(density.betti_estimate, abs=1e-8)
+    assert ptm.p_zero == pytest.approx(density[0], abs=1e-8)
+    assert ptm.betti_estimate == pytest.approx(
+        2**ptm.num_system_qubits * density[0], abs=1e-8
+    )
     assert ptm.fused_gates is not None and ptm.fused_gates > 0
 
 
@@ -291,21 +294,20 @@ def test_ptm_route_matches_ensemble_when_noise_free():
 
 
 def test_ptm_runs_leave_density_and_trajectory_routes_bit_identical():
-    """Satellite pin: adding the PTM route must not perturb the existing
-    noisy routes — identical configs produce bit-identical results whether
-    or not a PTM run happened in between."""
+    """Satellite pin: a PTM run must not perturb the density oracle or the
+    trajectory route — identical configs produce bit-identical results
+    whether or not a PTM run happened in between."""
     noise = dict(noise_channel="depolarizing", noise_strength=0.02)
-    density_before = _estimate("statevector", "appendix", "density", **noise)
+    density_before = _oracle("statevector", "appendix", **noise)
     trajectory_before = _estimate(
         "statevector", "appendix", "trajectory", n_trajectories=4, seed=11, **noise
     )
     _estimate("statevector", "appendix", "ptm", **noise)
-    density_after = _estimate("statevector", "appendix", "density", **noise)
+    density_after = _oracle("statevector", "appendix", **noise)
     trajectory_after = _estimate(
         "statevector", "appendix", "trajectory", n_trajectories=4, seed=11, **noise
     )
-    assert density_after.p_zero == density_before.p_zero
-    assert density_after.betti_estimate == density_before.betti_estimate
+    assert np.array_equal(density_after, density_before)
     assert trajectory_after.p_zero == trajectory_before.p_zero
     assert trajectory_after.betti_std == trajectory_before.betti_std
 

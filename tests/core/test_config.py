@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.core.config import QTDAConfig
-from repro.quantum.noise import NoiseModel
 
 
 def test_defaults_are_valid():
@@ -45,9 +44,10 @@ def test_trotter_parameters():
 
 
 def test_noise_model_type_checked():
-    with pytest.raises(TypeError):
+    """Noise is plain data on the config (wire schema 7 removed the
+    ``noise_model`` object field): an explicit object is an unknown field."""
+    with pytest.raises(TypeError, match="noise_model"):
         QTDAConfig(noise_model="noisy")
-    QTDAConfig(noise_model=NoiseModel.depolarizing(0.01))
 
 
 def test_replace_creates_modified_copy():
@@ -81,7 +81,6 @@ def test_positive_noise_strength_requires_a_channel_or_model():
     with pytest.raises(ValueError, match="noise_channel"):
         QTDAConfig(noise_strength=0.05)
     QTDAConfig(noise_strength=0.05, noise_channel="depolarizing")
-    QTDAConfig(noise_strength=0.05, noise_model=NoiseModel.depolarizing(0.05))
     QTDAConfig(noise_strength=0.0)  # noiseless stays valid without a channel
 
 
@@ -91,7 +90,7 @@ def test_round_trip_through_dict_covers_noise_fields():
         shots=None,
         delta=6.0,
         backend="statevector",
-        circuit_engine="density",
+        circuit_engine="ptm",
         noise_channel="amplitude-damping",
         noise_strength=0.125,
         seed=7,
@@ -105,9 +104,10 @@ def test_round_trip_through_dict_covers_noise_fields():
 
 
 def test_as_dict_rejects_explicit_noise_model_object():
-    config = QTDAConfig(noise_model=NoiseModel.depolarizing(0.01))
-    with pytest.raises(ValueError, match="noise_channel"):
-        config.as_dict()
+    """The dict form has no ``noise_model`` key, and one added to it is rejected."""
+    data = QTDAConfig(noise_channel="depolarizing", noise_strength=0.01).as_dict()
+    with pytest.raises(TypeError, match="noise_model"):
+        QTDAConfig.from_dict({**data, "noise_model": "depolarizing"})
 
 
 def test_extended_noise_field_validation():

@@ -8,9 +8,15 @@ and must agree on the infinite-shot probability of the all-zero readout.
 import numpy as np
 import pytest
 
+from repro.core.backends import EstimationProblem
+from repro.core.backends.statevector import (
+    density_reference_distribution,
+    purified_reference_distribution,
+)
+from repro.core.config import QTDAConfig
 from repro.core.estimator import QTDABettiEstimator
-from repro.quantum.noise import NoiseModel
 from repro.tda.complexes import SimplicialComplex
+from repro.tda.laplacian import combinatorial_laplacian
 
 
 @pytest.fixture(scope="module")
@@ -26,18 +32,22 @@ def _estimate(complex_, backend, **kwargs):
     return estimator.estimate(complex_, 1)
 
 
+def _oracle_p_zero(complex_, oracle):
+    problem = EstimationProblem(laplacian=combinatorial_laplacian(complex_, 1))
+    config = QTDAConfig(precision_qubits=3, shots=None, backend="statevector")
+    return float(oracle(problem, config)[0])
+
+
 def test_exact_equals_statevector_purified(small_complex):
     exact = _estimate(small_complex, "exact")
-    statevector = _estimate(small_complex, "statevector", circuit_engine="purified")
-    assert statevector.engine_route == "purified"
-    assert statevector.p_zero == pytest.approx(exact.p_zero, abs=1e-9)
+    purified = _oracle_p_zero(small_complex, purified_reference_distribution)
+    assert purified == pytest.approx(exact.p_zero, abs=1e-9)
 
 
 def test_exact_equals_statevector_density_route(small_complex):
     exact = _estimate(small_complex, "exact")
-    density = _estimate(small_complex, "statevector", circuit_engine="density")
-    assert density.engine_route == "density"
-    assert density.p_zero == pytest.approx(exact.p_zero, abs=1e-9)
+    density = _oracle_p_zero(small_complex, density_reference_distribution)
+    assert density == pytest.approx(exact.p_zero, abs=1e-9)
 
 
 def test_exact_equals_statevector_ensemble_route(small_complex):
@@ -69,7 +79,8 @@ def test_noise_degrades_estimate_smoothly(small_complex):
         precision_qubits=3,
         shots=None,
         backend="statevector",
-        noise_model=NoiseModel.depolarizing(0.02),
+        noise_channel="depolarizing",
+        noise_strength=0.02,
     ).estimate(small_complex, 1)
     # Noise perturbs but does not destroy the estimate at this strength.
     assert noisy.p_zero != pytest.approx(clean.p_zero, abs=1e-12)

@@ -1,17 +1,17 @@
-"""Tests for the noisy density-matrix route (``statevector`` backend,
-``circuit_engine="density"``) and the noise parametrisation."""
+"""Tests for the exact noisy route (``statevector`` backend,
+``circuit_engine="ptm"``, a density tensor) and the noise parametrisation."""
 
 import numpy as np
 import pytest
 
 from repro.core.config import QTDAConfig
 from repro.core.estimator import QTDABettiEstimator
-from repro.quantum.noise import NOISE_CHANNELS, NoiseModel
+from repro.quantum.channels import NOISE_CHANNELS, NoiseSpec, QuantumChannel
 
 
 def _estimate(complex_, **config_kwargs):
     defaults = dict(
-        precision_qubits=3, shots=None, delta=6.0, backend="statevector", circuit_engine="density"
+        precision_qubits=3, shots=None, delta=6.0, backend="statevector", circuit_engine="ptm"
     )
     defaults.update(config_kwargs)
     return QTDABettiEstimator(QTDAConfig(**defaults)).estimate(complex_, 1)
@@ -36,28 +36,17 @@ def test_every_channel_is_runnable(hollow_triangle, channel):
     assert 0.0 <= estimate.p_zero <= 1.0
 
 
-def test_explicit_noise_model_takes_precedence(hollow_triangle):
-    via_fields = _estimate(hollow_triangle, noise_channel="bit-flip", noise_strength=0.05)
-    via_object = _estimate(
-        hollow_triangle,
-        noise_model=NoiseModel.bit_flip(0.05),
-        noise_channel="depolarizing",  # ignored: the explicit object wins
-        noise_strength=0.9,
-    )
-    assert via_object.p_zero == pytest.approx(via_fields.p_zero, abs=1e-12)
-
-
 def test_noise_model_resolution():
-    assert QTDAConfig().resolved_noise_model() is None
-    built = QTDAConfig(noise_channel="amplitude-damping", noise_strength=0.1).resolved_noise_model()
-    assert isinstance(built, NoiseModel)
-    explicit = NoiseModel.depolarizing(0.2)
-    assert QTDAConfig(noise_model=explicit).resolved_noise_model() is explicit
+    assert QTDAConfig().resolved_noise_spec() == NoiseSpec()
+    assert not QTDAConfig().resolved_noise_spec().has_gate_noise
+    built = QTDAConfig(noise_channel="amplitude-damping", noise_strength=0.1).resolved_noise_spec()
+    assert built == NoiseSpec(channel="amplitude-damping", strength=0.1)
+    assert built.has_gate_noise
 
 
 def test_from_channel_unknown_name_lists_channels():
     with pytest.raises(ValueError, match="amplitude-damping"):
-        NoiseModel.from_channel("cosmic-rays", 0.1)
+        QuantumChannel.from_name("cosmic-rays", 0.1)
 
 
 def test_noisy_backend_with_shots_is_reproducible(hollow_triangle):
@@ -66,7 +55,7 @@ def test_noisy_backend_with_shots_is_reproducible(hollow_triangle):
         shots=200,
         delta=6.0,
         backend="statevector",
-        circuit_engine="density",
+        circuit_engine="ptm",
         noise_channel="depolarizing",
         noise_strength=0.02,
         seed=42,
@@ -88,7 +77,7 @@ def test_noisy_backend_through_pipeline(circle_points):
                 precision_qubits=2,
                 shots=None,
                 backend="statevector",
-                circuit_engine="density",
+                circuit_engine="ptm",
                 noise_channel="depolarizing",
                 noise_strength=0.01,
             ),

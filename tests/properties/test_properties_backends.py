@@ -22,8 +22,8 @@ _SEEDS = (2, 5, 8, 11)
 
 
 #: Circuit backends are exercised on both the default batched route and the
-#: legacy density-matrix route (DESIGN.md §11); spectral backends ignore the
-#: knob, so they run once under "auto".
+#: exact density-tensor ``ptm`` route (DESIGN.md §11); spectral backends
+#: ignore the knob, so they run once under "auto".
 _CIRCUIT_BACKENDS = {"statevector", "trotter"}
 
 
@@ -34,7 +34,7 @@ def test_noiseless_backends_round_to_classical_betti(seed):
         truth = betti_number(complex_, k)
         for name in available_backends():
             backend = get_backend(name)
-            engines = ("auto", "density") if name in _CIRCUIT_BACKENDS else ("auto",)
+            engines = ("auto", "ptm") if name in _CIRCUIT_BACKENDS else ("auto",)
             for engine in engines:
                 # The estimator seed pins the *stochastic-trace* probes —
                 # without it this property is flaky at the ~1% level (the

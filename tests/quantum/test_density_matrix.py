@@ -6,7 +6,7 @@ import pytest
 from repro.quantum import gates as g
 from repro.quantum.circuit import QuantumCircuit
 from repro.quantum.density_matrix import DensityMatrix, DensityMatrixSimulator, apply_kraus
-from repro.quantum.noise import NoiseModel, depolarizing_kraus
+from repro.quantum.channels import NoiseSpec, depolarizing_kraus
 from repro.quantum.statevector import Statevector, StatevectorSimulator
 
 
@@ -78,7 +78,7 @@ def test_partial_trace_keeps_order():
 
 
 def test_noise_model_depolarizes_towards_identity():
-    noisy_sim = DensityMatrixSimulator(noise_model=NoiseModel.depolarizing(0.5))
+    noisy_sim = DensityMatrixSimulator(NoiseSpec(channel="depolarizing", strength=0.5))
     circ = QuantumCircuit(1).x(0)
     rho = noisy_sim.run(circ)
     # Heavily depolarised X|0> should be close to the maximally mixed state.

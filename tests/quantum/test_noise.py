@@ -1,18 +1,19 @@
-"""Tests for noise channels and the per-gate noise model."""
+"""Tests for the noise channels and their per-gate placement by a NoiseSpec."""
 
 import numpy as np
 import pytest
 
-from repro.quantum.circuit import QuantumCircuit
-from repro.quantum.density_matrix import DensityMatrixSimulator
-from repro.quantum.noise import (
-    NoiseModel,
+from repro.quantum.channels import (
+    NoiseSpec,
+    QuantumChannel,
     amplitude_damping_kraus,
     bit_flip_kraus,
     depolarizing_kraus,
     is_trace_preserving,
     phase_flip_kraus,
 )
+from repro.quantum.circuit import QuantumCircuit
+from repro.quantum.density_matrix import DensityMatrixSimulator
 
 
 @pytest.mark.parametrize(
@@ -43,7 +44,7 @@ def test_zero_strength_channels_are_identity():
 
 
 def test_full_depolarizing_gives_maximally_mixed():
-    sim = DensityMatrixSimulator(noise_model=NoiseModel.depolarizing(1.0))
+    sim = DensityMatrixSimulator(NoiseSpec(channel="depolarizing", strength=1.0))
     rho = sim.run(QuantumCircuit(1).x(0))
     # p=1 depolarising twirl leaves (ρ + XρX + YρY + ZρZ)/3... not exactly I/2,
     # but for a basis state it is 2/3 mixed; just check purity dropped substantially.
@@ -51,56 +52,48 @@ def test_full_depolarizing_gives_maximally_mixed():
 
 
 def test_amplitude_damping_decays_excited_state():
-    sim = DensityMatrixSimulator(noise_model=NoiseModel.amplitude_damping(0.6))
+    sim = DensityMatrixSimulator(NoiseSpec(channel="amplitude-damping", strength=0.6))
     rho = sim.run(QuantumCircuit(1).x(0))
     assert rho.matrix[1, 1].real == pytest.approx(0.4, abs=1e-9)
 
 
 def test_gate_filter():
-    model = NoiseModel.depolarizing(0.5, gate_filter=["CNOT"])
-    sim = DensityMatrixSimulator(noise_model=model)
+    """A gate filter is a zero baseline strength plus a per-gate-class override."""
+    spec = NoiseSpec(channel="depolarizing", strength=0.0, gate_strengths={"CNOT": 0.5})
+    sim = DensityMatrixSimulator(spec)
     rho = sim.run(QuantumCircuit(1).x(0))  # X is not in the filter -> noiseless
     assert rho.purity() == pytest.approx(1.0)
+    bell = sim.run(QuantumCircuit(2).h(0).cnot(0, 1))  # the CNOT is noisy
+    assert bell.purity() < 0.9
 
 
 def test_noise_model_validation():
     with pytest.raises(ValueError):
-        NoiseModel([np.eye(2) * 0.5])  # not trace preserving
+        QuantumChannel("bad", (np.eye(2) * 0.5,), arity=1)  # not trace preserving
     with pytest.raises(ValueError):
-        NoiseModel([np.eye(4)])  # wrong dimension
+        QuantumChannel("bad", (np.eye(4),), arity=1)  # wrong dimension
+    with pytest.raises(ValueError, match="amplitude-damping"):
+        NoiseSpec(channel="cosmic-rays", strength=0.1)
 
 
 def test_describe():
-    model = NoiseModel.bit_flip(0.1)
-    info = model.describe()
-    assert info["num_kraus"] == 2
-    assert info["gate_filter"] == "all"
-    # The named constructors record what the model *is*, not just its size.
+    info = NoiseSpec(channel="bit-flip", strength=0.1).describe()
     assert info["channel"] == "bit-flip"
     assert info["strength"] == 0.1
-    assert info["spec"]["channel"] == "bit-flip"
-    assert info["spec"]["is_noiseless"] is False
-
-
-def test_describe_hand_built_kraus_has_no_channel_name():
-    model = NoiseModel([np.sqrt(0.99) * np.eye(2), np.sqrt(0.01) * np.array([[0, 1], [1, 0]])])
-    info = model.describe()
-    assert info["channel"] is None
-    assert "spec" not in info
+    assert info["gate_strengths"] == {}
+    assert info["is_noiseless"] is False
 
 
 def test_to_spec_round_trip_for_named_channels():
-    model = NoiseModel.depolarizing(0.05)
-    spec = model.to_spec()
-    assert spec is not None and spec.channel == "depolarizing" and spec.strength == 0.05
-    rebuilt = NoiseModel.from_spec(spec)
-    assert rebuilt.to_spec() == spec
-    # Gate-filtered models have no declarative form.
-    assert NoiseModel.depolarizing(0.05, gate_filter=["CNOT"]).to_spec() is None
+    spec = NoiseSpec(channel="depolarizing", strength=0.05)
+    assert NoiseSpec.from_dict(spec.as_dict()) == spec
+    filtered = NoiseSpec(channel="depolarizing", strength=0.0, gate_strengths={"CNOT": 0.05})
+    assert NoiseSpec.from_dict(filtered.as_dict()) == filtered
+    assert filtered.has_gate_noise
 
 
 def test_noisy_bell_state_stays_valid_density_matrix():
-    sim = DensityMatrixSimulator(noise_model=NoiseModel.depolarizing(0.05))
+    sim = DensityMatrixSimulator(NoiseSpec(channel="depolarizing", strength=0.05))
     rho = sim.run(QuantumCircuit(2).h(0).cnot(0, 1))
     assert rho.is_valid()
     assert rho.purity() < 1.0

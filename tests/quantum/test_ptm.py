@@ -33,7 +33,6 @@ from repro.quantum.fusion import (
     fuse_ptm_program,
     ptm_cache_info,
 )
-from repro.quantum.noise import NoiseModel
 from repro.quantum.ptm import (
     PTMExecutor,
     apply_superop,
@@ -92,8 +91,7 @@ def _assert_matches_oracle(circ, spec, keep, states, max_fuse_qubits=3):
     """The reduced state over ``keep`` equals the density oracle's to 1e-12."""
     program = fuse_ptm_program(circ, noise_spec=spec, max_fuse_qubits=max_fuse_qubits)
     got = PTMExecutor(max_fuse_qubits=max_fuse_qubits).reduced_state(program, states, keep)
-    noise_model = None if spec is None else NoiseModel.from_spec(spec)
-    final = DensityMatrixSimulator(noise_model).run(circ, initial_state=_product(states))
+    final = DensityMatrixSimulator(spec).run(circ, initial_state=_product(states))
     want = final.partial_trace(keep).matrix
     assert np.max(np.abs(got - want)) <= 1e-12
     assert np.max(np.abs(np.diagonal(got).real - final.marginal_probabilities(keep))) <= 1e-12
@@ -439,7 +437,7 @@ def test_qtda_distribution_matches_density_on_the_mixed_input():
         circ, precision_qubits=[0, 1], precision_count=t, system_count=q, noise_spec=spec
     )
     rho = np.kron(DensityMatrix.zero_state(t).matrix, DensityMatrix.maximally_mixed(q).matrix)
-    final = DensityMatrixSimulator(NoiseModel.from_spec(spec)).run(circ, initial_state=rho)
+    final = DensityMatrixSimulator(spec).run(circ, initial_state=rho)
     assert np.max(np.abs(got - final.marginal_probabilities([0, 1]))) <= 1e-12
     with pytest.raises(ValueError, match="do not match"):
         PTMExecutor().qtda_distribution(circ, [0, 1], precision_count=t, system_count=1)

@@ -209,19 +209,13 @@ class TestCoalescingEligibility:
         assert coalescer.stats()["leaders"] == 0
 
     def test_unserialisable_config_never_coalesces(self, service):
-        from repro.quantum.noise import NoiseModel
-
+        """A classical pipeline is deterministic whatever its seed, but a
+        generator seed cannot serialise, so it has no coalescing key."""
         coalescer = RequestCoalescer()
         pipeline = PipelineConfig(
             epsilon=0.8,
-            estimator=QTDAConfig(
-                precision_qubits=2,
-                shots=20,
-                backend="statevector",
-                circuit_engine="density",
-                noise_model=NoiseModel.from_channel("depolarizing", 0.01),
-                seed=1,
-            ),
+            use_quantum=False,
+            estimator=QTDAConfig(precision_qubits=2, seed=np.random.default_rng(1)),
         )
         request = PipelineRequest(
             point_clouds=[np.random.default_rng(0).normal(size=(6, 2))], pipeline=pipeline

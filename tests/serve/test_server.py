@@ -499,13 +499,14 @@ class TestRemovedShardConfig:
             client.estimate(body)
         assert excinfo.value.status == 400
         assert excinfo.value.reason == "unsupported_schema_version"
-        assert excinfo.value.envelope["error"]["supported_versions"] == [6]
+        assert excinfo.value.envelope["error"]["supported_versions"] == [SCHEMA_VERSION]
 
 
 class TestRemovedConfig:
     """Wire schema 6 dropped the superseded route knobs and the
-    ``noisy-density`` alias: such a body gets a structured 400 and never
-    starts worker processes."""
+    ``noisy-density`` alias; schema 7 dropped the ``density``/``purified``
+    route values.  Such a body — or one still speaking schema 6 — gets a
+    structured 400 and never starts worker processes."""
 
     @pytest.mark.parametrize(
         "fields",
@@ -513,16 +514,24 @@ class TestRemovedConfig:
             {"use_purification": True},
             {"fuse_purified": True},
             {"backend": "noisy-density"},
+            {"circuit_engine": "density"},
+            {"circuit_engine": "purified"},
+            {"schema_version": 6},
         ],
     )
     def test_removed_fields_get_a_400_and_spawn_nothing(self, shared, fields):
         _server, client = shared
         body = estimate_request().as_dict()
-        body["config"].update(fields)
+        if "schema_version" in fields:
+            body.update(fields)
+            reason = "unsupported_schema_version"
+        else:
+            body["config"].update(fields)
+            reason = "invalid_request"
         with pytest.raises(ServiceError) as excinfo:
             client.estimate(body)
         assert excinfo.value.status == 400
-        assert excinfo.value.reason == "invalid_request"
+        assert excinfo.value.reason == reason
         assert excinfo.value.envelope["schema_version"] == SCHEMA_VERSION
         assert multiprocessing.active_children() == []
 
@@ -534,7 +543,7 @@ class TestRemovedConfig:
             client.estimate(body)
         assert excinfo.value.status == 400
         assert excinfo.value.reason == "unsupported_schema_version"
-        assert excinfo.value.envelope["error"]["supported_versions"] == [6]
+        assert excinfo.value.envelope["error"]["supported_versions"] == [SCHEMA_VERSION]
 
 
 class TestHighDimStreamOverHTTP:

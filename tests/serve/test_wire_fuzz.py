@@ -3,16 +3,18 @@
 Drives :meth:`QTDAServer.handle_post` directly on a server that is never
 started, so no request crosses a socket and nothing is timed.  Inputs are
 malformed JSON, non-finite number tokens, wrong value types, unknown
-fields, oversized arrays and missing or wrong ``schema_version`` values.
+fields, oversized arrays, missing or wrong ``schema_version`` values and
+simplicial complexes that miss a face (closed ones must be served).
 Every one must come back as a 4xx error envelope: never a 500 and never an
 exception out of the adapter.  Examples are derandomised, so every run
 checks the same inputs.
 """
 
 import json
+from itertools import combinations
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.api import (
@@ -206,3 +208,36 @@ def test_missing_or_wrong_schema_version(server, route, version, missing):
     reason = assert_client_error(server, route, json.dumps(document).encode())
     expected = "missing_schema_version" if missing or version is None else "unsupported_schema_version"
     assert reason == expected
+
+
+#: A simplex of dimension 0-2 on five vertices, as a sorted vertex tuple.
+SIMPLEX = st.lists(st.integers(0, 4), min_size=1, max_size=3, unique=True).map(
+    lambda vertices: tuple(sorted(vertices))
+)
+
+
+def is_closed(simplices):
+    return all(
+        face in simplices for simplex in simplices for face in combinations(simplex, len(simplex) - 1) if face
+    )
+
+
+@FUZZ
+@given(maximal=st.lists(SIMPLEX, min_size=1, max_size=4), close=st.booleans())
+@example(maximal=[(0, 1), (1, 2), (0, 2)], close=False)
+def test_closed_and_unclosed_complexes(server, maximal, close):
+    """A closed complex is served; one that misses a face is a 400, not a
+    500, and in process the request raises the ``SimplicialComplex`` message."""
+    if close:
+        simplices = {face for m in maximal for r in range(1, len(m) + 1) for face in combinations(m, r)}
+    else:
+        simplices = set(maximal)
+    document = replaced(VALID["estimate"], ("simplices",), [list(s) for s in sorted(simplices)])
+    raw = json.dumps(document).encode()
+    if is_closed(simplices):
+        status, body, _headers = server.handle_post("estimate", raw, "fuzz")
+        assert status == 200, body
+    else:
+        assert assert_client_error(server, "estimate", raw) == "invalid_request"
+        with pytest.raises(ValueError, match="is missing"):
+            EstimationRequest(simplices=sorted(simplices))

@@ -104,7 +104,7 @@ def test_appendix_noisy_density_with_noise_flags(capsys):
             "appendix",
             "--shots", "100",
             "--backend", "statevector",
-            "--circuit-engine", "density",
+            "--circuit-engine", "ptm",
             "--noise-channel", "depolarizing",
             "--noise-strength", "0.02",
         ]
@@ -125,10 +125,14 @@ def test_parsers_accept_backend_and_noise_flags():
     args = parser.parse_args(["fig3", "--backend", "sparse-exact"])
     assert args.backend == "sparse-exact"
     args = parser.parse_args(
-        ["timeseries", "--backend", "statevector", "--circuit-engine", "density"]
+        ["timeseries", "--backend", "statevector", "--circuit-engine", "ptm"]
     )
     assert args.backend == "statevector"
-    assert args.circuit_engine == "density"
+    assert args.circuit_engine == "ptm"
+    # The choices are the config's engines; the oracle simulations are not routes.
+    for removed in ("density", "purified"):
+        with pytest.raises(SystemExit):
+            parser.parse_args(["timeseries", "--circuit-engine", removed])
 
 
 def test_json_flag_present_on_experiment_commands():
