@@ -12,9 +12,9 @@ Every backend implements :class:`BettiBackend` and registers itself under a
 unique name with :func:`register_backend`; :class:`QTDAConfig` validates its
 ``backend`` field against :func:`available_backends`, and
 :class:`repro.core.estimator.QTDABettiEstimator` resolves the configured name
-through :func:`get_backend` at estimation time.  Future execution paths (GPU
-statevector, tensor networks, real-hardware adapters) plug in the same way
-without touching the estimator.
+through :func:`get_backend` at estimation time.  Future execution paths
+(tensor networks, real-hardware adapters) plug in the same way without
+touching the estimator.
 """
 
 from __future__ import annotations

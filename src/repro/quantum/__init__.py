@@ -10,8 +10,7 @@ scratch on NumPy:
   density-matrix simulator with noise channels
   (:mod:`repro.quantum.density_matrix`, :mod:`repro.quantum.channels`);
 * a batched ("ensemble") execution engine that evolves many pure states as
-  one ``(2^n, B)`` array behind an array-module seam (NumPy/CuPy), plus a
-  gate-fusion pass cached per circuit fingerprint
+  one ``(2^n, B)`` array, plus a gate-fusion pass cached per circuit fingerprint
   (:mod:`repro.quantum.engine`, :mod:`repro.quantum.fusion`);
 * measurement / shot sampling (:mod:`repro.quantum.measurement`);
 * the quantum Fourier transform and quantum phase estimation circuit
@@ -56,7 +55,6 @@ from repro.quantum.density_matrix import DensityMatrixSimulator, DensityMatrix
 from repro.quantum.engine import (
     EnsembleExecutor,
     apply_gate_to_ensemble,
-    array_module,
     derive_trajectory_seeds,
     sample_channel_branches,
 )
@@ -76,7 +74,6 @@ from repro.quantum.channels import (
 from repro.quantum.fusion import fuse_circuit, fusion_cache_info
 from repro.quantum.measurement import (
     born_probabilities,
-    ensemble_marginal_probabilities,
     ensemble_member_marginal_probabilities,
     marginal_probabilities,
     sample_counts,
@@ -128,7 +125,6 @@ __all__ = [
     "DensityMatrix",
     "EnsembleExecutor",
     "apply_gate_to_ensemble",
-    "array_module",
     "derive_trajectory_seeds",
     "sample_channel_branches",
     "NOISE_CHANNELS",
@@ -141,7 +137,6 @@ __all__ = [
     "fuse_circuit",
     "fusion_cache_info",
     "born_probabilities",
-    "ensemble_marginal_probabilities",
     "ensemble_member_marginal_probabilities",
     "marginal_probabilities",
     "sample_counts",

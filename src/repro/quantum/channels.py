@@ -439,11 +439,6 @@ class NoiseSpec:
         """Inverse of :meth:`as_dict` (re-runs all validation)."""
         return cls(**dict(data))
 
-    @classmethod
-    def from_legacy(cls, channel: Optional[str], strength: float) -> "NoiseSpec":
-        """Lift the legacy ``(noise_channel, noise_strength)`` pair."""
-        return cls(channel=channel, strength=strength if channel is not None else 0.0)
-
     def describe(self) -> Dict[str, object]:
         """Summary dictionary (experiment reports)."""
         summary = self.as_dict()

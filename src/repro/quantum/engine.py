@@ -10,7 +10,7 @@ gate through the whole batch with a single :func:`tensordot` contraction, so
 the mixed state costs ``O(2^(t+q) · 2^q)`` flops per gate on a flat array
 instead of a squared state, with no auxiliary qubits at all.
 
-Three design points:
+Two design points:
 
 * **One kernel.**  :func:`apply_gate_to_ensemble` is the only contraction in
   the package — the single-state simulator's ``apply_gate_to_statevector`` is
@@ -23,16 +23,10 @@ Three design points:
   circuit fingerprint — QPE's repeated ``U^{2^j}``-by-repetition synthesis
   collapses dramatically, and re-running the same circuit (every chunk of a
   batched ensemble, every ε of a sweep) pays for fusion once.
-* **Array-module seam.**  All array math goes through an ``xp`` module handle
-  (:func:`array_module`).  It is :mod:`numpy` everywhere today; when CuPy is
-  installed it is picked up automatically (or forced/suppressed with the
-  ``REPRO_ARRAY_MODULE`` environment variable), which lands the ROADMAP's
-  "GPU statevector backend" item without a separate code path.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Iterable, Optional, Sequence, Tuple
 
 import numpy as np
@@ -42,7 +36,7 @@ from repro.quantum.circuit import QuantumCircuit
 from repro.quantum.measurement import ensemble_member_marginal_probabilities
 from repro.quantum.operations import Barrier, Gate, Measurement
 
-#: Default ceiling on the bytes a single ensemble chunk may occupy
+#: Default ceiling on the bytes a single ensemble chunk may take up
 #: (``2^n · B · 16`` bytes for complex128).  256 MiB keeps the largest chunk
 #: comfortably inside typical last-level caches-plus-RAM headroom while still
 #: amortising per-gate Python overhead over wide batches.
@@ -60,63 +54,6 @@ DEFAULT_MAX_FUSE_QUBITS = 3
 #: answers.  16 columns keeps the contraction wide enough to amortise
 #: per-gate overhead.
 DEFAULT_COLUMN_BLOCK = 16
-
-_ARRAY_MODULE_OVERRIDE = None
-_DETECTED_MODULE = None
-
-
-def set_array_module(xp) -> None:
-    """Force the array module used by new executors (``None`` re-enables autodetection).
-
-    Intended for tests and for callers that manage device placement
-    themselves; normal code should rely on :func:`array_module`.
-    """
-    global _ARRAY_MODULE_OVERRIDE
-    _ARRAY_MODULE_OVERRIDE = xp
-
-
-def array_module():
-    """The active array module (``numpy``, or ``cupy`` when available).
-
-    Resolution order: :func:`set_array_module` override, then the
-    ``REPRO_ARRAY_MODULE`` environment variable (``"numpy"`` or ``"cupy"``),
-    then autodetection (CuPy with a usable device wins, NumPy otherwise).
-    The autodetection result is cached for the life of the process.
-    """
-    global _DETECTED_MODULE
-    if _ARRAY_MODULE_OVERRIDE is not None:
-        return _ARRAY_MODULE_OVERRIDE
-    requested = os.environ.get("REPRO_ARRAY_MODULE", "").strip().lower()
-    if requested in ("numpy", "np"):
-        return np
-    if requested == "cupy":
-        import cupy  # hard requirement when explicitly requested
-
-        return cupy
-    if requested:
-        # An explicit-but-unknown value must not silently fall back to
-        # autodetection — the user asked for a specific device placement.
-        raise ValueError(
-            f"REPRO_ARRAY_MODULE must be 'numpy' or 'cupy', got {requested!r}"
-        )
-    if _DETECTED_MODULE is None:
-        try:
-            import cupy
-
-            cupy.zeros(1)  # fails fast when no device is usable
-            _DETECTED_MODULE = cupy
-        except Exception:
-            _DETECTED_MODULE = np
-    return _DETECTED_MODULE
-
-
-def to_host(array) -> np.ndarray:
-    """Move an ``xp`` array to host memory (no-op for NumPy arrays)."""
-    getter = getattr(array, "get", None)
-    if getter is not None and not isinstance(array, np.ndarray):
-        return np.asarray(getter())
-    return np.asarray(array)
-
 
 def derive_trajectory_seeds(rng: np.random.Generator, n_trajectories: int) -> Tuple[int, ...]:
     """Deterministic per-trajectory integer seeds drawn from ``rng``.
@@ -155,7 +92,6 @@ def apply_gate_to_ensemble(
     gate_matrix,
     qubits: Sequence[int],
     num_qubits: int,
-    xp=np,
 ):
     """Apply a ``k``-qubit gate to every member of a ``(2^n, B)`` ensemble at once.
 
@@ -169,8 +105,6 @@ def apply_gate_to_ensemble(
         Target qubits (qubit 0 = most significant bit of basis labels).
     num_qubits:
         Register size ``n``.
-    xp:
-        Array module (:func:`array_module`); defaults to NumPy.
 
     Notes
     -----
@@ -186,14 +120,14 @@ def apply_gate_to_ensemble(
     psi = states.reshape([2] * num_qubits + [batch])
     gate = gate_matrix.reshape([2] * (2 * k))
     # Contract the gate's column indices (last k axes) with the target axes.
-    psi = xp.tensordot(gate, psi, axes=(list(range(k, 2 * k)), qubits))
+    psi = np.tensordot(gate, psi, axes=(list(range(k, 2 * k)), qubits))
     # tensordot moves the contracted axes to the front (in gate row order);
     # put them back where the target qubits live.  The batch axis stays last.
-    psi = xp.moveaxis(psi, list(range(k)), qubits)
-    return xp.ascontiguousarray(psi).reshape(2**num_qubits, batch)
+    psi = np.moveaxis(psi, list(range(k)), qubits)
+    return np.ascontiguousarray(psi).reshape(2**num_qubits, batch)
 
 
-def _apply_member_matrices(states, matrices, qubits, num_qubits: int, xp=np):
+def _apply_member_matrices(states, matrices, qubits, num_qubits: int):
     """Apply a *different* ``d x d`` matrix to each member of a ``(2^n, B)`` ensemble.
 
     ``matrices`` is ``(B, d, d)`` with ``d = 2^len(qubits)`` — the sampled
@@ -206,13 +140,13 @@ def _apply_member_matrices(states, matrices, qubits, num_qubits: int, xp=np):
     d = 2**k
     batch = states.shape[-1]
     psi = states.reshape([2] * num_qubits + [batch])
-    psi = xp.moveaxis(psi, qubits, list(range(k)))
+    psi = np.moveaxis(psi, qubits, list(range(k)))
     rest_shape = psi.shape[k:]
     psi = psi.reshape(d, -1, batch)
-    psi = xp.einsum("bij,jmb->imb", matrices, psi)
+    psi = np.einsum("bij,jmb->imb", matrices, psi)
     psi = psi.reshape((2,) * k + tuple(rest_shape))
-    psi = xp.moveaxis(psi, list(range(k)), qubits)
-    return xp.ascontiguousarray(psi).reshape(2**num_qubits, batch)
+    psi = np.moveaxis(psi, list(range(k)), qubits)
+    return np.ascontiguousarray(psi).reshape(2**num_qubits, batch)
 
 
 def sample_channel_branches(
@@ -221,7 +155,6 @@ def sample_channel_branches(
     qubits: Sequence[int],
     num_qubits: int,
     rng: np.random.Generator,
-    xp=np,
 ):
     """One trajectory step: sample a Kraus branch of ``channel`` per ensemble member.
 
@@ -247,29 +180,26 @@ def sample_channel_branches(
         if active.size == 0:
             return states
         if active.size < batch:
-            mats = xp.asarray(np.stack(channel.unitary_branches)[idx[active]])
-            out = xp.array(states, copy=True)
+            mats = np.stack(channel.unitary_branches)[idx[active]]
+            out = np.array(states, copy=True)
             out[:, active] = _apply_member_matrices(
-                xp.ascontiguousarray(states[:, active]), mats, qubits, num_qubits, xp=xp
+                np.ascontiguousarray(states[:, active]), mats, qubits, num_qubits
             )
             return out
-        mats = xp.asarray(np.stack(channel.unitary_branches)[idx])
-        return _apply_member_matrices(states, mats, qubits, num_qubits, xp=xp)
-    branch_states = xp.stack(
-        [
-            apply_gate_to_ensemble(states, xp.asarray(k), qubits, num_qubits, xp=xp)
-            for k in channel.kraus_ops
-        ]
+        mats = np.stack(channel.unitary_branches)[idx]
+        return _apply_member_matrices(states, mats, qubits, num_qubits)
+    branch_states = np.stack(
+        [apply_gate_to_ensemble(states, k, qubits, num_qubits) for k in channel.kraus_ops]
     )  # (K, 2^n, B)
-    probs = (xp.abs(branch_states) ** 2).sum(axis=1)  # (K, B) Born weights
-    cumulative = xp.cumsum(probs, axis=0)
-    u = xp.asarray(rng.random(batch)) * cumulative[-1]
+    probs = (np.abs(branch_states) ** 2).sum(axis=1)  # (K, B) Born weights
+    cumulative = np.cumsum(probs, axis=0)
+    u = rng.random(batch) * cumulative[-1]
     idx = (u[None, :] > cumulative).sum(axis=0)
-    idx = xp.clip(idx, 0, len(channel.kraus_ops) - 1)
-    members = xp.arange(batch)
+    idx = np.clip(idx, 0, len(channel.kraus_ops) - 1)
+    members = np.arange(batch)
     selected = branch_states[idx, :, members].T  # (2^n, B)
-    norms = xp.sqrt(probs[idx, members])
-    norms = xp.where(norms > 0, norms, 1.0)
+    norms = np.sqrt(probs[idx, members])
+    norms = np.where(norms > 0, norms, 1.0)
     return selected / norms
 
 
@@ -288,8 +218,6 @@ class EnsembleExecutor:
     memory_budget_bytes:
         Ceiling on one chunk's state memory; :meth:`basis_ensemble_distribution`
         splits wider ensembles into column chunks that fit.
-    xp:
-        Array module override; defaults to :func:`array_module`.
     """
 
     def __init__(
@@ -297,12 +225,10 @@ class EnsembleExecutor:
         fuse: bool = True,
         max_fuse_qubits: int = DEFAULT_MAX_FUSE_QUBITS,
         memory_budget_bytes: int = DEFAULT_MEMORY_BUDGET_BYTES,
-        xp=None,
     ):
         self.fuse = bool(fuse)
         self.max_fuse_qubits = int(max_fuse_qubits)
         self.memory_budget_bytes = int(memory_budget_bytes)
-        self.xp = xp if xp is not None else array_module()
 
     # -- planning -------------------------------------------------------------
     def gate_plan(self, circuit: QuantumCircuit) -> Tuple[Gate, ...]:
@@ -330,43 +256,37 @@ class EnsembleExecutor:
 
     # -- execution ------------------------------------------------------------
     def run(self, circuit: QuantumCircuit, initial_states) -> np.ndarray:
-        """Evolve a ``(2^n, B)`` ensemble through ``circuit``; returns host array.
+        """Evolve a ``(2^n, B)`` ensemble through ``circuit``.
 
         Measurement markers and barriers are skipped, exactly as in the
         single-state simulator.  The caller sizes the batch; chunking to the
         memory budget is the job of :meth:`basis_ensemble_distribution`.
         """
         n = circuit.num_qubits
-        xp = self.xp
-        states = xp.asarray(initial_states, dtype=complex)
+        states = np.asarray(initial_states, dtype=complex)
         if states.ndim == 1:
             states = states.reshape(-1, 1)
         if states.shape[0] != 2**n:
             raise ValueError(
                 f"Ensemble has state dimension {states.shape[0]}, expected {2**n} for {n} qubits"
             )
-        states = self._evolve(states, self._prepare(self.gate_plan(circuit)), n)
-        return to_host(states)
+        return self._evolve(states, self._prepare(self.gate_plan(circuit)), n)
 
     def _prepare(self, gates: Iterable[Gate]):
-        """Device-resident ``(matrix, qubits)`` pairs for a gate plan.
+        """Complex ``(matrix, qubits)`` pairs for a gate plan, markers dropped.
 
-        Conversion happens once per plan, not once per chunk — on the CuPy
-        seam each ``asarray`` is a host-to-device transfer, and re-uploading
-        the wide controlled powers for every ensemble chunk would waste
-        exactly the bandwidth the batch route is meant to save.
+        Built once per plan, not once per chunk: every column block of an
+        ensemble reuses the same list.
         """
-        xp = self.xp
         return [
-            (xp.asarray(gate.matrix, dtype=complex), gate.qubits)
+            (np.asarray(gate.matrix, dtype=complex), gate.qubits)
             for gate in gates
             if not isinstance(gate, (Measurement, Barrier))
         ]
 
     def _evolve(self, states, prepared, num_qubits: int):
-        xp = self.xp
         for matrix, qubits in prepared:
-            states = apply_gate_to_ensemble(states, matrix, qubits, num_qubits, xp=xp)
+            states = apply_gate_to_ensemble(states, matrix, qubits, num_qubits)
         return states
 
     def basis_ensemble_distribution(
@@ -395,15 +315,14 @@ class EnsembleExecutor:
         n = circuit.num_qubits
         basis = self._validated_basis(circuit, basis_states)
         w = _normalised_weights(weights, len(basis))
-        xp = self.xp
         prepared = self._prepare(plan if plan is not None else self.gate_plan(circuit))
         chunk = self.evolution_block(n)
         total: Optional[np.ndarray] = None
         for start in range(0, len(basis), chunk):
             block = basis[start : start + chunk]
             states = self._evolve(self._basis_block(block, n), prepared, n)
-            marginals = ensemble_member_marginal_probabilities(states, n, qubits, xp=xp)
-            partial = to_host(marginals @ xp.asarray(w[start : start + len(block)]))
+            marginals = ensemble_member_marginal_probabilities(states, n, qubits)
+            partial = marginals @ w[start : start + len(block)]
             total = partial if total is None else total + partial
         assert total is not None
         return total / total.sum()
@@ -420,7 +339,7 @@ class EnsembleExecutor:
 
     def _basis_block(self, block, num_qubits: int):
         """A ``(2^n, len(block))`` array whose column ``i`` is ``|block[i]>``."""
-        states = self.xp.zeros((2**num_qubits, len(block)), dtype=complex)
+        states = np.zeros((2**num_qubits, len(block)), dtype=complex)
         for column, b in enumerate(block):
             states[b, column] = 1.0
         return states
@@ -457,15 +376,14 @@ class EnsembleExecutor:
         (:func:`derive_trajectory_seeds`): trajectory ``i``'s branch draws
         depend only on ``seeds[i]``, never on the other trajectories.
 
-        Returns ``(mean_distribution, standard_error)`` as host arrays.
+        Returns ``(mean_distribution, standard_error)``.
         """
         seeds = derive_trajectory_seeds(rng, n_trajectories)
         n = circuit.num_qubits
         basis = self._validated_basis(circuit, basis_states)
         w = _normalised_weights(weights, len(basis))
-        xp = self.xp
         gates = [g for g in circuit.gates if not isinstance(g, (Measurement, Barrier))]
-        prepared = [(xp.asarray(g.matrix, dtype=complex), g.qubits) for g in gates]
+        prepared = [(np.asarray(g.matrix, dtype=complex), g.qubits) for g in gates]
         noise_plan = [noise_spec.channels_for_gate(g) for g in gates]
         chunk = self.max_batch(n)
         out_dim = 2 ** len(list(qubits))
@@ -477,13 +395,13 @@ class EnsembleExecutor:
                 block = basis[start : start + chunk]
                 states = self._basis_block(block, n)
                 for (matrix, gate_qubits), placed in zip(prepared, noise_plan):
-                    states = apply_gate_to_ensemble(states, matrix, gate_qubits, n, xp=xp)
+                    states = apply_gate_to_ensemble(states, matrix, gate_qubits, n)
                     for channel, targets in placed:
                         states = sample_channel_branches(
-                            channel, states, targets, n, trajectory_rng, xp=xp
+                            channel, states, targets, n, trajectory_rng
                         )
-                marginals = ensemble_member_marginal_probabilities(states, n, qubits, xp=xp)
-                partial = to_host(marginals @ xp.asarray(w[start : start + len(block)]))
+                marginals = ensemble_member_marginal_probabilities(states, n, qubits)
+                partial = marginals @ w[start : start + len(block)]
                 total = partial if total is None else total + partial
             assert total is not None
             distribution = total / total.sum()

@@ -60,70 +60,17 @@ def marginal_probabilities(probabilities: np.ndarray, num_qubits: int, qubits: S
     return np.ascontiguousarray(probs).reshape(-1)
 
 
-def ensemble_marginal_probabilities(
-    states: np.ndarray,
-    num_qubits: int,
-    qubits: Sequence[int],
-    weights: np.ndarray | None = None,
-    normalize: bool = True,
-    xp=np,
-) -> np.ndarray:
-    """Weighted-average marginal readout of a ``(2^n, B)`` ensemble of pure states.
-
-    Computes ``p(m) = Σ_b w_b · P_b(m)`` where ``P_b`` is member ``b``'s
-    marginal distribution on ``qubits``, in a single reshape-and-sum over the
-    traced qubit axes and the batch axis — no per-member full-register
-    probability vector is ever materialised, which is what makes the batched
-    (``ensemble``) circuit route's readout linear in ``2^n · B``.
-
-    Parameters
-    ----------
-    states:
-        ``(2^num_qubits, B)`` complex amplitude array (batch axis last).
-    num_qubits, qubits:
-        As in :func:`marginal_probabilities`.
-    weights:
-        Length-``B`` non-negative weights; uniform ``1/B`` when omitted.
-        Weights are applied as given (callers chunking a larger ensemble pass
-        sub-batches of an already-normalised weight vector).
-    normalize:
-        Rescale the result to sum to one (guards against floating-point
-        drift).  Chunked callers pass ``False`` and normalise the final sum.
-    xp:
-        Array module (NumPy default; CuPy via the engine seam).
-    """
-    batch = states.shape[-1]
-    keep, drop, order = _marginal_axes(num_qubits, qubits)
-    probs = (states.real**2 + states.imag**2).reshape([2] * num_qubits + [batch])
-    if weights is None:
-        weights = xp.full(batch, 1.0 / batch)
-    # Sum the traced qubit axes, then contract the batch axis with the
-    # weights; both reductions stay on the (reshaped) ensemble array.
-    if drop:
-        probs = probs.sum(axis=tuple(drop))
-    probs = xp.tensordot(probs, weights, axes=([len(keep)], [0]))
-    probs = xp.transpose(probs, order)
-    probs = xp.ascontiguousarray(probs).reshape(-1)
-    if normalize:
-        total = probs.sum()
-        if total <= 0:
-            raise ValueError("Ensemble has zero readout mass; cannot normalise")
-        probs = probs / total
-    return probs
-
-
 def ensemble_member_marginal_probabilities(
     states: np.ndarray,
     num_qubits: int,
     qubits: Sequence[int],
-    xp=np,
 ) -> np.ndarray:
     """Per-member marginal readouts of a ``(2^n, B)`` ensemble: an ``(out_dim, B)`` matrix.
 
     Column ``b`` is member ``b``'s marginal distribution on ``qubits`` (first
-    listed qubit = most significant bit of the outcome index) — the
-    *uncontracted* form of :func:`ensemble_marginal_probabilities`, which is
-    its weighted column average.
+    listed qubit = most significant bit of the outcome index); a weighted
+    ensemble readout is this matrix times the weight vector, and no
+    per-member probability vector over the full register is materialised.
 
     The reduction is deliberately **batch-major**: the probability tensor is
     transposed to ``[B] + [2]*n`` before the traced axes are summed, so every
@@ -131,21 +78,20 @@ def ensemble_member_marginal_probabilities(
     depend on the batch width.  That makes the result *bit-identical under
     any partition of the batch axis* — computing columns ``[s:e]`` from the
     sliced ensemble yields exactly the bytes of ``result[:, s:e]`` — so the
-    engine's readout does not depend on how its batch is chunked.  (The
-    batch-last layout of :func:`ensemble_marginal_probabilities`
-    does not have this property: NumPy's pairwise-summation tree over strided
-    axes changes with the trailing batch width.)
+    engine's readout does not depend on how its batch is chunked.  (A
+    batch-last layout does not have this property: NumPy's pairwise-summation
+    tree over strided axes changes with the trailing batch width.)
     """
     batch = states.shape[-1]
     keep, drop, order = _marginal_axes(num_qubits, qubits)
     probs = states.real**2 + states.imag**2
-    probs = xp.ascontiguousarray(probs.T).reshape([batch] + [2] * num_qubits)
+    probs = np.ascontiguousarray(probs.T).reshape([batch] + [2] * num_qubits)
     if drop:
         probs = probs.sum(axis=tuple(axis + 1 for axis in drop))
     # Surviving axes sit in increasing qubit order after the batch axis;
     # permute them into the caller's qubit order and put the batch axis last.
-    probs = xp.transpose(probs, [axis + 1 for axis in order] + [0])
-    return xp.ascontiguousarray(probs).reshape(-1, batch)
+    probs = np.transpose(probs, [axis + 1 for axis in order] + [0])
+    return np.ascontiguousarray(probs).reshape(-1, batch)
 
 
 def sample_counts(

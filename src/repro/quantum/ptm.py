@@ -46,7 +46,7 @@ from typing import Dict, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.quantum.channels import QuantumChannel
-from repro.quantum.engine import DEFAULT_MAX_FUSE_QUBITS, array_module, to_host
+from repro.quantum.engine import DEFAULT_MAX_FUSE_QUBITS
 
 
 def superop_from_kraus(kraus_ops: Sequence[np.ndarray]) -> np.ndarray:
@@ -164,7 +164,7 @@ def _bit_axes(positions: Sequence[int]):
     return [axis for p in positions for axis in (2 * p, 2 * p + 1)]
 
 
-def apply_superop(tensor, superop, positions: Sequence[int], xp=np):
+def apply_superop(tensor, superop, positions: Sequence[int]):
     """Apply a ``k``-qubit superoperator to the qubits at ``positions``.
 
     ``tensor`` holds two size-2 axes per qubit, row bit then col bit.  One
@@ -175,7 +175,7 @@ def apply_superop(tensor, superop, positions: Sequence[int], xp=np):
     """
     k = len(positions)
     op = superop.reshape((2,) * (4 * k))
-    return xp.tensordot(op, tensor, axes=(list(range(2 * k, 4 * k)), _bit_axes(positions)))
+    return np.tensordot(op, tensor, axes=(list(range(2 * k, 4 * k)), _bit_axes(positions)))
 
 
 def controlled_block(matrix: np.ndarray) -> Optional[np.ndarray]:
@@ -198,7 +198,6 @@ def apply_unitary_to_pauli_ensemble(
     tensor,
     unitary,
     positions: Sequence[int],
-    xp=np,
     block: Optional[np.ndarray] = None,
 ):
     """Conjugate the Liouville tensor by a unitary too wide for a superoperator.
@@ -216,17 +215,15 @@ def apply_unitary_to_pauli_ensemble(
     dim = 2**k
     rest = [axis for axis in range(tensor.ndim) if axis not in _bit_axes(positions)]
     perm = [2 * p for p in positions] + [2 * p + 1 for p in positions] + rest
-    work = xp.ascontiguousarray(xp.transpose(tensor, perm)).reshape(dim, dim, -1)
+    work = np.ascontiguousarray(np.transpose(tensor, perm)).reshape(dim, dim, -1)
     if block is not None:
         half = dim // 2
-        v = xp.asarray(block)
-        work[half:] = xp.matmul(v, work[half:].reshape(half, -1)).reshape(half, dim, -1)
-        work[:, half:] = xp.matmul(xp.conj(v), work[:, half:])
+        work[half:] = np.matmul(block, work[half:].reshape(half, -1)).reshape(half, dim, -1)
+        work[:, half:] = np.matmul(np.conj(block), work[:, half:])
     else:
-        u = xp.asarray(unitary)
-        work = xp.matmul(u, work.reshape(dim, -1)).reshape(dim, dim, -1)
-        work = xp.matmul(xp.conj(u), work)
-    return xp.transpose(work.reshape((2,) * tensor.ndim), np.argsort(perm).tolist())
+        work = np.matmul(unitary, work.reshape(dim, -1)).reshape(dim, dim, -1)
+        work = np.matmul(np.conj(unitary), work)
+    return np.transpose(work.reshape((2,) * tensor.ndim), np.argsort(perm).tolist())
 
 
 # --- the superoperator program IR -------------------------------------------
@@ -286,15 +283,10 @@ class PTMProgram:
 
 
 class PTMExecutor:
-    """Evolves product-state inputs through a :class:`PTMProgram`.
+    """Evolves product-state inputs through a :class:`PTMProgram`."""
 
-    The array module is the ``xp`` seam
-    (:func:`~repro.quantum.engine.array_module`) the ensemble engine uses.
-    """
-
-    def __init__(self, max_fuse_qubits: int = DEFAULT_MAX_FUSE_QUBITS, xp=None):
+    def __init__(self, max_fuse_qubits: int = DEFAULT_MAX_FUSE_QUBITS):
         self.max_fuse_qubits = int(max_fuse_qubits)
-        self.xp = xp if xp is not None else array_module()
 
     def program(self, circuit, noise_spec=None) -> PTMProgram:
         """The circuit's fused superoperator program (cached per circuit + spec)."""
@@ -307,7 +299,7 @@ class PTMExecutor:
     def reduced_state(
         self, program: PTMProgram, initial_states: Sequence[np.ndarray], qubits: Sequence[int]
     ) -> np.ndarray:
-        """Reduced density matrix over ``qubits`` after the program, on host.
+        """Reduced density matrix over ``qubits`` after the program.
 
         The input is the product ``⊗_j initial_states[j]`` of single-qubit
         density matrices.  Only ops in the backward light cone of ``qubits``
@@ -317,7 +309,6 @@ class PTMExecutor:
         kept, leaves right after its last one.  Returns the
         ``(2^k, 2^k)`` matrix with ``qubits[0]`` as the most significant bit.
         """
-        xp = self.xp
         keep = [int(q) for q in qubits]
         if len(set(keep)) != len(keep) or any(not 0 <= q < program.num_qubits for q in keep):
             raise ValueError(f"invalid readout qubits {keep} for {program.num_qubits} qubits")
@@ -338,9 +329,9 @@ class PTMExecutor:
             """Append the input factors of qubits ``new`` as trailing axis pairs."""
             factor = _outer_product([initial_states[q] for q in new])
             axes.extend(new)
-            return tensor.reshape(tensor.shape + (1,) * factor.ndim) * xp.asarray(factor)
+            return tensor.reshape(tensor.shape + (1,) * factor.ndim) * factor
 
-        tensor = xp.ones((), dtype=complex)
+        tensor = np.ones((), dtype=complex)
         axes = []  # qubit label of each (row bit, col bit) axis pair
         for index, op in enumerate(ops):
             new = [q for q in op.qubits if q not in axes]
@@ -348,26 +339,25 @@ class PTMExecutor:
                 tensor = join(tensor, new)
             positions = [axes.index(q) for q in op.qubits]
             if isinstance(op, PTMOp):
-                tensor = apply_superop(tensor, xp.asarray(op.matrix), positions, xp=xp)
+                tensor = apply_superop(tensor, op.matrix, positions)
                 axes[:] = list(op.qubits) + [q for q in axes if q not in op.qubits]
             else:
-                block = xp.asarray(op.block) if op.block is not None else None
                 tensor = apply_unitary_to_pauli_ensemble(
-                    tensor, xp.asarray(op.matrix), positions, xp=xp, block=block
+                    tensor, op.matrix, positions, block=op.block
                 )
             leaving = [q for q in op.qubits if last[q] == index and q not in keep]
             if leaving:
-                identity = xp.asarray(_outer_product([np.eye(2)] * len(leaving)))
+                identity = _outer_product([np.eye(2)] * len(leaving))
                 targets = _bit_axes([axes.index(q) for q in leaving])
-                tensor = xp.tensordot(tensor, identity, axes=(targets, list(range(identity.ndim))))
+                tensor = np.tensordot(tensor, identity, axes=(targets, list(range(identity.ndim))))
                 axes[:] = [q for q in axes if q not in leaving]
         missing = [q for q in keep if q not in axes]
         if missing:
             tensor = join(tensor, missing)
         order = [axes.index(q) for q in keep]
-        tensor = xp.transpose(tensor, [2 * p for p in order] + [2 * p + 1 for p in order])
+        tensor = np.transpose(tensor, [2 * p for p in order] + [2 * p + 1 for p in order])
         dim = 2 ** len(keep)
-        return to_host(xp.ascontiguousarray(tensor).reshape(dim, dim))
+        return np.ascontiguousarray(tensor).reshape(dim, dim)
 
     def qtda_distribution(
         self,
@@ -381,8 +371,8 @@ class PTMExecutor:
         """Readout distribution of the mixed-input QTDA circuit, exactly.
 
         Builds (or reuses) the fused program, evolves the
-        ``|0><0|^t (x) I/2^q`` input, and returns the host ``(2^t,)``
-        marginal over ``precision_qubits``.
+        ``|0><0|^t (x) I/2^q`` input, and returns the ``(2^t,)`` marginal
+        over ``precision_qubits``.
         """
         if program is None:
             program = self.program(circuit, noise_spec=noise_spec)

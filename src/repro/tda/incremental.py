@@ -15,7 +15,7 @@ scratch.  This module maintains both under *point enter/leave* instead:
   by entering ones — instead of re-enumerating, preserving the exact
   lexicographic row order of :func:`repro.tda.rips.flag_complex_arrays`.
 
-Index convention (the sliding-window case): leaving points always occupy the
+Index convention (the sliding-window case): leaving points always take the
 *lowest* indices ``0..leave-1`` and entering points are appended at the
 *highest* indices.  Surviving simplices then shift by ``-leave`` and stay
 lexicographically sorted; destroyed simplices are exactly those containing a

@@ -27,6 +27,7 @@ from repro.core.pipeline import PipelineConfig
 from repro.quantum.channels import NoiseSpec, QuantumChannel
 from repro.quantum.circuit import QuantumCircuit
 from repro.quantum.engine import EnsembleExecutor
+from repro.quantum.ptm import PTMExecutor
 
 
 def _roundtrip(obj):
@@ -70,6 +71,20 @@ def test_fused_gate_plan_pickles():
     for got, expected in zip(copy, plan):
         assert got.qubits == expected.qubits
         assert np.array_equal(got.matrix, expected.matrix)
+
+
+def test_executors_pickle_with_their_settings():
+    """Executors hold plain settings only, so worker processes can receive them."""
+    circuit = QuantumCircuit(2).h(0).cnot(0, 1)
+    for executor in (EnsembleExecutor(), EnsembleExecutor(fuse=False, memory_budget_bytes=4096)):
+        copy = _roundtrip(executor)
+        assert vars(copy) == vars(executor)
+        assert np.array_equal(
+            copy.basis_ensemble_distribution(circuit, [0, 1], range(4)),
+            executor.basis_ensemble_distribution(circuit, [0, 1], range(4)),
+        )
+    for executor in (PTMExecutor(), PTMExecutor(max_fuse_qubits=2)):
+        assert vars(_roundtrip(executor)) == vars(executor)
 
 
 @pytest.mark.parametrize(

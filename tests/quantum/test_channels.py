@@ -191,8 +191,3 @@ def test_channels_for_gate_zero_override_disables_the_class():
     spec = NoiseSpec(channel="depolarizing", strength=0.01, gate_strengths={"H": 0.0})
     circuit = QuantumCircuit(1).h(0)
     assert spec.channels_for_gate(circuit.gates[0]) == []
-
-
-def test_from_legacy_matches_the_old_pair():
-    assert NoiseSpec.from_legacy("bit-flip", 0.2) == NoiseSpec(channel="bit-flip", strength=0.2)
-    assert NoiseSpec.from_legacy(None, 0.0).is_noiseless

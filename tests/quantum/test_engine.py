@@ -15,15 +15,12 @@ from repro.quantum.engine import (
     DEFAULT_MEMORY_BUDGET_BYTES,
     EnsembleExecutor,
     apply_gate_to_ensemble,
-    array_module,
-    set_array_module,
-    to_host,
 )
 from repro.quantum.fusion import clear_fusion_cache, fuse_circuit, fusion_cache_info
 from repro.quantum.gates import is_unitary, matrix_power_unitary
 from repro.quantum.measurement import (
     born_probabilities,
-    ensemble_marginal_probabilities,
+    ensemble_member_marginal_probabilities,
     marginal_probabilities,
 )
 from repro.quantum.qpe import SpectralUnitary, phase_estimation_circuit
@@ -235,7 +232,7 @@ def test_ensemble_marginal_matches_per_member_average():
     weights = rng.random(batch)
     weights = weights / weights.sum()
     for qubits in ([0, 1], [3, 1], [2]):
-        batched = ensemble_marginal_probabilities(states, n, qubits, weights=weights)
+        batched = ensemble_member_marginal_probabilities(states, n, qubits) @ weights
         looped = sum(
             w * marginal_probabilities(born_probabilities(states[:, b]), n, qubits)
             for b, w in enumerate(weights)
@@ -303,24 +300,42 @@ def test_weighted_trajectory_run_is_reproducible_and_honours_weights():
 
 
 # ---------------------------------------------------------------------------
-# Array-module seam
+# Host independence
 # ---------------------------------------------------------------------------
 
 
-def test_array_module_seam_defaults_and_overrides():
-    xp = array_module()
-    assert hasattr(xp, "tensordot")  # numpy here; cupy when a GPU is present
+def _route_distributions():
+    """Readouts of the appendix example on the ensemble, trajectory and ptm routes."""
+    from repro.core.backends import EstimationProblem
+    from repro.core.backends.statevector import circuit_backend_result
+    from repro.core.config import QTDAConfig
+    from repro.experiments.worked_example import appendix_complex
+    from repro.tda.laplacian import combinatorial_laplacian
 
-    class FakeModule:
-        pass
+    problem = EstimationProblem(laplacian=combinatorial_laplacian(appendix_complex(), 1))
+    noisy = dict(noise_channel="depolarizing", noise_strength=0.03, n_trajectories=3, seed=5)
+    configs = {
+        "ensemble": QTDAConfig(precision_qubits=3, circuit_engine="ensemble"),
+        "trajectory": QTDAConfig(precision_qubits=3, circuit_engine="trajectory", **noisy),
+        "ptm": QTDAConfig(precision_qubits=3, circuit_engine="ptm", **noisy),
+    }
+    results = {
+        route: circuit_backend_result(problem, config, "exact") for route, config in configs.items()
+    }
+    assert {route: r.engine_route for route, r in results.items()} == {r: r for r in configs}
+    return {route: r.distribution for route, r in results.items()}
 
-    try:
-        set_array_module(FakeModule)
-        assert array_module() is FakeModule
-    finally:
-        set_array_module(None)
-    assert array_module() is xp
-    assert isinstance(to_host(np.arange(3)), np.ndarray)
+
+@pytest.mark.parametrize("value", ["cupy", "torch"])
+def test_host_environment_cannot_change_an_answer(monkeypatch, value):
+    """Every route runs on NumPy: an array-module request in the environment
+    is ignored, and each readout keeps its bytes."""
+    monkeypatch.delenv("REPRO_ARRAY_MODULE", raising=False)
+    expected = _route_distributions()
+    monkeypatch.setenv("REPRO_ARRAY_MODULE", value)
+    got = _route_distributions()
+    for route, distribution in expected.items():
+        assert np.array_equal(got[route], distribution), route
 
 
 # ---------------------------------------------------------------------------

@@ -363,9 +363,9 @@ def test_unmeasured_qubit_ending_in_amplitude_damping_is_exact(max_fuse_qubits, 
     calls = []
     original = ptm_module.apply_superop
 
-    def counting(tensor, superop, positions, xp=np):
+    def counting(tensor, superop, positions):
         calls.append(tuple(positions))
-        return original(tensor, superop, positions, xp=xp)
+        return original(tensor, superop, positions)
 
     monkeypatch.setattr(ptm_module, "apply_superop", counting)
     program = _assert_matches_oracle(circ, spec, [0, 1], states, max_fuse_qubits=max_fuse_qubits)
