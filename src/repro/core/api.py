@@ -37,7 +37,6 @@ import hashlib
 import json
 import threading
 import time
-from collections import OrderedDict
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Any, ClassVar, Dict, Iterable, Iterator, List, Mapping, Optional, Tuple, Union
@@ -54,6 +53,7 @@ from repro.tda.complexes import SimplicialComplex, check_closed
 from repro.tda.rips import RipsComplex
 from repro.tda.simplex import Simplex
 from repro.tda.takens import TakensEmbedding
+from repro.utils.cache import BoundedCache
 from repro.utils.validation import check_bool, check_integer
 
 #: Version of the request/result wire format.  Bump on any incompatible
@@ -1104,14 +1104,12 @@ class QTDAService:
             SpectrumCache(spectrum_cache_size) if spectrum_cache_size > 0 else None
         )
         self.result_cache_size = check_integer(result_cache_size, "result_cache_size", minimum=0)
-        self._results: "OrderedDict[str, EstimationResult]" = OrderedDict()
-        self._lock = threading.Lock()
+        self._results = BoundedCache(self.result_cache_size)
         self._sessions: Dict[str, _ObserveSession] = {}
         self._sessions_lock = threading.Lock()
         self._pool: Optional[ThreadPoolExecutor] = None
         self._pool_lock = threading.Lock()
         self._closed = False
-        self.result_cache_hits = 0
 
     # -- lifecycle ------------------------------------------------------------
     def close(self) -> None:
@@ -1138,23 +1136,13 @@ class QTDAService:
     @property
     def stats(self) -> Dict[str, Any]:
         """Counters of the shared caches (exact totals, unlike per-request deltas)."""
-        with self._lock:
-            cached = len(self._results)
-            result_hits = self.result_cache_hits
-        spectrum = (
-            {
-                "hits": self.spectrum_cache.hits,
-                "misses": self.spectrum_cache.misses,
-                "entries": len(self.spectrum_cache),
-            }
-            if self.spectrum_cache is not None
-            else None
-        )
+        results = self._results.info()
+        spectrum = self.spectrum_cache.info() if self.spectrum_cache is not None else None
         with self._sessions_lock:
             sessions = len(self._sessions)
         return {
-            "result_cache_entries": cached,
-            "result_cache_hits": result_hits,
+            "result_cache_entries": results["entries"],
+            "result_cache_hits": results["hits"],
             "spectrum_cache": spectrum,
             "open_sessions": sessions,
         }
@@ -1165,30 +1153,20 @@ class QTDAService:
         Unlike per-request :class:`Provenance` deltas these are service-lifetime
         totals; ``spectrum_hit_rate`` is ``None`` until the first lookup.
         """
-        with self._lock:
-            entries = len(self._results)
-            result_hits = self.result_cache_hits
-        if self.spectrum_cache is not None:
-            hits = self.spectrum_cache.hits
-            misses = self.spectrum_cache.misses
-            total = hits + misses
-            spectrum = {
-                "spectrum_hits": hits,
-                "spectrum_misses": misses,
-                "spectrum_entries": len(self.spectrum_cache),
-                "spectrum_hit_rate": (hits / total) if total else None,
-            }
-        else:
-            spectrum = {
-                "spectrum_hits": 0,
-                "spectrum_misses": 0,
-                "spectrum_entries": 0,
-                "spectrum_hit_rate": None,
-            }
+        results = self._results.info()
+        spectrum = (
+            self.spectrum_cache.info()
+            if self.spectrum_cache is not None
+            else {"hits": 0, "misses": 0, "entries": 0}
+        )
+        total = spectrum["hits"] + spectrum["misses"]
         return {
-            "result_cache_entries": entries,
-            "result_cache_hits": result_hits,
-            **spectrum,
+            "result_cache_entries": results["entries"],
+            "result_cache_hits": results["hits"],
+            "spectrum_hits": spectrum["hits"],
+            "spectrum_misses": spectrum["misses"],
+            "spectrum_entries": spectrum["entries"],
+            "spectrum_hit_rate": (spectrum["hits"] / total) if total else None,
         }
 
     # -- public API -----------------------------------------------------------
@@ -1381,12 +1359,9 @@ class QTDAService:
             return None
 
     def _cached_result(self, fingerprint: str) -> Optional[EstimationResult]:
-        with self._lock:
-            cached = self._results.get(fingerprint)
-            if cached is None:
-                return None
-            self._results.move_to_end(fingerprint)
-            self.result_cache_hits += 1
+        cached = self._results.get(fingerprint)
+        if cached is None:
+            return None
         # Deep-copied payload: callers may mutate returned feature arrays
         # in place (feature scaling etc.) without corrupting the cache.
         return replace(
@@ -1398,12 +1373,7 @@ class QTDAService:
     def _store_result(self, fingerprint: str, result: EstimationResult) -> None:
         # Store a private deep copy — the first caller's returned payload
         # must not alias the cache entry either.
-        entry = replace(result, payload=copy.deepcopy(result.payload))
-        with self._lock:
-            self._results[fingerprint] = entry
-            self._results.move_to_end(fingerprint)
-            while len(self._results) > self.result_cache_size:
-                self._results.popitem(last=False)
+        self._results.put(fingerprint, replace(result, payload=copy.deepcopy(result.payload)))
 
     def _engine(self, request: "PipelineRequest | SweepRequest") -> BatchFeatureEngine:
         return BatchFeatureEngine(

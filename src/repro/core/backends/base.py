@@ -151,10 +151,9 @@ class BettiBackend(Protocol):
     finite-shot behaviour is identical across backends.
 
     Beyond the members below, a backend must declare the operator formats it
-    accepts: either ``supported_formats`` (a preference-ordered tuple drawn
-    from :data:`~repro.core.operators.OPERATOR_FORMATS`) or the legacy
-    boolean ``prefers_sparse`` — :func:`register_backend` enforces that one
-    of the two is present and :func:`backend_formats` normalises them.  An
+    accepts as ``supported_formats`` (a preference-ordered tuple drawn from
+    :data:`~repro.core.operators.OPERATOR_FORMATS`) — :func:`register_backend`
+    enforces that it is present and valid.  An
     optional ``supports_noise`` flag advertises whether the backend honours
     ``QTDAConfig``'s noise fields (default: no).
     """
@@ -176,26 +175,18 @@ class BettiBackend(Protocol):
 def backend_formats(backend: "BettiBackend") -> Tuple[str, ...]:
     """Operator formats ``backend`` accepts, most-preferred first.
 
-    Backends may declare ``supported_formats`` explicitly (a tuple drawn from
+    Backends declare ``supported_formats`` (a tuple drawn from
     :data:`~repro.core.operators.OPERATOR_FORMATS`, e.g. ``("matrix-free",
-    "sparse", "dense")`` for the stochastic-trace backend).  Backends that
-    only declare the legacy ``prefers_sparse`` flag are normalised to
-    ``("sparse", "dense")`` or ``("dense",)`` — exactly the formats the
-    pre-operator estimator would have handed them.
+    "sparse", "dense")`` for the stochastic-trace backend).
     """
-    declared = getattr(backend, "supported_formats", None)
-    if declared:
-        formats = tuple(declared)
-        unknown = [f for f in formats if f not in OPERATOR_FORMATS]
-        if unknown:
-            raise ValueError(
-                f"backend {getattr(backend, 'name', backend)!r} declares unknown "
-                f"operator formats {unknown}; valid formats: {OPERATOR_FORMATS}"
-            )
-        return formats
-    if getattr(backend, "prefers_sparse", False):
-        return (SPARSE, DENSE)
-    return (DENSE,)
+    formats = tuple(backend.supported_formats)
+    unknown = [f for f in formats if f not in OPERATOR_FORMATS]
+    if unknown:
+        raise ValueError(
+            f"backend {getattr(backend, 'name', backend)!r} declares unknown "
+            f"operator formats {unknown}; valid formats: {OPERATOR_FORMATS}"
+        )
+    return formats
 
 
 def preferred_format(backend: "BettiBackend") -> str:
@@ -264,15 +255,11 @@ def register_backend(name: str, backend: BettiBackend) -> None:
         raise TypeError(f"backend {name!r} does not implement BettiBackend.run")
     if not hasattr(backend, "description"):
         raise TypeError(f"backend {name!r} is missing the 'description' attribute")
-    if not hasattr(backend, "prefers_sparse") and not getattr(backend, "supported_formats", None):
+    if not getattr(backend, "supported_formats", None):
         # Producers negotiate formats on every estimate (backend_formats /
-        # preferred_format); a backend declaring neither the new
-        # supported_formats tuple nor the legacy prefers_sparse flag would
-        # fail far from here, mid-estimate.
-        raise TypeError(
-            f"backend {name!r} must declare supported_formats (or the legacy "
-            "prefers_sparse flag)"
-        )
+        # preferred_format); a backend without supported_formats would fail
+        # far from here, mid-estimate.
+        raise TypeError(f"backend {name!r} must declare supported_formats")
     backend_formats(backend)  # validates any declared format names eagerly
     _REGISTRY[name] = backend
 

@@ -23,7 +23,6 @@ class ExactBackend:
 
     name = "exact"
     description = "analytical QPE readout from the padded spectrum (dense |S_k| eigendecomposition)"
-    prefers_sparse = False
     supported_formats = ("dense", "sparse", "matrix-free")
     supports_noise = False
 

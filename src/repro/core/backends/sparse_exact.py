@@ -70,7 +70,6 @@ class SparseExactBackend:
 
     name = "sparse-exact"
     description = "shift-invert partial spectrum on the sparse |S_k| Laplacian (dense fallback below threshold)"
-    prefers_sparse = True
     supported_formats = ("sparse", "dense")
     supports_noise = False
 

@@ -251,7 +251,6 @@ class StatevectorBackend:
 
     name = "statevector"
     description = "explicit Fig. 6 circuit with exact controlled powers of U (ensemble, ptm or trajectory route)"
-    prefers_sparse = False
     supported_formats = ("dense",)
     supports_noise = True
 

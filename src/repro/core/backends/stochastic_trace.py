@@ -70,7 +70,6 @@ class StochasticTraceBackend:
 
     name = "stochastic-trace"
     description = "Hutchinson/SLQ trace estimate of the QPE readout (matvec-only, reports error bars)"
-    prefers_sparse = True
     supported_formats = ("matrix-free", "sparse", "dense")
     supports_noise = False
 

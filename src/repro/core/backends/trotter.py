@@ -19,7 +19,6 @@ class TrotterBackend:
 
     name = "trotter"
     description = "Fig. 6 circuit with U synthesised from the Pauli decomposition (Fig. 7 product formula)"
-    prefers_sparse = False
     supported_formats = ("dense",)
     supports_noise = True
 

@@ -14,8 +14,6 @@ phase readout counts the kernel.
 from __future__ import annotations
 
 import hashlib
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -28,6 +26,7 @@ from repro.core.padding import PaddedLaplacian, pad_laplacian
 from repro.paulis.decompose import pauli_decompose
 from repro.paulis.gershgorin import gershgorin_bound
 from repro.paulis.pauli_sum import PauliSum
+from repro.utils.cache import BoundedCache
 from repro.utils.validation import check_symmetric
 
 
@@ -157,7 +156,7 @@ def laplacian_spectrum_info(laplacian) -> Tuple[np.ndarray, float]:
     return np.linalg.eigvalsh(lap), gershgorin_bound(lap)
 
 
-class SpectrumCache:
+class SpectrumCache(BoundedCache):
     """Thread-safe LRU cache of Laplacian spectra, keyed by operator fingerprint.
 
     The estimator's ``exact`` backend needs only the eigenvalues of the small
@@ -166,7 +165,8 @@ class SpectrumCache:
     coincide, and across repeated windows — so caching the eigendecomposition
     removes the dominant per-estimate cost.  Cached values are exactly what
     :func:`laplacian_spectrum_info` would recompute, so cache hits are
-    bit-identical to cache misses.
+    bit-identical to cache misses.  The eigenvalue arrays are shared by every
+    lookup, so they are stored read-only.
 
     Keys are :meth:`~repro.core.operators.LaplacianOperator.fingerprint`
     content hashes, so sparse (and tagged matrix-free) operators are keyed
@@ -176,14 +176,7 @@ class SpectrumCache:
     """
 
     def __init__(self, maxsize: int = 1024):
-        self.maxsize = int(maxsize)
-        self._store: "OrderedDict[bytes, Tuple[np.ndarray, float]]" = OrderedDict()
-        self._lock = threading.Lock()
-        self.hits = 0
-        self.misses = 0
-
-    def __len__(self) -> int:
-        return len(self._store)
+        super().__init__(maxsize)
 
     def spectrum(self, laplacian) -> Tuple[np.ndarray, float]:
         """(eigenvalues, Gershgorin ``λ̃_max``) of the unpadded Laplacian, cached."""
@@ -195,20 +188,12 @@ class SpectrumCache:
             # Unfingerprintable (untagged matrix-free) operator: computing a
             # content key would require densifying, defeating the cache.
             return laplacian_spectrum_info(operator)
-        with self._lock:
-            cached = self._store.get(key)
-            if cached is not None:
-                self._store.move_to_end(key)
-                self.hits += 1
-                return cached
-        value = laplacian_spectrum_info(operator)
-        with self._lock:
-            self.misses += 1
-            self._store[key] = value
-            self._store.move_to_end(key)
-            while len(self._store) > self.maxsize:
-                self._store.popitem(last=False)
-        return value
+        cached = self.get(key)
+        if cached is not None:
+            return cached
+        eigenvalues, lam = laplacian_spectrum_info(operator)
+        eigenvalues.setflags(write=False)
+        return self.put(key, (eigenvalues, lam))
 
 
 @dataclass(frozen=True)

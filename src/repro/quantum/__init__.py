@@ -12,6 +12,10 @@ scratch on NumPy:
 * a batched ("ensemble") execution engine that evolves many pure states as
   one ``(2^n, B)`` array, plus a gate-fusion pass cached per circuit fingerprint
   (:mod:`repro.quantum.engine`, :mod:`repro.quantum.fusion`);
+* the exact noisy ``ptm`` route: circuit + noise fused into Liouville
+  superoperators (:mod:`repro.quantum.ptm`).  Its fused programs and
+  channel superoperators, like the fused gate plans, are held in
+  :class:`~repro.utils.cache.BoundedCache` instances;
 * measurement / shot sampling (:mod:`repro.quantum.measurement`);
 * the quantum Fourier transform and quantum phase estimation circuit
   builders (:mod:`repro.quantum.qft`, :mod:`repro.quantum.qpe`);

@@ -21,15 +21,14 @@ batch and every shot-count/precision sweep that revisits a Laplacian, and
 the fingerprint (:meth:`~repro.quantum.circuit.QuantumCircuit.fingerprint`)
 lets all of them share one fusion pass.  (Distinct ε values produce distinct
 Hamiltonians, hence distinct fingerprints — those pay for their own pass.)
-The cache is bounded by *bytes* (a plan retains its gate matrices, including
-the wide controlled powers that pass through unfused, and can pin them long
-after the circuit itself is garbage), with an entry-count backstop.
+The cache (a :class:`~repro.utils.cache.BoundedCache`) is bounded by
+*bytes* (a plan retains its gate matrices, including the wide controlled
+powers that pass through unfused, and can pin them long after the circuit
+itself is garbage), with an entry-count backstop.
 """
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -37,6 +36,7 @@ import numpy as np
 from repro.quantum.channels import NoiseSpec
 from repro.quantum.circuit import QuantumCircuit
 from repro.quantum.operations import Gate
+from repro.utils.cache import BoundedCache
 
 #: Byte budget for retained plans (gate matrices dominate; wide pass-through
 #: controlled powers are counted too — at q system qubits each is a
@@ -49,12 +49,8 @@ FUSION_CACHE_MAX_BYTES = 16 * 1024 * 1024
 #: Entry-count backstop on top of the byte budget.
 FUSION_CACHE_MAXSIZE = 128
 
-_CACHE: "OrderedDict[Tuple[str, int], Tuple[Gate, ...]]" = OrderedDict()
-_CACHE_BYTES: Dict[Tuple[str, int], int] = {}
-_CACHE_LOCK = threading.Lock()
-_CACHE_HITS = 0
-_CACHE_MISSES = 0
-_CACHE_TOTAL_BYTES = 0
+#: Fused plans per ``(circuit fingerprint, window)``.
+_PLAN_CACHE = BoundedCache(FUSION_CACHE_MAXSIZE, max_bytes=FUSION_CACHE_MAX_BYTES)
 
 
 def _plan_bytes(plan: Tuple[Gate, ...]) -> int:
@@ -64,24 +60,12 @@ def _plan_bytes(plan: Tuple[Gate, ...]) -> int:
 
 def fusion_cache_info() -> Dict[str, int]:
     """Hit/miss/size counters of the fused-plan cache."""
-    with _CACHE_LOCK:
-        return {
-            "hits": _CACHE_HITS,
-            "misses": _CACHE_MISSES,
-            "entries": len(_CACHE),
-            "bytes": _CACHE_TOTAL_BYTES,
-        }
+    return _PLAN_CACHE.info()
 
 
 def clear_fusion_cache() -> None:
     """Drop every cached fused plan and reset the counters (tests)."""
-    global _CACHE_HITS, _CACHE_MISSES, _CACHE_TOTAL_BYTES
-    with _CACHE_LOCK:
-        _CACHE.clear()
-        _CACHE_BYTES.clear()
-        _CACHE_HITS = 0
-        _CACHE_MISSES = 0
-        _CACHE_TOTAL_BYTES = 0
+    _PLAN_CACHE.clear()
 
 
 def _embed_matrix(matrix: np.ndarray, qubits: Tuple[int, ...], support: Tuple[int, ...]) -> np.ndarray:
@@ -127,13 +111,9 @@ def fuse_circuit(circuit: QuantumCircuit, max_fuse_qubits: int = 3) -> Tuple[Gat
     if max_fuse_qubits < 1:
         raise ValueError(f"max_fuse_qubits must be >= 1, got {max_fuse_qubits}")
     key = (circuit.fingerprint(), int(max_fuse_qubits))
-    global _CACHE_HITS, _CACHE_MISSES
-    with _CACHE_LOCK:
-        cached = _CACHE.get(key)
-        if cached is not None:
-            _CACHE.move_to_end(key)
-            _CACHE_HITS += 1
-            return cached
+    cached = _PLAN_CACHE.get(key)
+    if cached is not None:
+        return cached
 
     fused: List[Gate] = []
     support: Optional[Tuple[int, ...]] = None
@@ -178,25 +158,7 @@ def fuse_circuit(circuit: QuantumCircuit, max_fuse_qubits: int = 3) -> Tuple[Gat
     flush()
 
     plan = tuple(fused)
-    plan_bytes = _plan_bytes(plan)
-    global _CACHE_TOTAL_BYTES
-    with _CACHE_LOCK:
-        _CACHE_MISSES += 1
-        # Two threads can miss the same key concurrently (the lock is
-        # released while the plan is computed); only the first insert may
-        # account bytes, or eviction could never reclaim the double-count.
-        if plan_bytes <= FUSION_CACHE_MAX_BYTES and key not in _CACHE:
-            _CACHE[key] = plan
-            _CACHE_BYTES[key] = plan_bytes
-            _CACHE_TOTAL_BYTES += plan_bytes
-            _CACHE.move_to_end(key)
-            while len(_CACHE) > FUSION_CACHE_MAXSIZE or _CACHE_TOTAL_BYTES > FUSION_CACHE_MAX_BYTES:
-                evicted, _ = _CACHE.popitem(last=False)
-                _CACHE_TOTAL_BYTES -= _CACHE_BYTES.pop(evicted)
-        # Plans larger than the whole budget are returned uncached: callers
-        # still get the fusion win for the current run without the cache
-        # pinning a giant matrix set.
-    return plan
+    return _PLAN_CACHE.put(key, plan, _plan_bytes(plan))
 
 
 # --- PTM-program fusion (the noisy twin of fuse_circuit) --------------------
@@ -217,34 +179,18 @@ PTM_CACHE_MAX_BYTES = 256 * 1024 * 1024
 
 PTM_CACHE_MAXSIZE = 64
 
-_PTM_CACHE: "OrderedDict[Tuple[str, str, int], object]" = OrderedDict()
-_PTM_CACHE_BYTES: Dict[Tuple[str, str, int], int] = {}
-_PTM_CACHE_LOCK = threading.Lock()
-_PTM_CACHE_HITS = 0
-_PTM_CACHE_MISSES = 0
-_PTM_CACHE_TOTAL_BYTES = 0
+#: Fused PTM programs per ``(circuit fingerprint, gate-noise key, window)``.
+_PTM_CACHE = BoundedCache(PTM_CACHE_MAXSIZE, max_bytes=PTM_CACHE_MAX_BYTES)
 
 
 def ptm_cache_info() -> Dict[str, int]:
     """Hit/miss/size counters of the fused PTM-program cache."""
-    with _PTM_CACHE_LOCK:
-        return {
-            "hits": _PTM_CACHE_HITS,
-            "misses": _PTM_CACHE_MISSES,
-            "entries": len(_PTM_CACHE),
-            "bytes": _PTM_CACHE_TOTAL_BYTES,
-        }
+    return _PTM_CACHE.info()
 
 
 def clear_ptm_cache() -> None:
     """Drop every cached PTM program and reset the counters (tests)."""
-    global _PTM_CACHE_HITS, _PTM_CACHE_MISSES, _PTM_CACHE_TOTAL_BYTES
-    with _PTM_CACHE_LOCK:
-        _PTM_CACHE.clear()
-        _PTM_CACHE_BYTES.clear()
-        _PTM_CACHE_HITS = 0
-        _PTM_CACHE_MISSES = 0
-        _PTM_CACHE_TOTAL_BYTES = 0
+    _PTM_CACHE.clear()
 
 
 def _noise_spec_key(noise_spec: Optional[NoiseSpec]) -> str:
@@ -325,13 +271,9 @@ def fuse_ptm_program(
     if max_fuse_qubits < 1:
         raise ValueError(f"max_fuse_qubits must be >= 1, got {max_fuse_qubits}")
     key = (circuit.fingerprint(), _noise_spec_key(noise_spec), int(max_fuse_qubits))
-    global _PTM_CACHE_HITS, _PTM_CACHE_MISSES
-    with _PTM_CACHE_LOCK:
-        cached = _PTM_CACHE.get(key)
-        if cached is not None:
-            _PTM_CACHE.move_to_end(key)
-            _PTM_CACHE_HITS += 1
-            return cached
+    cached = _PTM_CACHE.get(key)
+    if cached is not None:
+        return cached
 
     ops: List[object] = []
     support: Optional[Tuple[int, ...]] = None
@@ -392,21 +334,4 @@ def fuse_ptm_program(
     program = PTMProgram(
         num_qubits=circuit.num_qubits, ops=tuple(ops), source_ops=source_ops
     )
-    program_bytes = program.nbytes()
-    global _PTM_CACHE_TOTAL_BYTES
-    with _PTM_CACHE_LOCK:
-        _PTM_CACHE_MISSES += 1
-        # Same double-miss guard as the gate-fusion cache: only the first
-        # concurrent insert may account bytes.
-        if program_bytes <= PTM_CACHE_MAX_BYTES and key not in _PTM_CACHE:
-            _PTM_CACHE[key] = program
-            _PTM_CACHE_BYTES[key] = program_bytes
-            _PTM_CACHE_TOTAL_BYTES += program_bytes
-            _PTM_CACHE.move_to_end(key)
-            while (
-                len(_PTM_CACHE) > PTM_CACHE_MAXSIZE
-                or _PTM_CACHE_TOTAL_BYTES > PTM_CACHE_MAX_BYTES
-            ):
-                evicted, _ = _PTM_CACHE.popitem(last=False)
-                _PTM_CACHE_TOTAL_BYTES -= _PTM_CACHE_BYTES.pop(evicted)
-    return program
+    return _PTM_CACHE.put(key, program, program.nbytes())

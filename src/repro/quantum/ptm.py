@@ -38,8 +38,6 @@ tests.
 from __future__ import annotations
 
 import hashlib
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple, Union
 
@@ -47,6 +45,7 @@ import numpy as np
 
 from repro.quantum.channels import QuantumChannel
 from repro.quantum.engine import DEFAULT_MAX_FUSE_QUBITS
+from repro.utils.cache import BoundedCache
 
 
 def superop_from_kraus(kraus_ops: Sequence[np.ndarray]) -> np.ndarray:
@@ -85,11 +84,7 @@ def gate_superop(matrix: np.ndarray) -> np.ndarray:
 # superoperator by the channel's *content* lets every circuit sharing a
 # channel (and every repeat of a sweep point) reuse one 4^k x 4^k build.
 
-_PTM_MEMO_MAXSIZE = 256
-_PTM_MEMO: "OrderedDict[str, np.ndarray]" = OrderedDict()
-_PTM_MEMO_LOCK = threading.Lock()
-_PTM_MEMO_HITS = 0
-_PTM_MEMO_MISSES = 0
+_PTM_MEMO = BoundedCache(maxsize=256)
 
 
 def channel_content_key(channel: QuantumChannel) -> str:
@@ -104,44 +99,23 @@ def channel_content_key(channel: QuantumChannel) -> str:
 
 def channel_superop(channel: QuantumChannel) -> np.ndarray:
     """The channel's superoperator, memoised per channel content (read-only)."""
-    global _PTM_MEMO_HITS, _PTM_MEMO_MISSES
     key = channel_content_key(channel)
-    with _PTM_MEMO_LOCK:
-        cached = _PTM_MEMO.get(key)
-        if cached is not None:
-            _PTM_MEMO.move_to_end(key)
-            _PTM_MEMO_HITS += 1
-            return cached
+    cached = _PTM_MEMO.get(key)
+    if cached is not None:
+        return cached
     superop = superop_from_kraus(channel.kraus_ops)
     superop.setflags(write=False)
-    with _PTM_MEMO_LOCK:
-        _PTM_MEMO_MISSES += 1
-        if key not in _PTM_MEMO:
-            _PTM_MEMO[key] = superop
-            while len(_PTM_MEMO) > _PTM_MEMO_MAXSIZE:
-                _PTM_MEMO.popitem(last=False)
-        else:
-            superop = _PTM_MEMO[key]
-    return superop
+    return _PTM_MEMO.put(key, superop)
 
 
 def ptm_memo_info() -> Dict[str, int]:
     """Hit/miss/size counters of the per-channel superoperator memo."""
-    with _PTM_MEMO_LOCK:
-        return {
-            "hits": _PTM_MEMO_HITS,
-            "misses": _PTM_MEMO_MISSES,
-            "entries": len(_PTM_MEMO),
-        }
+    return _PTM_MEMO.info()
 
 
 def clear_ptm_memo() -> None:
     """Drop the channel-superoperator memo and reset its counters (tests)."""
-    global _PTM_MEMO_HITS, _PTM_MEMO_MISSES
-    with _PTM_MEMO_LOCK:
-        _PTM_MEMO.clear()
-        _PTM_MEMO_HITS = 0
-        _PTM_MEMO_MISSES = 0
+    _PTM_MEMO.clear()
 
 
 # --- kernels on the Liouville tensor ----------------------------------------

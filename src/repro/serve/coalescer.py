@@ -80,8 +80,7 @@ class RequestCoalescer:
     feeds the ``coalescer`` block of ``/v1/stats``.
     """
 
-    def __init__(self, group_geometry: bool = True):
-        self.group_geometry = bool(group_geometry)
+    def __init__(self) -> None:
         self._lock = threading.Lock()
         self._in_flight: Dict[str, _InFlight] = {}
         self._geometry: Dict[str, _GeometryGate] = {}
@@ -105,7 +104,7 @@ class RequestCoalescer:
 
     # -- geometry grouping -----------------------------------------------------
     def _geometry_key(self, request: Request) -> Optional[str]:
-        if not self.group_geometry or not isinstance(request, EstimationRequest):
+        if not isinstance(request, EstimationRequest):
             return None
         try:
             return request.geometry_fingerprint()
@@ -203,6 +202,5 @@ class RequestCoalescer:
                 "leaders": self._leaders,
                 "uncoalescable": self._uncoalescable,
                 "in_flight": len(self._in_flight),
-                "geometry_grouping": self.group_geometry,
                 "geometry_serialised": self._geometry_serialised,
             }

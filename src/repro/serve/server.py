@@ -123,7 +123,6 @@ class ServeConfig:
     quota_rate: Optional[float] = None
     quota_burst: Optional[float] = None
     coalesce: bool = True
-    group_geometry: bool = True
     max_workers: Optional[int] = None
     result_cache_size: int = 256
     spectrum_cache_size: int = 1024
@@ -289,7 +288,7 @@ class QTDAServer:
         )
         self.metrics = MetricsRegistry()
         self.coalescer: Optional[RequestCoalescer] = (
-            RequestCoalescer(group_geometry=self.config.group_geometry)
+            RequestCoalescer()
             if self.config.coalesce
             else None
         )

@@ -32,7 +32,7 @@ class _ConstantBackend:
 
     name = "test-constant"
     description = "returns a fixed distribution"
-    prefers_sparse = False
+    supported_formats = ("dense",)
 
     def run(self, problem, config, rng):
         distribution = np.zeros(2**config.precision_qubits)
@@ -78,8 +78,8 @@ def test_register_rejects_objects_without_run():
 
 
 def test_register_rejects_incomplete_protocol():
-    """A backend declaring neither supported_formats nor the legacy
-    prefers_sparse flag must fail at registration, not mid-estimate."""
+    """A backend without supported_formats must fail at registration, not
+    mid-estimate."""
 
     class _NoFormatDeclaration:
         description = "missing any format declaration"
@@ -87,7 +87,7 @@ def test_register_rejects_incomplete_protocol():
         def run(self, problem, config, rng):  # pragma: no cover - never called
             raise NotImplementedError
 
-    with pytest.raises(TypeError, match="prefers_sparse"):
+    with pytest.raises(TypeError, match="supported_formats"):
         register_backend("broken", _NoFormatDeclaration())
 
 
@@ -96,7 +96,7 @@ def test_register_accepts_supported_formats_without_legacy_flag(hollow_triangle)
 
     class _FormatsOnly:
         name = "test-formats-only"
-        description = "declares supported_formats, no prefers_sparse"
+        description = "declares supported_formats only"
         supported_formats = ("dense",)
 
         def run(self, problem, config, rng):
@@ -179,21 +179,6 @@ def test_temporary_backend_rejects_duplicate_names():
 
 # -- format negotiation ----------------------------------------------------------
 
-def test_backend_formats_normalises_legacy_prefers_sparse():
-    """A pre-operator backend declaring only prefers_sparse still negotiates."""
-
-    class _LegacySparse(_ConstantBackend):
-        prefers_sparse = True
-
-    class _LegacyDense(_ConstantBackend):
-        prefers_sparse = False
-
-    assert backend_formats(_LegacySparse()) == ("sparse", "dense")
-    assert backend_formats(_LegacyDense()) == ("dense",)
-    assert preferred_format(_LegacySparse()) == "sparse"
-    assert preferred_format(_LegacyDense()) == "dense"
-
-
 def test_backend_formats_of_builtins():
     assert backend_formats(get_backend("exact"))[0] == "dense"
     assert preferred_format(get_backend("exact")) == "dense"
@@ -217,7 +202,7 @@ def test_backend_supports_noise_flags():
     assert not backend_supports_noise(get_backend("exact"))
     assert not backend_supports_noise(get_backend("sparse-exact"))
     assert not backend_supports_noise(get_backend("stochastic-trace"))
-    # Pre-operator backends without the attribute default to "no noise".
+    # Backends without the attribute default to "no noise".
     assert not backend_supports_noise(_ConstantBackend())
 
 
@@ -242,4 +227,4 @@ def test_estimation_problem_views(appendix_k):
 def test_estimator_exposes_resolved_backend():
     estimator = QTDABettiEstimator(backend="sparse-exact")
     assert estimator.backend.name == "sparse-exact"
-    assert estimator.backend.prefers_sparse
+    assert preferred_format(estimator.backend) == "sparse"

@@ -219,6 +219,16 @@ def test_spectrum_cache_bypasses_unfingerprintable_operators():
     assert cache.hits == 1 and cache.misses == 1
 
 
+def test_cached_spectrum_cannot_be_corrupted_in_place():
+    """Every lookup shares the cached eigenvalue array, so it is read-only."""
+    path_laplacian = np.array([[1.0, -1.0], [-1.0, 1.0]])
+    cache = SpectrumCache(maxsize=4)
+    original = padded_spectrum(path_laplacian, cache=cache).eigenvalues.copy()
+    with pytest.raises(ValueError, match="read-only"):
+        padded_spectrum(path_laplacian, cache=cache).eigenvalues[:] = 7.0
+    assert np.array_equal(padded_spectrum(path_laplacian, cache=cache).eigenvalues, original)
+
+
 def test_spectrum_cache_lru_eviction():
     cache = SpectrumCache(maxsize=2)
     matrices = [np.diag([float(i), float(i + 1)]) for i in range(3)]

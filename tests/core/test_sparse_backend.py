@@ -103,7 +103,7 @@ def test_sparse_backend_rejects_asymmetric_matrices():
 
 
 def test_estimate_hands_sparse_laplacian_to_the_backend(appendix_k):
-    """``estimate`` consults ``prefers_sparse`` when building the Laplacian."""
+    """``estimate`` consults ``supported_formats`` when building the Laplacian."""
     estimator = QTDABettiEstimator(precision_qubits=4, shots=None, delta=6.0, backend="sparse-exact")
     exact = QTDABettiEstimator(precision_qubits=4, shots=None, delta=6.0, backend="exact")
     a = estimator.estimate(appendix_k, 1)

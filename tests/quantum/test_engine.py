@@ -16,7 +16,14 @@ from repro.quantum.engine import (
     EnsembleExecutor,
     apply_gate_to_ensemble,
 )
-from repro.quantum.fusion import clear_fusion_cache, fuse_circuit, fusion_cache_info
+import repro.quantum.fusion as fusion
+from repro.quantum.fusion import (
+    clear_fusion_cache,
+    fuse_circuit,
+    fuse_ptm_program,
+    fusion_cache_info,
+    ptm_cache_info,
+)
 from repro.quantum.gates import is_unitary, matrix_power_unitary
 from repro.quantum.measurement import (
     born_probabilities,
@@ -165,32 +172,43 @@ def test_fusion_cache_is_keyed_by_circuit_fingerprint():
     assert fusion_cache_info() == {"hits": 0, "misses": 0, "entries": 0, "bytes": 0}
 
 
-def test_fusion_cache_byte_budget_evicts_and_skips_oversize(monkeypatch):
-    import repro.quantum.fusion as fusion
+def _fuse_plan(circuit):
+    return fuse_circuit(circuit, 2)
 
-    clear_fusion_cache()
-    rng = np.random.default_rng(14)
+
+def _fuse_noisy_program(circuit):
+    return fuse_ptm_program(circuit, NoiseSpec(channel="depolarizing", strength=0.01), 2)
+
+
+@pytest.mark.parametrize(
+    "fuse, cache, size_of, info",
+    [
+        (_fuse_plan, fusion._PLAN_CACHE, fusion._plan_bytes, fusion_cache_info),
+        (_fuse_noisy_program, fusion._PTM_CACHE, lambda program: program.nbytes(), ptm_cache_info),
+    ],
+    ids=["plan", "ptm"],
+)
+def test_fusion_cache_byte_budget_evicts_and_skips_oversize(monkeypatch, fuse, cache, size_of, info):
+    cache.clear()
     circuits = [_random_circuit(np.random.default_rng(s), 3, num_gates=6) for s in range(3)]
-    plan_sizes = [fusion._plan_bytes(fuse_circuit(c, 2)) for c in circuits]
-    clear_fusion_cache()
-    # Budget holds roughly one plan: inserting three must evict, never grow
-    # past the budget, and an oversize plan must not be cached at all.
-    monkeypatch.setattr(fusion, "FUSION_CACHE_MAX_BYTES", max(plan_sizes) + 1)
+    sizes = [size_of(fuse(c)) for c in circuits]
+    cache.clear()
+    # Budget holds roughly one entry: inserting three must evict, never grow
+    # past the budget, and an oversize entry must not be cached at all.
+    monkeypatch.setattr(cache, "max_bytes", max(sizes) + 1)
     for c in circuits:
-        fuse_circuit(c, 2)
-        assert fusion_cache_info()["bytes"] <= max(plan_sizes) + 1
-    assert fusion_cache_info()["entries"] < 3
-    monkeypatch.setattr(fusion, "FUSION_CACHE_MAX_BYTES", 1)
-    clear_fusion_cache()
-    plan = fuse_circuit(circuits[0], 2)
-    assert len(plan) > 0  # caller still gets the plan
-    assert fusion_cache_info()["entries"] == 0  # but nothing was pinned
+        fuse(c)
+        assert info()["bytes"] <= max(sizes) + 1
+    assert info()["entries"] < 3
+    monkeypatch.setattr(cache, "max_bytes", 1)
+    cache.clear()
+    assert size_of(fuse(circuits[0])) > 1  # caller still gets the result
+    assert info()["entries"] == 0  # but nothing was pinned
 
 
 def test_paper_scale_qtda_plan_is_cached_under_the_budget():
     """A q=6, t=4 QTDA circuit (the ensemble route's circuit) fits the byte
     budget, so a warm run at that size re-plans nothing."""
-    import repro.quantum.fusion as fusion
     from repro.core.hamiltonian import build_hamiltonian
     from repro.core.qtda_circuit import qtda_circuit
 

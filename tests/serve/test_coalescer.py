@@ -230,7 +230,7 @@ class TestGeometryGrouping:
         """Two concurrent leaders sharing geometry run one at a time, so the
         second hits the spectrum cache the first populated."""
         with QTDAService(result_cache_size=0) as service:
-            coalescer = RequestCoalescer(group_geometry=True)
+            coalescer = RequestCoalescer()
             requests = [
                 seeded_request(config={"shots": 100, "seed": 1}),
                 seeded_request(config={"shots": 200, "seed": 2}),
@@ -253,21 +253,15 @@ class TestGeometryGrouping:
             assert stats["spectrum_cache"]["hits"] >= 1
 
     def test_geometry_map_is_cleaned_up(self, service):
-        coalescer = RequestCoalescer(group_geometry=True)
+        coalescer = RequestCoalescer()
         coalescer.execute(seeded_request(), service.run)
         assert coalescer._geometry == {}
-
-    def test_grouping_can_be_disabled(self, service):
-        coalescer = RequestCoalescer(group_geometry=False)
-        _, coalesced = coalescer.execute(seeded_request(), service.run)
-        assert not coalesced
-        assert coalescer.stats()["geometry_grouping"] is False
 
     def test_stats_shape(self, service):
         coalescer = RequestCoalescer()
         coalescer.execute(seeded_request(), service.run)
         stats = coalescer.stats()
         for key in ("enabled", "hits", "leaders", "uncoalescable", "in_flight",
-                    "geometry_grouping", "geometry_serialised"):
+                    "geometry_serialised"):
             assert key in stats
         assert stats["enabled"] is True
