@@ -13,7 +13,10 @@ benchmarks) under per-gate-class depolarising noise, the warm ``ptm`` route
 (median of ``WARM_REPEATS`` runs) must beat the noisy density-matrix oracle
 (:func:`~repro.core.backends.statevector.density_reference_distribution`) by at
 least 5× while agreeing with it to 1e-12 (absolute, per readout probability
-— an exactness pin, not a statistical tolerance).
+— an exactness pin, not a statistical tolerance).  The artefact also records
+``wide_op_tensor_qubits``: how many qubits the density tensor holds at each
+wide controlled power (7/8/9/10: each precision qubit joins the tensor right
+before its own controlled power).
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ import time
 import numpy as np
 import pytest
 
+import repro.quantum.ptm as ptm_module
 from repro.core.backends import EstimationProblem
 from repro.core.backends.statevector import (
     circuit_backend_result,
@@ -72,6 +76,21 @@ def _route_seconds(problem: EstimationProblem, engine: str):
     return time.perf_counter() - start, result
 
 
+def _wide_op_tensor_qubits(problem: EstimationProblem, monkeypatch):
+    """Tensor qubits at each wide unitary of one ``ptm`` run."""
+    seen = []
+    original = ptm_module.apply_unitary_to_pauli_ensemble
+
+    def recording(tensor, *args, **kwargs):
+        seen.append(tensor.ndim // 2)
+        return original(tensor, *args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(ptm_module, "apply_unitary_to_pauli_ensemble", recording)
+        _route_seconds(problem, "ptm")
+    return seen
+
+
 def _density_seconds(problem: EstimationProblem):
     """The density-matrix oracle on the same noisy config."""
     start = time.perf_counter()
@@ -80,7 +99,7 @@ def _density_seconds(problem: EstimationProblem):
 
 
 @pytest.mark.benchmark(group="ptm")
-def test_bench_ptm_route_speedup(benchmark, paper_scale, bench_json):
+def test_bench_ptm_route_speedup(benchmark, paper_scale, bench_json, monkeypatch):
     laplacian = _workload_laplacian()
     problem = EstimationProblem(laplacian=laplacian)
 
@@ -99,6 +118,7 @@ def test_bench_ptm_route_speedup(benchmark, paper_scale, bench_json):
     ptm_warm_seconds = statistics.median(warm_runs)
     quartiles = statistics.quantiles(warm_runs, n=4)
     ptm_warm_iqr = quartiles[2] - quartiles[0]
+    wide_op_tensor_qubits = _wide_op_tensor_qubits(problem, monkeypatch)
 
     dim = 2**6
     betti_ptm = dim * float(ptm.distribution[0])
@@ -110,7 +130,8 @@ def test_bench_ptm_route_speedup(benchmark, paper_scale, bench_json):
         f"q=6 t={PRECISION} depolarizing p={NOISE_STRENGTH} "
         f"gate_strengths={GATE_STRENGTHS}: ptm {cold_seconds:.3f}s cold / "
         f"{ptm_warm_seconds:.3f}s warm median (IQR {ptm_warm_iqr:.3f}s, "
-        f"{len(warm_runs)} runs; {ptm.fused_gates} fused superops) | "
+        f"{len(warm_runs)} runs; {ptm.fused_gates} fused superops; wide ops on "
+        f"{wide_op_tensor_qubits} tensor qubits) | "
         f"density {density_seconds:.3f}s | speedup {speedup:.1f}x | "
         f"betti {betti_ptm:.6f} vs density {betti_density:.6f} "
         f"(max |Δp| = {max_abs_diff:.2e})"
@@ -131,6 +152,7 @@ def test_bench_ptm_route_speedup(benchmark, paper_scale, bench_json):
             "density_seconds": density_seconds,
             "speedup_vs_density": speedup,
             "fused_superoperators": ptm.fused_gates,
+            "wide_op_tensor_qubits": wide_op_tensor_qubits,
             "betti_ptm": betti_ptm,
             "betti_density": betti_density,
             "max_abs_distribution_diff": max_abs_diff,

@@ -173,7 +173,10 @@ def fuse_circuit(circuit: QuantumCircuit, max_fuse_qubits: int = 3) -> Tuple[Gat
 # controlled powers cannot have explicit superoperators (4^(1+q) blows up);
 # they pass through as unitaries with a precomputed controlled-block fast
 # path and act as block boundaries — but their *noise* is small and keeps
-# fusing on either side.
+# fusing on either side.  Before fusing, the stream is scheduled so each
+# qubit joins the density tensor as late as possible
+# (_defer_single_qubit_prefixes); the wide powers then run on the qubits
+# that have joined so far instead of on the whole register.
 
 PTM_CACHE_MAX_BYTES = 256 * 1024 * 1024
 
@@ -229,10 +232,29 @@ def _embed_ptm(matrix: np.ndarray, qubits: Tuple[int, ...], support: Tuple[int, 
     return full.reshape(4**s, 4**s)
 
 
-def _ptm_op_stream(circuit: QuantumCircuit, noise_spec: Optional[NoiseSpec]):
-    """Yield ``(qubits, gate_or_channel_superop, is_gate)`` in execution order.
+def _left_multiply_ptm(
+    superop: np.ndarray, qubits: Tuple[int, ...], matrix: np.ndarray, support: Tuple[int, ...]
+) -> np.ndarray:
+    """``_embed_ptm(superop, qubits, support) @ matrix`` without the embedding.
 
-    Mirrors the density simulator's op walk: each gate, then the channels
+    The embedding is the identity on the other digits, so the product only
+    contracts the superoperator's input digits with the output digits of
+    ``qubits`` in ``matrix``: ``4^(s+k)`` work per column instead of the
+    dense product's ``4^(2s)``.
+    """
+    k, s = len(qubits), len(support)
+    positions = [support.index(q) for q in qubits]
+    out = np.tensordot(
+        np.asarray(superop, dtype=complex).reshape((4,) * (2 * k)),
+        matrix.reshape((4,) * s + (4**s,)),
+        axes=(list(range(k, 2 * k)), positions),
+    )
+    return np.moveaxis(out, list(range(k)), positions).reshape(4**s, 4**s)
+
+
+def _density_walk(circuit: QuantumCircuit, noise_spec: Optional[NoiseSpec]):
+    """Yield ``(qubits, gate_or_channel_superop, is_gate)`` in the density
+    simulator's order: each gate, then the channels
     :meth:`NoiseSpec.channels_for_gate` attaches to it (channels arrive
     already lowered to their memoised superoperators).
     """
@@ -244,6 +266,41 @@ def _ptm_op_stream(circuit: QuantumCircuit, noise_spec: Optional[NoiseSpec]):
         if noisy:
             for channel, qubits in noise_spec.channels_for_gate(gate):
                 yield qubits, channel_superop(channel), False
+
+
+def _defer_single_qubit_prefixes(stream):
+    """Reorder ``(qubits, ...)`` items so each qubit joins the tensor late.
+
+    A qubit's leading single-qubit ops (its Hadamard and the channels
+    attached to it) are held back until the first op that couples it to
+    another qubit, then emitted in stream order right before that op.  Ops
+    of a qubit that never couples are emitted at the end, in stream order.
+    The result is the same evolution: a held op only moves past ops on other
+    qubits, and no two ops sharing a qubit swap.
+    """
+    pending: Dict[int, List[Tuple[int, tuple]]] = {}
+    coupled = set()
+    for index, item in enumerate(stream):
+        qubits = item[0]
+        if len(qubits) == 1 and qubits[0] not in coupled:
+            pending.setdefault(qubits[0], []).append((index, item))
+            continue
+        coupled.update(qubits)
+        yield from _in_stream_order(pending.pop(q, []) for q in qubits)
+        yield item
+    yield from _in_stream_order(pending.values())
+
+
+def _in_stream_order(held):
+    """The items of per-qubit ``[(stream index, item), ...]`` lists, merged
+    back into stream order."""
+    merged = sorted((entry for entries in held for entry in entries), key=lambda e: e[0])
+    return [item for _, item in merged]
+
+
+def _ptm_op_stream(circuit: QuantumCircuit, noise_spec: Optional[NoiseSpec]):
+    """The density walk, scheduled so single-qubit prefixes join late."""
+    return _defer_single_qubit_prefixes(_density_walk(circuit, noise_spec))
 
 
 def fuse_ptm_program(
@@ -321,7 +378,7 @@ def fuse_ptm_program(
             if union != support:
                 matrix = _embed_ptm(matrix, support, union)
             # Later op acts after the block: left-multiply its embedding.
-            matrix = _embed_ptm(superop, qubits, union) @ matrix
+            matrix = _left_multiply_ptm(superop, qubits, matrix, union)
             support = union
             sources += 1
         else:

@@ -24,7 +24,11 @@ The input is a product state, so the tensor only ever holds the qubits that
 still matter (:meth:`PTMExecutor.reduced_state`): a qubit joins at its first
 op, an unmeasured qubit is traced out right after its last op, and an op
 outside the backward light cone of the measured qubits is skipped.  All
-three are exact because every program op is trace-preserving.  The readout
+three are exact because every program op is trace-preserving.  The program
+builder makes the first op come late: it holds each qubit's leading
+single-qubit ops back until the qubit's first coupling op (exact, since a
+held op only moves past ops on other qubits), so each QTDA precision
+qubit joins right before its own controlled power of ``U``.  The readout
 is the diagonal over the measured qubits, so the result matches the density
 route to floating-point accuracy.
 
@@ -247,11 +251,19 @@ class PTMProgram:
         return sum(1 for op in self.ops if isinstance(op, WideUnitaryOp))
 
     def nbytes(self) -> int:
-        """Approximate retained size (the op matrices)."""
+        """Approximate retained size (the op matrices).
+
+        A controlled block is usually a view into its matrix
+        (:func:`controlled_block`) and is then not counted again.
+        """
         total = 0
         for op in self.ops:
             total += op.matrix.nbytes
-            if isinstance(op, WideUnitaryOp) and op.block is not None:
+            if (
+                isinstance(op, WideUnitaryOp)
+                and op.block is not None
+                and not np.may_share_memory(op.block, op.matrix)
+            ):
                 total += op.block.nbytes
         return total
 

@@ -10,15 +10,19 @@ Three algebraic laws pin the superoperator construction itself:
 
 The rest locks down the execution machinery against the density oracle: the
 wide-unitary conjugation (controlled fast path included), the embedding,
-program fusion against the density route's gate-then-Kraus walk, the exact
-join / trace-out / light-cone skip rules of the evolution, per-channel
-memoisation and the program cache.
+program fusion against the density route's gate-then-Kraus walk, the
+schedule that defers each qubit's single-qubit prefix (and the tensor width
+it leaves at each wide unitary), the exact join / trace-out / light-cone
+skip rules of the evolution, per-channel memoisation and the program cache.
 """
 
 import numpy as np
 import pytest
 
 import repro.quantum.ptm as ptm_module
+from repro.core.backends import EstimationProblem
+from repro.core.backends.statevector import circuit_backend_result
+from repro.core.config import QTDAConfig
 from repro.quantum.channels import (
     NOISE_CHANNELS,
     TWO_QUBIT_NOISE_CHANNELS,
@@ -28,13 +32,17 @@ from repro.quantum.channels import (
 from repro.quantum.circuit import QuantumCircuit
 from repro.quantum.density_matrix import DensityMatrix, DensityMatrixSimulator
 from repro.quantum.fusion import (
+    _density_walk,
     _embed_ptm,
+    _left_multiply_ptm,
+    _ptm_op_stream,
     clear_ptm_cache,
     fuse_ptm_program,
     ptm_cache_info,
 )
 from repro.quantum.ptm import (
     PTMExecutor,
+    WideUnitaryOp,
     apply_superop,
     apply_unitary_to_pauli_ensemble,
     channel_content_key,
@@ -219,6 +227,22 @@ def test_embedding_is_bit_identical_to_identity_application(seed):
     matrix = rng.standard_normal((4**k, 4**k)) + 1j * rng.standard_normal((4**k, 4**k))
     got = _embed_ptm(matrix, qubits, support)
     assert np.array_equal(got, _embed_by_identity_application(matrix, qubits, support))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_left_multiply_matches_the_embedded_product(seed):
+    """Fusion contracts a superoperator straight into the block; the dense
+    ``embed @ block`` product is the reference (summation order differs)."""
+    rng = np.random.default_rng(seed)
+    s = int(rng.integers(2, 4))
+    support = tuple(sorted(int(q) for q in rng.choice(6, size=s, replace=False)))
+    k = int(rng.integers(1, s + 1))
+    qubits = tuple(int(q) for q in rng.choice(support, size=k, replace=False))
+    superop = rng.standard_normal((4**k, 4**k)) + 1j * rng.standard_normal((4**k, 4**k))
+    block = rng.standard_normal((4**s, 4**s)) + 1j * rng.standard_normal((4**s, 4**s))
+    got = _left_multiply_ptm(superop, qubits, block, support)
+    want = _embed_ptm(superop, qubits, support) @ block
+    assert np.allclose(got, want, rtol=0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -443,6 +467,110 @@ def test_qtda_distribution_matches_density_on_the_mixed_input():
         PTMExecutor().qtda_distribution(circ, [0, 1], precision_count=t, system_count=1)
 
 
+# ---------------------------------------------------------------------------
+# Scheduling: each qubit's single-qubit prefix waits for its first coupling
+# ---------------------------------------------------------------------------
+
+
+def _controlled(rng, k):
+    """A ``k``-qubit ``I (+) V`` unitary (control = first qubit)."""
+    half = 2 ** (k - 1)
+    u = np.eye(2**k, dtype=complex)
+    u[half:, half:] = _random_unitary(rng, k - 1)
+    return u
+
+
+def _late_coupling_circuit(rng):
+    """A seeded random circuit with the shapes the schedule must respect.
+
+    Qubits 0-2 and 4 get random single-qubit prefixes whose first coupling
+    op comes late (qubit 4's is a 4-qubit controlled gate, wider than any
+    window used here); qubit 3 only ever sees single-qubit ops; qubit 5 is
+    touched by no op.
+    """
+    n = 6
+    circ = QuantumCircuit(n)
+    for _ in range(8):
+        circ.unitary(_random_unitary(rng, 1), [int(rng.choice([0, 1, 2, 3, 4]))], name="U")
+    for _ in range(3):
+        targets = [int(q) for q in rng.choice([0, 1, 2], size=2, replace=False)]
+        circ.unitary(_random_unitary(rng, 2), targets, name="CU")
+        circ.unitary(_random_unitary(rng, 1), [int(rng.choice([0, 1, 2, 3, 4]))], name="U")
+    circ.unitary(_controlled(rng, 4), [1, 4, 0, 2], name="c-U^1")
+    for _ in range(3):
+        circ.unitary(_random_unitary(rng, 1), [int(rng.choice([3, 4]))], name="U")
+        targets = [int(q) for q in rng.choice([0, 1, 2, 4], size=2, replace=False)]
+        circ.unitary(_random_unitary(rng, 2), targets, name="CU")
+    return circ
+
+
+def _op_key(item):
+    qubits, payload, is_gate = item
+    return tuple(qubits), id(payload), is_gate
+
+
+@pytest.mark.parametrize("max_fuse_qubits", [2, 3])
+@pytest.mark.parametrize("seed", range(4))
+def test_schedule_is_exact_and_keeps_each_qubits_order(seed, max_fuse_qubits):
+    rng = np.random.default_rng(seed)
+    circ = _late_coupling_circuit(rng)
+    walk = [_op_key(item) for item in _density_walk(circ, _MIXED_SPEC)]
+    scheduled = [_op_key(item) for item in _ptm_op_stream(circ, _MIXED_SPEC)]
+    assert sorted(scheduled) == sorted(walk)
+    assert scheduled != walk
+    for q in range(circ.num_qubits):
+        assert [op for op in scheduled if q in op[0]] == [op for op in walk if q in op[0]]
+    # Qubit 3 never couples: its ops close the stream, in stream order.
+    only_three = [op for op in walk if op[0] == (3,)]
+    assert scheduled[-len(only_three):] == only_three
+
+    states = _random_states(rng, circ.num_qubits)
+    clear_ptm_cache()
+    for keep in ([0, 1, 2, 3, 4, 5], [3, 1], [5, 0], [4], [2, 5, 3]):
+        program = _assert_matches_oracle(
+            circ, _MIXED_SPEC, keep, states, max_fuse_qubits=max_fuse_qubits
+        )
+    assert program.num_wide == 1
+
+
+def _workload_laplacian(dim):
+    """The deterministic PSD Laplacian of benchmarks/test_bench_ptm.py."""
+    rng = np.random.default_rng(2023)
+    basis = rng.standard_normal((dim, dim - 2))
+    lap = basis @ basis.T
+    return (lap + lap.T) / 2.0
+
+
+@pytest.mark.parametrize("dimension, widths", [(48, [7, 8, 9, 10]), (16, [5, 6, 7, 8])])
+def test_wide_unitaries_run_on_the_qubits_joined_so_far(dimension, widths, monkeypatch):
+    """At t=4 each precision qubit joins right before its own controlled
+    power, so the j-th wide unitary sees the system register plus j+1
+    precision qubits (dimension 48 pads to q=6, 16 to q=4)."""
+    seen = []
+    original = ptm_module.apply_unitary_to_pauli_ensemble
+
+    def recording(tensor, *args, **kwargs):
+        seen.append(tensor.ndim // 2)
+        return original(tensor, *args, **kwargs)
+
+    monkeypatch.setattr(ptm_module, "apply_unitary_to_pauli_ensemble", recording)
+    config = QTDAConfig(
+        precision_qubits=4,
+        shots=None,
+        delta=6.0,
+        backend="statevector",
+        circuit_engine="ptm",
+        noise_channel="depolarizing",
+        noise_strength=0.002,
+        noise_gate_strengths={"c-U": 0.004, "H": 0.001},
+        seed=2023,
+    )
+    problem = EstimationProblem(laplacian=_workload_laplacian(dimension))
+    result = circuit_backend_result(problem, config, "exact", rng=np.random.default_rng(0))
+    assert result.engine_route == "ptm"
+    assert seen == widths
+
+
 def test_reduced_state_validates_its_arguments():
     program = fuse_ptm_program(_random_circuit(np.random.default_rng(0), 2, 2))
     states = [np.eye(2) / 2] * 2
@@ -474,6 +602,31 @@ def test_ptm_program_cache_hits_on_same_circuit_and_spec():
         circ, noise_spec=NoiseSpec(channel="depolarizing", strength=0.01, readout_error=0.1)
     )
     assert with_readout is first
+
+
+def _root(array):
+    while isinstance(array.base, np.ndarray):
+        array = array.base
+    return array
+
+
+def test_program_nbytes_counts_each_buffer_once():
+    """A controlled block is a view into its wide matrix: the program's
+    size is the sum of its distinct buffers, not matrix + block."""
+    rng = np.random.default_rng(11)
+    circ = QuantumCircuit(4)
+    circ.h(0).h(1)
+    wide = _controlled(rng, 3)
+    circ.unitary(wide, [0, 2, 3], name="c-U^1")
+    circ.unitary(wide @ wide, [1, 2, 3], name="c-U^2")
+    program = fuse_ptm_program(
+        circ, noise_spec=NoiseSpec(channel="depolarizing", strength=0.01), max_fuse_qubits=2
+    )
+    wides = [op for op in program.ops if isinstance(op, WideUnitaryOp)]
+    assert len(wides) == 2 and all(op.block is not None for op in wides)
+    arrays = [op.matrix for op in program.ops] + [op.block for op in wides]
+    distinct = {id(_root(a)): _root(a).nbytes for a in arrays}
+    assert program.nbytes() == sum(distinct.values())
 
 
 def test_fuse_ptm_program_validates_window():
