@@ -100,7 +100,7 @@ def test_bench_ensemble_route_speedup(benchmark, paper_scale, bench_json):
         f"q=6 t={PRECISION}: ensemble {ensemble_seconds:.3f}s (warm "
         f"{ensemble_warm_seconds:.3f}s) | density {density_seconds:.3f}s | "
         f"purified {purified_seconds:.3f}s | speedup vs density {speedup:.1f}x | "
-        f"max |Δp| {agreement:.2e} | fused gates {ensemble.fused_gates}"
+        f"max |Δp| {agreement:.2e} | fused gates {ensemble.route['fused_gates']}"
     )
     bench_json(
         "circuit_engine",
@@ -114,7 +114,7 @@ def test_bench_ensemble_route_speedup(benchmark, paper_scale, bench_json):
             "purified_seconds": purified_seconds,
             "speedup_vs_density": speedup,
             "max_distribution_delta": agreement,
-            "fused_gates": ensemble.fused_gates,
+            "fused_gates": ensemble.route["fused_gates"],
             "gate": GATE,
         },
     )
@@ -122,8 +122,8 @@ def test_bench_ensemble_route_speedup(benchmark, paper_scale, bench_json):
     # Same science: the route and both oracles prepare the same mixed-state readout.
     np.testing.assert_allclose(ensemble.distribution, density, atol=1e-10)
     np.testing.assert_allclose(purified, density, atol=1e-10)
-    assert ensemble.engine_route == "ensemble"
-    assert ensemble.fused_gates is not None
+    assert ensemble.route["engine_route"] == "ensemble"
+    assert ensemble.route["fused_gates"] is not None
     # The acceptance criterion of the execution-engine PR.
     assert speedup >= GATE, (
         f"expected >= {GATE}x over the density-matrix oracle, measured {speedup:.1f}x"

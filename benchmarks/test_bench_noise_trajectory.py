@@ -125,9 +125,9 @@ def test_bench_trajectory_route_speedup(benchmark, paper_scale, bench_json):
         },
     )
 
-    assert trajectory.engine_route == "trajectory"
-    assert trajectory.n_trajectories == N_TRAJECTORIES
-    assert trajectory.noise_spec is not None
+    assert trajectory.route["engine_route"] == "trajectory"
+    assert trajectory.route["n_trajectories"] == N_TRAJECTORIES
+    assert trajectory.route["noise_spec"] is not None
     # Same science within sampling error: the trajectory mean converges to
     # the density-matrix answer, and the recorded spread calibrates it.
     assert betti_sem > 0

@@ -130,7 +130,7 @@ def test_bench_ptm_route_speedup(benchmark, paper_scale, bench_json, monkeypatch
         f"q=6 t={PRECISION} depolarizing p={NOISE_STRENGTH} "
         f"gate_strengths={GATE_STRENGTHS}: ptm {cold_seconds:.3f}s cold / "
         f"{ptm_warm_seconds:.3f}s warm median (IQR {ptm_warm_iqr:.3f}s, "
-        f"{len(warm_runs)} runs; {ptm.fused_gates} fused superops; wide ops on "
+        f"{len(warm_runs)} runs; {ptm.route['fused_gates']} fused superops; wide ops on "
         f"{wide_op_tensor_qubits} tensor qubits) | "
         f"density {density_seconds:.3f}s | speedup {speedup:.1f}x | "
         f"betti {betti_ptm:.6f} vs density {betti_density:.6f} "
@@ -151,7 +151,7 @@ def test_bench_ptm_route_speedup(benchmark, paper_scale, bench_json, monkeypatch
             "ptm_warm_repeats": len(warm_runs),
             "density_seconds": density_seconds,
             "speedup_vs_density": speedup,
-            "fused_superoperators": ptm.fused_gates,
+            "fused_superoperators": ptm.route["fused_gates"],
             "wide_op_tensor_qubits": wide_op_tensor_qubits,
             "betti_ptm": betti_ptm,
             "betti_density": betti_density,
@@ -160,9 +160,9 @@ def test_bench_ptm_route_speedup(benchmark, paper_scale, bench_json, monkeypatch
         },
     )
 
-    assert ptm.engine_route == "ptm"
-    assert ptm.fused_gates is not None and ptm.fused_gates > 0
-    assert ptm.noise_spec is not None
+    assert ptm.route["engine_route"] == "ptm"
+    assert ptm.route["fused_gates"] is not None and ptm.route["fused_gates"] > 0
+    assert ptm.route["noise_spec"] is not None
     # Exactness pin: the ptm route is the same contraction, fused and
     # restricted to the live qubits — machine-precision agreement, no
     # statistical tolerance.

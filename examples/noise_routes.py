@@ -116,11 +116,11 @@ def main() -> None:
     spread = f" ± {dim * std:.3f}" if std is not None else ""
     print()
     print(f"q=6 Betti estimates (dim · p(0)):")
-    print(f"  ptm        {betti['ptm']:.9f}  ({results['ptm'].fused_gates} fused superoperators)")
+    print(f"  ptm        {betti['ptm']:.9f}  ({results['ptm'].route['fused_gates']} fused superoperators)")
     print(f"  density    {betti['density']:.9f}")
     print(
         f"  trajectory {betti['trajectory']:.9f}{spread}  "
-        f"({results['trajectory'].n_trajectories} trajectories)"
+        f"({results['trajectory'].route['n_trajectories']} trajectories)"
     )
     print()
     print("ptm is the same linear map as density, fused into superoperators —")

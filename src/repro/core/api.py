@@ -7,7 +7,10 @@ seeding and result shape.  This module puts one typed request/response layer
 over all of them:
 
 * **Requests** are frozen, validated, hashable dataclasses with a versioned
-  wire format (``as_dict``/``from_dict``, ``schema_version``):
+  wire format (``as_dict``/``from_dict``, ``schema_version``) derived from
+  their fields — one wire key per dataclass field, nested configs through
+  their own ``as_dict`` (only :class:`ExperimentRequest` spells its
+  ``params`` out as a dict):
   :class:`EstimationRequest` (one Betti estimate),
   :class:`PipelineRequest` (a batch of clouds/series/distance matrices to
   Betti features), :class:`SweepRequest` (a batch × ε-grid sweep),
@@ -17,8 +20,10 @@ over all of them:
 * **Results** always arrive in the same :class:`EstimationResult` envelope:
   a payload (the numbers a legacy entry point would have returned) plus
   :class:`Provenance` — backend name, negotiated operator format,
-  spectrum-cache hit/miss deltas, wall time, seed and ``betti_std`` when the
-  backend reports one.
+  spectrum-cache hit/miss deltas, wall time, seed, and for ``estimate``
+  requests ``betti_std`` and the circuit route facts, copied from the
+  :class:`~repro.core.estimator.BettiEstimate`.  Provenance serialises from
+  its fields too, so a new provenance fact is one new field.
 * :class:`QTDAService` is the long-lived executor: it owns the shared
   :class:`~repro.core.hamiltonian.SpectrumCache`, a result cache and a worker
   pool.  ``run()`` is the sync path, ``submit()`` returns a future,
@@ -38,7 +43,7 @@ import json
 import threading
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Any, ClassVar, Dict, Iterable, Iterator, List, Mapping, Optional, Tuple, Union
 
 import numpy as np
@@ -46,7 +51,7 @@ import numpy as np
 from repro.core.backends import backend_capabilities, get_backend, preferred_format
 from repro.core.batch import BatchConfig, BatchFeatureEngine, StreamingFeatureEngine
 from repro.core.config import QTDAConfig
-from repro.core.estimator import QTDABettiEstimator
+from repro.core.estimator import BettiEstimate, QTDABettiEstimator
 from repro.core.hamiltonian import SpectrumCache
 from repro.core.pipeline import PipelineConfig
 from repro.tda.complexes import SimplicialComplex, check_closed
@@ -159,6 +164,28 @@ def _freeze_matrix(matrix: Any, name: str) -> Tuple[Tuple[float, ...], ...]:
     return tuple(tuple(float(x) for x in row) for row in arr)
 
 
+def _own_config(request: Any, name: str, config_type: type) -> None:
+    """Replace ``request.<name>`` by a private ``config_type`` instance.
+
+    A mapping (the wire form) is rebuilt through ``config_type.from_dict``;
+    a config object is deep-copied, because the config dataclasses are
+    mutable and the caller may keep mutating theirs after building requests.
+    """
+    value = getattr(request, name)
+    if isinstance(value, Mapping):
+        value = config_type.from_dict(dict(value))
+    elif isinstance(value, config_type):
+        value = copy.deepcopy(value)
+    else:
+        raise TypeError(f"{name} must be a {config_type.__name__} (or its as_dict mapping)")
+    object.__setattr__(request, name, value)
+
+
+def _int_seed(seed: Any) -> Optional[int]:
+    """``seed`` when it is an integer; ``None`` for a generator (or no) seed."""
+    return seed if isinstance(seed, (int, np.integer)) else None
+
+
 def _request_hash(self) -> int:
     """Content hash shared by every request class (see :meth:`fingerprint`).
 
@@ -179,8 +206,22 @@ class _RequestBase:
     kind: ClassVar[str]
     schema_version: ClassVar[int] = SCHEMA_VERSION
 
-    def as_dict(self) -> Dict[str, Any]:  # pragma: no cover - overridden
-        raise NotImplementedError
+    def as_dict(self) -> Dict[str, Any]:
+        """The versioned wire form: the envelope plus one key per field.
+
+        A field holding a config object serialises through its own
+        ``as_dict()``.
+        """
+        body = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            body[f.name] = value.as_dict() if hasattr(value, "as_dict") else value
+        return self._envelope(body)
+
+    @classmethod
+    def from_dict(cls, data: Mapping[str, Any]) -> "Request":
+        """Inverse of :meth:`as_dict`; ``__post_init__`` re-normalises every field."""
+        return cls(**cls._check_dict(data, cls.kind))
 
     def fingerprint(self) -> str:
         """Stable content hash of the request (the service's cache key).
@@ -282,18 +323,11 @@ class EstimationRequest(_RequestBase):
             object.__setattr__(
                 self, "points", tuple(tuple(float(x) for x in row) for row in cloud)
             )
-        if isinstance(self.config, Mapping):
-            object.__setattr__(self, "config", QTDAConfig.from_dict(dict(self.config)))
-        elif isinstance(self.config, QTDAConfig):
-            # Private copy: QTDAConfig is a plain mutable dataclass, and the
-            # caller may keep mutating their object after building requests.
-            object.__setattr__(self, "config", copy.deepcopy(self.config))
-        else:
-            raise TypeError("config must be a QTDAConfig (or a QTDAConfig.as_dict mapping)")
+        _own_config(self, "config", QTDAConfig)
 
     @property
     def seed(self) -> Optional[int]:
-        return self.config.seed if isinstance(self.config.seed, (int, np.integer)) else None
+        return _int_seed(self.config.seed)
 
     def build_complex(self) -> SimplicialComplex:
         """Materialise the simplicial complex this request describes."""
@@ -324,31 +358,6 @@ class EstimationRequest(_RequestBase):
             object.__setattr__(self, "_geometry_fingerprint_cache", cached)
         return cached
 
-    def as_dict(self) -> Dict[str, Any]:
-        return self._envelope(
-            {
-                "k": self.k,
-                "simplices": self.simplices,
-                "points": self.points,
-                "epsilon": self.epsilon,
-                "max_dimension": self.max_dimension,
-                "compute_exact": self.compute_exact,
-                "config": self.config.as_dict(),
-            }
-        )
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "EstimationRequest":
-        body = cls._check_dict(data, cls.kind)
-        if body.get("config") is not None:
-            body["config"] = QTDAConfig.from_dict(
-                {k: _freeze(v) for k, v in dict(body["config"]).items()}
-            )
-        for key in ("simplices", "points"):
-            if body.get(key) is not None:
-                body[key] = _freeze(body[key])
-        return cls(**body)
-
 
 def _freeze_pipeline_inputs(self) -> None:
     """Shared input normalisation of PipelineRequest/SweepRequest."""
@@ -373,20 +382,8 @@ def _freeze_pipeline_inputs(self) -> None:
             "distance_matrices",
             tuple(_freeze_matrix(m, f"distance_matrices[{i}]") for i, m in enumerate(self.distance_matrices)),
         )
-    if isinstance(self.pipeline, Mapping):
-        object.__setattr__(self, "pipeline", PipelineConfig.from_dict(dict(self.pipeline)))
-    elif isinstance(self.pipeline, PipelineConfig):
-        # Private copies: the config dataclasses are mutable and the caller
-        # may keep mutating their objects after building requests.
-        object.__setattr__(self, "pipeline", copy.deepcopy(self.pipeline))
-    else:
-        raise TypeError("pipeline must be a PipelineConfig (or its as_dict mapping)")
-    if isinstance(self.batch, Mapping):
-        object.__setattr__(self, "batch", BatchConfig.from_dict(dict(self.batch)))
-    elif isinstance(self.batch, BatchConfig):
-        object.__setattr__(self, "batch", copy.deepcopy(self.batch))
-    else:
-        raise TypeError("batch must be a BatchConfig (or its as_dict mapping)")
+    _own_config(self, "pipeline", PipelineConfig)
+    _own_config(self, "batch", BatchConfig)
 
 
 @dataclass(frozen=True)
@@ -426,35 +423,12 @@ class PipelineRequest(_RequestBase):
 
     @property
     def seed(self) -> Optional[int]:
-        seed = self.pipeline.estimator.seed
-        return seed if isinstance(seed, (int, np.integer)) else None
+        return _int_seed(self.pipeline.estimator.seed)
 
     @property
     def deterministic(self) -> bool:
         """Whether re-running this request is guaranteed to reproduce results."""
         return not self.pipeline.use_quantum or self.seed is not None
-
-    def as_dict(self) -> Dict[str, Any]:
-        return self._envelope(
-            {
-                "point_clouds": self.point_clouds,
-                "time_series": self.time_series,
-                "distance_matrices": self.distance_matrices,
-                "epsilon": self.epsilon,
-                "include_exact": self.include_exact,
-                "pipeline": self.pipeline.as_dict(),
-                "batch": self.batch.as_dict(),
-            }
-        )
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "PipelineRequest":
-        body = cls._check_dict(data, cls.kind)
-        if body.get("pipeline") is not None:
-            body["pipeline"] = PipelineConfig.from_dict(_freeze_config_dict(body["pipeline"]))
-        if body.get("batch") is not None:
-            body["batch"] = BatchConfig.from_dict(dict(body["batch"]))
-        return cls(**body)
 
 
 @dataclass(frozen=True)
@@ -488,8 +462,7 @@ class SweepRequest(_RequestBase):
 
     @property
     def seed(self) -> Optional[int]:
-        seed = self.pipeline.estimator.seed
-        return seed if isinstance(seed, (int, np.integer)) else None
+        return _int_seed(self.pipeline.estimator.seed)
 
     @property
     def deterministic(self) -> bool:
@@ -505,31 +478,6 @@ class SweepRequest(_RequestBase):
             stride=self.pipeline.takens_stride,
         )
         return [embedder.transform(np.asarray(row, dtype=float)) for row in self.time_series]
-
-    def as_dict(self) -> Dict[str, Any]:
-        return self._envelope(
-            {
-                "epsilons": self.epsilons,
-                "point_clouds": self.point_clouds,
-                "time_series": self.time_series,
-                "pipeline": self.pipeline.as_dict(),
-                "batch": self.batch.as_dict(),
-            }
-        )
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "SweepRequest":
-        body = cls._check_dict(data, cls.kind)
-        if body.get("pipeline") is not None:
-            body["pipeline"] = PipelineConfig.from_dict(_freeze_config_dict(body["pipeline"]))
-        if body.get("batch") is not None:
-            body["batch"] = BatchConfig.from_dict(dict(body["batch"]))
-        return cls(**body)
-
-
-def _freeze_config_dict(data: Mapping[str, Any]) -> Dict[str, Any]:
-    """Tuple-ify the sequence-valued fields of a config mapping (JSON round trip)."""
-    return {k: _freeze(v) if isinstance(v, (list, tuple)) else v for k, v in dict(data).items()}
 
 
 @dataclass(frozen=True)
@@ -572,16 +520,11 @@ class ExperimentRequest(_RequestBase):
 
     @property
     def seed(self) -> Optional[int]:
-        seed = self.param_dict.get("seed")
-        return seed if isinstance(seed, (int, np.integer)) else None
+        return _int_seed(self.param_dict.get("seed"))
 
     def as_dict(self) -> Dict[str, Any]:
+        # The wire form spells params as a dict, not the stored sorted pairs.
         return self._envelope({"experiment": self.experiment, "params": self.param_dict})
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "ExperimentRequest":
-        body = cls._check_dict(data, cls.kind)
-        return cls(experiment=body.get("experiment", ""), params=dict(body.get("params", {})))
 
 
 @dataclass(frozen=True)
@@ -632,17 +575,11 @@ class ObserveRequest(_RequestBase):
         if any(e < 0 for e in epsilons):
             raise ValueError("epsilons must be non-negative")
         object.__setattr__(self, "epsilons", epsilons)
-        if isinstance(self.pipeline, Mapping):
-            object.__setattr__(self, "pipeline", PipelineConfig.from_dict(dict(self.pipeline)))
-        elif isinstance(self.pipeline, PipelineConfig):
-            object.__setattr__(self, "pipeline", copy.deepcopy(self.pipeline))
-        else:
-            raise TypeError("pipeline must be a PipelineConfig (or its as_dict mapping)")
+        _own_config(self, "pipeline", PipelineConfig)
 
     @property
     def seed(self) -> Optional[int]:
-        seed = self.pipeline.estimator.seed
-        return seed if isinstance(seed, (int, np.integer)) else None
+        return _int_seed(self.pipeline.estimator.seed)
 
     @property
     def deterministic(self) -> bool:
@@ -657,28 +594,6 @@ class ObserveRequest(_RequestBase):
             "epsilons": list(self.epsilons),
             "pipeline": self.pipeline.as_dict(),
         }
-
-    def as_dict(self) -> Dict[str, Any]:
-        return self._envelope(
-            {
-                "samples": self.samples,
-                "session": self.session,
-                "window_length": self.window_length,
-                "stride": self.stride,
-                "epsilons": self.epsilons,
-                "pipeline": self.pipeline.as_dict(),
-            }
-        )
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "ObserveRequest":
-        body = cls._check_dict(data, cls.kind)
-        if body.get("pipeline") is not None:
-            body["pipeline"] = PipelineConfig.from_dict(_freeze_config_dict(body["pipeline"]))
-        for key in ("samples", "epsilons"):
-            if body.get(key) is not None:
-                body[key] = _freeze(body[key])
-        return cls(**body)
 
 
 #: Any request the service accepts.
@@ -748,9 +663,11 @@ class Provenance:
     record, for single-estimate requests on circuit backends, the concrete
     circuit-execution route taken (``ensemble``/``ptm``/``trajectory``,
     DESIGN.md §11–12, §16) and the post-fusion block count (fused gates on
-    the ensemble engine, fused superoperators on the PTM route); ``n_trajectories``/``noise_spec`` record the trajectory-route
-    repetition count and the resolved noise description the run executed
-    under (``None`` for noiseless runs).
+    the ensemble engine, fused superoperators on the PTM route);
+    ``n_trajectories``/``noise_spec`` record the trajectory-route repetition
+    count and the resolved noise description the run executed under
+    (``None`` for noiseless runs).  The wire record (:meth:`as_dict`) has
+    exactly one key per field.
     """
 
     request_kind: str
@@ -770,42 +687,18 @@ class Provenance:
     schema_version: int = SCHEMA_VERSION
 
     def as_dict(self) -> Dict[str, Any]:
-        return {
-            "schema_version": self.schema_version,
-            "request_kind": self.request_kind,
-            "request_fingerprint": self.request_fingerprint,
-            "backend": self.backend,
-            "operator_format": self.operator_format,
-            "seed": self.seed,
-            "wall_time_s": self.wall_time_s,
-            "cache_hits": self.cache_hits,
-            "cache_misses": self.cache_misses,
-            "betti_std": self.betti_std,
-            "result_cache_hit": self.result_cache_hit,
-            "engine_route": self.engine_route,
-            "fused_gates": self.fused_gates,
-            "n_trajectories": self.n_trajectories,
-            "noise_spec": self.noise_spec,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 #: Fields every serialised provenance record must carry (the documented schema).
-_PROVENANCE_FIELDS = (
-    "schema_version",
-    "request_kind",
-    "request_fingerprint",
-    "backend",
-    "operator_format",
-    "seed",
-    "wall_time_s",
-    "cache_hits",
-    "cache_misses",
-    "betti_std",
-    "result_cache_hit",
-    "engine_route",
-    "fused_gates",
-    "n_trajectories",
-    "noise_spec",
+_PROVENANCE_FIELDS = tuple(f.name for f in fields(Provenance))
+
+#: The optional provenance fields an estimate also carries (``betti_std`` and
+#: the circuit backend's route facts); ``estimate`` requests copy them over.
+_ESTIMATE_PROVENANCE = tuple(
+    f.name
+    for f in fields(Provenance)
+    if f.default is None and f.name in {g.name for g in fields(BettiEstimate)}
 )
 
 
@@ -1390,10 +1283,10 @@ class QTDAService:
         """Dispatch to the legacy execution paths.
 
         Returns ``(payload, backend, operator_format, seed, extras)`` where
-        ``extras`` holds whatever optional :class:`Provenance` fields the
-        execution produced (``betti_std``, ``engine_route``, ...) — ``run()`` splats it
-        into the provenance record, so new execution-side provenance only
-        needs to appear here.
+        ``extras`` holds the optional :class:`Provenance` fields the
+        execution produced — for an estimate, every one that
+        :class:`BettiEstimate` also carries — and ``run()`` splats it into
+        the provenance record.
         """
         if isinstance(request, EstimationRequest):
             estimator = QTDABettiEstimator(request.config, spectrum_cache=self.spectrum_cache)
@@ -1405,13 +1298,7 @@ class QTDAService:
                 request.config.backend,
                 estimator.operator_format,
                 request.seed,
-                {
-                    "betti_std": estimate.betti_std,
-                    "engine_route": estimate.engine_route,
-                    "fused_gates": estimate.fused_gates,
-                    "n_trajectories": estimate.n_trajectories,
-                    "noise_spec": estimate.noise_spec,
-                },
+                {name: getattr(estimate, name) for name in _ESTIMATE_PROVENANCE},
             )
         if isinstance(request, PipelineRequest):
             engine = self._engine(request)

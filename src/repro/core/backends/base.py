@@ -15,13 +15,18 @@ unique name with :func:`register_backend`; :class:`QTDAConfig` validates its
 through :func:`get_backend` at estimation time.  Future execution paths
 (tensor networks, real-hardware adapters) plug in the same way without
 touching the estimator.
+
+``run`` returns a :class:`BackendResult`: the readout distribution, ``q``,
+``λ̃_max``, an optional standard error and — for circuit backends — one
+``route`` mapping of how the circuit ran, which the estimator and the
+service pass on to the estimate and its provenance without naming its keys.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Iterator, Optional, Protocol, Tuple, runtime_checkable
+from typing import TYPE_CHECKING, Dict, Iterator, Mapping, Optional, Protocol, Tuple, runtime_checkable
 
 import numpy as np
 from scipy import sparse as _sparse
@@ -109,35 +114,24 @@ class BackendResult:
         *stochastic* backends (Hutchinson trace estimation); ``None`` for
         deterministic backends.  The estimator scales it by ``2^q`` into
         :attr:`BettiEstimate.betti_std`.
-    engine_route:
-        For circuit backends, the concrete execution route taken
-        (``"ensemble"``, ``"ptm"`` or ``"trajectory"`` — see
-        ``QTDAConfig.circuit_engine`` and DESIGN.md
-        §11–12, §16); ``None`` for non-circuit backends.  Surfaced through
-        :attr:`BettiEstimate.engine_route` into service provenance.
-    fused_gates:
-        Number of fused blocks actually executed after the fusion pass: the
-        post-fusion gate count on the ``ensemble`` route, the fused
-        superoperator count on the ``ptm`` route; ``None`` when no fusion
-        ran.
-    n_trajectories:
-        Number of stochastic Kraus-trajectory repetitions run (``trajectory``
-        route only); ``None`` otherwise.
-    noise_spec:
-        JSON-safe dictionary view of the resolved
-        :class:`repro.quantum.channels.NoiseSpec` the run was executed under
-        (circuit backends with any declarative noise configured); ``None``
-        for noiseless runs and non-circuit backends.
+    route:
+        How a circuit backend ran, keyed by
+        :class:`~repro.core.estimator.BettiEstimate` field name (the
+        estimator splats it into the estimate).
+        :func:`~repro.core.backends.statevector.circuit_backend_result`
+        fills ``engine_route`` (``"ensemble"``/``"ptm"``/``"trajectory"``),
+        ``fused_gates`` (post-fusion block count, ``None`` when no fusion
+        ran), ``n_trajectories`` (``trajectory`` only) and ``noise_spec``
+        (the resolved :class:`repro.quantum.channels.NoiseSpec` as a
+        JSON-safe dict, ``None`` when noiseless); DESIGN.md §11–12, §16.
+        Empty for non-circuit backends.
     """
 
     distribution: np.ndarray
     num_system_qubits: int
     lambda_max: float
     p_zero_std: "float | None" = None
-    engine_route: "str | None" = None
-    fused_gates: "int | None" = None
-    n_trajectories: "int | None" = None
-    noise_spec: "dict | None" = None
+    route: Mapping[str, object] = field(default_factory=dict)
 
 
 @runtime_checkable

@@ -183,10 +183,12 @@ def circuit_backend_result(
         num_system_qubits=hamiltonian.num_qubits,
         lambda_max=hamiltonian.padded.lambda_max,
         p_zero_std=p_zero_std,
-        engine_route=route,
-        fused_gates=fused_gates,
-        n_trajectories=n_trajectories,
-        noise_spec=None if spec.is_noiseless else spec.as_dict(),
+        route={
+            "engine_route": route,
+            "fused_gates": fused_gates,
+            "n_trajectories": n_trajectories,
+            "noise_spec": None if spec.is_noiseless else spec.as_dict(),
+        },
     )
 
 

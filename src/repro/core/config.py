@@ -35,6 +35,11 @@ from repro.utils.validation import (
 #: Allowed padding modes (Eq. 7 identity padding vs the naive zero padding).
 PADDING_MODES = ("identity", "zero")
 
+#: Largest accepted ``precision_qubits``.  Every backend's work and memory
+#: grow as ``2^t``, so an unbounded value lets one small request ask for an
+#: allocation the host cannot make; the paper's Fig. 3 grid stops at 10.
+MAX_PRECISION_QUBITS = 16
+
 #: Circuit-execution engine choices for the faithful Fig. 6 backends
 #: (``statevector``/``trotter``): ``"auto"`` plus the
 #: concrete routes, derived from the route module's single source of truth
@@ -51,7 +56,8 @@ class QTDAConfig:
     Attributes
     ----------
     precision_qubits:
-        Number of QPE precision qubits ``t`` (the paper sweeps 1–10).
+        Number of QPE precision qubits ``t`` (the paper sweeps 1–10); at
+        most :data:`MAX_PRECISION_QUBITS`.
     shots:
         Number of circuit repetitions ``α``.  ``None`` means "infinite shots":
         the exact outcome probability ``p(0)`` is used directly.
@@ -155,7 +161,9 @@ class QTDAConfig:
     zero_eigenvalue_atol: float = 1e-8
 
     def __post_init__(self):
-        self.precision_qubits = check_positive_integer(self.precision_qubits, "precision_qubits")
+        self.precision_qubits = check_integer(
+            self.precision_qubits, "precision_qubits", minimum=1, maximum=MAX_PRECISION_QUBITS
+        )
         if self.shots is not None:
             self.shots = check_positive_integer(self.shots, "shots")
         self.delta = float(self.delta)
@@ -202,16 +210,6 @@ class QTDAConfig:
                 f"noise_two_qubit_strength={self.noise_two_qubit_strength} requires "
                 "a noise_two_qubit_channel"
             )
-        if self.circuit_engine == "ensemble" and (
-            self.noise_channel is not None or self.noise_two_qubit_channel is not None
-        ):
-            # The pure-state route cannot express Kraus channels; a config
-            # claiming both would silently drop the noise.  (readout_error is
-            # classical post-processing and composes with every route.)
-            raise ValueError(
-                "circuit_engine='ensemble' cannot simulate noise channels; "
-                "use circuit_engine='ptm', 'trajectory' (or 'auto')"
-            )
         if self.seed is not None and not isinstance(
             self.seed, (np.random.Generator, np.random.SeedSequence)
         ):
@@ -227,6 +225,16 @@ class QTDAConfig:
             raise ValueError(
                 f"noise_strength={self.noise_strength} requires a noise_channel "
                 f"(one of {NOISE_CHANNELS})"
+            )
+        if self.circuit_engine == "ensemble" and self.resolved_noise_spec().has_gate_noise:
+            # The pure-state route cannot express Kraus channels; a config
+            # claiming both would silently drop the noise.  Same predicate as
+            # resolve_circuit_route: a zero-strength channel is noise-free,
+            # and readout_error (classical post-processing) composes with
+            # every route.
+            raise ValueError(
+                "circuit_engine='ensemble' cannot simulate noise channels; "
+                "use circuit_engine='ptm', 'trajectory' (or 'auto')"
             )
 
     def resolved_noise_spec(self) -> NoiseSpec:

@@ -15,7 +15,7 @@ sampling otherwise, so finite-shot behaviour is identical across backends.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
@@ -61,19 +61,17 @@ class BettiEstimate:
         ``stochastic-trace`` backend's Hutchinson sampling error).  ``None``
         for deterministic backends.  Shot noise is *not* included — it is
         identical across backends and already visible through ``counts``.
-    engine_route, fused_gates:
-        Circuit-execution provenance echoed from
-        :class:`~repro.core.backends.BackendResult`: the concrete route the
-        circuit backend took (``"ensemble"``/``"ptm"``/``"trajectory"``) and
-        the post-fusion block count — fused gates on the ensemble engine,
-        fused superoperators on the PTM route.
-        ``None`` for non-circuit backends.
-    n_trajectories, noise_spec:
-        Noise-execution provenance echoed from
-        :class:`~repro.core.backends.BackendResult`: the number of stochastic
-        Kraus-trajectory repetitions (``trajectory`` route) and the JSON-safe
-        resolved :class:`~repro.quantum.channels.NoiseSpec` the run executed
-        under.  ``None`` for noiseless / non-circuit runs.
+    engine_route, fused_gates, n_trajectories, noise_spec:
+        The circuit route facts, filled from
+        :attr:`BackendResult.route <repro.core.backends.BackendResult>`: the
+        concrete route the circuit backend took
+        (``"ensemble"``/``"ptm"``/``"trajectory"``), the post-fusion block
+        count (fused gates on the ensemble engine, fused superoperators on
+        the PTM route), the number of stochastic Kraus-trajectory
+        repetitions (``trajectory`` route) and the JSON-safe resolved
+        :class:`~repro.quantum.channels.NoiseSpec` the run executed under.
+        ``None`` where they do not apply (non-circuit backends, noiseless
+        runs).
     """
 
     betti_estimate: float
@@ -108,27 +106,18 @@ class BettiEstimate:
         return int(abs(self.betti_rounded - self.exact_betti))
 
     def as_dict(self) -> Dict[str, object]:
-        """Plain-dictionary view (used by the experiment drivers)."""
-        return {
-            "betti_estimate": self.betti_estimate,
-            "betti_rounded": self.betti_rounded,
-            "p_zero": self.p_zero,
-            "num_system_qubits": self.num_system_qubits,
-            "precision_qubits": self.precision_qubits,
-            "shots": self.shots,
-            "backend": self.backend,
-            "exact_betti": self.exact_betti,
-            "absolute_error": self.absolute_error,
-            "rounded_error": self.rounded_error,
-            "counts": dict(self.counts),
-            "lambda_max": self.lambda_max,
-            "delta": self.delta,
-            "betti_std": self.betti_std,
-            "engine_route": self.engine_route,
-            "fused_gates": self.fused_gates,
-            "n_trajectories": self.n_trajectories,
-            "noise_spec": None if self.noise_spec is None else dict(self.noise_spec),
-        }
+        """Plain-dictionary view: every field plus the two error properties.
+
+        Dict-valued fields (``counts``, ``noise_spec``) are copied, so the
+        view does not alias the estimate.
+        """
+        data = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            data[f.name] = dict(value) if isinstance(value, dict) else value
+        data["absolute_error"] = self.absolute_error
+        data["rounded_error"] = self.rounded_error
+        return data
 
 
 class QTDABettiEstimator:
@@ -242,10 +231,7 @@ class QTDABettiEstimator:
             lambda_max=result.lambda_max,
             delta=self.config.delta,
             betti_std=betti_std,
-            engine_route=result.engine_route,
-            fused_gates=result.fused_gates,
-            n_trajectories=result.n_trajectories,
-            noise_spec=result.noise_spec,
+            **result.route,
         )
 
     def estimate_betti_numbers(

@@ -19,6 +19,7 @@ from repro.api import (
     ExperimentRequest,
     ObserveRequest,
     PipelineRequest,
+    Provenance,
     QTDAService,
     SweepRequest,
     deterministic_request,
@@ -216,6 +217,97 @@ class TestRequestHashingAndRoundTrip:
         data["schema_version"] = SCHEMA_VERSION + 1
         with pytest.raises(ValueError, match="schema_version"):
             request_from_dict(data)
+
+
+def _pinned_corpus():
+    """One request per kind: nested noise fields, PipelineConfig, BatchConfig."""
+    noisy = QTDAConfig(
+        precision_qubits=3,
+        shots=200,
+        delta=6.0,
+        backend="statevector",
+        circuit_engine="ptm",
+        noise_channel="depolarizing",
+        noise_strength=0.02,
+        noise_gate_strengths={"c-U": 0.01, "H": 0.005},
+        noise_two_qubit_channel="two-qubit-depolarizing",
+        noise_two_qubit_strength=0.01,
+        readout_error=0.01,
+        n_trajectories=4,
+        seed=11,
+    )
+    pipeline = PipelineConfig(
+        epsilon=0.7, takens_stride=2, estimator=QTDAConfig(precision_qubits=2, shots=50, seed=4)
+    )
+    batch = BatchConfig(backend="threads", max_workers=2, chunk_size=1, spectrum_cache_size=8)
+    cloud = ((0.0, 0.0), (1.0, 0.0), (0.5, 0.75), (0.25, -0.5))
+    series = (0.0, 0.5, 1.0, 0.5, 0.0, -0.5, -1.0, -0.5) * 2
+    return {
+        "estimate": EstimationRequest(simplices=TRIANGLE, k=1, config=noisy),
+        "estimate-points": EstimationRequest(
+            points=cloud, epsilon=1.2, k=0, compute_exact=False, config={"seed": 2}
+        ),
+        "pipeline": PipelineRequest(
+            point_clouds=[cloud, cloud[:3]], include_exact=True, pipeline=pipeline, batch=batch
+        ),
+        "sweep": SweepRequest(
+            time_series=[series, series[::-1]], epsilons=(0.4, 0.8), pipeline=pipeline, batch=batch
+        ),
+        "experiment": ExperimentRequest(
+            experiment="timeseries", params={"num_samples_per_class": 2, "batch": batch.as_dict()}
+        ),
+        "observe": ObserveRequest(
+            samples=series, session="pin", window_length=8, stride=2, epsilons=(0.5,), pipeline=pipeline
+        ),
+    }
+
+
+class TestWirePins:
+    """Literal pins of the wire, so deriving it from the dataclass fields
+    cannot drift: the result cache and the coalescer key on fingerprints."""
+
+    FINGERPRINTS = {
+        "estimate": "25ebbc61e2f04afb51229f4274aa772b49e0fa64b426baf1b806fa6334e66d5a",
+        "estimate-points": "02852fe0e627589edd895f341fe43cba0e2186d84f55f156789a16e68fb1cf7d",
+        "pipeline": "570dd329dfa04d9a24b17cbf2e16e64ea1e5927541fe4cff49690bdfb15d82fd",
+        "sweep": "926d6b0719c538f773eea6e8dd8cad4e7d6d6b1823c2a7f10e1414a5e676e910",
+        "experiment": "52c8e639092e4dfb79424ad310652dc56fc57c922cab0f5bf27921f04cb4022f",
+        "observe": "c8c706b2a610d77ee1ef121600d682821a647e78062246d9f05929ea69b31383",
+    }
+
+    def test_fingerprints_are_pinned(self):
+        corpus = _pinned_corpus()
+        assert {name: r.fingerprint() for name, r in corpus.items()} == self.FINGERPRINTS
+        for name, request in corpus.items():
+            rebuilt = request_from_dict(json.loads(json.dumps(request.as_dict())))
+            assert rebuilt.fingerprint() == self.FINGERPRINTS[name]
+
+    def test_provenance_keys_are_the_documented_schema(self):
+        provenance = Provenance(
+            request_kind="estimate",
+            request_fingerprint="",
+            backend="exact",
+            operator_format="dense",
+            seed=None,
+            wall_time_s=0.0,
+        )
+        assert set(provenance.as_dict()) == {
+            "schema_version",
+            "request_kind",
+            "request_fingerprint",
+            "backend",
+            "operator_format",
+            "seed",
+            "wall_time_s",
+            "cache_hits",
+            "cache_misses",
+            "betti_std",
+            "result_cache_hit",
+            "engine_route",
+            "fused_gates",
+            "n_trajectories",
+            "noise_spec",
+        }
 
 
 # -- bit-identity with the legacy entry points ----------------------------------

@@ -164,6 +164,19 @@ def test_pure_state_engines_reject_noise():
                 noise_channel="depolarizing", noise_strength=0.01)
 
 
+def test_ensemble_accepts_a_zero_strength_channel():
+    """Config validation and route resolution share one predicate
+    (``has_gate_noise``): a zero-strength channel is noise-free, so an explicit
+    ``ensemble`` config builds and reads the same bits as one with no channel."""
+    zero = _estimate(
+        "statevector", "appendix", "ensemble", noise_channel="depolarizing", noise_strength=0.0
+    )
+    clean = _estimate("statevector", "appendix", "ensemble")
+    assert zero.engine_route == "ensemble"
+    assert zero.noise_spec is None
+    assert zero.p_zero == clean.p_zero
+
+
 def test_config_validates_circuit_engine():
     with pytest.raises(ValueError, match="circuit_engine"):
         QTDAConfig(circuit_engine="warp")

@@ -340,7 +340,7 @@ def _route_distributions():
     results = {
         route: circuit_backend_result(problem, config, "exact") for route, config in configs.items()
     }
-    assert {route: r.engine_route for route, r in results.items()} == {r: r for r in configs}
+    assert {route: r.route["engine_route"] for route, r in results.items()} == {r: r for r in configs}
     return {route: r.distribution for route, r in results.items()}
 
 

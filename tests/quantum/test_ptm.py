@@ -567,7 +567,7 @@ def test_wide_unitaries_run_on_the_qubits_joined_so_far(dimension, widths, monke
     )
     problem = EstimationProblem(laplacian=_workload_laplacian(dimension))
     result = circuit_backend_result(problem, config, "exact", rng=np.random.default_rng(0))
-    assert result.engine_route == "ptm"
+    assert result.route["engine_route"] == "ptm"
     assert seen == widths
 
 

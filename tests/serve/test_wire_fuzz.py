@@ -3,8 +3,9 @@
 Drives :meth:`QTDAServer.handle_post` directly on a server that is never
 started, so no request crosses a socket and nothing is timed.  Inputs are
 malformed JSON, non-finite number tokens, wrong value types, unknown
-fields, oversized arrays, missing or wrong ``schema_version`` values and
-simplicial complexes that miss a face (closed ones must be served).
+fields, oversized arrays, missing or wrong ``schema_version`` values,
+simplicial complexes that miss a face (closed ones must be served) and
+``precision_qubits`` past ``MAX_PRECISION_QUBITS``.
 Every one must come back as a 4xx error envelope: never a 500 and never an
 exception out of the adapter.  Examples are derandomised, so every run
 checks the same inputs.
@@ -24,6 +25,7 @@ from repro.core.api import (
     PipelineRequest,
     SweepRequest,
 )
+from repro.core.config import MAX_PRECISION_QUBITS, QTDAConfig
 from repro.core.pipeline import PipelineConfig
 from repro.datasets.point_clouds import circle_cloud
 from repro.serve import MAX_BODY_BYTES, QTDAServer, ServeConfig
@@ -220,6 +222,18 @@ def is_closed(simplices):
     return all(
         face in simplices for simplex in simplices for face in combinations(simplex, len(simplex) - 1) if face
     )
+
+
+@pytest.mark.parametrize("precision_qubits", [MAX_PRECISION_QUBITS + 1, 34])
+def test_precision_qubits_over_the_cap(server, precision_qubits):
+    """A small body cannot ask for a ``2^t`` readout past the cap: the wire
+    answers 400 at validation instead of a 500 from a failed allocation, and
+    in process the config raises the same ``ValueError``."""
+    document = replaced(VALID["estimate"], ("config", "precision_qubits"), precision_qubits)
+    raw = json.dumps(document).encode()
+    assert assert_client_error(server, "estimate", raw) == "invalid_request"
+    with pytest.raises(ValueError, match="precision_qubits"):
+        QTDAConfig(precision_qubits=precision_qubits)
 
 
 @FUZZ
