@@ -20,6 +20,7 @@ import platform
 import subprocess
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import Optional
 
 import pytest
 
@@ -69,18 +70,28 @@ def paper_scale() -> bool:
     return paper_scale_requested()
 
 
+def blas_threads() -> Optional[int]:
+    """The BLAS thread count pinned through ``OPENBLAS_NUM_THREADS`` (the
+    root ``conftest.py`` sets it to 1 unless it is already set), or ``None``
+    when unpinned."""
+    value = os.environ.get("OPENBLAS_NUM_THREADS", "")
+    return int(value) if value.isdigit() else None
+
+
 def write_bench_json(name: str, payload: dict) -> Path:
     """Persist one benchmark's measurements as ``BENCH_<name>.json``.
 
     ``payload`` is benchmark-specific (timings in seconds, speedups, scenario
     sizes); a small provenance envelope (benchmark name, paper-scale flag,
-    python version, commit SHA, ISO-8601 UTC timestamp) is added so the files
-    are self-describing when collected as CI artefacts or diffed across PRs.
+    BLAS thread count, python version, commit SHA, ISO-8601 UTC timestamp)
+    is added so the files are self-describing when collected as CI
+    artefacts or diffed across PRs.
     """
     path = REPO_ROOT / f"BENCH_{name}.json"
     document = {
         "benchmark": name,
         "paper_scale": paper_scale_requested(),
+        "blas_threads": blas_threads(),
         "python": platform.python_version(),
         "commit": _commit_sha(),
         "generated_at": datetime.now(timezone.utc).isoformat(timespec="seconds"),

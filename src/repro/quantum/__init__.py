@@ -10,12 +10,13 @@ scratch on NumPy:
   density-matrix simulator with noise channels
   (:mod:`repro.quantum.density_matrix`, :mod:`repro.quantum.channels`);
 * a batched ("ensemble") execution engine that evolves many pure states as
-  one ``(2^n, B)`` array, plus a gate-fusion pass cached per circuit fingerprint
-  (:mod:`repro.quantum.engine`, :mod:`repro.quantum.fusion`);
-* the exact noisy ``ptm`` route: circuit + noise fused into Liouville
-  superoperators (:mod:`repro.quantum.ptm`).  Its fused programs and
-  channel superoperators, like the fused gate plans, are held in
-  :class:`~repro.utils.cache.BoundedCache` instances;
+  one ``(2^n, B)`` array, plus a fusion pass whose segments between wide
+  gates are cached per content (:mod:`repro.quantum.engine`,
+  :mod:`repro.quantum.fusion`);
+* the exact noisy ``ptm`` route: circuit + noise lowered to Liouville
+  superoperators (:mod:`repro.quantum.ptm`) and fused by the same pass.  Its
+  fused segments and channel superoperators, like the gate-plan segments,
+  are held in :class:`~repro.utils.cache.BoundedCache` instances;
 * measurement / shot sampling (:mod:`repro.quantum.measurement`);
 * the quantum Fourier transform and quantum phase estimation circuit
   builders (:mod:`repro.quantum.qft`, :mod:`repro.quantum.qpe`);

@@ -4,12 +4,14 @@
 small PennyLane/Qiskit-flavoured builder API (``h``, ``x``, ``cnot``,
 ``rz``, ``unitary``, ``controlled_unitary`` ...).  It performs no simulation
 itself; see :mod:`repro.quantum.statevector` and
-:mod:`repro.quantum.density_matrix` for execution backends.
+:mod:`repro.quantum.density_matrix` for execution backends.  Nor does it
+hash itself: the fusion caches (:mod:`repro.quantum.fusion`) key on the
+content of each run of gates between the wide ones, never on a whole
+circuit.
 """
 
 from __future__ import annotations
 
-import hashlib
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -252,35 +254,6 @@ class QuantumCircuit:
         dup = QuantumCircuit(self._num_qubits, name=self.name)
         dup._instructions = list(self._instructions)
         return dup
-
-    def fingerprint(self) -> str:
-        """Content hash of the circuit's unitary semantics.
-
-        Hashes the register size plus every gate's target qubits and matrix
-        bytes, in order; names, params, measurements and barriers are
-        excluded (they do not affect simulation).  Two circuits with equal
-        fingerprints evolve states identically, so the fingerprint keys the
-        gate-fusion plan cache (:mod:`repro.quantum.fusion`).  Gate objects
-        shared across repetitions (the QPE power-by-repetition synthesis)
-        are hashed once via an identity memo.
-        """
-        digest = hashlib.sha256()
-        digest.update(str(self._num_qubits).encode())
-        matrix_digests: dict = {}
-        for op in self._instructions:
-            if not isinstance(op, Gate):
-                continue
-            key = id(op.matrix)
-            cached = matrix_digests.get(key)
-            if cached is None:
-                cached = hashlib.sha256(
-                    np.ascontiguousarray(op.matrix).tobytes()
-                ).digest()
-                matrix_digests[key] = cached
-            digest.update(b"G")
-            digest.update(",".join(str(q) for q in op.qubits).encode())
-            digest.update(cached)
-        return digest.hexdigest()
 
     # -- dense realisation --------------------------------------------------------
     def to_unitary(self) -> np.ndarray:

@@ -19,10 +19,12 @@ Two design points:
   changes nothing).
 * **Gate fusion.**  The executor runs circuits through the fusion pass of
   :mod:`repro.quantum.fusion`, which merges adjacent gates acting on at most
-  ``max_fuse_qubits`` qubits into one matrix and caches the fused plan per
-  circuit fingerprint — QPE's repeated ``U^{2^j}``-by-repetition synthesis
-  collapses dramatically, and re-running the same circuit (every chunk of a
-  batched ensemble, every ε of a sweep) pays for fusion once.
+  ``max_fuse_qubits`` qubits into one matrix — QPE's repeated
+  ``U^{2^j}``-by-repetition synthesis collapses dramatically.  The pass
+  caches each segment between wider gates per content, so the Hadamards
+  and the inverse QFT are fused once per circuit shape; a new Laplacian
+  only brings its own controlled powers (and whatever small gates were
+  built from it).
 """
 
 from __future__ import annotations
@@ -209,8 +211,8 @@ class EnsembleExecutor:
     Parameters
     ----------
     fuse:
-        Run circuits through the gate-fusion pass (cached per circuit
-        fingerprint) before execution.  Fusion changes floating-point
+        Run circuits through the gate-fusion pass (cached per segment
+        between wide gates) before execution.  Fusion changes floating-point
         association, so callers that need bit-identity with the unfused
         single-state simulator must pass ``False``.
     max_fuse_qubits:
@@ -310,7 +312,7 @@ class EnsembleExecutor:
         the full register is ever materialised, and because every block is
         evolved at the same pinned width the result does not depend on the
         memory budget.  ``plan`` lets callers that already obtained
-        :meth:`gate_plan` for this circuit skip re-fingerprinting it.
+        :meth:`gate_plan` for this circuit skip planning it again.
         """
         n = circuit.num_qubits
         basis = self._validated_basis(circuit, basis_states)

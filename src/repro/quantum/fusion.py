@@ -1,4 +1,4 @@
-"""Gate fusion: merge adjacent small-support gates into single matrices.
+"""Fusion: merge adjacent small-support ops into single matrices.
 
 The faithful QTDA circuits are dominated by *long runs of small gates*: the
 Trotterised ``U^{2^j}`` powers inside QPE are realised by repeating the same
@@ -7,84 +7,234 @@ run of Hadamards and controlled phases.  Applying each of those gates to a
 ``2^n`` state (let alone a ``(2^n, B)`` ensemble) pays the full ``O(2^n)``
 sweep per gate.
 
-:func:`fuse_circuit` walks the gate list once and greedily multiplies
-adjacent gates together while their combined qubit support stays within
-``max_fuse_qubits``, emitting one fused :class:`~repro.quantum.operations.
-Gate` per block.  A repetition chain over a fixed support collapses to a
-single matrix, so the downstream executor sweeps the state once instead of
-``2^j`` times.  Gates wider than the window (the exact controlled powers)
-pass through untouched and act as block boundaries, preserving order.
+One greedy window (:func:`_fuse_run`) fuses ``(qubits, matrix)`` items of
+local dimension ``d``: 2 for gate unitaries, 4 for Liouville
+superoperators (:mod:`repro.quantum.ptm`, DESIGN.md §16).  It multiplies
+adjacent items together while their combined qubit support stays within
+``max_fuse_qubits`` and emits one matrix per block, so a repetition chain
+over a fixed support collapses to a single matrix and the executor sweeps
+the state once instead of ``2^j`` times.  Two thin wrappers feed it:
 
-Fused plans are cached per ``(circuit fingerprint, window)`` — the same
-circuit is re-planned by every ensemble chunk, every repeated sample of a
-batch and every shot-count/precision sweep that revisits a Laplacian, and
-the fingerprint (:meth:`~repro.quantum.circuit.QuantumCircuit.fingerprint`)
-lets all of them share one fusion pass.  (Distinct ε values produce distinct
-Hamiltonians, hence distinct fingerprints — those pay for their own pass.)
-The cache (a :class:`~repro.utils.cache.BoundedCache`) is bounded by
-*bytes* (a plan retains its gate matrices, including the wide controlled
-powers that pass through unfused, and can pin them long after the circuit
-itself is garbage), with an entry-count backstop.
+* :func:`fuse_circuit` — the circuit's gates, for the ensemble route;
+* :func:`fuse_ptm_program` — the density simulator's gate-then-channel
+  walk, scheduled so each qubit joins the density tensor late, for the
+  exact noisy ``ptm`` route.
+
+Gates wider than the window (QPE's exact controlled powers) pass through
+unfused and cut the stream into *segments*; the greedy window never fuses
+across them, so a fused stream is the concatenation of its segments fused
+independently.  Each segment is cached per content (its ops' qubits,
+gate-matrix bytes or channel content keys, and the window) in a
+:class:`~repro.utils.cache.BoundedCache`.  In the QPE circuit only the
+controlled powers depend on the Laplacian, so a new point cloud of a
+known size hits every segment — the Hadamards, the inverse QFT and every
+noise channel — and only its wide gates are rebuilt.  A segment hit builds
+no matrix and looks up no channel superoperator.  Wide gates are never
+cached.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+import hashlib
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.quantum.channels import NoiseSpec
 from repro.quantum.circuit import QuantumCircuit
 from repro.quantum.operations import Gate
+from repro.quantum.ptm import (
+    PTMOp,
+    PTMProgram,
+    WideUnitaryOp,
+    channel_content_key,
+    channel_superop,
+    controlled_block,
+    gate_superop,
+)
 from repro.utils.cache import BoundedCache
 
-#: Byte budget for retained plans (gate matrices dominate; wide pass-through
-#: controlled powers are counted too — at q system qubits each is a
-#: ``2^(1+q) x 2^(1+q)`` complex matrix, so a q=6, t=4 plan is ~1 MB).
-#: Sized by the hit ratio, not the working set: distinct clouds give distinct
-#: circuits, and repeated requests are answered by the service result cache
-#: before they reach fusion (DESIGN.md §11).
+#: Byte budget for the fused gate-plan segments (their gate matrices; at
+#: most ``2^w x 2^w`` each for window ``w``).  Sized by the hit ratio, not
+#: the working set: the Laplacian-independent segments of every system size
+#: fit many times over (DESIGN.md §11).
 FUSION_CACHE_MAX_BYTES = 16 * 1024 * 1024
 
 #: Entry-count backstop on top of the byte budget.
 FUSION_CACHE_MAXSIZE = 128
 
-#: Fused plans per ``(circuit fingerprint, window)``.
+#: Fused gate-plan segments per ``(segment content, window)``.
 _PLAN_CACHE = BoundedCache(FUSION_CACHE_MAXSIZE, max_bytes=FUSION_CACHE_MAX_BYTES)
 
+#: Byte budget for the fused superoperator segments (``4^w x 4^w`` each).
+PTM_CACHE_MAX_BYTES = 256 * 1024 * 1024
 
-def _plan_bytes(plan: Tuple[Gate, ...]) -> int:
-    """Approximate retained size of a plan (its gate matrices)."""
-    return sum(gate.matrix.nbytes for gate in plan)
+PTM_CACHE_MAXSIZE = 64
+
+#: Fused PTM-program segments per ``(segment content, window)``.
+_PTM_CACHE = BoundedCache(PTM_CACHE_MAXSIZE, max_bytes=PTM_CACHE_MAX_BYTES)
 
 
 def fusion_cache_info() -> Dict[str, int]:
-    """Hit/miss/size counters of the fused-plan cache."""
+    """Hit/miss/size counters of the gate-plan segment cache."""
     return _PLAN_CACHE.info()
 
 
 def clear_fusion_cache() -> None:
-    """Drop every cached fused plan and reset the counters (tests)."""
+    """Drop every cached gate-plan segment and reset the counters (tests)."""
     _PLAN_CACHE.clear()
 
 
-def _embed_matrix(matrix: np.ndarray, qubits: Tuple[int, ...], support: Tuple[int, ...]) -> np.ndarray:
-    """Expand a gate matrix on ``qubits`` to the full ``support`` register.
+def ptm_cache_info() -> Dict[str, int]:
+    """Hit/miss/size counters of the PTM-program segment cache."""
+    return _PTM_CACHE.info()
 
-    ``support`` is an ordered tuple of qubit labels defining the fused
-    block's index space (first label = most significant bit, matching the
-    :class:`Gate` convention).  The embedding reuses the ensemble kernel:
-    applying the gate to the ``2^s`` basis states (the identity matrix viewed
-    as an ensemble) produces exactly the full matrix, column by column.
+
+def clear_ptm_cache() -> None:
+    """Drop every cached PTM-program segment and reset the counters (tests)."""
+    _PTM_CACHE.clear()
+
+
+# --- the greedy window -------------------------------------------------------
+
+
+def _embed(
+    matrix: np.ndarray, qubits: Tuple[int, ...], support: Tuple[int, ...], d: int
+) -> np.ndarray:
+    """Expand an operator on ``qubits`` to the full ``support`` register.
+
+    ``d`` is the local dimension of one qubit: 2 for a gate, 4 for a
+    superoperator.  ``matrix ⊗ I`` acts on the digits ``qubits + (the rest
+    of support)``; permuting the digit axes into ``support`` order gives the
+    embedding.  Only entries are copied, so the result is exact.
     """
     if tuple(qubits) == tuple(support):
         return np.asarray(matrix, dtype=complex)
-    from repro.quantum.engine import apply_gate_to_ensemble
+    s, k = len(support), len(qubits)
+    rest = [q for q in support if q not in qubits]
+    # Axes of the outer product: qubits' out, qubits' in, rest out, rest in.
+    out_axis = {q: j for j, q in enumerate(qubits)}
+    out_axis.update({q: 2 * k + j for j, q in enumerate(rest)})
+    in_axis = {q: axis + (k if q in qubits else s - k) for q, axis in out_axis.items()}
+    full = np.multiply.outer(
+        np.asarray(matrix, dtype=complex).reshape((d,) * (2 * k)),
+        np.eye(d ** (s - k)).reshape((d,) * (2 * (s - k))),
+    )
+    full = full.transpose([out_axis[q] for q in support] + [in_axis[q] for q in support])
+    return full.reshape(d**s, d**s)
 
+
+def _join(
+    op: np.ndarray, qubits: Tuple[int, ...], block: np.ndarray, support: Tuple[int, ...], d: int
+) -> np.ndarray:
+    """``_embed(op, qubits, support, d) @ block`` without the embedding.
+
+    The embedding is the identity on the other digits, so the product only
+    contracts the operator's input digits with the output digits of
+    ``qubits`` in ``block``: ``d^(s+k)`` work per column instead of the
+    dense product's ``d^(2s)``.
+    """
+    k, s = len(qubits), len(support)
     positions = [support.index(q) for q in qubits]
-    s = len(support)
-    identity = np.eye(2**s, dtype=complex)
-    return apply_gate_to_ensemble(identity, np.asarray(matrix, dtype=complex), positions, s)
+    out = np.tensordot(
+        np.asarray(op, dtype=complex).reshape((d,) * (2 * k)),
+        block.reshape((d,) * s + (d**s,)),
+        axes=(list(range(k, 2 * k)), positions),
+    )
+    return np.moveaxis(out, list(range(k)), positions).reshape(d**s, d**s)
+
+
+def _fuse_run(items, max_fuse_qubits: int, d: int) -> List[Tuple[Tuple[int, ...], np.ndarray, int]]:
+    """Greedily fuse ``(qubits, matrix)`` items into ``(support, matrix,
+    count)`` blocks.
+
+    A block grows while the union of its items' qubits stays within the
+    window; a later item left-multiplies the block (it acts after it).
+    ``count`` is how many consecutive items the block absorbed.
+    """
+    blocks: List[Tuple[Tuple[int, ...], np.ndarray, int]] = []
+    support: Optional[Tuple[int, ...]] = None
+    for qubits, op in items:
+        if support is not None:
+            union = tuple(sorted(set(support) | set(qubits)))
+            if len(union) <= max_fuse_qubits:
+                if union != support:
+                    matrix = _embed(matrix, support, union, d)
+                matrix = _join(op, qubits, matrix, union, d)
+                support, count = union, count + 1
+                continue
+            blocks.append((support, matrix, count))
+        support = tuple(sorted(qubits))
+        matrix, count = _embed(op, qubits, support, d), 1
+    if support is not None:
+        blocks.append((support, matrix, count))
+    return blocks
+
+
+def _segment_key(run: Sequence[tuple], max_fuse_qubits: int, contents: Dict[int, bytes]) -> str:
+    """Content digest of one segment: each op's qubits and its gate-matrix
+    bytes or channel content key, plus the window.
+
+    ``contents`` memoises each payload's digest by identity for the whole
+    stream (QPE's repetition synthesis and the spec's channels repeat the
+    same objects many times).
+    """
+    digest = hashlib.sha256(f"window={int(max_fuse_qubits)}".encode())
+    for qubits, payload in run:
+        content = contents.get(id(payload))
+        if content is None:
+            if isinstance(payload, Gate):
+                content = b"G" + hashlib.sha256(np.ascontiguousarray(payload.matrix)).digest()
+            else:
+                content = b"C" + channel_content_key(payload).encode()
+            contents[id(payload)] = content
+        digest.update(repr(tuple(qubits)).encode())
+        digest.update(content)
+    return digest.hexdigest()
+
+
+def _fuse_segments(
+    stream: Sequence[tuple],
+    max_fuse_qubits: int,
+    cache: BoundedCache,
+    fuse: Callable[[List[tuple]], tuple],
+    wide: Callable[[Gate], object],
+) -> List[object]:
+    """Cut a ``(qubits, gate_or_channel)`` stream at every gate wider than
+    the window; fuse each segment once per content, rebuild each wide gate.
+
+    ``fuse`` turns a segment into its fused ops (called on a cache miss
+    only), ``wide`` turns a wide gate into its pass-through op.
+    """
+    if max_fuse_qubits < 1:
+        raise ValueError(f"max_fuse_qubits must be >= 1, got {max_fuse_qubits}")
+    ops: List[object] = []
+    run: List[tuple] = []
+    contents: Dict[int, bytes] = {}
+
+    def flush() -> None:
+        if not run:
+            return
+        key = _segment_key(run, max_fuse_qubits, contents)
+        fused = cache.get(key)
+        if fused is None:
+            fused = fuse(run)
+            fused = cache.put(key, fused, sum(op.matrix.nbytes for op in fused))
+        ops.extend(fused)
+        run.clear()
+
+    for item in stream:
+        payload = item[1]
+        if isinstance(payload, Gate) and payload.num_qubits > max_fuse_qubits:
+            flush()
+            ops.append(wide(payload))
+        else:
+            run.append(item)
+    flush()
+    return ops
+
+
+# --- gate plans (the ensemble route) ------------------------------------------
 
 
 def fuse_circuit(circuit: QuantumCircuit, max_fuse_qubits: int = 3) -> Tuple[Gate, ...]:
@@ -104,168 +254,52 @@ def fuse_circuit(circuit: QuantumCircuit, max_fuse_qubits: int = 3) -> Tuple[Gat
     tuple of Gate
         Equivalent gate sequence: applying the returned gates in order equals
         applying the original gates in order (up to floating-point
-        association inside each fused product).  Single-gate blocks return
-        the *original* gate object, so an unfusable circuit round-trips
-        unchanged.
+        association inside each fused product).  Single-gate blocks and wide
+        gates are returned as they are, so an unfusable circuit round-trips
+        its gates' qubits and matrices unchanged (on a segment hit, a
+        single-gate block is the equal gate of the circuit that filled it).
     """
-    if max_fuse_qubits < 1:
-        raise ValueError(f"max_fuse_qubits must be >= 1, got {max_fuse_qubits}")
-    key = (circuit.fingerprint(), int(max_fuse_qubits))
-    cached = _PLAN_CACHE.get(key)
-    if cached is not None:
-        return cached
 
-    fused: List[Gate] = []
-    support: Optional[Tuple[int, ...]] = None
-    matrix: Optional[np.ndarray] = None
-    block: List[Gate] = []
+    def fuse(run: List[tuple]) -> Tuple[Gate, ...]:
+        plan, start = [], 0
+        for support, matrix, count in _fuse_run(
+            ((gate.qubits, gate.matrix) for _, gate in run), max_fuse_qubits, 2
+        ):
+            gate = run[start][1] if count == 1 else Gate(f"fused[{count}]", support, matrix)
+            plan.append(gate)
+            start += count
+        return tuple(plan)
 
-    def flush() -> None:
-        nonlocal support, matrix, block
-        if support is None:
-            return
-        if len(block) == 1:
-            fused.append(block[0])
-        else:
-            fused.append(
-                Gate(name=f"fused[{len(block)}]", qubits=support, matrix=matrix)
-            )
-        support, matrix, block = None, None, []
-
-    for gate in circuit.gates:
-        if gate.num_qubits > max_fuse_qubits:
-            flush()
-            fused.append(gate)
-            continue
-        if support is None:
-            support = tuple(sorted(gate.qubits))
-            matrix = _embed_matrix(gate.matrix, gate.qubits, support)
-            block = [gate]
-            continue
-        union = tuple(sorted(set(support) | set(gate.qubits)))
-        if len(union) <= max_fuse_qubits:
-            if union != support:
-                matrix = _embed_matrix(matrix, support, union)
-            # Later gate acts after the block: left-multiply its embedding.
-            matrix = _embed_matrix(gate.matrix, gate.qubits, union) @ matrix
-            support = union
-            block.append(gate)
-        else:
-            flush()
-            support = tuple(sorted(gate.qubits))
-            matrix = _embed_matrix(gate.matrix, gate.qubits, support)
-            block = [gate]
-    flush()
-
-    plan = tuple(fused)
-    return _PLAN_CACHE.put(key, plan, _plan_bytes(plan))
+    stream = [(gate.qubits, gate) for gate in circuit.gates]
+    return tuple(_fuse_segments(stream, max_fuse_qubits, _PLAN_CACHE, fuse, lambda gate: gate))
 
 
-# --- PTM-program fusion (the noisy twin of fuse_circuit) --------------------
+# --- PTM programs (the exact noisy route) -------------------------------------
 #
-# In the Liouville representation (repro.quantum.ptm, DESIGN.md §16) noise
-# channels compose exactly like gates: both are superoperator matrices that
-# left-multiply.  The greedy walk below is therefore the same algorithm as
-# fuse_circuit, run over the interleaved stream of gate superoperators and
-# their attached channel superoperators (NoiseSpec.channels_for_gate, the
-# placement the density oracle uses), so an entire gate+noise run collapses
-# into one fused superoperator per `max_fuse_qubits` window.  Wide
+# In the Liouville representation noise channels compose exactly like gates:
+# both are superoperator matrices that left-multiply.  The program stream
+# interleaves each gate with the channels NoiseSpec.channels_for_gate
+# attaches to it (the placement the density oracle uses), so an entire
+# gate+noise run collapses into one fused superoperator per window.  Wide
 # controlled powers cannot have explicit superoperators (4^(1+q) blows up);
 # they pass through as unitaries with a precomputed controlled-block fast
-# path and act as block boundaries — but their *noise* is small and keeps
-# fusing on either side.  Before fusing, the stream is scheduled so each
-# qubit joins the density tensor as late as possible
-# (_defer_single_qubit_prefixes); the wide powers then run on the qubits
-# that have joined so far instead of on the whole register.
-
-PTM_CACHE_MAX_BYTES = 256 * 1024 * 1024
-
-PTM_CACHE_MAXSIZE = 64
-
-#: Fused PTM programs per ``(circuit fingerprint, gate-noise key, window)``.
-_PTM_CACHE = BoundedCache(PTM_CACHE_MAXSIZE, max_bytes=PTM_CACHE_MAX_BYTES)
-
-
-def ptm_cache_info() -> Dict[str, int]:
-    """Hit/miss/size counters of the fused PTM-program cache."""
-    return _PTM_CACHE.info()
-
-
-def clear_ptm_cache() -> None:
-    """Drop every cached PTM program and reset the counters (tests)."""
-    _PTM_CACHE.clear()
-
-
-def _noise_spec_key(noise_spec: Optional[NoiseSpec]) -> str:
-    """Canonical cache-key form of the spec's *gate* noise.
-
-    ``readout_error`` is applied to the readout distribution, not the
-    program, so strength sweeps that only vary it share one program.
-    """
-    if noise_spec is None or not noise_spec.has_gate_noise:
-        return "noise-free"
-    data = dict(noise_spec.as_dict())
-    data.pop("readout_error", None)
-    return repr(sorted((k, repr(v)) for k, v in data.items()))
-
-
-def _embed_ptm(matrix: np.ndarray, qubits: Tuple[int, ...], support: Tuple[int, ...]) -> np.ndarray:
-    """Expand a superoperator on ``qubits`` to the full ``support`` register.
-
-    ``matrix ⊗ I`` acts on the digits ``qubits + (the rest of support)``;
-    permuting the digit axes into ``support`` order gives the embedding.
-    Only entries are copied, so the result is exact.
-    """
-    if tuple(qubits) == tuple(support):
-        return np.asarray(matrix, dtype=complex)
-    s, k = len(support), len(qubits)
-    rest = [q for q in support if q not in qubits]
-    # Axes of the outer product: qubits' out, qubits' in, rest out, rest in.
-    out_axis = {q: j for j, q in enumerate(qubits)}
-    out_axis.update({q: 2 * k + j for j, q in enumerate(rest)})
-    in_axis = {q: axis + (k if q in qubits else s - k) for q, axis in out_axis.items()}
-    full = np.multiply.outer(
-        np.asarray(matrix, dtype=complex).reshape((4,) * (2 * k)),
-        np.eye(4 ** (s - k)).reshape((4,) * (2 * (s - k))),
-    )
-    full = full.transpose([out_axis[q] for q in support] + [in_axis[q] for q in support])
-    return full.reshape(4**s, 4**s)
-
-
-def _left_multiply_ptm(
-    superop: np.ndarray, qubits: Tuple[int, ...], matrix: np.ndarray, support: Tuple[int, ...]
-) -> np.ndarray:
-    """``_embed_ptm(superop, qubits, support) @ matrix`` without the embedding.
-
-    The embedding is the identity on the other digits, so the product only
-    contracts the superoperator's input digits with the output digits of
-    ``qubits`` in ``matrix``: ``4^(s+k)`` work per column instead of the
-    dense product's ``4^(2s)``.
-    """
-    k, s = len(qubits), len(support)
-    positions = [support.index(q) for q in qubits]
-    out = np.tensordot(
-        np.asarray(superop, dtype=complex).reshape((4,) * (2 * k)),
-        matrix.reshape((4,) * s + (4**s,)),
-        axes=(list(range(k, 2 * k)), positions),
-    )
-    return np.moveaxis(out, list(range(k)), positions).reshape(4**s, 4**s)
+# path — but their *noise* is small and keeps fusing on either side.  Before
+# fusing, the stream is scheduled so each qubit joins the density tensor as
+# late as possible (_defer_single_qubit_prefixes); the wide powers then run
+# on the qubits that have joined so far instead of on the whole register.
 
 
 def _density_walk(circuit: QuantumCircuit, noise_spec: Optional[NoiseSpec]):
-    """Yield ``(qubits, gate_or_channel_superop, is_gate)`` in the density
-    simulator's order: each gate, then the channels
-    :meth:`NoiseSpec.channels_for_gate` attaches to it (channels arrive
-    already lowered to their memoised superoperators).
+    """Yield ``(qubits, gate_or_channel)`` in the density simulator's order:
+    each gate, then the channels :meth:`NoiseSpec.channels_for_gate`
+    attaches to it.
     """
-    from repro.quantum.ptm import channel_superop
-
     noisy = noise_spec is not None and noise_spec.has_gate_noise
     for gate in circuit.gates:
-        yield gate.qubits, gate, True
+        yield gate.qubits, gate
         if noisy:
             for channel, qubits in noise_spec.channels_for_gate(gate):
-                yield qubits, channel_superop(channel), False
+                yield qubits, channel
 
 
 def _defer_single_qubit_prefixes(stream):
@@ -309,86 +343,31 @@ def fuse_ptm_program(
     max_fuse_qubits: int = 3,
 ):
     """The circuit + noise lowered to a fused :class:`~repro.quantum.ptm.
-    PTMProgram` (cached per circuit fingerprint + NoiseSpec + window).
+    PTMProgram` (each segment between wide gates cached per content).
 
     Gates within the window and every attached noise channel become
     superoperators and fuse greedily; wider gates pass through as
     :class:`~repro.quantum.ptm.WideUnitaryOp` boundaries.  Applying the
     returned ops in order equals the density simulator's gate-then-Kraus walk
     exactly (up to floating-point association inside each fused product).
+    ``readout_error`` places no channel, so specs that differ only in it
+    share every segment.
     """
-    from repro.quantum.ptm import (
-        PTMOp,
-        PTMProgram,
-        WideUnitaryOp,
-        controlled_block,
-        gate_superop,
-    )
 
-    if max_fuse_qubits < 1:
-        raise ValueError(f"max_fuse_qubits must be >= 1, got {max_fuse_qubits}")
-    key = (circuit.fingerprint(), _noise_spec_key(noise_spec), int(max_fuse_qubits))
-    cached = _PTM_CACHE.get(key)
-    if cached is not None:
-        return cached
-
-    ops: List[object] = []
-    support: Optional[Tuple[int, ...]] = None
-    matrix: Optional[np.ndarray] = None
-    sources = 0
-    source_ops = 0
-
-    def flush() -> None:
-        nonlocal support, matrix, sources
-        if support is None:
-            return
-        ops.append(
-            PTMOp(
-                qubits=support,
-                matrix=matrix,
-                sources=sources,
-                name=f"ptm[{sources}]",
-            )
+    def fuse(run: List[tuple]) -> Tuple[PTMOp, ...]:
+        superops = (
+            (qubits, gate_superop(op.matrix) if isinstance(op, Gate) else channel_superop(op))
+            for qubits, op in run
         )
-        support, matrix, sources = None, None, 0
+        return tuple(
+            PTMOp(qubits=support, matrix=matrix, sources=count, name=f"ptm[{count}]")
+            for support, matrix, count in _fuse_run(superops, max_fuse_qubits, 4)
+        )
 
-    for qubits, payload, is_gate in _ptm_op_stream(circuit, noise_spec):
-        if is_gate and payload.num_qubits > max_fuse_qubits:
-            flush()
-            wide = np.asarray(payload.matrix, dtype=complex)
-            ops.append(
-                WideUnitaryOp(
-                    qubits=payload.qubits,
-                    matrix=wide,
-                    name=payload.name,
-                    block=controlled_block(wide),
-                )
-            )
-            source_ops += 1
-            continue
-        superop = gate_superop(payload.matrix) if is_gate else payload
-        source_ops += 1
-        if support is None:
-            support = tuple(sorted(qubits))
-            matrix = _embed_ptm(superop, qubits, support)
-            sources = 1
-            continue
-        union = tuple(sorted(set(support) | set(qubits)))
-        if len(union) <= max_fuse_qubits:
-            if union != support:
-                matrix = _embed_ptm(matrix, support, union)
-            # Later op acts after the block: left-multiply its embedding.
-            matrix = _left_multiply_ptm(superop, qubits, matrix, union)
-            support = union
-            sources += 1
-        else:
-            flush()
-            support = tuple(sorted(qubits))
-            matrix = _embed_ptm(superop, qubits, support)
-            sources = 1
-    flush()
+    def wide(gate: Gate) -> WideUnitaryOp:
+        block = controlled_block(gate.matrix)
+        return WideUnitaryOp(qubits=gate.qubits, matrix=gate.matrix, name=gate.name, block=block)
 
-    program = PTMProgram(
-        num_qubits=circuit.num_qubits, ops=tuple(ops), source_ops=source_ops
-    )
-    return _PTM_CACHE.put(key, program, program.nbytes())
+    stream = list(_ptm_op_stream(circuit, noise_spec))
+    ops = _fuse_segments(stream, max_fuse_qubits, _PTM_CACHE, fuse, wide)
+    return PTMProgram(num_qubits=circuit.num_qubits, ops=tuple(ops), source_ops=len(stream))

@@ -275,7 +275,7 @@ class PTMExecutor:
         self.max_fuse_qubits = int(max_fuse_qubits)
 
     def program(self, circuit, noise_spec=None) -> PTMProgram:
-        """The circuit's fused superoperator program (cached per circuit + spec)."""
+        """The circuit's fused superoperator program (cached per segment)."""
         from repro.quantum.fusion import fuse_ptm_program
 
         return fuse_ptm_program(

@@ -1,7 +1,7 @@
 """A thread-safe LRU cache bounded by entry count and, optionally, bytes.
 
-Every memo in the package (fused gate plans, fused PTM programs, channel
-superoperators, Laplacian spectra, service results) is one
+Every memo in the package (fused gate-plan and PTM-program segments,
+channel superoperators, Laplacian spectra, service results) is one
 :class:`BoundedCache`.  Callers look a key up with :meth:`BoundedCache.get`,
 compute a missing value *outside* the lock, and hand it back with
 :meth:`BoundedCache.put`.  Two threads can miss the same key at once; the

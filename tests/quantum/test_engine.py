@@ -19,6 +19,7 @@ from repro.quantum.engine import (
 import repro.quantum.fusion as fusion
 from repro.quantum.fusion import (
     clear_fusion_cache,
+    clear_ptm_cache,
     fuse_circuit,
     fuse_ptm_program,
     fusion_cache_info,
@@ -30,6 +31,7 @@ from repro.quantum.measurement import (
     ensemble_member_marginal_probabilities,
     marginal_probabilities,
 )
+from repro.quantum.ptm import WideUnitaryOp
 from repro.quantum.qpe import SpectralUnitary, phase_estimation_circuit
 from repro.quantum.statevector import StatevectorSimulator
 
@@ -155,19 +157,32 @@ def test_wide_gates_pass_through_and_split_blocks():
     assert fused[1].matrix is big or np.array_equal(fused[1].matrix, big)
 
 
-def test_fusion_cache_is_keyed_by_circuit_fingerprint():
+def test_fusion_cache_is_keyed_by_segment_content():
+    """Gates wider than the window cut the plan into segments, each cached
+    per content: a circuit that differs only in its wide gate hits every
+    segment and gets its own wide gate back; a different window misses."""
     clear_fusion_cache()
     rng = np.random.default_rng(6)
-    circ = _random_circuit(rng, 3, num_gates=8)
-    fuse_circuit(circ, max_fuse_qubits=2)
+    a, b = _random_unitary(rng, 2), _random_unitary(rng, 2)
+
+    def circuit(wide):
+        circ = QuantumCircuit(4)
+        circ.unitary(a, [0, 1]).unitary(b, [1, 2]).unitary(wide, [0, 1, 2])
+        return circ.unitary(b, [2, 3]).unitary(a, [3, 1])
+
+    first = fuse_circuit(circuit(_random_unitary(rng, 3)), max_fuse_qubits=2)
     info = fusion_cache_info()
-    assert (info["hits"], info["misses"], info["entries"]) == (0, 1, 1)
-    assert info["bytes"] > 0
-    # A structurally identical copy hits the cache; a different window misses.
-    fuse_circuit(circ.copy(), max_fuse_qubits=2)
-    assert fusion_cache_info()["hits"] == 1
-    fuse_circuit(circ, max_fuse_qubits=3)
-    assert fusion_cache_info()["misses"] == 2
+    assert (info["hits"], info["misses"], info["entries"]) == (0, 2, 2)
+    assert info["bytes"] == sum(gate.matrix.nbytes for gate in first if gate.num_qubits <= 2)
+    wide = _random_unitary(rng, 3)
+    second = fuse_circuit(circuit(wide), max_fuse_qubits=2)
+    assert fusion_cache_info()["hits"] == 2
+    (passed,) = [gate.matrix for gate in second if gate.num_qubits == 3]
+    assert passed is wide
+    assert all(x is y for x, y in zip(first, second) if x.num_qubits <= 2)
+    # With a window of 3 nothing is wide: one new segment.
+    fuse_circuit(circuit(wide), max_fuse_qubits=3)
+    assert fusion_cache_info()["misses"] == 3
     clear_fusion_cache()
     assert fusion_cache_info() == {"hits": 0, "misses": 0, "entries": 0, "bytes": 0}
 
@@ -183,7 +198,12 @@ def _fuse_noisy_program(circuit):
 @pytest.mark.parametrize(
     "fuse, cache, size_of, info",
     [
-        (_fuse_plan, fusion._PLAN_CACHE, fusion._plan_bytes, fusion_cache_info),
+        (
+            _fuse_plan,
+            fusion._PLAN_CACHE,
+            lambda plan: sum(gate.matrix.nbytes for gate in plan),
+            fusion_cache_info,
+        ),
         (_fuse_noisy_program, fusion._PTM_CACHE, lambda program: program.nbytes(), ptm_cache_info),
     ],
     ids=["plan", "ptm"],
@@ -206,36 +226,48 @@ def test_fusion_cache_byte_budget_evicts_and_skips_oversize(monkeypatch, fuse, c
     assert info()["entries"] == 0  # but nothing was pinned
 
 
-def test_paper_scale_qtda_plan_is_cached_under_the_budget():
-    """A q=6, t=4 QTDA circuit (the ensemble route's circuit) fits the byte
-    budget, so a warm run at that size re-plans nothing."""
+def test_new_paper_scale_cloud_hits_every_laplacian_independent_segment():
+    """At q=6, t=4 every controlled power is wider than the window, so each
+    small gate and channel is the same for every cloud: a second cloud hits
+    every segment of both caches, and neither cache holds a wide matrix."""
     from repro.core.hamiltonian import build_hamiltonian
     from repro.core.qtda_circuit import qtda_circuit
 
-    basis = np.random.default_rng(2023).standard_normal((48, 46))
-    laplacian = basis @ basis.T  # 48 simplices, padded to 2^6
-    hamiltonian = build_hamiltonian((laplacian + laplacian.T) / 2.0, delta=6.0)
-    circuit, spec = qtda_circuit(
-        hamiltonian, precision_qubits=4, use_purification=False, power_synthesis="spectral"
-    )
-    assert (spec.system_qubits, circuit.num_qubits) == (6, 10)
-    clear_fusion_cache()
-    plan = fuse_circuit(circuit)
-    assert fusion._plan_bytes(plan) <= fusion.FUSION_CACHE_MAX_BYTES
-    assert fuse_circuit(circuit) is plan  # the second call is a cache hit
-    info = fusion_cache_info()
-    assert (info["hits"], info["misses"], info["entries"]) == (1, 1, 1)
-    clear_fusion_cache()
+    def paper_scale_circuit(seed):
+        basis = np.random.default_rng(seed).standard_normal((48, 46))
+        laplacian = basis @ basis.T  # 48 simplices, padded to 2^6
+        hamiltonian = build_hamiltonian((laplacian + laplacian.T) / 2.0, delta=6.0)
+        circuit, spec = qtda_circuit(
+            hamiltonian, precision_qubits=4, use_purification=False, power_synthesis="spectral"
+        )
+        assert (spec.system_qubits, circuit.num_qubits) == (6, 10)
+        return circuit
 
-
-def test_circuit_fingerprint_tracks_content_not_identity():
-    rng = np.random.default_rng(8)
-    u = _random_unitary(rng, 1)
-    a = QuantumCircuit(2).unitary(u, [0]).unitary(u, [1])
-    b = QuantumCircuit(2).unitary(u.copy(), [0]).unitary(u.copy(), [1])
-    c = QuantumCircuit(2).unitary(u, [1]).unitary(u, [0])
-    assert a.fingerprint() == b.fingerprint()
-    assert a.fingerprint() != c.fingerprint()
+    spec = NoiseSpec(channel="depolarizing", strength=0.01)
+    first, second = paper_scale_circuit(2023), paper_scale_circuit(2024)
+    clear_fusion_cache()
+    clear_ptm_cache()
+    fuse_circuit(first)
+    fuse_ptm_program(first, spec)
+    plan_lookups, ptm_lookups = fusion_cache_info()["misses"], ptm_cache_info()["misses"]
+    plan = fuse_circuit(second)
+    program = fuse_ptm_program(second, spec)
+    assert fusion_cache_info()["misses"] == plan_lookups
+    assert fusion_cache_info()["hits"] == plan_lookups
+    assert ptm_cache_info()["misses"] == ptm_lookups
+    assert ptm_cache_info()["hits"] == ptm_lookups
+    # The wide gates are the second circuit's own.
+    wide = [gate.matrix for gate in second.gates if gate.num_qubits > 3]
+    assert len(wide) == 4
+    plan_wide = [gate.matrix for gate in plan if gate.num_qubits > 3]
+    program_wide = [op.matrix for op in program.ops if isinstance(op, WideUnitaryOp)]
+    assert all(x is y for x, y in zip(plan_wide, wide)) and len(plan_wide) == 4
+    assert all(x is y for x, y in zip(program_wide, wide)) and len(program_wide) == 4
+    for cache, dimension in ((fusion._PLAN_CACHE, 2**3), (fusion._PTM_CACHE, 4**3)):
+        for ops, _ in cache._store.values():
+            assert all(op.matrix.shape[0] <= dimension for op in ops)
+    clear_fusion_cache()
+    clear_ptm_cache()
 
 
 # ---------------------------------------------------------------------------

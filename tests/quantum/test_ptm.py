@@ -33,8 +33,8 @@ from repro.quantum.circuit import QuantumCircuit
 from repro.quantum.density_matrix import DensityMatrix, DensityMatrixSimulator
 from repro.quantum.fusion import (
     _density_walk,
-    _embed_ptm,
-    _left_multiply_ptm,
+    _embed,
+    _join,
     _ptm_op_stream,
     clear_ptm_cache,
     fuse_ptm_program,
@@ -176,7 +176,7 @@ def test_random_circuit_ptm_homomorphism(seed):
         qubits = tuple(int(q) for q in rng.choice(n, size=k, replace=False))
         u = _random_unitary(rng, k)
         circ.unitary(u, list(qubits))
-        program = _embed_ptm(gate_superop(u), qubits, tuple(range(n))) @ program
+        program = _embed(gate_superop(u), qubits, tuple(range(n)), 4) @ program
     total = np.eye(2**n, dtype=complex)
     # Reference: the circuit unitary, each gate embedded by direct summation.
     for gate in circ.gates:
@@ -205,28 +205,30 @@ def _embed_unitary(matrix, qubits, n):
     return full
 
 
-def _embed_by_identity_application(matrix, qubits, support):
-    """The earlier embedding: apply the superoperator to the ``4^s``
-    identity viewed as an ensemble of basis vectors."""
+def _embed_by_identity_application(matrix, qubits, support, d):
+    """The reference embedding: apply the operator to the ``d^s`` identity
+    viewed as an ensemble of basis vectors."""
     positions = [support.index(q) for q in qubits]
     k, s = len(qubits), len(support)
-    tensor = np.eye(4**s, dtype=complex).reshape([4] * s + [4**s])
-    op = np.asarray(matrix, dtype=complex).reshape([4] * (2 * k))
+    tensor = np.eye(d**s, dtype=complex).reshape([d] * s + [d**s])
+    op = np.asarray(matrix, dtype=complex).reshape([d] * (2 * k))
     tensor = np.tensordot(op, tensor, axes=(list(range(k, 2 * k)), positions))
     tensor = np.moveaxis(tensor, list(range(k)), positions)
-    return np.ascontiguousarray(tensor).reshape(4**s, 4**s)
+    return np.ascontiguousarray(tensor).reshape(d**s, d**s)
 
 
 @pytest.mark.parametrize("seed", range(6))
 def test_embedding_is_bit_identical_to_identity_application(seed):
+    """Superoperators (``d = 4``) and gates (``d = 2``) share the embedding."""
     rng = np.random.default_rng(seed)
     s = int(rng.integers(2, 4))
     support = tuple(sorted(int(q) for q in rng.choice(6, size=s, replace=False)))
     k = int(rng.integers(1, s))
     qubits = tuple(int(q) for q in rng.choice(support, size=k, replace=False))
-    matrix = rng.standard_normal((4**k, 4**k)) + 1j * rng.standard_normal((4**k, 4**k))
-    got = _embed_ptm(matrix, qubits, support)
-    assert np.array_equal(got, _embed_by_identity_application(matrix, qubits, support))
+    for d in (4, 2):
+        matrix = rng.standard_normal((d**k, d**k)) + 1j * rng.standard_normal((d**k, d**k))
+        got = _embed(matrix, qubits, support, d)
+        assert np.array_equal(got, _embed_by_identity_application(matrix, qubits, support, d))
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -240,8 +242,8 @@ def test_left_multiply_matches_the_embedded_product(seed):
     qubits = tuple(int(q) for q in rng.choice(support, size=k, replace=False))
     superop = rng.standard_normal((4**k, 4**k)) + 1j * rng.standard_normal((4**k, 4**k))
     block = rng.standard_normal((4**s, 4**s)) + 1j * rng.standard_normal((4**s, 4**s))
-    got = _left_multiply_ptm(superop, qubits, block, support)
-    want = _embed_ptm(superop, qubits, support) @ block
+    got = _join(superop, qubits, block, support, 4)
+    want = _embed(superop, qubits, support, 4) @ block
     assert np.allclose(got, want, rtol=0, atol=1e-12)
 
 
@@ -505,8 +507,8 @@ def _late_coupling_circuit(rng):
 
 
 def _op_key(item):
-    qubits, payload, is_gate = item
-    return tuple(qubits), id(payload), is_gate
+    qubits, payload = item
+    return tuple(qubits), id(payload)
 
 
 @pytest.mark.parametrize("max_fuse_qubits", [2, 3])
@@ -582,26 +584,59 @@ def test_reduced_state_validates_its_arguments():
         PTMExecutor().reduced_state(program, states[:1], [0])
 
 
-def test_ptm_program_cache_hits_on_same_circuit_and_spec():
+def test_ptm_program_segments_are_cached_per_content():
+    """The program is cached per segment between wide gates: a circuit that
+    differs only in its wide gate hits every segment without building a
+    channel superoperator; a new window or channel strength misses, and a
+    readout error alone (it places no channel) hits."""
     clear_ptm_cache()
     rng = np.random.default_rng(9)
-    circ = QuantumCircuit(2)
-    circ.unitary(_random_unitary(rng, 2), [0, 1])
+    small = _random_unitary(rng, 2)
+
+    def circuit(wide):
+        circ = QuantumCircuit(4)
+        circ.h(0).unitary(small, [1, 2], name="CU")
+        circ.unitary(wide, [0, 1, 2, 3], name="c-U^1")
+        return circ.unitary(small, [2, 3], name="CU")
+
     spec = NoiseSpec(channel="depolarizing", strength=0.01)
-    first = fuse_ptm_program(circ, noise_spec=spec)
-    second = fuse_ptm_program(circ, noise_spec=spec)
-    assert first is second
-    info = ptm_cache_info()
-    assert info["hits"] == 1 and info["misses"] == 1
-    # A different fusion window or spec is a different program.
-    fuse_ptm_program(circ, noise_spec=spec, max_fuse_qubits=1)
-    fuse_ptm_program(circ, noise_spec=NoiseSpec(channel="depolarizing", strength=0.02))
-    assert ptm_cache_info()["misses"] == 3
-    # Readout error does not enter the program key (applied post-readout).
+    first = fuse_ptm_program(circuit(_controlled(rng, 4)), noise_spec=spec, max_fuse_qubits=2)
+    assert (ptm_cache_info()["hits"], ptm_cache_info()["misses"]) == (0, 2)
+    memo = ptm_memo_info()
+    wide = _controlled(rng, 4)
+    second = fuse_ptm_program(circuit(wide), noise_spec=spec, max_fuse_qubits=2)
+    assert (ptm_cache_info()["hits"], ptm_cache_info()["misses"]) == (2, 2)
+    assert ptm_memo_info() == memo
+    (passed,) = [op.matrix for op in second.ops if isinstance(op, WideUnitaryOp)]
+    assert passed is wide
+    assert all(a is b for a, b in zip(first.ops, second.ops) if not isinstance(a, WideUnitaryOp))
+    fuse_ptm_program(circuit(wide), noise_spec=spec, max_fuse_qubits=3)
+    stronger = NoiseSpec(channel="depolarizing", strength=0.02)
+    fuse_ptm_program(circuit(wide), noise_spec=stronger, max_fuse_qubits=2)
+    assert ptm_cache_info()["misses"] == 6
     with_readout = fuse_ptm_program(
-        circ, noise_spec=NoiseSpec(channel="depolarizing", strength=0.01, readout_error=0.1)
+        circuit(wide),
+        noise_spec=NoiseSpec(channel="depolarizing", strength=0.01, readout_error=0.1),
+        max_fuse_qubits=2,
     )
-    assert with_readout is first
+    assert ptm_cache_info()["misses"] == 6
+    assert all(
+        a is b for a, b in zip(second.ops, with_readout.ops) if not isinstance(a, WideUnitaryOp)
+    )
+
+
+def test_ptm_program_cache_keeps_gate_name_noise_placement():
+    """``gate_strengths`` places noise by gate name, so an ``H`` and an
+    equal-matrix gate with another name fuse to different programs, in
+    either order through one cache."""
+    h = QuantumCircuit(1).h(0)
+    renamed = QuantumCircuit(1).unitary(h.gates[0].matrix, [0], name="U")
+    spec = NoiseSpec(channel="depolarizing", strength=0.0, gate_strengths={"H": 0.2})
+    states = [np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)]
+    for order in ((h, renamed), (renamed, h)):
+        clear_ptm_cache()
+        for circ in order:
+            _assert_matches_oracle(circ, spec, [0], states)
 
 
 def _root(array):
