@@ -55,7 +55,7 @@ from repro.core.estimator import BettiEstimate, QTDABettiEstimator
 from repro.core.hamiltonian import SpectrumCache
 from repro.core.pipeline import PipelineConfig
 from repro.tda.complexes import SimplicialComplex, check_closed
-from repro.tda.rips import RipsComplex
+from repro.tda.rips import FlagComplexArrays, RipsComplex
 from repro.tda.simplex import Simplex
 from repro.tda.takens import TakensEmbedding
 from repro.utils.cache import BoundedCache
@@ -146,6 +146,17 @@ def _freeze(value: Any) -> Any:
     return value
 
 
+def _check_finite(arr: np.ndarray, name: str) -> None:
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{name} must be finite")
+
+
+def _check_epsilons(epsilons: Tuple[float, ...], name: str = "epsilons") -> None:
+    # Written so that NaN fails too; +inf is legal (the complete complex).
+    if not all(e >= 0 for e in epsilons):
+        raise ValueError(f"{name} must be non-negative")
+
+
 def _freeze_clouds(clouds: Any, name: str) -> Tuple[Tuple[Tuple[float, ...], ...], ...]:
     """Normalise a sequence of point clouds to nested float tuples."""
     frozen = []
@@ -153,6 +164,7 @@ def _freeze_clouds(clouds: Any, name: str) -> Tuple[Tuple[Tuple[float, ...], ...
         arr = np.asarray(cloud, dtype=float)
         if arr.ndim != 2:
             raise ValueError(f"{name}[{i}] must be a 2-D point cloud, got shape {arr.shape}")
+        _check_finite(arr, f"{name}[{i}]")
         frozen.append(tuple(tuple(float(x) for x in row) for row in arr))
     return tuple(frozen)
 
@@ -161,6 +173,8 @@ def _freeze_matrix(matrix: Any, name: str) -> Tuple[Tuple[float, ...], ...]:
     arr = np.asarray(matrix, dtype=float)
     if arr.ndim != 2:
         raise ValueError(f"{name} must be 2-D, got shape {arr.shape}")
+    if np.isnan(arr).any():
+        raise ValueError(f"{name} must not contain NaN")
     return tuple(tuple(float(x) for x in row) for row in arr)
 
 
@@ -310,8 +324,7 @@ class EstimationRequest(_RequestBase):
             if self.epsilon is None:
                 raise ValueError("point-cloud requests require 'epsilon'")
             epsilon = float(self.epsilon)
-            if epsilon < 0:
-                raise ValueError("epsilon must be non-negative")
+            _check_epsilons((epsilon,), "epsilon")
             object.__setattr__(self, "epsilon", epsilon)
             max_dim = self.max_dimension if self.max_dimension is not None else self.k + 1
             object.__setattr__(
@@ -320,6 +333,7 @@ class EstimationRequest(_RequestBase):
             cloud = np.asarray(self.points, dtype=float)
             if cloud.ndim != 2 or cloud.shape[0] == 0:
                 raise ValueError(f"'points' must be a non-empty 2-D cloud, got shape {cloud.shape}")
+            _check_finite(cloud, "'points'")
             object.__setattr__(
                 self, "points", tuple(tuple(float(x) for x in row) for row in cloud)
             )
@@ -329,13 +343,13 @@ class EstimationRequest(_RequestBase):
     def seed(self) -> Optional[int]:
         return _int_seed(self.config.seed)
 
-    def build_complex(self) -> SimplicialComplex:
-        """Materialise the simplicial complex this request describes."""
+    def build_complex(self) -> SimplicialComplex | FlagComplexArrays:
+        """Materialise the complex: flag arrays for ``points``, else the ``simplices``."""
         if self.simplices is not None:
             return SimplicialComplex(self.simplices)
         return RipsComplex.from_points(
             np.asarray(self.points, dtype=float), self.epsilon, max_dimension=self.max_dimension
-        ).complex()
+        ).flag_arrays()
 
     def geometry_fingerprint(self) -> str:
         """Stable hash of the *geometry only* (complex/cloud, not the config).
@@ -375,6 +389,7 @@ def _freeze_pipeline_inputs(self) -> None:
         arr = np.asarray(self.time_series, dtype=float)
         if arr.ndim != 2:
             raise ValueError("time_series must be 2-D: one series per row")
+        _check_finite(arr, "time_series")
         object.__setattr__(self, "time_series", tuple(tuple(float(x) for x in row) for row in arr))
     if getattr(self, "distance_matrices", None) is not None:
         object.__setattr__(
@@ -414,8 +429,7 @@ class PipelineRequest(_RequestBase):
         _freeze_pipeline_inputs(self)
         if self.epsilon is not None:
             epsilon = float(self.epsilon)
-            if epsilon < 0:
-                raise ValueError("epsilon must be non-negative")
+            _check_epsilons((epsilon,), "epsilon")
             object.__setattr__(self, "epsilon", epsilon)
         object.__setattr__(self, "include_exact", check_bool(self.include_exact, "include_exact"))
         if self.include_exact and self.point_clouds is None:
@@ -456,8 +470,7 @@ class SweepRequest(_RequestBase):
         epsilons = tuple(float(e) for e in self.epsilons)
         if not epsilons:
             raise ValueError("epsilons must not be empty")
-        if any(e < 0 for e in epsilons):
-            raise ValueError("epsilons must be non-negative")
+        _check_epsilons(epsilons)
         object.__setattr__(self, "epsilons", epsilons)
 
     @property
@@ -564,6 +577,7 @@ class ObserveRequest(_RequestBase):
         arr = np.asarray(self.samples, dtype=float)
         if arr.ndim != 1:
             raise ValueError("samples must be a 1-D sequence of raw time-series values")
+        _check_finite(arr, "samples")
         object.__setattr__(self, "samples", tuple(float(x) for x in arr))
         object.__setattr__(
             self, "window_length", check_integer(self.window_length, "window_length", minimum=1)
@@ -572,8 +586,7 @@ class ObserveRequest(_RequestBase):
         epsilons = tuple(float(e) for e in self.epsilons)
         if not epsilons:
             raise ValueError("epsilons must not be empty")
-        if any(e < 0 for e in epsilons):
-            raise ValueError("epsilons must be non-negative")
+        _check_epsilons(epsilons)
         object.__setattr__(self, "epsilons", epsilons)
         _own_config(self, "pipeline", PipelineConfig)
 

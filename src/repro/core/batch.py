@@ -7,10 +7,10 @@ through three reuse layers (DESIGN.md §7):
 
 1. *distance reuse* — each sample's distance matrix is computed once and
    shared across every grouping scale ε of a sweep;
-2. *vectorised complexes* — for the paper's ``max_complex_dimension <= 2``
-   setting, Rips complexes and Laplacians are built as integer arrays
-   (:func:`repro.tda.rips.flag_complex_arrays`) instead of per-simplex Python
-   objects, producing bit-identical matrices;
+2. *vectorised complexes* — every Rips complex is built as integer arrays,
+   one per dimension (:func:`repro.tda.rips.flag_complex_arrays`), and its
+   Laplacians straight from them, instead of per-simplex Python objects —
+   the matrices are bit-identical to the object path's;
 3. *spectrum cache* — Laplacian eigendecompositions are cached
    (:class:`repro.core.hamiltonian.SpectrumCache`), so revisiting a Laplacian
    across ε values, precision settings or repeated windows is free.
@@ -40,17 +40,14 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.estimator import QTDABettiEstimator
-from repro.core.hamiltonian import SpectrumCache, laplacian_spectrum_info
+from repro.core.estimator import QTDABettiEstimator, kernel_dimension
+from repro.core.hamiltonian import SpectrumCache
 from repro.core.pipeline import PipelineConfig, apply_pipeline_overrides
-from repro.tda.betti import betti_number
+from repro.tda.betti import betti_number  # noqa: F401 - perfbench/tracing.py traces this name
 from repro.tda.distances import pairwise_distances
-from repro.tda.laplacian import (
-    combinatorial_laplacian_operator,
-    laplacian_operator_from_flag_arrays,
-)
+from repro.tda.laplacian import laplacian_operator_from_flag_arrays
 from repro.tda.incremental import IncrementalFlagComplex, SlidingDistanceMatrix
-from repro.tda.rips import FlagComplexArrays, RipsComplex, flag_complex_arrays
+from repro.tda.rips import FlagComplexArrays, flag_complex_arrays
 from repro.tda.takens import TakensEmbedding
 from repro.utils.rng import derive_seed
 from repro.utils.validation import check_integer
@@ -130,12 +127,6 @@ class _SampleTask:
     seed: Optional[int]
 
 
-def _small_eigenvalues(laplacian: np.ndarray, cache: Optional[SpectrumCache]) -> np.ndarray:
-    if cache is not None:
-        return cache.spectrum(laplacian)[0]
-    return laplacian_spectrum_info(laplacian)[0]
-
-
 def _negotiate_laplacian_format(config: PipelineConfig, operator_format: Optional[str]) -> str:
     """Negotiated operator format for estimator handoffs (DESIGN.md §9).
 
@@ -162,7 +153,7 @@ def _flag_features(
     sparse_handoff: bool,
     operators: Optional[Dict[int, object]] = None,
 ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-    """Feature rows from prepared flag-complex arrays (the fast-path inner loop).
+    """Feature rows from prepared flag-complex arrays (the per-dimension loop).
 
     Shared by the per-sample sweep (:class:`_SampleSweeper`) and the
     incremental window engine (:class:`StreamingFeatureEngine`), so both
@@ -176,7 +167,6 @@ def _flag_features(
     entries are built here and stored back.
     """
     dims = config.homology_dimensions
-    atol = config.estimator.zero_eigenvalue_atol
     estimated = np.empty(len(dims))
     exact = np.empty(len(dims)) if compute_exact else None
     for f_idx, k in enumerate(dims):
@@ -192,9 +182,8 @@ def _flag_features(
                 operators[k] = laplacian
         exact_value: Optional[float] = None
         if exact is not None:
-            eigenvalues = _small_eigenvalues(laplacian, cache)
-            exact_value = float(np.count_nonzero(np.abs(eigenvalues) <= atol))
-            exact[f_idx] = exact_value
+            atol = config.estimator.zero_eigenvalue_atol
+            exact[f_idx] = exact_value = float(kernel_dimension(laplacian, atol, cache))
         if estimator is not None:
             estimate = estimator.estimate_from_laplacian(laplacian)
             estimated[f_idx] = float(estimate.betti_estimate)
@@ -207,13 +196,13 @@ class _SampleSweeper:
     """Stateful per-sample feature computer: one distance matrix, many ε.
 
     Holds exactly the state the per-sample ε loop threads through its
-    iterations — the sample's estimator (whose RNG advances across calls, so
+    iterations — the sample's estimator, whose RNG advances across calls, so
     finite-shot draws are identical whether the grouping scales arrive in one
-    batch or one at a time) and the reusable Rips complex of the generic
-    route.  Because the state lives here instead of in loop locals, the
-    engine can evaluate a sweep *sample-major* (:func:`_sample_features`, the
-    worker-pool unit) or *ε-major* (:meth:`BatchFeatureEngine.iter_sweep`,
-    the streaming path) and produce bit-identical features either way.
+    batch or one at a time.  Because the state lives here instead of in loop
+    locals, the engine can evaluate a sweep *sample-major*
+    (:func:`_sample_features`, the worker-pool unit) or *ε-major*
+    (:meth:`BatchFeatureEngine.iter_sweep`, the streaming path) and produce
+    bit-identical features either way.
     """
 
     def __init__(
@@ -228,55 +217,20 @@ class _SampleSweeper:
         self.config = config
         self.cache = cache
         self.compute_exact = want_exact or not config.use_quantum
-        self.fast = config.max_complex_dimension <= 2
         self.sparse_handoff = laplacian_format == "sparse"
         self.estimator: Optional[QTDABettiEstimator] = None
         if config.use_quantum:
             self.estimator = QTDABettiEstimator(
                 config.estimator.replace(seed=task.seed), spectrum_cache=cache
             )
-        self._rips: Optional[RipsComplex] = None
 
     def features_at(self, epsilon: float) -> Tuple[np.ndarray, Optional[np.ndarray]]:
         """Feature rows ``(estimated (F,), exact (F,) or None)`` at one ε."""
         config = self.config
-        if self.fast:
-            arrays = flag_complex_arrays(self.task.distances, epsilon, config.max_complex_dimension)
-            return _flag_features(
-                arrays, config, self.cache, self.estimator, self.compute_exact, self.sparse_handoff
-            )
-        # Generic clique route for dimensions above 2; successive ε share
-        # the distance matrix via with_epsilon.
-        self._rips = (
-            RipsComplex.from_distance_matrix(
-                self.task.distances, epsilon, config.max_complex_dimension
-            )
-            if self._rips is None
-            else self._rips.with_epsilon(epsilon)
+        arrays = flag_complex_arrays(self.task.distances, epsilon, config.max_complex_dimension)
+        return _flag_features(
+            arrays, config, self.cache, self.estimator, self.compute_exact, self.sparse_handoff
         )
-        complex_ = self._rips.complex()
-        dims = config.homology_dimensions
-        estimated = np.empty(len(dims))
-        exact = np.empty(len(dims)) if self.compute_exact else None
-        for f_idx, k in enumerate(dims):
-            if complex_.num_simplices(k) == 0:
-                estimated[f_idx] = 0.0
-                if exact is not None:
-                    exact[f_idx] = 0.0
-                continue
-            laplacian = combinatorial_laplacian_operator(
-                complex_, k, sparse_format=self.sparse_handoff
-            )
-            exact_value: Optional[float] = None
-            if exact is not None:
-                exact_value = float(betti_number(complex_, k))
-                exact[f_idx] = exact_value
-            if self.estimator is not None:
-                estimate = self.estimator.estimate_from_laplacian(laplacian)
-                estimated[f_idx] = float(estimate.betti_estimate)
-            else:
-                estimated[f_idx] = exact_value if exact_value is not None else 0.0
-        return estimated, exact
 
 
 def _sample_features(
@@ -434,11 +388,10 @@ class BatchFeatureEngine:
         """Incremental ε-sweep: yield ``(ε, features (num_clouds, F))`` per scale.
 
         Streaming counterpart of :meth:`sweep`, bit-identical to it for the
-        same configuration: the per-sample state the sweep threads through
-        its ε loop (estimator RNG, reusable Rips complexes) lives in
-        :class:`_SampleSweeper` objects that persist across yields, so
-        evaluating ε-major instead of sample-major changes only *when*
-        results become available, never their values.  Consumers that stop
+        same configuration: the per-sample estimator RNG the sweep threads
+        through its ε loop lives in :class:`_SampleSweeper` objects that
+        persist across yields, so evaluating ε-major instead of sample-major
+        changes only *when* results become available, never their values.  Consumers that stop
         early pay only for the scales they consumed.
 
         The ``threads`` and ``processes`` batch backends both fan the
@@ -510,10 +463,10 @@ class BatchFeatureEngine:
     ) -> Tuple[np.ndarray, np.ndarray]:
         """``(estimated, exact)`` feature matrices, one row per cloud.
 
-        The exact classical Betti numbers ride along at marginal cost — on
-        the fast path they are kernel counts of spectra the estimator already
-        needed (Eq. 6), served from the same cache.  When ``use_quantum`` is
-        false both matrices are equal.
+        The exact classical Betti numbers ride along at marginal cost: they
+        are kernel counts of spectra the estimator already needed (Eq. 6),
+        served from the same cache.  When ``use_quantum`` is false both
+        matrices are equal.
         """
         eps = self.config.epsilon if epsilon is None else float(epsilon)
         distances = [pairwise_distances(np.asarray(c, dtype=float)) for c in clouds]
@@ -677,7 +630,7 @@ class StreamingFeatureEngine:
         if self.config.max_complex_dimension > 2:
             raise ValueError(
                 "StreamingFeatureEngine requires max_complex_dimension <= 2 "
-                "(the flag-array fast path the incremental layer patches)"
+                "(the dimensions the incremental layer patches)"
             )
         self.window_length = check_integer(window_length, "window_length", minimum=1)
         self.stride = check_integer(stride, "stride", minimum=1)

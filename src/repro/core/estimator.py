@@ -11,6 +11,8 @@ is resolved through :func:`repro.core.backends.get_backend`, the backend
 returns the precision-register readout distribution, and the estimator
 derives ``p(0)`` from it — exactly for infinite shots, by multinomial
 sampling otherwise, so finite-shot behaviour is identical across backends.
+The exact ``β_k`` reported alongside is :func:`kernel_dimension` of the same
+Laplacian, read through the spectrum cache the spectral backends share.
 """
 
 from __future__ import annotations
@@ -22,11 +24,28 @@ import numpy as np
 
 from repro.core.backends import EstimationProblem, get_backend, preferred_format
 from repro.core.config import QTDAConfig
-from repro.core.hamiltonian import SpectrumCache
+from repro.core.hamiltonian import SpectrumCache, laplacian_spectrum_info
 from repro.quantum.measurement import sample_counts
 from repro.tda.complexes import SimplicialComplex
-from repro.tda.laplacian import combinatorial_laplacian
+from repro.tda.laplacian import combinatorial_laplacian, laplacian_from_flag_arrays
+from repro.tda.rips import FlagComplexArrays
 from repro.utils.rng import as_rng
+from repro.utils.validation import check_integer
+
+
+def kernel_dimension(laplacian, atol: float, cache: Optional[SpectrumCache] = None) -> int:
+    """Number of eigenvalues of ``Δ_k`` with ``|λ| <= atol`` — the exact ``β_k`` (Eq. 6).
+
+    The spectrum is read through ``cache`` when one is given, so a backend
+    that diagonalises the same Laplacian afterwards finds it there.
+    """
+    if laplacian.shape[0] == 0:
+        return 0
+    if cache is not None:
+        eigenvalues = cache.spectrum(laplacian)[0]
+    else:
+        eigenvalues = laplacian_spectrum_info(laplacian)[0]
+    return int(np.count_nonzero(np.abs(eigenvalues) <= atol))
 
 
 @dataclass
@@ -47,9 +66,8 @@ class BettiEstimate:
     precision_qubits, shots, backend:
         Echo of the configuration used.
     exact_betti:
-        Classically computed ``β_k`` (only populated when the estimator was
-        given a simplicial complex or asked to compute it); used for error
-        reporting à la Eq. 12.
+        Classically computed ``β_k``, the kernel count of ``Δ_k`` (only
+        populated when asked for); used for error reporting à la Eq. 12.
     counts:
         Raw measurement counts of the precision register (empty for
         infinite-shot runs).
@@ -163,21 +181,26 @@ class QTDABettiEstimator:
         """
         return preferred_format(self.backend)
 
-    def estimate(self, complex_: SimplicialComplex, k: int, compute_exact: bool = True) -> BettiEstimate:
-        """Estimate ``β_k`` of a simplicial complex.
+    def estimate(
+        self, complex_: SimplicialComplex | FlagComplexArrays, k: int, compute_exact: bool = True
+    ) -> BettiEstimate:
+        """Estimate ``β_k`` of a simplicial complex or of flag-complex arrays.
 
-        ``compute_exact=True`` also computes the classical Betti number for
-        error reporting (cheap at the scales of the paper).
+        The two differ only in which Laplacian builder runs.
+        ``compute_exact=True`` also reports the exact ``β_k``, counted at
+        ``config.zero_eigenvalue_atol`` (:func:`kernel_dimension`).
         """
-        if not isinstance(complex_, SimplicialComplex):
-            raise TypeError("estimate expects a SimplicialComplex; use estimate_from_laplacian for raw matrices")
-        num_k = complex_.num_simplices(k)
-        exact: Optional[int] = None
-        if compute_exact:
-            from repro.tda.betti import betti_number
-
-            exact = betti_number(complex_, k)
-        if num_k == 0:
+        if isinstance(complex_, FlagComplexArrays):
+            build = laplacian_from_flag_arrays
+        elif isinstance(complex_, SimplicialComplex):
+            build = combinatorial_laplacian
+        else:
+            raise TypeError(
+                "estimate expects a SimplicialComplex or FlagComplexArrays; "
+                "use estimate_from_laplacian for raw matrices"
+            )
+        k = check_integer(k, "k", minimum=0)
+        if complex_.num_simplices(k) == 0:
             # No k-simplices: β_k = 0 by convention, nothing to run.
             return BettiEstimate(
                 betti_estimate=0.0,
@@ -187,13 +210,15 @@ class QTDABettiEstimator:
                 precision_qubits=self.config.precision_qubits,
                 shots=self.config.shots,
                 backend=self.config.backend,
-                exact_betti=exact,
+                exact_betti=0 if compute_exact else None,
                 lambda_max=0.0,
                 delta=self.config.delta,
             )
-        laplacian = combinatorial_laplacian(
-            complex_, k, sparse_format=self.operator_format == "sparse"
-        )
+        laplacian = build(complex_, k, sparse_format=self.operator_format == "sparse")
+        exact = None
+        if compute_exact:
+            atol = self.config.zero_eigenvalue_atol
+            exact = kernel_dimension(laplacian, atol, self.spectrum_cache)
         return self.estimate_from_laplacian(laplacian, exact_betti=exact)
 
     def estimate_from_laplacian(self, laplacian: np.ndarray, exact_betti: Optional[int] = None) -> BettiEstimate:
@@ -235,7 +260,10 @@ class QTDABettiEstimator:
         )
 
     def estimate_betti_numbers(
-        self, complex_: SimplicialComplex, dimensions: Sequence[int], compute_exact: bool = True
+        self,
+        complex_: SimplicialComplex | FlagComplexArrays,
+        dimensions: Sequence[int],
+        compute_exact: bool = True,
     ) -> List[BettiEstimate]:
         """Estimate several Betti numbers of the same complex (e.g. ``[0, 1]``)."""
         return [self.estimate(complex_, k, compute_exact=compute_exact) for k in dimensions]

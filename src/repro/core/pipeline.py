@@ -26,9 +26,9 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.config import QTDAConfig
-from repro.core.estimator import BettiEstimate, QTDABettiEstimator
-from repro.tda.betti import betti_number
-from repro.tda.rips import RipsComplex
+from repro.core.estimator import BettiEstimate, QTDABettiEstimator, kernel_dimension
+from repro.tda.laplacian import laplacian_from_flag_arrays
+from repro.tda.rips import FlagComplexArrays, RipsComplex
 from repro.tda.takens import TakensEmbedding
 
 
@@ -66,7 +66,7 @@ class PipelineConfig:
 
     def __post_init__(self):
         self.epsilon = float(self.epsilon)
-        if self.epsilon < 0:
+        if not self.epsilon >= 0:
             raise ValueError("epsilon must be non-negative")
         self.homology_dimensions = tuple(int(k) for k in self.homology_dimensions)
         if not self.homology_dimensions:
@@ -140,27 +140,29 @@ class QTDAPipeline:
 
     # -- single-sample features -------------------------------------------------
     def features_from_point_cloud(self, points: np.ndarray, epsilon: Optional[float] = None) -> np.ndarray:
-        """Betti-feature vector of one point cloud (one value per homology dimension)."""
-        eps = self.config.epsilon if epsilon is None else float(epsilon)
-        complex_ = RipsComplex.from_points(
-            np.asarray(points, dtype=float), eps, max_dimension=self.config.max_complex_dimension
-        ).complex()
-        values: List[float] = []
-        for k in self.config.homology_dimensions:
-            if self.config.use_quantum:
-                estimate = self._estimator.estimate(complex_, k, compute_exact=False)
-                values.append(float(estimate.betti_estimate))
-            else:
-                values.append(float(betti_number(complex_, k)))
-        return np.asarray(values, dtype=float)
+        """Betti-feature vector of one point cloud (one value per homology dimension).
+
+        The estimates ``β̃_k``, or with ``use_quantum=False`` the exact ``β_k``.
+        """
+        arrays = self._flag_arrays(points, epsilon)
+        dims = self.config.homology_dimensions
+        if self.config.use_quantum:
+            estimates = self._estimator.estimate_betti_numbers(arrays, dims, compute_exact=False)
+            return np.asarray([estimate.betti_estimate for estimate in estimates], dtype=float)
+        atol = self.config.estimator.zero_eigenvalue_atol
+        exact = [kernel_dimension(laplacian_from_flag_arrays(arrays, k), atol) for k in dims]
+        return np.asarray(exact, dtype=float)
 
     def estimates_from_point_cloud(self, points: np.ndarray, epsilon: Optional[float] = None) -> List[BettiEstimate]:
         """Full :class:`BettiEstimate` objects (with exact values) for one cloud."""
+        arrays = self._flag_arrays(points, epsilon)
+        return self._estimator.estimate_betti_numbers(arrays, self.config.homology_dimensions)
+
+    def _flag_arrays(self, points: np.ndarray, epsilon: Optional[float]) -> FlagComplexArrays:
         eps = self.config.epsilon if epsilon is None else float(epsilon)
-        complex_ = RipsComplex.from_points(
+        return RipsComplex.from_points(
             np.asarray(points, dtype=float), eps, max_dimension=self.config.max_complex_dimension
-        ).complex()
-        return self._estimator.estimate_betti_numbers(complex_, self.config.homology_dimensions)
+        ).flag_arrays()
 
     def features_from_time_series(self, series: np.ndarray, epsilon: Optional[float] = None) -> np.ndarray:
         """Delay-embed a scalar time series, then extract the Betti features."""

@@ -48,7 +48,7 @@ def epsilon_edges(distance_matrix: np.ndarray, epsilon: float) -> List[Tuple[int
     dist = np.asarray(distance_matrix, dtype=float)
     if dist.ndim != 2 or dist.shape[0] != dist.shape[1]:
         raise ValueError("distance_matrix must be square")
-    if epsilon < 0:
+    if not epsilon >= 0:
         raise ValueError("epsilon must be non-negative")
     iu, ju = np.triu_indices(dist.shape[0], k=1)
     mask = dist[iu, ju] <= epsilon

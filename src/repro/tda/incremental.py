@@ -232,6 +232,10 @@ class IncrementalFlagComplex:
     """
 
     def __init__(self, distances: np.ndarray, epsilon: float, max_dimension: int = 2):
+        if check_integer(max_dimension, "max_dimension", minimum=0) > 2:
+            raise ValueError(
+                "IncrementalFlagComplex patches edges and triangles only (max_dimension <= 2)"
+            )
         self._arrays = flag_complex_arrays(distances, epsilon, max_dimension)
         self.epsilon = float(epsilon)
         self.max_dimension = self._arrays.max_dimension
@@ -340,10 +344,7 @@ class IncrementalFlagComplex:
             triangles_changed=not np.array_equal(new_triangles, old.triangles),
         )
         self._arrays = FlagComplexArrays(
-            num_points=n_new,
-            edges=new_edges,
-            triangles=new_triangles,
-            max_dimension=max_dim,
+            num_points=n_new, skeleton=(new_edges, new_triangles)[:max_dim]
         )
         self._adjacency = adjacency
         return delta

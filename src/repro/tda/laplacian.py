@@ -7,6 +7,8 @@ The ``k``-th combinatorial Laplacian of a complex is
 a real, symmetric, positive semi-definite ``|S_k| x |S_k|`` matrix whose
 kernel dimension equals the ``k``-th Betti number (Eq. 6).  The QTDA
 algorithm estimates exactly that kernel dimension with QPE.
+:func:`combinatorial_laplacian` builds it from a :class:`SimplicialComplex`,
+:func:`laplacian_from_flag_arrays` from the arrays every point cloud becomes.
 """
 
 from __future__ import annotations
@@ -45,13 +47,10 @@ def laplacian_from_flag_arrays(arrays, k: int, sparse_format: bool = False) -> n
     The array representation keeps the lexicographic simplex order of
     :class:`SimplicialComplex`, so this returns *exactly* the matrix
     :func:`combinatorial_laplacian` would build from the equivalent complex —
-    without per-simplex Python objects on the batch engine's hot path.
-    Supports ``k <= 2`` (the arrays hold nothing higher).
+    without per-simplex Python objects.
     """
     k = check_integer(k, "k", minimum=0)
     n = arrays.num_points
-    edges = arrays.edges
-    triangles = arrays.triangles
     num_k = arrays.num_simplices(k)
     if num_k == 0:
         return sparse.csr_matrix((0, 0)) if sparse_format else np.zeros((0, 0))
@@ -59,6 +58,7 @@ def laplacian_from_flag_arrays(arrays, k: int, sparse_format: bool = False) -> n
         # ∂_1 ∂_1ᵀ is the graph Laplacian: vertex degrees on the diagonal,
         # -1 per edge — built directly instead of via two sparse products
         # (same integer entries either way).
+        edges = arrays.edges
         dense = np.zeros((n, n))
         if len(edges):
             dense[edges[:, 0], edges[:, 1]] = -1.0
@@ -68,41 +68,51 @@ def laplacian_from_flag_arrays(arrays, k: int, sparse_format: bool = False) -> n
         if sparse_format:
             return sparse.csr_matrix(dense)
         return dense
-    elif k == 1:
-        d1 = _flag_d1(edges, n)
-        lap = (d1.T @ d1).tocsr()
-        if len(triangles):
-            d2 = _flag_d2(triangles, edges, n)
-            lap = (lap + d2 @ d2.T).tocsr()
-    elif k == 2:
-        d2 = _flag_d2(triangles, edges, n)
-        lap = (d2.T @ d2).tocsr()
-    else:  # pragma: no cover - num_k == 0 for k > 2 always returns above
-        raise ValueError("flag arrays hold no simplices above dimension 2")
+    d_k = _flag_boundary(arrays, k)
+    lap = (d_k.T @ d_k).tocsr()
+    if arrays.num_simplices(k + 1):
+        d_k1 = _flag_boundary(arrays, k + 1)
+        lap = (lap + d_k1 @ d_k1.T).tocsr()
     if sparse_format:
         return lap
     return np.asarray(lap.todense(), dtype=float)
 
 
-def _flag_d1(edges: np.ndarray, num_points: int) -> sparse.csr_matrix:
-    """``∂_1`` (shape ``(n, |S_1|)``): column for edge ``(i, j)`` is ``+1`` at ``j``, ``-1`` at ``i``."""
-    m = len(edges)
-    cols = np.repeat(np.arange(m), 2)
-    rows = edges[:, ::-1].reshape(-1)  # (j, i) per column
-    data = np.tile(np.array([1.0, -1.0]), m)
-    return sparse.csr_matrix((data, (rows, cols)), shape=(num_points, m))
+def _flag_boundary(arrays, k: int) -> sparse.csr_matrix:
+    """``∂_k`` (shape ``(|S_{k-1}|, |S_k|)``) of flag arrays, for ``k >= 1``.
+
+    Face ``t`` of a simplex drops its column ``t`` and carries the sign
+    ``(-1)^t`` (Eqs. 1–2).  At ``k = 1`` the faces are vertex ids; above
+    that, each face is looked up among the sorted ``(k-1)``-simplices.
+    """
+    simplices = arrays.simplices(k)
+    m = len(simplices)
+    keep = [[c for c in range(k + 1) if c != t] for t in range(k + 1)]
+    faces = simplices[:, keep].reshape(-1, k)  # column by column, faces t = 0..k
+    if k == 1:
+        rows = faces[:, 0]
+    else:
+        rows = _row_index(arrays.simplices(k - 1), faces, arrays.num_points)
+    cols = np.repeat(np.arange(m), k + 1)
+    data = np.tile((-1.0) ** np.arange(k + 1), m)
+    return sparse.csr_matrix((data, (rows, cols)), shape=(arrays.num_simplices(k - 1), m))
 
 
-def _flag_d2(triangles: np.ndarray, edges: np.ndarray, num_points: int) -> sparse.csr_matrix:
-    """``∂_2`` (shape ``(|S_1|, |S_2|)``): column for ``(a, b, c)`` hits faces ``(b,c), (a,c), (a,b)`` with signs ``+1, -1, +1``."""
-    edge_codes = edges[:, 0] * num_points + edges[:, 1]
-    t = len(triangles)
-    a, b, c = triangles[:, 0], triangles[:, 1], triangles[:, 2]
-    face_codes = np.stack([b * num_points + c, a * num_points + c, a * num_points + b], axis=1)
-    rows = np.searchsorted(edge_codes, face_codes.reshape(-1))
-    cols = np.repeat(np.arange(t), 3)
-    data = np.tile(np.array([1.0, -1.0, 1.0]), t)
-    return sparse.csr_matrix((data, (rows, cols)), shape=(len(edges), t))
+def _row_index(rows: np.ndarray, queries: np.ndarray, num_points: int) -> np.ndarray:
+    """Positions of ``queries`` (each one of the rows) in the sorted ``rows``.
+
+    A prefix is keyed by the rank of its shorter prefix times ``num_points``
+    plus its last vertex, so keys stay below ``len(rows) · num_points``:
+    exact where a base-``num_points`` code of a whole row overflows int64.
+    """
+    keys, query_keys = rows[:, 0], queries[:, 0]
+    for c in range(1, rows.shape[1]):
+        if c > 1:
+            ranks = np.concatenate(([0], np.cumsum(keys[1:] != keys[:-1])))
+            keys, query_keys = ranks, ranks[np.searchsorted(keys, query_keys)]
+        keys = keys * num_points + rows[:, c]
+        query_keys = query_keys * num_points + queries[:, c]
+    return np.searchsorted(keys, query_keys)
 
 
 def combinatorial_laplacian_operator(complex_: SimplicialComplex, k: int, sparse_format: bool = True):

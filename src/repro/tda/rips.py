@@ -3,15 +3,16 @@
 Given a point cloud (or a precomputed distance matrix) and a grouping scale
 ``ε``, the Vietoris–Rips complex contains a ``k``-simplex for every set of
 ``k + 1`` points that are *pairwise* within ``ε``.  Equivalently, it is the
-clique (flag) complex of the ε-neighbourhood graph — which is how it is built
-here, reusing :func:`repro.tda.distances.epsilon_graph` and clique
-enumeration on the graph.
+clique (flag) complex of the ε-neighbourhood graph.  Every point cloud takes
+that form as :func:`flag_complex_arrays`, integer arrays per dimension;
+:meth:`RipsComplex.complex` enumerates the same cliques into a
+:class:`SimplicialComplex`, the object path kept as the test oracle.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Iterable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -46,7 +47,7 @@ class RipsComplex:
             raise ValueError("distance_matrix must be a square matrix")
         if not np.allclose(dist, dist.T, atol=1e-9):
             raise ValueError("distance_matrix must be symmetric")
-        if float(self.epsilon) < 0:
+        if not float(self.epsilon) >= 0:
             raise ValueError("epsilon must be non-negative")
         self.distance_matrix = dist
         self.epsilon = float(self.epsilon)
@@ -90,14 +91,6 @@ class RipsComplex:
         """Simplex count of ``K_ε`` (all dimensions or a single one)."""
         return self.complex().num_simplices(dimension)
 
-    def with_epsilon(self, epsilon: float) -> "RipsComplex":
-        """A new :class:`RipsComplex` at a different ε sharing this distance matrix.
-
-        The ε-sweep fast path: the expensive ``cdist`` call happens once and
-        only the neighbourhood graph / complex is rebuilt per scale.
-        """
-        return replace(self, epsilon=float(epsilon), _complex=None)
-
     def flag_arrays(self) -> "FlagComplexArrays":
         """Vectorised array view of the complex (see :class:`FlagComplexArrays`)."""
         return flag_complex_arrays(self.distance_matrix, self.epsilon, self.max_dimension)
@@ -111,29 +104,48 @@ class RipsComplex:
 
 @dataclass(frozen=True)
 class FlagComplexArrays:
-    """A Vietoris–Rips (flag) complex as plain integer arrays, up to dimension 2.
+    """A Vietoris–Rips (flag) complex as plain integer arrays, one per dimension.
 
-    The batched feature engine avoids per-simplex Python objects on its hot
-    path: vertices are implicitly ``0..num_points-1`` and edges/triangles are
-    integer arrays listed in the *same lexicographic order* that
+    Point clouds reach their Laplacians without per-simplex Python objects:
+    vertices are implicitly ``0..num_points-1``, and ``skeleton[k - 1]`` holds
+    the ``(|S_k|, k + 1)`` int64 array of ``k``-simplices for every
+    ``1 <= k <= max_dimension``.  Rows list each simplex's sorted vertices in
+    the *same lexicographic order* that
     :class:`repro.tda.complexes.SimplicialComplex` uses, so boundary matrices
     and Laplacians built from either representation are identical entry for
     entry (the equivalence the test suite pins down).
     """
 
     num_points: int
-    edges: np.ndarray      # (|S_1|, 2) int64, rows lexicographically sorted
-    triangles: np.ndarray  # (|S_2|, 3) int64, rows lexicographically sorted
-    max_dimension: int
+    skeleton: Tuple[np.ndarray, ...]
+
+    @property
+    def max_dimension(self) -> int:
+        return len(self.skeleton)
+
+    def simplices(self, k: int) -> np.ndarray:
+        """The ``(|S_k|, k + 1)`` array of ``k``-simplices (vertices as ``(n, 1)``)."""
+        if k == 0:
+            return np.arange(self.num_points, dtype=np.int64)[:, None]
+        if 1 <= k <= self.max_dimension:
+            return self.skeleton[k - 1]
+        return np.zeros((0, k + 1), dtype=np.int64)
+
+    @property
+    def edges(self) -> np.ndarray:
+        return self.simplices(1)
+
+    @property
+    def triangles(self) -> np.ndarray:
+        return self.simplices(2)
 
     def num_simplices(self, dimension: Optional[int] = None) -> int:
-        counts = {0: self.num_points, 1: len(self.edges), 2: len(self.triangles)}
         if dimension is not None:
-            return counts.get(int(dimension), 0)
-        return sum(counts.values())
+            return len(self.simplices(int(dimension))) if dimension >= 0 else 0
+        return self.num_points + sum(len(level) for level in self.skeleton)
 
     def f_vector(self) -> Tuple[int, ...]:
-        counts = [self.num_points, len(self.edges), len(self.triangles)]
+        counts = [self.num_points] + [len(level) for level in self.skeleton]
         while len(counts) > 1 and counts[-1] == 0:
             counts.pop()
         return tuple(counts) if self.num_points else ()
@@ -141,8 +153,8 @@ class FlagComplexArrays:
     def to_complex(self) -> SimplicialComplex:
         """Materialise the equivalent :class:`SimplicialComplex` (slow path)."""
         simplices: List[Tuple[int, ...]] = [(v,) for v in range(self.num_points)]
-        simplices.extend(tuple(int(v) for v in row) for row in self.edges)
-        simplices.extend(tuple(int(v) for v in row) for row in self.triangles)
+        for level in self.skeleton:
+            simplices.extend(tuple(int(v) for v in row) for row in level)
         return SimplicialComplex(simplices)
 
 
@@ -151,67 +163,40 @@ def flag_complex_arrays(
 ) -> FlagComplexArrays:
     """Vectorised flag-complex enumeration from a precomputed distance matrix.
 
-    Fast counterpart of ``SimplicialComplex.from_graph(epsilon_graph(...))``
-    for the dimensions the paper uses (``max_dimension <= 2``); higher
-    dimensions must go through the generic clique-enumeration route.
+    Array counterpart of ``SimplicialComplex.from_graph(epsilon_graph(...))``
+    at any ``max_dimension``.  Level ``d`` extends every ``(d-1)``-simplex by
+    each common neighbour above its last vertex.
     """
     dist = np.asarray(distance_matrix, dtype=float)
     if dist.ndim != 2 or dist.shape[0] != dist.shape[1]:
         raise ValueError("distance_matrix must be a square matrix")
-    if float(epsilon) < 0:
+    if not float(epsilon) >= 0:
         raise ValueError("epsilon must be non-negative")
     max_dimension = check_integer(max_dimension, "max_dimension", minimum=0)
-    if max_dimension > 2:
-        raise ValueError(
-            "flag_complex_arrays supports max_dimension <= 2; "
-            "use RipsComplex.complex() for higher-dimensional skeletons"
-        )
     n = dist.shape[0]
     adjacency = dist <= float(epsilon)
     np.fill_diagonal(adjacency, False)
-    if max_dimension >= 1 and n > 1:
+    skeleton: List[np.ndarray] = []
+    if max_dimension >= 1:
         iu, ju = np.triu_indices(n, k=1)
         mask = adjacency[iu, ju]
-        edges = np.stack([iu[mask], ju[mask]], axis=1).astype(np.int64)
-    else:
-        edges = np.zeros((0, 2), dtype=np.int64)
-    triangles: np.ndarray
-    if max_dimension >= 2 and len(edges):
-        # Common neighbours v > j of every edge (i, j) at once: row e of
-        # ``candidates`` flags the vertices closing a triangle over edge e.
-        # np.nonzero walks rows (edges, already lexicographic) then columns
-        # (v ascending), so the triangles (i, j, v) come out in exactly the
-        # sorted order SimplicialComplex uses for 2-simplices.
-        candidates = adjacency[edges[:, 0]] & adjacency[edges[:, 1]]
-        candidates &= np.arange(n)[None, :] > edges[:, 1][:, None]
-        edge_rows, third = np.nonzero(candidates)
-        triangles = np.empty((len(edge_rows), 3), dtype=np.int64)
-        triangles[:, :2] = edges[edge_rows]
-        triangles[:, 2] = third
-    else:
-        triangles = np.zeros((0, 3), dtype=np.int64)
-    return FlagComplexArrays(
-        num_points=n, edges=edges, triangles=triangles, max_dimension=max_dimension
-    )
-
-
-def rips_sweep(
-    points_or_distances: np.ndarray,
-    epsilons: Sequence[float] | Iterable[float],
-    max_dimension: int = 2,
-    metric: MetricLike = "euclidean",
-    is_distance_matrix: bool = False,
-) -> List[RipsComplex]:
-    """Rips complexes of one cloud at several grouping scales, sharing distances.
-
-    The distance matrix is computed once; each returned :class:`RipsComplex`
-    rebuilds only the ε-neighbourhood graph (Fig. 4's sweep pattern).
-    """
-    if is_distance_matrix:
-        dist = np.asarray(points_or_distances, dtype=float)
-    else:
-        dist = pairwise_distances(points_or_distances, metric=metric)
-    return [RipsComplex(dist, float(eps), max_dimension) for eps in epsilons]
+        skeleton.append(np.stack([iu[mask], ju[mask]], axis=1).astype(np.int64))
+    for d in range(2, max_dimension + 1):
+        lower = skeleton[-1]
+        # Row s of ``candidates`` flags the common neighbours v > last(s) of
+        # simplex s.  np.nonzero walks rows (already lexicographic) then
+        # columns (v ascending), so the extended simplices come out in
+        # exactly the sorted order SimplicialComplex uses.
+        candidates = adjacency[lower[:, 0]]
+        for column in lower.T[1:]:
+            candidates &= adjacency[column]
+        candidates &= np.arange(n)[None, :] > lower[:, -1][:, None]
+        rows, last = np.nonzero(candidates)
+        level = np.empty((len(rows), d + 1), dtype=np.int64)
+        level[:, :d] = lower[rows]
+        level[:, d] = last
+        skeleton.append(level)
+    return FlagComplexArrays(num_points=n, skeleton=tuple(skeleton))
 
 
 def rips_complex(

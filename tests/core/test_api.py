@@ -101,6 +101,62 @@ class TestRequestValidation:
             request.k = 2
 
 
+class TestNonFiniteInputRejected:
+    """NaN never reaches the flag arrays: each field fails validation with a ValueError."""
+
+    def test_estimate_epsilon(self):
+        with pytest.raises(ValueError, match="epsilon"):
+            EstimationRequest(points=((0.0, 0.0), (1.0, 0.0)), epsilon=float("nan"))
+
+    def test_estimate_points(self):
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="points"):
+                EstimationRequest(points=((0.0, 0.0), (bad, 0.0)), epsilon=1.0)
+
+    def test_pipeline_epsilon(self):
+        with pytest.raises(ValueError, match="epsilon"):
+            PipelineRequest(point_clouds=[circle_cloud(6, seed=0)], epsilon=float("nan"))
+
+    def test_pipeline_config_epsilon(self):
+        with pytest.raises(ValueError, match="epsilon"):
+            PipelineConfig(epsilon=float("nan"))
+
+    def test_sweep_epsilons(self):
+        with pytest.raises(ValueError, match="epsilons"):
+            SweepRequest(point_clouds=[circle_cloud(6, seed=0)], epsilons=(0.5, float("nan")))
+
+    def test_observe_epsilons(self):
+        with pytest.raises(ValueError, match="epsilons"):
+            ObserveRequest(samples=(0.0,), window_length=8, epsilons=(float("nan"),))
+
+    def test_point_clouds(self):
+        cloud = circle_cloud(6, seed=0)
+        cloud[2, 1] = float("nan")
+        with pytest.raises(ValueError, match="point_clouds"):
+            PipelineRequest(point_clouds=[cloud])
+        with pytest.raises(ValueError, match="point_clouds"):
+            SweepRequest(point_clouds=[cloud], epsilons=(0.5,))
+
+    def test_distance_matrices(self):
+        matrix = np.array([[0.0, 1.0, np.nan], [1.0, 0.0, 1.0], [np.nan, 1.0, 0.0]])
+        with pytest.raises(ValueError, match="distance_matrices"):
+            PipelineRequest(distance_matrices=[matrix])
+
+    def test_time_series(self):
+        series = np.vstack([np.sin(np.linspace(0, 7, 40))] * 2)
+        series[1, 5] = np.inf
+        with pytest.raises(ValueError, match="time_series"):
+            PipelineRequest(time_series=series)
+
+    def test_observe_samples(self):
+        with pytest.raises(ValueError, match="samples"):
+            ObserveRequest(samples=(0.0, float("nan")), window_length=8, epsilons=(0.5,))
+
+    def test_infinite_epsilon_is_the_complete_complex(self):
+        request = EstimationRequest(points=circle_cloud(5, seed=0), epsilon=float("inf"), k=0)
+        assert request.build_complex().f_vector() == (5, 10)
+
+
 class TestRequestHashingAndRoundTrip:
     def test_hashable_and_equal(self):
         a = EstimationRequest(simplices=TRIANGLE, k=1, config={"seed": 7})

@@ -5,12 +5,13 @@ import pytest
 
 from repro.core.batch import BATCH_BACKENDS, BatchConfig, BatchFeatureEngine
 from repro.core.config import QTDAConfig
+from repro.core.estimator import QTDABettiEstimator
 from repro.core.hamiltonian import SpectrumCache, build_hamiltonian, padded_spectrum
 from repro.core.pipeline import PipelineConfig, QTDAPipeline
 from repro.datasets.point_clouds import circle_cloud, clusters_cloud
 from repro.tda.betti import betti_number
 from repro.tda.laplacian import combinatorial_laplacian, laplacian_from_flag_arrays
-from repro.tda.rips import RipsComplex, flag_complex_arrays, rips_complex, rips_sweep
+from repro.tda.rips import RipsComplex, rips_complex
 
 
 @pytest.fixture()
@@ -96,48 +97,48 @@ def test_features_and_exact_against_classical_betti(clouds, quantum_config):
 
 
 def test_fallback_path_above_dimension_two(clouds):
-    """max_complex_dimension > 2 routes through the generic clique path."""
+    """max_complex_dimension > 2 takes the same flag-array path, pinned to the object oracle."""
     config = PipelineConfig(epsilon=0.7, use_quantum=False, homology_dimensions=(0, 1, 2))
     assert config.max_complex_dimension == 3
     features = BatchFeatureEngine(config).transform_point_clouds(clouds[:2])
     assert features.shape == (2, 3)
-    pipeline_features = QTDAPipeline(config).transform_point_clouds(clouds[:2])
-    assert np.array_equal(features, pipeline_features)
+    for row, cloud in enumerate(clouds[:2]):
+        complex_ = rips_complex(np.asarray(cloud, dtype=float), 0.7, 3)
+        assert features[row].tolist() == [betti_number(complex_, k) for k in (0, 1, 2)]
 
 
-# -- flag-complex fast path ------------------------------------------------------
+# -- flag-complex arrays ---------------------------------------------------------
 
 def test_flag_arrays_match_clique_complex_and_laplacians():
     rng = np.random.default_rng(3)
-    for _ in range(15):
-        points = rng.normal(size=(int(rng.integers(2, 16)), 3))
-        epsilon = float(rng.uniform(0.3, 2.5))
-        rips = RipsComplex.from_points(points, epsilon, max_dimension=2)
-        complex_ = rips.complex()
-        arrays = rips.flag_arrays()
-        assert arrays.to_complex() == complex_
-        assert arrays.f_vector() == complex_.f_vector()
-        for k in (0, 1, 2):
-            assert np.array_equal(
-                combinatorial_laplacian(complex_, k), laplacian_from_flag_arrays(arrays, k)
-            )
+    for max_dimension in (1, 2, 3, 4):
+        for _ in range(15):
+            points = rng.normal(size=(int(rng.integers(2, 16)), 3))
+            epsilon = float(rng.uniform(0.3, 2.5))
+            rips = RipsComplex.from_points(points, epsilon, max_dimension=max_dimension)
+            complex_ = rips.complex()
+            arrays = rips.flag_arrays()
+            assert arrays.to_complex() == complex_
+            assert arrays.f_vector() == complex_.f_vector()
+            for k in range(max_dimension + 2):
+                expected = combinatorial_laplacian(complex_, k)
+                got = laplacian_from_flag_arrays(arrays, k)
+                assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
 
 
-def test_flag_arrays_reject_high_dimensions():
-    with pytest.raises(ValueError):
-        flag_complex_arrays(np.zeros((3, 3)), 1.0, max_dimension=3)
-
-
-def test_with_epsilon_shares_distances_and_rips_sweep():
-    points = circle_cloud(10)
-    rips = RipsComplex.from_points(points, 0.3)
-    wider = rips.with_epsilon(0.9)
-    assert wider.epsilon == 0.9
-    assert wider.distance_matrix is rips.distance_matrix
-    assert wider.complex() == RipsComplex.from_points(points, 0.9).complex()
-    sweep = rips_sweep(points, [0.3, 0.6, 0.9])
-    assert [r.epsilon for r in sweep] == [0.3, 0.6, 0.9]
-    assert sweep[0].distance_matrix is sweep[2].distance_matrix
+def test_flag_face_lookup_is_exact_past_int64_codes():
+    """A 9-point cluster in a 1000-point cloud at dimension 8: ``n^k`` exceeds 2^63."""
+    rng = np.random.default_rng(11)
+    points = rng.uniform(0.0, 1000.0, size=(1000, 2))
+    points[:9] = rng.uniform(0.0, 0.01, size=(9, 2))
+    rips = RipsComplex.from_points(points, 0.1, max_dimension=8)
+    arrays = rips.flag_arrays()
+    assert 1000**8 > 2**63
+    assert arrays.num_simplices(8) == 1
+    assert arrays.to_complex() == rips.complex()
+    for k in range(9):
+        expected = combinatorial_laplacian(rips.complex(), k)
+        assert laplacian_from_flag_arrays(arrays, k).tobytes() == expected.tobytes()
 
 
 # -- spectrum cache --------------------------------------------------------------
@@ -290,7 +291,7 @@ def test_sparse_and_dense_handoff_are_bit_identical(clouds, backend):
 
 
 def test_sparse_handoff_on_generic_clique_route(clouds):
-    """Above dimension 2 the clique path also honours the negotiated format."""
+    """Above dimension 2 the engine honours the negotiated format and matches the object oracle."""
     config = PipelineConfig(
         epsilon=0.7,
         use_quantum=True,
@@ -302,6 +303,11 @@ def test_sparse_handoff_on_generic_clique_route(clouds):
         config, batch=BatchConfig(operator_format="dense")
     ).transform_point_clouds(clouds[:2])
     assert np.array_equal(features, dense)
+    estimator = QTDABettiEstimator(config.estimator)
+    for row, cloud in enumerate(clouds[:2]):
+        complex_ = rips_complex(np.asarray(cloud, dtype=float), 0.7, 3)
+        for col, k in enumerate((0, 1, 2)):
+            assert features[row, col] == estimator.estimate(complex_, k).betti_estimate
 
 
 # -- configuration ---------------------------------------------------------------

@@ -6,9 +6,12 @@ from scipy import sparse
 
 from repro.core.config import QTDAConfig
 from repro.core.estimator import BettiEstimate, QTDABettiEstimator
+from repro.core.hamiltonian import SpectrumCache
+from repro.tda.betti import betti_number
 from repro.tda.complexes import SimplicialComplex
+from repro.tda.homology import betti_number_gf2
 from repro.tda.laplacian import combinatorial_laplacian
-from repro.tda.rips import rips_complex
+from repro.tda.rips import RipsComplex, rips_complex
 
 
 def test_appendix_worked_example_estimate(appendix_k):
@@ -104,6 +107,33 @@ def test_estimate_betti_numbers_multiple_dimensions(appendix_k):
     estimator = QTDABettiEstimator(precision_qubits=4, shots=None)
     results = estimator.estimate_betti_numbers(appendix_k, [0, 1])
     assert [r.betti_rounded for r in results] == [1, 1]
+
+
+@pytest.mark.parametrize("max_dimension", [1, 2, 3, 4])
+def test_exact_betti_is_rank_and_gf2_betti_on_rips_complexes(max_dimension):
+    """``exact_betti`` (a kernel count) equals both classical Betti numbers on Rips complexes,
+    from the object complex and from the flag arrays alike."""
+    rng = np.random.default_rng(40 + max_dimension)
+    estimator = QTDABettiEstimator(precision_qubits=3, shots=None)
+    for _ in range(8):
+        points = rng.normal(size=(int(rng.integers(3, 12)), 3))
+        rips = RipsComplex.from_points(points, float(rng.uniform(0.5, 2.5)), max_dimension)
+        complex_ = rips.complex()
+        for k in range(max_dimension + 1):
+            expected = betti_number(complex_, k)
+            assert betti_number_gf2(complex_, k) == expected
+            for representation in (complex_, rips.flag_arrays()):
+                assert estimator.estimate(representation, k).exact_betti == expected
+
+
+def test_exact_betti_reads_the_spectrum_cache(appendix_k):
+    """The kernel count and the exact backend share one eigendecomposition."""
+    cache = SpectrumCache()
+    estimate = QTDABettiEstimator(precision_qubits=3, shots=None, spectrum_cache=cache).estimate(
+        appendix_k, 1
+    )
+    assert estimate.exact_betti == 1
+    assert (cache.hits, cache.misses) == (1, 1)
 
 
 def test_rips_pipeline_circle(circle_points):

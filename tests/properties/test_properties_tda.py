@@ -4,13 +4,15 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.estimator import QTDABettiEstimator
 from repro.core.hamiltonian import build_hamiltonian
 from repro.core.padding import pad_laplacian
-from repro.tda.betti import betti_numbers, euler_characteristic
+from repro.tda.betti import betti_number, betti_numbers, euler_characteristic
 from repro.tda.boundary import boundary_matrix
-from repro.tda.homology import betti_numbers_gf2
+from repro.tda.homology import betti_number_gf2, betti_numbers_gf2
 from repro.tda.laplacian import combinatorial_laplacian
 from repro.tda.random_complexes import random_simplicial_complex
+from repro.tda.rips import flag_complex_arrays
 
 complex_params = st.tuples(
     st.integers(min_value=3, max_value=9),      # number of vertices
@@ -49,6 +51,28 @@ def test_betti_methods_agree(params):
     laplacian_betti = betti_numbers(complex_, method="laplacian")
     gf2_betti = betti_numbers_gf2(complex_)
     assert rank_betti == laplacian_betti == gf2_betti
+
+
+@settings(max_examples=30, deadline=None)
+@given(complex_params)
+def test_estimator_exact_betti_is_rank_and_gf2_betti(params):
+    """The estimator's kernel count equals both classical Betti numbers, in both forms."""
+    n, p, seed = params
+    complex_ = random_simplicial_complex(n, edge_probability=p, seed=seed, ensure_nontrivial=False)
+    # The random complex is the clique complex of its 1-skeleton: rebuild it as flag arrays.
+    distances = np.full((n, n), 2.0)
+    np.fill_diagonal(distances, 0.0)
+    for edge in complex_.simplices(1):
+        i, j = edge.vertices
+        distances[i, j] = distances[j, i] = 0.5
+    arrays = flag_complex_arrays(distances, 1.0, max_dimension=2)
+    assert arrays.to_complex() == complex_
+    estimator = QTDABettiEstimator(precision_qubits=3, shots=None)
+    for k in range(4):
+        expected = betti_number(complex_, k)
+        assert betti_number_gf2(complex_, k) == expected
+        for representation in (complex_, arrays):
+            assert estimator.estimate(representation, k).exact_betti == expected
 
 
 @settings(max_examples=20, deadline=None)
