@@ -1,13 +1,12 @@
-"""Benchmark — the incremental sliding-window sweep vs from-scratch rebuilds.
+"""Benchmark — the streaming sliding-window sweep vs the batch sweep.
 
-Streaming QTDA used to re-run the whole pipeline for every window: re-embed,
-re-compute the full distance matrix, rebuild every flag complex, rebuild and
-re-hash every Laplacian.  With stride ≪ window almost all of that work is
-shared between consecutive windows; the :class:`~repro.core.batch.
-StreamingFeatureEngine` (DESIGN.md §13) carries it over — distance matrices
-advance by a cross-distance block, flag complexes by simplex deltas, and
-unchanged windows skip straight to the cached operators — while staying
-bit-identical to the batch sweep.
+The batch sweep treats every window as a fresh cloud: it rebuilds every flag
+complex and every Laplacian, and re-hashes each Laplacian for its spectrum
+cache lookup.  The :class:`~repro.core.batch.StreamingFeatureEngine`
+(DESIGN.md §13) builds each window's distances the same way, and when they
+(or an ε's flag complex) equal the previous window's it carries the
+operators and classical feature rows over — while staying bit-identical to
+the batch sweep.
 
 The gate: on a steady-state stream (overlapping windows, stride = window/8,
 both routes serving from one pre-warmed spectrum cache — the deployment
@@ -117,7 +116,8 @@ def test_bench_streaming_speedup(benchmark, paper_scale, bench_json):
         f"streaming {streaming_seconds:.3f}s (warm {streaming_warm_seconds:.3f}s, "
         f"{per_window_us:.0f}us/window) | batch {batch_seconds:.3f}s | "
         f"speedup {speedup:.1f}x | aperiodic {aperiodic_speedup:.1f}x "
-        f"({aperiodic_stats['incremental_advances']} incremental advances)"
+        f"({stats['unchanged_windows']} unchanged windows steady, "
+        f"{aperiodic_stats['unchanged_windows']} aperiodic)"
     )
     bench_json(
         "streaming",
@@ -145,11 +145,6 @@ def test_bench_streaming_speedup(benchmark, paper_scale, bench_json):
     # whole (num_epsilons, num_windows, num_features) tensor.
     assert np.array_equal(streaming_features, batch_features)
     assert np.array_equal(aperiodic_streaming, aperiodic_batch)
-    # The engine actually took the delta path (one full build, then advances).
-    assert stats["full_builds"] == 1
-    assert stats["incremental_advances"] == NUM_WINDOWS - 1
-    assert aperiodic_stats["incremental_advances"] == NUM_WINDOWS - 1
-    # The acceptance criterion of the incremental-sweep PR.
     assert speedup >= GATE, (
         f"expected >= {GATE}x over from-scratch rebuilds, measured {speedup:.1f}x"
     )

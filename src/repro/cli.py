@@ -11,7 +11,7 @@ paper's experiments be regenerated without writing any Python:
     repro-experiments table1 --rows 80            # gearbox Table 1 analogue
     repro-experiments fig4 --scales 7             # accuracy vs grouping scale
     repro-experiments timeseries --windows 12     # Section 5 time-series route
-    repro-experiments timeseries --window-stride 64 --stream   # incremental streaming sweep
+    repro-experiments timeseries --window-stride 64 --stream   # streaming sweep engine
     repro-experiments serve --port 8080           # HTTP/JSON QTDA service (Ctrl-C drains)
 
 Every subcommand prints the same report the corresponding benchmark prints;
@@ -208,8 +208,9 @@ def _add_timeseries(subparsers) -> None:
         "--stream",
         action="store_true",
         help=(
-            "route the overlapping windows through the incremental streaming engine "
-            "(delta updates between consecutive windows; requires --window-stride)"
+            "route the overlapping windows through the streaming sweep engine "
+            "(one session per class signal, reusing unchanged windows; requires "
+            "--window-stride)"
         ),
     )
     parser.add_argument("--classical", action="store_true", help="use exact Betti numbers instead of QPE estimates")

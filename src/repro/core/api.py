@@ -16,7 +16,7 @@ over all of them:
   Betti features), :class:`SweepRequest` (a batch × ε-grid sweep),
   :class:`ExperimentRequest` (a named paper experiment) and
   :class:`ObserveRequest` (raw samples fed to a named online streaming
-  session, served by the incremental sweep engine — DESIGN.md §13).
+  session, served by the streaming sweep engine — DESIGN.md §13).
 * **Results** always arrive in the same :class:`EstimationResult` envelope:
   a payload (the numbers a legacy entry point would have returned) plus
   :class:`Provenance` — backend name, negotiated operator format,
@@ -546,9 +546,10 @@ class ObserveRequest(_RequestBase):
 
     The live-serving shape (DESIGN.md §13): samples are appended to the
     named ``session``'s buffer, and every sliding window they complete is
-    Takens-embedded and advanced *incrementally* through
+    Takens-embedded and featurised by
     :class:`repro.core.batch.StreamingFeatureEngine` — bit-identical features
-    to a from-scratch sweep over the same windows, at delta cost.  The first
+    to a batch sweep over the same windows, with unchanged windows served
+    from the session's reused state.  The first
     request for a session creates it; later requests must carry the same
     window/stride/epsilons/pipeline configuration (each request is
     self-contained on the wire, so any replica holding the session state can
@@ -922,10 +923,10 @@ def _run_timeseries(params: Dict[str, Any]) -> Tuple[Dict[str, Any], str, Option
         f"validation accuracy = {result.validation_accuracy:.3f}"
     )
     if result.streaming:
-        advances = sum(s.get("incremental_advances", 0) for s in result.streaming_stats.values())
-        rebuilds = sum(s.get("full_builds", 0) for s in result.streaming_stats.values())
+        windows = sum(s["windows"] for s in result.streaming_stats.values())
+        unchanged = sum(s["unchanged_windows"] for s in result.streaming_stats.values())
         payload["report"] += (
-            f"\nstreaming engine    : {advances} incremental advances, {rebuilds} full builds"
+            f"\nstreaming engine    : {windows} windows, {unchanged} unchanged windows"
         )
     if params.get("use_quantum", True):
         backend = params.get("backend", "exact")
@@ -1153,11 +1154,11 @@ class QTDAService:
         """Feed samples into a streaming session; returns the completed windows.
 
         Sugar over :meth:`run` with an explicit type check — the online
-        endpoint of the incremental sweep engine (DESIGN.md §13).  The
+        endpoint of the streaming sweep engine (DESIGN.md §13).  The
         payload lists one record per *newly completed* window, each with the
-        per-ε feature matrix and the delta statistics (incremental vs full
-        rebuild, simplices destroyed/created); features are bit-identical to
-        a from-scratch batch sweep over the same windows.
+        per-ε feature matrix and whether its complexes equal the previous
+        window's; features are bit-identical to a batch sweep over the same
+        windows.
         """
         if not isinstance(request, ObserveRequest):
             raise TypeError(f"observe expects an ObserveRequest, got {type(request).__name__}")
@@ -1421,10 +1422,7 @@ class QTDAService:
                         "index": w.index,
                         "start": w.start,
                         "features": w.features,
-                        "incremental": w.incremental,
                         "unchanged": w.unchanged,
-                        "simplices_destroyed": w.simplices_destroyed,
-                        "simplices_created": w.simplices_created,
                     }
                     for w in windows
                 ],

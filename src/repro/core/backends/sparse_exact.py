@@ -147,6 +147,10 @@ class SparseExactBackend:
         if opinv is None:
             return None
 
+        # A fixed start vector makes the answer a function of the Laplacian
+        # alone; ARPACK's own start depends on how often it ran before.  Not
+        # ``ones``: that lies in ker Δ_0, an invariant subspace.
+        v0 = np.random.default_rng(0).uniform(-1.0, 1.0, n)
         m = min(self.num_eigenvalues, n - 2)
         while True:
             try:
@@ -155,6 +159,7 @@ class SparseExactBackend:
                     k=m,
                     sigma=self.shift,
                     which="LM",
+                    v0=v0,
                     return_eigenvectors=False,
                     tol=self.lanczos_tol,
                     OPinv=opinv,

@@ -46,7 +46,6 @@ from repro.core.pipeline import PipelineConfig, apply_pipeline_overrides
 from repro.tda.betti import betti_number  # noqa: F401 - perfbench/tracing.py traces this name
 from repro.tda.distances import pairwise_distances
 from repro.tda.laplacian import laplacian_operator_from_flag_arrays
-from repro.tda.incremental import IncrementalFlagComplex, SlidingDistanceMatrix
 from repro.tda.rips import FlagComplexArrays, flag_complex_arrays
 from repro.tda.takens import TakensEmbedding
 from repro.utils.rng import derive_seed
@@ -156,15 +155,15 @@ def _flag_features(
     """Feature rows from prepared flag-complex arrays (the per-dimension loop).
 
     Shared by the per-sample sweep (:class:`_SampleSweeper`) and the
-    incremental window engine (:class:`StreamingFeatureEngine`), so both
+    streaming window engine (:class:`StreamingFeatureEngine`), so both
     routes run literally the same per-dimension code and stay bit-identical.
 
     ``operators`` is the streaming engine's reuse hook: a mutable mapping
     ``k -> LaplacianOperator`` whose existing entries are handed to the
     estimator verbatim (their memoised fingerprints keep
-    :class:`SpectrumCache` keys stable across windows, so unchanged
-    sub-Laplacians skip both the rebuild and the rehash), and whose missing
-    entries are built here and stored back.
+    :class:`SpectrumCache` keys stable across windows, so an unchanged
+    complex skips both the Laplacian rebuild and the rehash), and whose
+    missing entries are built here and stored back.
     """
     dims = config.homology_dimensions
     estimated = np.empty(len(dims))
@@ -430,19 +429,16 @@ class BatchFeatureEngine:
         stride: int = 1,
         epsilons: Optional[Iterable[float]] = None,
     ) -> Iterator["WindowFeatures"]:
-        """Slide a window over one raw series through the incremental engine.
+        """Slide a window over one raw series through the streaming engine.
 
         Streaming counterpart of embedding every window and calling
         :meth:`sweep` / :meth:`iter_sweep` on the resulting clouds — and
         bit-identical to them (window ``i`` plays the role of sample ``i``,
-        including its derived estimator seed).  Instead of rebuilding each
-        window's geometry from scratch, the engine advances a
-        :class:`repro.tda.incremental.SlidingDistanceMatrix` and per-ε
-        :class:`repro.tda.incremental.IncrementalFlagComplex` states, reusing
-        this engine's spectrum cache, so overlapping windows
-        (``stride << window_length``) cost per-advance work instead of
-        per-window work.  Yields one :class:`WindowFeatures` per window as
-        soon as enough samples arrived.
+        including its derived estimator seed).  A
+        :class:`StreamingFeatureEngine` sharing this engine's spectrum cache
+        reuses each window's complexes, operators and classical rows when
+        they equal the previous window's.  ``series`` is copied on entry;
+        yields one :class:`WindowFeatures` per window, lazily.
         """
         engine = StreamingFeatureEngine(
             self.config,
@@ -453,10 +449,12 @@ class BatchFeatureEngine:
             spectrum_cache_size=self.batch.spectrum_cache_size,
             operator_format=self.batch.operator_format,
         )
-        arr = np.asarray(series, dtype=float).reshape(-1)
-        for pos in range(0, arr.size, engine.stride):
-            for window in engine.extend(arr[pos : pos + engine.stride]):
-                yield window
+        arr = np.array(series, dtype=float).reshape(-1)
+        return (
+            window
+            for pos in range(0, arr.size, engine.stride)
+            for window in engine.extend(arr[pos : pos + engine.stride])
+        )
 
     def features_and_exact(
         self, clouds: Sequence[np.ndarray], epsilon: Optional[float] = None
@@ -545,7 +543,7 @@ class BatchFeatureEngine:
         return results  # type: ignore[return-value]
 
 
-# -- incremental streaming ------------------------------------------------------
+# -- streaming ------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -562,55 +560,48 @@ class WindowFeatures:
     start: int                    #: absolute raw-sample index of the window start
     epsilons: Tuple[float, ...]   #: grouping scales, in evaluation order
     features: np.ndarray          #: (num_epsilons, num_features) estimated Betti features
-    incremental: bool             #: advanced by deltas (False: first window / full replace)
     unchanged: bool               #: every ε complex bit-identical to the previous window's
-    simplices_destroyed: int      #: delta size, summed over ε (0 when unchanged)
-    simplices_created: int
 
 
 class _EpsilonState:
-    """Per-ε streaming state: the incremental complex plus reusable artefacts."""
+    """Per-ε streaming state: the window's flag complex plus reusable artefacts."""
 
-    __slots__ = ("complex", "operators", "row")
+    __slots__ = ("arrays", "operators", "row")
 
-    def __init__(self, complex_: IncrementalFlagComplex):
-        self.complex = complex_
-        #: k -> LaplacianOperator built from the *current* arrays; invalidated
-        #: per dimension by the delta's changed flags, so unchanged
-        #: sub-Laplacians keep their memoised fingerprints across windows.
+    def __init__(self, arrays: FlagComplexArrays):
+        self.arrays = arrays
+        #: k -> LaplacianOperator built from ``arrays``; kept while the arrays
+        #: are, so their memoised fingerprints survive across windows.
         self.operators: Dict[int, object] = {}
         #: cached classical feature row (pure function of the arrays); never
         #: used in quantum mode, where per-window seeds must differ.
         self.row: Optional[np.ndarray] = None
 
 
+def _same_arrays(a: FlagComplexArrays, b: FlagComplexArrays) -> bool:
+    """Content equality of two flag complexes over the same number of points."""
+    return all(np.array_equal(x, y) for x, y in zip(a.skeleton, b.skeleton))
+
+
 class StreamingFeatureEngine:
-    """Online sliding-window Betti features with incremental window advances.
+    """Online sliding-window Betti features, bit-identical to the batch sweep.
 
     Feed raw time-series samples one at a time (:meth:`observe`) or in chunks
     (:meth:`extend`); every time a full window of ``window_length`` samples is
     available the engine emits its Betti features and advances the window by
-    ``stride``.  The features are **bit-identical** to Takens-embedding each
-    window and running it through :meth:`BatchFeatureEngine.sweep` /
-    :meth:`~BatchFeatureEngine.iter_sweep` (window index = sample index), but
-    the per-window cost is incremental (DESIGN.md §13):
+    ``stride``.  Each window is built the way the batch sweep builds a cloud
+    (DESIGN.md §13) — Takens embedding, :func:`pairwise_distances`, then
+    :func:`flag_complex_arrays` per ε — so the features are **bit-identical**
+    to :meth:`BatchFeatureEngine.sweep` over the same windows (window index =
+    sample index).  What the engine adds is reuse between windows:
 
-    - the embedded point cloud advances by point enter/leave whenever the
-      window stride is a multiple of the Takens stride, so only the entering
-      points' distances are computed (:class:`SlidingDistanceMatrix`);
-    - each ε's flag complex is patched with simplex deltas instead of
-      re-enumerated (:class:`IncrementalFlagComplex`);
-    - per-dimension Laplacian operators survive across windows when their
-      inputs didn't change, so their memoised fingerprints make
-      :class:`SpectrumCache` lookups O(1) and unchanged sub-Laplacians skip
-      the eigensolve, the rebuild and the rehash;
-    - in classical mode (``use_quantum=False``) a fully unchanged ε state
-      reuses the previous feature row outright.
-
-    When ``stride % takens_stride != 0`` (window advances shift every
-    embedded point's coordinates) or the windows don't overlap in embedded
-    points, the engine falls back to a full per-window rebuild *through the
-    same delta path* (``leave == num_points``), still bit-identical.
+    - a distance matrix bitwise equal to the previous window's carries every
+      ε state over;
+    - otherwise an ε whose flag complex is content-equal to the previous
+      window's keeps its state: its Laplacian operators, whose memoised
+      fingerprints make :class:`SpectrumCache` lookups O(1), and in
+      classical mode (``use_quantum=False``) its feature row, reused
+      outright.  Quantum rows are never reused: per-window seeds differ.
     """
 
     def __init__(
@@ -627,11 +618,6 @@ class StreamingFeatureEngine:
     ):
         base = config if config is not None else PipelineConfig()
         self.config = apply_pipeline_overrides(base, overrides)
-        if self.config.max_complex_dimension > 2:
-            raise ValueError(
-                "StreamingFeatureEngine requires max_complex_dimension <= 2 "
-                "(the dimensions the incremental layer patches)"
-            )
         self.window_length = check_integer(window_length, "window_length", minimum=1)
         self.stride = check_integer(stride, "stride", minimum=1)
         scales = tuple(
@@ -659,30 +645,17 @@ class StreamingFeatureEngine:
                 f"window_length={self.window_length} is shorter than the Takens span {span}"
             )
         self._points_per_window = (self.window_length - span) // self._takens.stride + 1
-        # Incrementality precondition: a window advance maps onto point
-        # enter/leave only when the window stride is a multiple of the Takens
-        # stride (otherwise every embedded point's coordinates shift).  A
-        # non-overlapping advance degenerates to leave == num_points, the
-        # full-replacement route.
-        if self.stride % self._takens.stride == 0:
-            self._leave = min(self.stride // self._takens.stride, self._points_per_window)
-        else:
-            self._leave = self._points_per_window
         self._buffer = np.zeros(0, dtype=float)
         self._buffer_start = 0  # absolute raw index of buffer[0]
         self._next_start = 0    # absolute raw index of the next window to emit
         self._window_index = 0
-        self._sdm: Optional[SlidingDistanceMatrix] = None
+        self._distances: Optional[np.ndarray] = None
         self._states: Dict[float, _EpsilonState] = {}
         #: Observability counters (cumulative; surfaced by the observe endpoint).
         self.stats: Dict[str, int] = {
             "windows": 0,
-            "full_builds": 0,
-            "incremental_advances": 0,
             "unchanged_windows": 0,
             "feature_rows_reused": 0,
-            "simplices_destroyed": 0,
-            "simplices_created": 0,
         }
 
     # -- public API -----------------------------------------------------------
@@ -717,8 +690,11 @@ class StreamingFeatureEngine:
         return emitted[-1] if emitted else None
 
     def extend(self, samples: Iterable[float]) -> List["WindowFeatures"]:
-        """Feed a chunk of raw samples; every window they complete, in order."""
-        arr = np.asarray(samples, dtype=float).reshape(-1)
+        """Feed a chunk of raw samples; every window they complete, in order.
+
+        The samples are copied, so the caller may reuse its array afterwards.
+        """
+        arr = np.array(samples, dtype=float).reshape(-1)
         if arr.size:
             self._buffer = np.concatenate([self._buffer, arr]) if self._buffer.size else arr
         emitted: List[WindowFeatures] = []
@@ -732,25 +708,22 @@ class StreamingFeatureEngine:
         Shape- and bit-compatible with :meth:`BatchFeatureEngine.sweep` over
         the same (embedded) sliding windows.
         """
-        emitted = self.extend(np.asarray(series, dtype=float).reshape(-1))
+        emitted = self.extend(series)
         if not emitted:
             return np.zeros((len(self.epsilons), 0, len(self.config.homology_dimensions)))
         return np.stack([window.features for window in emitted], axis=1)
 
-    # -- window advance -------------------------------------------------------
+    # -- window build -----------------------------------------------------------
     def _emit(self) -> "WindowFeatures":
         start = self._next_start
-        incremental, unchanged, destroyed, created = self._advance_geometry(start)
+        unchanged = self._build_geometry(start)
         features = self._window_features()
         window = WindowFeatures(
             index=self._window_index,
             start=start,
             epsilons=self.epsilons,
             features=features,
-            incremental=incremental,
             unchanged=unchanged,
-            simplices_destroyed=destroyed,
-            simplices_created=created,
         )
         self._window_index += 1
         self.stats["windows"] += 1
@@ -762,75 +735,27 @@ class StreamingFeatureEngine:
             self._buffer_start = self._next_start
         return window
 
-    def _advance_geometry(self, start: int) -> Tuple[bool, bool, int, int]:
-        """Advance distances + per-ε complexes to the window at ``start``.
-
-        Returns ``(incremental, unchanged, simplices_destroyed, simplices_created)``.
-        """
+    def _build_geometry(self, start: int) -> bool:
+        """Build the per-ε complexes of the window at ``start``; ``True`` if unchanged."""
         offset = start - self._buffer_start
-        n = self._points_per_window
-        if self._sdm is None:
-            window = self._buffer[offset : offset + self.window_length]
-            cloud = self._takens.transform(window)
-            self._sdm = SlidingDistanceMatrix(cloud)
-            distances = self._sdm.distances
-            self._states = {
-                eps: _EpsilonState(
-                    IncrementalFlagComplex(distances, eps, self.config.max_complex_dimension)
-                )
-                for eps in self.epsilons
-            }
-            self.stats["full_builds"] += 1
-            return False, False, 0, 0
-        if self._leave >= n:
-            # Full point replacement (fallback / non-overlapping windows):
-            # same delta path with leave == num_points.
-            window = self._buffer[offset : offset + self.window_length]
-            new_points = self._takens.transform(window)
-            self.stats["full_builds"] += 1
-            incremental = False
-        else:
-            # Only the entering embedded points are materialised; their
-            # gathers read the same raw floats a from-scratch embedding
-            # would, so the coordinates are bitwise identical.
-            entering = np.arange(n - self._leave, n)
-            gather = (
-                offset
-                + entering[:, None] * self._takens.stride
-                + np.arange(self._takens.dimension)[None, :] * self._takens.delay
-            )
-            new_points = self._buffer[gather]
-            self.stats["incremental_advances"] += 1
-            incremental = True
-        previous = self._sdm.distances
-        distances = self._sdm.advance(self._leave, new_points)
-        if np.array_equal(previous, distances):
+        window = self._buffer[offset : offset + self.window_length]
+        distances = pairwise_distances(self._takens.transform(window))
+        if self._distances is not None and np.array_equal(self._distances, distances):
             # Identical geometry: every ε state (arrays, operators,
             # fingerprints, classical feature rows) carries over untouched.
             self.stats["unchanged_windows"] += 1
-            return incremental, True, 0, 0
-        destroyed = created = 0
-        all_unchanged = True
+            return True
+        unchanged = True  # until an ε complex differs (or has no predecessor)
+        self._distances = distances
         for eps in self.epsilons:
-            state = self._states[eps]
-            delta = state.complex.advance(self._leave, distances)
-            destroyed += delta.num_destroyed
-            created += delta.num_created
-            if delta.unchanged:
-                # Same arrays by content: operators and rows stay valid.
-                continue
-            all_unchanged = False
-            state.row = None
-            if delta.vertices_changed or delta.edges_changed:
-                state.operators.pop(0, None)
-            if delta.edges_changed or delta.triangles_changed:
-                state.operators.pop(1, None)
-                state.operators.pop(2, None)
-        self.stats["simplices_destroyed"] += destroyed
-        self.stats["simplices_created"] += created
-        if all_unchanged:
+            arrays = flag_complex_arrays(distances, eps, self.config.max_complex_dimension)
+            state = self._states.get(eps)
+            if state is None or not _same_arrays(state.arrays, arrays):
+                self._states[eps] = _EpsilonState(arrays)
+                unchanged = False
+        if unchanged:
             self.stats["unchanged_windows"] += 1
-        return incremental, all_unchanged, destroyed, created
+        return unchanged
 
     def _window_features(self) -> np.ndarray:
         """Features of the current window — same loop order as the batch sweep."""
@@ -854,7 +779,7 @@ class StreamingFeatureEngine:
                 self.stats["feature_rows_reused"] += 1
                 continue
             row, _ = _flag_features(
-                state.complex.arrays,
+                state.arrays,
                 self.config,
                 self._cache,
                 estimator,

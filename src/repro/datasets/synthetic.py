@@ -7,7 +7,7 @@ module synthesises a second workload:
 
 * a slow **concept drift** — the carrier frequency wobbles sinusoidally
   around its base value, so consecutive windows are similar but never
-  identical (the incremental sweep engine's favourable regime);
+  identical (the streaming engine reuses nothing between them);
 * a hard **regime switch** partway through the stream — the carrier jumps to
   a new frequency and amplitude, the "new operating point" scenario where a
   window-by-window monitor should see its features move;

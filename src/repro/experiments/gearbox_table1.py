@@ -297,9 +297,9 @@ class TimeseriesClassificationResult:
     #: Step between window starts when windows overlap (``None`` reproduces
     #: the paper's independent windows).
     window_stride: Optional[int] = None
-    #: Whether features came through the incremental streaming engine.
+    #: Whether features came through the streaming sweep engine.
     streaming: bool = False
-    #: Engine delta counters per class label when ``streaming`` (else empty).
+    #: Engine window counters per class label when ``streaming`` (else empty).
     streaming_stats: Dict[str, Dict[str, int]] = field(default_factory=dict)
     #: Which synthetic workload produced the windows (``"gearbox"``/``"drift"``).
     signal: str = "gearbox"
@@ -354,10 +354,11 @@ def run_timeseries_classification(
     *overlapping* windows cut from one continuous vibration signal per class
     (step ``window_stride`` between window starts) — the condition-monitoring
     shape where consecutive windows share most of their samples.
-    ``streaming`` additionally routes each class's signal through the
-    incremental :class:`~repro.core.batch.StreamingFeatureEngine`
-    (DESIGN.md §13) instead of rebuilding every window from scratch; it
-    requires ``window_stride``.
+    ``streaming`` additionally feeds each class's signal through one
+    :class:`~repro.core.batch.StreamingFeatureEngine` (DESIGN.md §13), which
+    builds every window as the batch sweep does and reuses the state of
+    windows equal to their predecessor; the features are bit-identical to
+    the batch route.  It requires ``window_stride``.
 
     ``signal`` selects the workload: ``"gearbox"`` (the paper's healthy vs
     surface-fault vibration), ``"drift"`` (the

@@ -12,8 +12,6 @@ Provides everything Section 2 of the paper needs:
 * persistent homology for the paper's future-work extension
   (:mod:`repro.tda.filtration`, :mod:`repro.tda.persistence`);
 * Takens delay embedding of time series (:mod:`repro.tda.takens`);
-* incremental sliding-window geometry — distance matrices and flag complexes
-  maintained under point enter/leave (:mod:`repro.tda.incremental`);
 * random simplicial complexes for the Section 4 experiments
   (:mod:`repro.tda.random_complexes`).
 """
@@ -32,11 +30,6 @@ from repro.tda.laplacian import (
 from repro.tda.betti import betti_number, betti_numbers, euler_characteristic
 from repro.tda.homology import betti_numbers_gf2, boundary_rank_gf2
 from repro.tda.takens import TakensEmbedding, takens_embedding
-from repro.tda.incremental import (
-    FlagComplexDelta,
-    IncrementalFlagComplex,
-    SlidingDistanceMatrix,
-)
 from repro.tda.filtration import Filtration, rips_filtration
 from repro.tda.persistence import PersistenceDiagram, persistent_betti_number, persistence_diagrams
 from repro.tda.random_complexes import random_simplicial_complex, random_point_cloud_complex
@@ -62,9 +55,6 @@ __all__ = [
     "boundary_rank_gf2",
     "TakensEmbedding",
     "takens_embedding",
-    "FlagComplexDelta",
-    "IncrementalFlagComplex",
-    "SlidingDistanceMatrix",
     "Filtration",
     "rips_filtration",
     "PersistenceDiagram",

@@ -94,6 +94,26 @@ def test_kernel_window_widens_until_nonzero_eigenvalue():
     assert int(round(estimate)) == 30
 
 
+def test_partial_spectrum_is_reproducible_within_a_process():
+    """Above the default dense threshold, repeated calls on one Laplacian give
+    bitwise-equal eigenvalues: the Lanczos start vector is fixed, not drawn
+    from ARPACK's call-history-dependent generator."""
+    from repro.core.operators import as_operator
+
+    points = 150  # 4 neighbours per side -> a 600-edge annulus
+    cloud = circle_cloud(points)
+    eps = 2.0 * np.sin(4.0 * np.pi / points) + 1e-9
+    laplacian = combinatorial_laplacian(
+        rips_complex(cloud, eps, max_dimension=2), 1, sparse_format=True
+    )
+    backend = SparseExactBackend()
+    assert laplacian.shape[0] > backend.dense_threshold
+    first, first_lam = backend._partial_eigenvalues(as_operator(laplacian), 1e-8)
+    second, second_lam = backend._partial_eigenvalues(as_operator(laplacian), 1e-8)
+    assert np.array_equal(first, second)
+    assert first_lam == second_lam
+
+
 def test_sparse_backend_rejects_asymmetric_matrices():
     mat = sparse.csr_matrix(np.triu(np.ones((40, 40))))
     backend = SparseExactBackend(dense_threshold=8)

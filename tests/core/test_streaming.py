@@ -3,10 +3,10 @@
 The contract under test (DESIGN.md §13): a :class:`StreamingFeatureEngine`
 fed one raw series produces features **bit-identical** to Takens-embedding
 every sliding window and running the batch sweep — whatever the stride
-(aligned strides advance incrementally, misaligned ones fall back to full
-rebuilds through the same delta path), whatever the estimator (classical or
-seeded quantum).  On top of that sit the session semantics of
-``QTDAService.observe``.
+(aligned with the Takens stride, misaligned, or non-overlapping), whatever
+the geometry (all-duplicate points, ε below every distance), whatever the
+homology dimensions, whatever the estimator (classical or seeded quantum).
+On top of that sit the session semantics of ``QTDAService.observe``.
 """
 
 import json
@@ -23,15 +23,15 @@ from repro.datasets.windows import sliding_windows
 EPSILONS = (0.6, 1.1, 1.7)
 
 
-def _config(use_quantum=False, takens_stride=4, **estimator_overrides):
-    estimator = QTDAConfig(seed=123, shots=64, precision_qubits=3, **estimator_overrides)
+def _config(use_quantum=False, takens_stride=4, homology_dimensions=(0, 1)):
+    estimator = QTDAConfig(seed=123, shots=64, precision_qubits=3)
     return PipelineConfig(
         epsilon=1.0,
         use_quantum=use_quantum,
         takens_dimension=3,
         takens_delay=2,
         takens_stride=takens_stride,
-        homology_dimensions=(0, 1),
+        homology_dimensions=homology_dimensions,
         estimator=estimator,
     )
 
@@ -43,31 +43,95 @@ def _batch_features(config, series, window_length, stride, epsilons=EPSILONS):
     return engine.sweep(clouds, epsilons)
 
 
+def _stream_features(config, series, window_length, stride, epsilons=EPSILONS):
+    engine = StreamingFeatureEngine(
+        config, window_length=window_length, stride=stride, epsilons=epsilons
+    )
+    return engine.process(series), engine.stats
+
+
 @pytest.mark.parametrize(
-    "use_quantum,stride,expect_incremental",
+    "use_quantum,stride",
     [
-        (False, 32, True),  # stride % takens_stride == 0: the delta path
-        (True, 32, True),  # quantum estimates, per-window derived seeds
-        (False, 7, False),  # misaligned stride: full-rebuild fallback
-        (False, 300, False),  # non-overlapping windows: full replacement
+        (False, 32),  # stride % takens_stride == 0: windows share embedded points
+        (True, 32),  # quantum estimates, per-window derived seeds
+        (False, 7),  # misaligned stride: every embedded point moves
+        (False, 300),  # non-overlapping windows
     ],
 )
-def test_streaming_bit_identical_to_batch_sweep(use_quantum, stride, expect_incremental):
+def test_streaming_bit_identical_to_batch_sweep(use_quantum, stride):
     rng = np.random.default_rng(42)
     series = rng.standard_normal(700)
     config = _config(use_quantum=use_quantum)
     baseline = _batch_features(config, series, 256, stride)
-    engine = StreamingFeatureEngine(
-        config, window_length=256, stride=stride, epsilons=EPSILONS
-    )
-    features = engine.process(series)
+    features, stats = _stream_features(config, series, 256, stride)
     assert np.array_equal(features, baseline)
-    assert engine.stats["windows"] == baseline.shape[1]
-    if expect_incremental:
-        assert engine.stats["incremental_advances"] == engine.stats["windows"] - 1
-    else:
-        assert engine.stats["incremental_advances"] == 0
-        assert engine.stats["full_builds"] == engine.stats["windows"]
+    assert stats["windows"] == baseline.shape[1]
+    assert stats["unchanged_windows"] == 0
+
+
+def test_all_duplicate_point_windows_match_batch_sweep():
+    # A constant stretch embeds every point onto one spot: all distances are
+    # exactly 0.0, so each ε complex is one clique.  The stream then runs
+    # into fresh samples, so windows go from identical to changing.
+    rng = np.random.default_rng(3)
+    series = np.concatenate([np.full(160, 0.7), rng.standard_normal(160)])
+    config = _config()
+    baseline = _batch_features(config, series, 64, 16)
+    features, stats = _stream_features(config, series, 64, 16)
+    assert np.array_equal(features, baseline)
+    assert np.array_equal(features[:, 0], [[1.0, 0.0]] * len(EPSILONS))
+    assert stats["unchanged_windows"] >= 1
+
+
+def test_epsilon_below_every_distance_matches_batch_sweep():
+    # No edges at any window: every ε complex is the bare vertex set.
+    rng = np.random.default_rng(4)
+    series = rng.standard_normal(400)
+    config = _config()
+    engine = StreamingFeatureEngine(config, window_length=64, stride=16, epsilons=(1e-9,))
+    features = engine.process(series)
+    baseline = _batch_features(config, series, 64, 16, epsilons=(1e-9,))
+    assert np.array_equal(features, baseline)
+    assert np.all(features[..., 0] == engine.points_per_window)
+    assert np.all(features[..., 1] == 0.0)
+    # The distances change every window but the (empty) complexes do not:
+    # the per-ε content comparison keeps each state and its classical row.
+    assert engine.stats["unchanged_windows"] == engine.stats["windows"] - 1
+    assert engine.stats["feature_rows_reused"] == engine.stats["windows"] - 1
+
+
+@pytest.mark.parametrize("use_quantum", [False, True])
+def test_streaming_matches_batch_sweep_up_to_dimension_two(use_quantum):
+    # homology_dimensions (0, 1, 2) builds flag complexes up to dimension 3.
+    rng = np.random.default_rng(5)
+    series = rng.standard_normal(320)
+    config = _config(use_quantum=use_quantum, homology_dimensions=(0, 1, 2))
+    assert config.max_complex_dimension == 3
+    baseline = _batch_features(config, series, 128, 32)
+    features, _ = _stream_features(config, series, 128, 32)
+    assert features.shape[-1] == 3
+    assert np.array_equal(features, baseline)
+
+
+def test_extend_copies_the_callers_samples():
+    # The caller reuses its array after extend(): later windows must still
+    # see the samples as they were fed.
+    rng = np.random.default_rng(6)
+    series = rng.standard_normal(200)
+    config = _config()
+    baseline = _batch_features(config, series, 64, 32)
+    engine = StreamingFeatureEngine(config, window_length=64, stride=32, epsilons=EPSILONS)
+    head = series[:40].copy()
+    windows = engine.extend(head)
+    head[:] = 0.0
+    windows += engine.extend(series[40:])
+    assert np.array_equal(np.stack([w.features for w in windows], axis=1), baseline)
+    # iter_windows copies the series when called, not when first iterated.
+    reused = series.copy()
+    lazy = BatchFeatureEngine(config).iter_windows(reused, 64, stride=32, epsilons=EPSILONS)
+    reused[:] = 0.0
+    assert np.array_equal(np.stack([w.features for w in lazy], axis=1), baseline)
 
 
 def test_observe_one_sample_at_a_time_matches_extend():
@@ -127,7 +191,7 @@ def test_iter_windows_lazily_matches_streaming_engine():
     assert len(windows) == len(reference)
     for got, want in zip(windows, reference):
         assert np.array_equal(got.features, want.features)
-        assert got.incremental == want.incremental
+        assert got.unchanged == want.unchanged
 
 
 def test_streaming_engine_validation():
@@ -171,7 +235,8 @@ def test_observe_endpoint_bit_identical_across_chunked_feeds():
         stacked = np.stack([np.asarray(w["features"]) for w in windows], axis=1)
         assert np.array_equal(stacked, baseline)
         assert result.payload["windows_emitted"] == baseline.shape[1]
-        assert result.payload["engine_stats"]["incremental_advances"] == baseline.shape[1] - 1
+        assert result.payload["engine_stats"]["windows"] == baseline.shape[1]
+        assert set(windows[0]) == {"index", "start", "features", "unchanged"}
 
 
 def test_observe_wire_schema_round_trip():
