@@ -161,12 +161,13 @@ def circuit_backend_result(
         )
         fused_gates = len(plan)
     else:
-        # ptm: gates and their channels lowered to Liouville superoperators
-        # and fused; one complex density tensor (at most 4^(t+q) entries)
-        # evolves through them, each qubit held from its first op to its last.
+        # ptm: gates and their channels, cut to the precision register's
+        # light cone, lowered to Liouville superoperators and fused; one
+        # complex density tensor (at most 4^(t+q) entries) evolves through
+        # them, each qubit held from its first coupling op to its last op.
         executor = PTMExecutor()
         gate_spec = spec if spec.has_gate_noise else None
-        program = executor.program(circuit, noise_spec=gate_spec)
+        program = executor.program(circuit, noise_spec=gate_spec, readout=precision_register)
         distribution = executor.qtda_distribution(
             circuit,
             precision_qubits=precision_register,

@@ -17,14 +17,15 @@ the state once instead of ``2^j`` times.  Two thin wrappers feed it:
 
 * :func:`fuse_circuit` — the circuit's gates, for the ensemble route;
 * :func:`fuse_ptm_program` — the density simulator's gate-then-channel
-  walk, scheduled so each qubit joins the density tensor late, for the
-  exact noisy ``ptm`` route.
+  walk, scheduled so each qubit joins the density tensor late and cut to
+  the readout's light cone, for the exact noisy ``ptm`` route.
 
 Gates wider than the window (QPE's exact controlled powers) pass through
 unfused and cut the stream into *segments*; the greedy window never fuses
 across them, so a fused stream is the concatenation of its segments fused
-independently.  Each segment is cached per content (its ops' qubits,
-gate-matrix bytes or channel content keys, and the window) in a
+independently.  Each segment is cached per content (its ops' qubits and
+prefix marks, gate-matrix bytes or channel content keys, and the window,
+charged by the distinct buffers it holds) in a
 :class:`~repro.utils.cache.BoundedCache`.  In the QPE circuit only the
 controlled powers depend on the Laplacian, so a new point cloud of a
 known size hits every segment — the Hadamards, the inverse QFT and every
@@ -52,7 +53,7 @@ from repro.quantum.ptm import (
     controlled_block,
     gate_superop,
 )
-from repro.utils.cache import BoundedCache
+from repro.utils.cache import BoundedCache, distinct_nbytes
 
 #: Byte budget for the fused gate-plan segments (their gate matrices; at
 #: most ``2^w x 2^w`` each for window ``w``).  Sized by the hit ratio, not
@@ -145,26 +146,30 @@ def _join(
 
 
 def _fuse_run(items, max_fuse_qubits: int, d: int) -> List[Tuple[Tuple[int, ...], np.ndarray, int]]:
-    """Greedily fuse ``(qubits, matrix)`` items into ``(support, matrix,
-    count)`` blocks.
+    """Greedily fuse ``(qubits, matrix, prefix)`` items into ``(support,
+    matrix, count)`` blocks.
 
     A block grows while the union of its items' qubits stays within the
     window; a later item left-multiplies the block (it acts after it).
-    ``count`` is how many consecutive items the block absorbed.
+    ``count`` is how many consecutive items the block absorbed.  A
+    ``prefix`` item (a single-qubit op on a qubit no earlier op couples)
+    only fuses with prefix items of its own qubit, so its block stays a
+    single-qubit op the executor can apply to that qubit's input factor.
     """
     blocks: List[Tuple[Tuple[int, ...], np.ndarray, int]] = []
     support: Optional[Tuple[int, ...]] = None
-    for qubits, op in items:
+    for qubits, op, prefix in items:
         if support is not None:
             union = tuple(sorted(set(support) | set(qubits)))
-            if len(union) <= max_fuse_qubits:
+            same_kind = prefix == held and (not prefix or union == support)
+            if same_kind and len(union) <= max_fuse_qubits:
                 if union != support:
                     matrix = _embed(matrix, support, union, d)
                 matrix = _join(op, qubits, matrix, union, d)
                 support, count = union, count + 1
                 continue
             blocks.append((support, matrix, count))
-        support = tuple(sorted(qubits))
+        support, held = tuple(sorted(qubits)), prefix
         matrix, count = _embed(op, qubits, support, d), 1
     if support is not None:
         blocks.append((support, matrix, count))
@@ -172,15 +177,16 @@ def _fuse_run(items, max_fuse_qubits: int, d: int) -> List[Tuple[Tuple[int, ...]
 
 
 def _segment_key(run: Sequence[tuple], max_fuse_qubits: int, contents: Dict[int, bytes]) -> str:
-    """Content digest of one segment: each op's qubits and its gate-matrix
-    bytes or channel content key, plus the window.
+    """Content digest of one segment: each op's qubits, prefix mark and
+    gate-matrix bytes or channel content key, plus the window.  The mark
+    depends on ops before the segment, so it is keyed, not derived.
 
     ``contents`` memoises each payload's digest by identity for the whole
     stream (QPE's repetition synthesis and the spec's channels repeat the
     same objects many times).
     """
     digest = hashlib.sha256(f"window={int(max_fuse_qubits)}".encode())
-    for qubits, payload in run:
+    for qubits, payload, prefix in run:
         content = contents.get(id(payload))
         if content is None:
             if isinstance(payload, Gate):
@@ -188,7 +194,7 @@ def _segment_key(run: Sequence[tuple], max_fuse_qubits: int, contents: Dict[int,
             else:
                 content = b"C" + channel_content_key(payload).encode()
             contents[id(payload)] = content
-        digest.update(repr(tuple(qubits)).encode())
+        digest.update(repr((tuple(qubits), prefix)).encode())
         digest.update(content)
     return digest.hexdigest()
 
@@ -200,8 +206,9 @@ def _fuse_segments(
     fuse: Callable[[List[tuple]], tuple],
     wide: Callable[[Gate], object],
 ) -> List[object]:
-    """Cut a ``(qubits, gate_or_channel)`` stream at every gate wider than
-    the window; fuse each segment once per content, rebuild each wide gate.
+    """Cut a ``(qubits, gate_or_channel, prefix)`` stream at every gate
+    wider than the window; fuse each segment once per content, rebuild each
+    wide gate.
 
     ``fuse`` turns a segment into its fused ops (called on a cache miss
     only), ``wide`` turns a wide gate into its pass-through op.
@@ -219,7 +226,7 @@ def _fuse_segments(
         fused = cache.get(key)
         if fused is None:
             fused = fuse(run)
-            fused = cache.put(key, fused, sum(op.matrix.nbytes for op in fused))
+            fused = cache.put(key, fused, distinct_nbytes(op.matrix for op in fused))
         ops.extend(fused)
         run.clear()
 
@@ -263,14 +270,14 @@ def fuse_circuit(circuit: QuantumCircuit, max_fuse_qubits: int = 3) -> Tuple[Gat
     def fuse(run: List[tuple]) -> Tuple[Gate, ...]:
         plan, start = [], 0
         for support, matrix, count in _fuse_run(
-            ((gate.qubits, gate.matrix) for _, gate in run), max_fuse_qubits, 2
+            ((gate.qubits, gate.matrix, prefix) for _, gate, prefix in run), max_fuse_qubits, 2
         ):
             gate = run[start][1] if count == 1 else Gate(f"fused[{count}]", support, matrix)
             plan.append(gate)
             start += count
         return tuple(plan)
 
-    stream = [(gate.qubits, gate) for gate in circuit.gates]
+    stream = [(gate.qubits, gate, False) for gate in circuit.gates]
     return tuple(_fuse_segments(stream, max_fuse_qubits, _PLAN_CACHE, fuse, lambda gate: gate))
 
 
@@ -287,6 +294,10 @@ def fuse_circuit(circuit: QuantumCircuit, max_fuse_qubits: int = 3) -> Tuple[Gat
 # fusing, the stream is scheduled so each qubit joins the density tensor as
 # late as possible (_defer_single_qubit_prefixes); the wide powers then run
 # on the qubits that have joined so far instead of on the whole register.
+# The scheduled stream is then cut to the readout's backward light cone
+# (_light_cone), and each qubit's held prefix is marked (_mark_prefixes) so
+# the window keeps it apart: the executor applies it to the qubit's input
+# factor instead of joining the qubit early.
 
 
 def _density_walk(circuit: QuantumCircuit, noise_spec: Optional[NoiseSpec]):
@@ -337,10 +348,39 @@ def _ptm_op_stream(circuit: QuantumCircuit, noise_spec: Optional[NoiseSpec]):
     return _defer_single_qubit_prefixes(_density_walk(circuit, noise_spec))
 
 
+def _light_cone(stream: Sequence[tuple], readout) -> List[tuple]:
+    """The items of a ``(qubits, ...)`` stream in the backward light cone
+    of the ``readout`` qubits, in stream order.
+
+    An item none of whose qubits a later kept item or the readout touches
+    acts only on qubits that are traced out afterwards; every program op is
+    trace-preserving, so dropping it is exact.
+    """
+    live = set(readout)
+    kept = []
+    for item in reversed(stream):
+        if live.intersection(item[0]):
+            live.update(item[0])
+            kept.append(item)
+    kept.reverse()
+    return kept
+
+
+def _mark_prefixes(stream: Sequence[tuple]):
+    """``(qubits, payload, prefix)``: ``prefix`` marks a single-qubit item on
+    a qubit that no earlier item couples to another qubit."""
+    coupled = set()
+    for qubits, payload in stream:
+        yield qubits, payload, len(qubits) == 1 and qubits[0] not in coupled
+        if len(qubits) > 1:
+            coupled.update(qubits)
+
+
 def fuse_ptm_program(
     circuit: QuantumCircuit,
     noise_spec: Optional[NoiseSpec] = None,
     max_fuse_qubits: int = 3,
+    readout: Optional[Sequence[int]] = None,
 ):
     """The circuit + noise lowered to a fused :class:`~repro.quantum.ptm.
     PTMProgram` (each segment between wide gates cached per content).
@@ -349,15 +389,26 @@ def fuse_ptm_program(
     superoperators and fuse greedily; wider gates pass through as
     :class:`~repro.quantum.ptm.WideUnitaryOp` boundaries.  Applying the
     returned ops in order equals the density simulator's gate-then-Kraus walk
-    exactly (up to floating-point association inside each fused product).
-    ``readout_error`` places no channel, so specs that differ only in it
-    share every segment.
+    exactly (up to floating-point association inside each fused product),
+    on any readout within ``readout`` (default: every qubit).  Ops outside
+    the backward light cone of ``readout`` are dropped before fusion, and a
+    qubit's single-qubit prefix fuses only with itself, so the executor
+    applies it to the qubit's input factor.  ``readout_error`` places no
+    channel, so specs that differ only in it share every segment.
     """
+    n = circuit.num_qubits
+    readout = tuple(range(n)) if readout is None else tuple(sorted({int(q) for q in readout}))
+    if any(not 0 <= q < n for q in readout):
+        raise ValueError(f"readout qubits {list(readout)} out of range for {n} qubits")
 
     def fuse(run: List[tuple]) -> Tuple[PTMOp, ...]:
         superops = (
-            (qubits, gate_superop(op.matrix) if isinstance(op, Gate) else channel_superop(op))
-            for qubits, op in run
+            (
+                qubits,
+                gate_superop(op.matrix) if isinstance(op, Gate) else channel_superop(op),
+                prefix,
+            )
+            for qubits, op, prefix in run
         )
         return tuple(
             PTMOp(qubits=support, matrix=matrix, sources=count, name=f"ptm[{count}]")
@@ -369,5 +420,6 @@ def fuse_ptm_program(
         return WideUnitaryOp(qubits=gate.qubits, matrix=gate.matrix, name=gate.name, block=block)
 
     stream = list(_ptm_op_stream(circuit, noise_spec))
-    ops = _fuse_segments(stream, max_fuse_qubits, _PTM_CACHE, fuse, wide)
-    return PTMProgram(num_qubits=circuit.num_qubits, ops=tuple(ops), source_ops=len(stream))
+    marked = list(_mark_prefixes(_light_cone(stream, readout)))
+    ops = _fuse_segments(marked, max_fuse_qubits, _PTM_CACHE, fuse, wide)
+    return PTMProgram(num_qubits=n, ops=tuple(ops), source_ops=len(stream), readout=readout)

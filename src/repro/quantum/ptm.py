@@ -2,9 +2,9 @@
 
 The density-matrix simulator contracts every gate *and* every Kraus
 operator against a ``2^n x 2^n`` density matrix, one channel at a time, and
-nothing fuses across the gate/channel boundary.  This module runs the same evolution as a chain
-of fused *superoperators* (the ``ptm`` route — the name is historical; in
-the spirit of quantumsim's ``ptm.py``):
+nothing fuses across the gate/channel boundary.  This module runs the same
+evolution as a chain of fused *superoperators* (the ``ptm`` route — the name
+is historical; in the spirit of quantumsim's ``ptm.py``):
 
 * the state is the density matrix as a complex tensor with one row axis and
   one column axis per qubit, i.e. in the matrix-unit (Liouville) basis
@@ -21,16 +21,26 @@ the spirit of quantumsim's ``ptm.py``):
   structure.
 
 The input is a product state, so the tensor only ever holds the qubits that
-still matter (:meth:`PTMExecutor.reduced_state`): a qubit joins at its first
-op, an unmeasured qubit is traced out right after its last op, and an op
-outside the backward light cone of the measured qubits is skipped.  All
-three are exact because every program op is trace-preserving.  The program
-builder makes the first op come late: it holds each qubit's leading
-single-qubit ops back until the qubit's first coupling op (exact, since a
-held op only moves past ops on other qubits), so each QTDA precision
-qubit joins right before its own controlled power of ``U``.  The readout
-is the diagonal over the measured qubits, so the result matches the density
-route to floating-point accuracy.
+still matter (:meth:`PTMExecutor.reduced_state`):
+
+* a single-qubit op on a qubit that has not joined acts on its ``2 x 2``
+  input factor, and the qubit joins the tensor at its first other op;
+* an unmeasured qubit is traced out right after its last op; when those
+  are the targets of a controlled power whose control stays, the power
+  returns ``Tr_targets[U ρ U†]`` from four block traces and never forms
+  ``U ρ U†`` (:func:`apply_unitary_to_pauli_ensemble`);
+* an op outside the backward light cone of the measured qubits is skipped.
+
+All of these are exact because every program op is trace-preserving.  The
+program builder feeds them: it holds each qubit's leading single-qubit ops
+back until the qubit's first coupling op and fuses them only with each
+other (exact, since a held op only moves past ops on other qubits), so each
+QTDA precision qubit joins right before its own controlled power of ``U``;
+and it drops the ops outside the readout's light cone before fusing, so the
+system register's trailing noise neither fuses into the precision qubits'
+blocks nor keeps the system register alive past the last power.  The
+readout is the diagonal over the measured qubits, so the result matches the
+density route to floating-point accuracy.
 
 Conventions: the first qubit of a support tuple is the most significant
 digit, matching the :class:`~repro.quantum.operations.Gate` bit convention.
@@ -49,7 +59,7 @@ import numpy as np
 
 from repro.quantum.channels import QuantumChannel
 from repro.quantum.engine import DEFAULT_MAX_FUSE_QUBITS
-from repro.utils.cache import BoundedCache
+from repro.utils.cache import BoundedCache, distinct_nbytes
 
 
 def superop_from_kraus(kraus_ops: Sequence[np.ndarray]) -> np.ndarray:
@@ -177,18 +187,34 @@ def apply_unitary_to_pauli_ensemble(
     unitary,
     positions: Sequence[int],
     block: Optional[np.ndarray] = None,
+    trace_targets: bool = False,
 ):
     """Conjugate the Liouville tensor by a unitary too wide for a superoperator.
 
     The wide-unitary kernel of the route (the name predates the Liouville
     state and is kept because the benchmark tracer wraps it).  The support
     axes split into (row bit, col bit), all row bits and all col bits are
-    grouped, and ``U rho U†`` is two plain contractions.  ``block`` (from
+    grouped, and ``U rho U†`` is two plain contractions on one contiguous
+    copy of the tensor, returned in the input's axis order.  ``block`` (from
     :func:`controlled_block`) enables the controlled fast path: with
-    ``U = I (+) V`` only the control=1 half of the rows and of the columns is
-    touched, at a quarter of the generic contraction cost.
+    ``U = I (+) V`` only the control=1 half of the rows and of the columns
+    is touched, at a quarter of the generic contraction cost.
+
+    ``trace_targets`` (controlled ``U`` only, control = ``positions[0]``)
+    returns ``Tr_targets[U rho U†]`` instead, for targets that leave the
+    tensor right after the op.  Per control block ``(a, b)`` that is
+    ``Tr rho_00``, ``Tr(V rho_10)``, ``Tr(rho_01 V†)`` and
+    ``Tr(V†V rho_11)``: four ``einsum`` contractions on strided views of
+    the tensor, no GEMM and no copy of it.  The (1, 1) block keeps
+    ``V†V``, so ``V`` need not be unitary.  The result holds the control's
+    (row, col) pair first, then the other non-target pairs in their
+    previous order.
     """
     positions = [int(p) for p in positions]
+    if trace_targets:
+        if block is None:
+            raise ValueError("trace_targets needs the controlled block V of U = I (+) V")
+        return _traced_controlled(tensor, np.asarray(block), positions)
     k = len(positions)
     dim = 2**k
     rest = [axis for axis in range(tensor.ndim) if axis not in _bit_axes(positions)]
@@ -202,6 +228,53 @@ def apply_unitary_to_pauli_ensemble(
         work = np.matmul(unitary, work.reshape(dim, -1)).reshape(dim, dim, -1)
         work = np.matmul(np.conj(unitary), work)
     return np.transpose(work.reshape((2,) * tensor.ndim), np.argsort(perm).tolist())
+
+
+def _traced_controlled(tensor, block: np.ndarray, positions: Sequence[int]):
+    """``Tr_targets[U rho U†]`` for ``U = I (+) V`` on ``positions`` (control
+    first), by the four block traces of :func:`apply_unitary_to_pauli_ensemble`."""
+    control, targets = positions[0], positions[1:]
+    m = len(targets)
+    # einsum labels: target row bits 0..m-1, target col bits m..2m-1 (in
+    # ``targets`` order, as V indexes them), then one per kept axis.
+    row = {p: j for j, p in enumerate(targets)}
+    view_axes, diagonal, kept = [], [], []
+    for axis in range(tensor.ndim):
+        p, is_col = divmod(axis, 2)
+        if p == control:
+            continue
+        if p in row:
+            view_axes.append(row[p] + m * is_col)
+            diagonal.append(row[p])
+        else:
+            kept.append(2 * m + len(kept))
+            view_axes.append(kept[-1])
+            diagonal.append(kept[-1])
+    row_axes, col_axes = list(range(m)), list(range(m, 2 * m))
+    shape = (2,) * (2 * m)
+    # The small operands are laid out in the view's target-axis order, so
+    # einsum walks both in one memory order.
+    order = [label for label in view_axes if label < 2 * m]
+
+    def aligned(matrix, labels):
+        axes = [labels.index(label) for label in order]
+        return np.ascontiguousarray(matrix.reshape(shape).transpose(axes))
+
+    v = aligned(block, col_axes + row_axes)
+    gram = aligned(block.conj().T @ block, col_axes + row_axes)
+    v_conj = aligned(block.conj(), row_axes + col_axes)
+
+    def view(a: int, b: int):
+        index = [slice(None)] * tensor.ndim
+        index[2 * control], index[2 * control + 1] = a, b
+        return tensor[tuple(index)]
+
+    out = np.empty((2, 2) + (2,) * len(kept), dtype=np.result_type(tensor, block))
+    out[0, 0] = np.einsum(view(0, 0), diagonal, kept)
+    out[1, 1] = np.einsum(gram, order, view(1, 1), view_axes, kept)
+    out[1, 0] = np.einsum(v, order, view(1, 0), view_axes, kept)
+    out[0, 1] = np.einsum(v_conj, order, view(0, 1), view_axes, kept)
+    return out
 
 
 # --- the superoperator program IR -------------------------------------------
@@ -240,6 +313,9 @@ class PTMProgram:
     ops: Tuple[PTMProgramOp, ...]
     #: Gate + channel count of the source circuit before fusion.
     source_ops: int
+    #: The qubits the program may be read out on: the stream was cut to
+    #: their backward light cone before fusion (every qubit: nothing cut).
+    readout: Tuple[int, ...]
 
     @property
     def num_superops(self) -> int:
@@ -251,21 +327,15 @@ class PTMProgram:
         return sum(1 for op in self.ops if isinstance(op, WideUnitaryOp))
 
     def nbytes(self) -> int:
-        """Approximate retained size (the op matrices).
+        """Approximate retained size: the op matrices' distinct buffers.
 
         A controlled block is usually a view into its matrix
-        (:func:`controlled_block`) and is then not counted again.
+        (:func:`controlled_block`), and a channel standing alone in several
+        blocks is one memoised array; each buffer is counted once.
         """
-        total = 0
-        for op in self.ops:
-            total += op.matrix.nbytes
-            if (
-                isinstance(op, WideUnitaryOp)
-                and op.block is not None
-                and not np.may_share_memory(op.block, op.matrix)
-            ):
-                total += op.block.nbytes
-        return total
+        arrays = [op.matrix for op in self.ops]
+        arrays += [op.block for op in self.ops if getattr(op, "block", None) is not None]
+        return distinct_nbytes(arrays)
 
 
 class PTMExecutor:
@@ -274,12 +344,16 @@ class PTMExecutor:
     def __init__(self, max_fuse_qubits: int = DEFAULT_MAX_FUSE_QUBITS):
         self.max_fuse_qubits = int(max_fuse_qubits)
 
-    def program(self, circuit, noise_spec=None) -> PTMProgram:
-        """The circuit's fused superoperator program (cached per segment)."""
+    def program(self, circuit, noise_spec=None, readout=None) -> PTMProgram:
+        """The circuit's fused superoperator program (cached per segment),
+        cut to the backward light cone of ``readout`` (default: every qubit)."""
         from repro.quantum.fusion import fuse_ptm_program
 
         return fuse_ptm_program(
-            circuit, noise_spec=noise_spec, max_fuse_qubits=self.max_fuse_qubits
+            circuit,
+            noise_spec=noise_spec,
+            max_fuse_qubits=self.max_fuse_qubits,
+            readout=readout,
         )
 
     def reduced_state(
@@ -288,16 +362,25 @@ class PTMExecutor:
         """Reduced density matrix over ``qubits`` after the program.
 
         The input is the product ``⊗_j initial_states[j]`` of single-qubit
-        density matrices.  Only ops in the backward light cone of ``qubits``
-        run: an op touching none of the qubits that later ops (or the
-        readout) depend on is trace-preserving on qubits that are traced out
-        anyway.  A qubit joins the tensor at its first such op and, unless
-        kept, leaves right after its last one.  Returns the
-        ``(2^k, 2^k)`` matrix with ``qubits[0]`` as the most significant bit.
+        density matrices, and ``qubits`` must lie in ``program.readout``.
+        Only ops in the backward light cone of ``qubits`` run: an op
+        touching none of the qubits that later ops (or the readout) depend
+        on is trace-preserving on qubits that are traced out anyway.  A
+        single-qubit op on a qubit that has not joined acts on its ``2 x 2``
+        input factor.  A qubit joins the tensor at its first other op and,
+        unless kept, leaves right after its last one; targets of a
+        controlled power that all leave right after it are traced out by
+        the power itself.  Returns the ``(2^k, 2^k)`` matrix with
+        ``qubits[0]`` as the most significant bit.
         """
         keep = [int(q) for q in qubits]
         if len(set(keep)) != len(keep) or any(not 0 <= q < program.num_qubits for q in keep):
             raise ValueError(f"invalid readout qubits {keep} for {program.num_qubits} qubits")
+        if not set(keep) <= set(program.readout):
+            raise ValueError(
+                f"readout qubits {keep} are outside {list(program.readout)}, the readout "
+                "the program's light cone was cut for"
+            )
         if len(initial_states) != program.num_qubits:
             raise ValueError(
                 f"expected {program.num_qubits} initial states, got {len(initial_states)}"
@@ -310,28 +393,37 @@ class PTMExecutor:
                 ops.append(op)
         ops.reverse()
         last = {q: index for index, op in enumerate(ops) for q in op.qubits}
+        factors = [np.asarray(state, dtype=complex) for state in initial_states]
 
         def join(tensor, new):
             """Append the input factors of qubits ``new`` as trailing axis pairs."""
-            factor = _outer_product([initial_states[q] for q in new])
+            factor = _outer_product([factors[q] for q in new])
             axes.extend(new)
             return tensor.reshape(tensor.shape + (1,) * factor.ndim) * factor
 
         tensor = np.ones((), dtype=complex)
         axes = []  # qubit label of each (row bit, col bit) axis pair
         for index, op in enumerate(ops):
+            if isinstance(op, PTMOp) and len(op.qubits) == 1 and op.qubits[0] not in axes:
+                (q,) = op.qubits
+                factors[q] = (op.matrix @ factors[q].reshape(4)).reshape(2, 2)
+                continue
             new = [q for q in op.qubits if q not in axes]
             if new:
                 tensor = join(tensor, new)
             positions = [axes.index(q) for q in op.qubits]
+            leaving = [q for q in op.qubits if last[q] == index and q not in keep]
             if isinstance(op, PTMOp):
                 tensor = apply_superop(tensor, op.matrix, positions)
                 axes[:] = list(op.qubits) + [q for q in axes if q not in op.qubits]
             else:
+                traced = op.block is not None and leaving == list(op.qubits[1:])
                 tensor = apply_unitary_to_pauli_ensemble(
-                    tensor, op.matrix, positions, block=op.block
+                    tensor, op.matrix, positions, block=op.block, trace_targets=traced
                 )
-            leaving = [q for q in op.qubits if last[q] == index and q not in keep]
+                if traced:
+                    axes[:] = [op.qubits[0]] + [q for q in axes if q not in op.qubits]
+                    leaving = []
             if leaving:
                 identity = _outer_product([np.eye(2)] * len(leaving))
                 targets = _bit_axes([axes.index(q) for q in leaving])
@@ -356,12 +448,12 @@ class PTMExecutor:
     ) -> np.ndarray:
         """Readout distribution of the mixed-input QTDA circuit, exactly.
 
-        Builds (or reuses) the fused program, evolves the
-        ``|0><0|^t (x) I/2^q`` input, and returns the ``(2^t,)`` marginal
-        over ``precision_qubits``.
+        Builds (or reuses) the fused program, cut to the light cone of
+        ``precision_qubits``, evolves the ``|0><0|^t (x) I/2^q`` input, and
+        returns the ``(2^t,)`` marginal over ``precision_qubits``.
         """
         if program is None:
-            program = self.program(circuit, noise_spec=noise_spec)
+            program = self.program(circuit, noise_spec=noise_spec, readout=precision_qubits)
         t, q = int(precision_count), int(system_count)
         if t < 0 or q < 0 or t + q != program.num_qubits:
             raise ValueError(

@@ -13,7 +13,9 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Any, Dict, Hashable, Optional
+from typing import Any, Dict, Hashable, Iterable, Optional
+
+import numpy as np
 
 
 class BoundedCache:
@@ -78,3 +80,18 @@ class BoundedCache:
         with self._lock:
             self._store.clear()
             self.hits = self.misses = self._bytes = 0
+
+
+def distinct_nbytes(arrays: Iterable[np.ndarray]) -> int:
+    """Bytes retained by ``arrays``: each distinct root buffer counted once.
+
+    A view (a controlled block of its wide matrix) or a shared array (one
+    memoised channel superoperator standing alone in several fused blocks)
+    adds nothing beyond the buffer it points into.
+    """
+    roots = {}
+    for array in arrays:
+        while isinstance(array.base, np.ndarray):
+            array = array.base
+        roots[id(array)] = array.nbytes
+    return sum(roots.values())

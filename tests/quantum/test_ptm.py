@@ -14,7 +14,12 @@ program fusion against the density route's gate-then-Kraus walk, the
 schedule that defers each qubit's single-qubit prefix (and the tensor width
 it leaves at each wide unitary), the exact join / trace-out / light-cone
 skip rules of the evolution, per-channel memoisation and the program cache.
+The last section pins the three identities that keep the tensor small:
+a prefix applied to the input factor, a program cut to a readout's light
+cone before fusion, and a controlled power that traces out its targets.
 """
+
+import itertools
 
 import numpy as np
 import pytest
@@ -95,9 +100,11 @@ def _product(states):
     return out
 
 
-def _assert_matches_oracle(circ, spec, keep, states, max_fuse_qubits=3):
+def _assert_matches_oracle(circ, spec, keep, states, max_fuse_qubits=3, readout=None):
     """The reduced state over ``keep`` equals the density oracle's to 1e-12."""
-    program = fuse_ptm_program(circ, noise_spec=spec, max_fuse_qubits=max_fuse_qubits)
+    program = fuse_ptm_program(
+        circ, noise_spec=spec, max_fuse_qubits=max_fuse_qubits, readout=readout
+    )
     got = PTMExecutor(max_fuse_qubits=max_fuse_qubits).reduced_state(program, states, keep)
     final = DensityMatrixSimulator(spec).run(circ, initial_state=_product(states))
     want = final.partial_trace(keep).matrix
@@ -668,3 +675,246 @@ def test_fuse_ptm_program_validates_window():
     circ = QuantumCircuit(1)
     with pytest.raises(ValueError, match="max_fuse_qubits"):
         fuse_ptm_program(circ, max_fuse_qubits=0)
+
+
+def test_program_nbytes_counts_a_shared_channel_buffer_once():
+    """At window 1 the wide gate's four channels stand alone, each block the
+    one memoised depolarizing superoperator: the program and the segment
+    cache count that buffer once (6144 and 2048 bytes when counted per op)."""
+    rng = np.random.default_rng(12)
+    circ = QuantumCircuit(4).h(0).h(3)
+    circ.unitary(_controlled(rng, 4), [0, 1, 2, 3], name="c-U^1")
+    circ.h(0).h(3)
+    clear_ptm_cache()
+    program = fuse_ptm_program(
+        circ, noise_spec=NoiseSpec("depolarizing", 0.01), max_fuse_qubits=1
+    )
+    lone = [op.matrix for op in program.ops if getattr(op, "sources", 0) == 1]
+    assert len(lone) == 4 and all(matrix is lone[0] for matrix in lone)
+    assert program.nbytes() == 5376
+    (wide,) = [op.matrix for op in program.ops if isinstance(op, WideUnitaryOp)]
+    assert ptm_cache_info()["bytes"] == program.nbytes() - wide.nbytes == 1280
+
+
+# ---------------------------------------------------------------------------
+# Input factors, the light-cone cut and the traced controlled power
+# ---------------------------------------------------------------------------
+
+
+def _join_everything_then_apply(program, states, keep):
+    """The reference evolution: every qubit joins before the first op and
+    every op runs on the whole register; the readout is a partial trace."""
+    n = program.num_qubits
+    tensor = np.ones((), dtype=complex)
+    for state in states:
+        tensor = np.multiply.outer(tensor, np.asarray(state, dtype=complex))
+    axes = list(range(n))
+    for op in program.ops:
+        positions = [axes.index(q) for q in op.qubits]
+        if isinstance(op, WideUnitaryOp):
+            tensor = apply_unitary_to_pauli_ensemble(tensor, op.matrix, positions)
+        else:
+            tensor = apply_superop(tensor, op.matrix, positions)
+            axes[:] = list(op.qubits) + [q for q in axes if q not in op.qubits]
+    order = ptm_module._bit_axes([axes.index(q) for q in range(n)])
+    full = _from_tensor(np.transpose(tensor, order), n)
+    return DensityMatrix(full).partial_trace(keep).matrix
+
+
+def _prefix_blocks(program):
+    """Single-qubit ops on qubits that no earlier op couples."""
+    coupled, found = set(), []
+    for op in program.ops:
+        if len(op.qubits) == 1 and op.qubits[0] not in coupled:
+            found.append(op)
+        if len(op.qubits) > 1:
+            coupled.update(op.qubits)
+    return found
+
+
+@pytest.mark.parametrize("max_fuse_qubits", [2, 3])
+@pytest.mark.parametrize("seed", range(4))
+def test_prefix_on_the_input_factor_equals_joining_then_applying_it(
+    seed, max_fuse_qubits, monkeypatch
+):
+    """Each qubit's held prefix fuses only with itself, and the executor
+    applies it to the qubit's 2x2 input factor: the same state as joining
+    the qubit first and applying the prefix on the tensor."""
+    rng = np.random.default_rng(seed)
+    # The kernel identity on one random prefix and one random tensor.
+    superop = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    factor = _random_density(rng, 1)
+    tensor = _to_tensor(_random_density(rng, 2), 2)
+    joined = np.multiply.outer(tensor, factor)
+    on_factor = np.multiply.outer(tensor, (superop @ factor.reshape(4)).reshape(2, 2))
+    on_tensor = np.moveaxis(apply_superop(joined, superop, [2]), [0, 1], [4, 5])
+    assert np.allclose(on_factor, on_tensor, rtol=0, atol=1e-14)
+
+    circ = _late_coupling_circuit(rng)
+    states = _random_states(rng, circ.num_qubits)
+    program = fuse_ptm_program(circ, noise_spec=_MIXED_SPEC, max_fuse_qubits=max_fuse_qubits)
+    prefixes = _prefix_blocks(program)
+    coupled, held = set(), set()
+    for gate in circ.gates:
+        if gate.num_qubits == 1 and gate.qubits[0] not in coupled:
+            held.add(gate.qubits[0])
+        if gate.num_qubits > 1:
+            coupled.update(gate.qubits)
+    assert held and {op.qubits[0] for op in prefixes} == held
+    calls = []
+    original = ptm_module.apply_superop
+
+    def counting(tensor, superop, positions):
+        calls.append(superop)
+        return original(tensor, superop, positions)
+
+    monkeypatch.setattr(ptm_module, "apply_superop", counting)
+    keep = list(range(circ.num_qubits))
+    got = PTMExecutor(max_fuse_qubits).reduced_state(program, states, keep)
+    assert not any(any(call is op.matrix for call in calls) for op in prefixes)
+    want = _join_everything_then_apply(program, states, keep)
+    assert np.max(np.abs(got - want)) <= 1e-12
+    _assert_matches_oracle(circ, _MIXED_SPEC, keep, states, max_fuse_qubits=max_fuse_qubits)
+
+
+@pytest.mark.parametrize("max_fuse_qubits", [2, 3])
+@pytest.mark.parametrize("seed", range(4))
+def test_program_cut_for_a_readout_matches_the_oracle_on_every_subset(seed, max_fuse_qubits):
+    """A program whose light cone is cut for readout M before fusion is
+    exact on every readout within M (in any order) and refuses any other."""
+    rng = np.random.default_rng(seed)
+    circ = _late_coupling_circuit(rng)
+    # A closing op outside every readout below: the cut always drops it.
+    circ.unitary(_random_unitary(rng, 2), [0, 4], name="CU")
+    states = _random_states(rng, circ.num_qubits)
+    readout = sorted(int(q) for q in rng.choice([1, 2, 3], size=2, replace=False))
+    full = fuse_ptm_program(circ, noise_spec=_MIXED_SPEC, max_fuse_qubits=max_fuse_qubits)
+    program = None
+    for size in (1, 2):
+        for keep in itertools.permutations(readout, size):
+            program = _assert_matches_oracle(
+                circ, _MIXED_SPEC, list(keep), states, max_fuse_qubits, readout=readout[::-1]
+            )
+    assert program.readout == tuple(readout) and full.readout == tuple(range(circ.num_qubits))
+
+    def sources(p):
+        return sum(op.sources if hasattr(op, "sources") else 1 for op in p.ops)
+
+    assert sources(program) < sources(full) == full.source_ops == program.source_ops
+    outside = next(q for q in range(circ.num_qubits) if q not in readout)
+    with pytest.raises(ValueError, match="outside"):
+        PTMExecutor(max_fuse_qubits).reduced_state(program, states, [readout[0], outside])
+    with pytest.raises(ValueError, match="out of range"):
+        fuse_ptm_program(circ, noise_spec=_MIXED_SPEC, readout=[circ.num_qubits])
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("positions", [[3, 0, 4], [1, 4, 2, 0], [4, 3]])
+def test_traced_controlled_power_equals_apply_then_trace_out(seed, positions):
+    """``Tr_targets[U rho U†]`` from the four block traces equals the full
+    conjugation followed by a trace-out, for a control anywhere in the
+    layout and a non-unitary ``V`` (the (1, 1) block keeps ``V†V``)."""
+    rng = np.random.default_rng(seed)
+    n = 5
+    k = len(positions)
+    half = 2 ** (k - 1)
+    v = rng.standard_normal((half, half)) + 1j * rng.standard_normal((half, half))
+    u = np.eye(2**k, dtype=complex)
+    u[half:, half:] = v
+    rho = _random_density(rng, n)
+    tensor = _to_tensor(rho, n)
+    got = apply_unitary_to_pauli_ensemble(tensor, u, positions, block=v, trace_targets=True)
+    conjugated = apply_unitary_to_pauli_ensemble(tensor, u, positions)
+    identity = ptm_module._outer_product([np.eye(2)] * (k - 1))
+    want = np.tensordot(
+        conjugated, identity, axes=(ptm_module._bit_axes(positions[1:]), list(range(2 * (k - 1))))
+    )
+    # The traced result holds the control's pair first, then the rest.
+    start = [p for p in range(n) if p not in positions[1:]].index(positions[0])
+    want = np.moveaxis(want, [2 * start, 2 * start + 1], [0, 1])
+    assert got.shape == (2,) * (2 * (n - k + 1))
+    assert np.max(np.abs(got - want)) <= 1e-12
+    with pytest.raises(ValueError, match="controlled block"):
+        apply_unitary_to_pauli_ensemble(tensor, u, positions, trace_targets=True)
+
+
+def _traced_flags(monkeypatch):
+    flags = []
+    original = ptm_module.apply_unitary_to_pauli_ensemble
+
+    def recording(tensor, unitary, positions, block=None, trace_targets=False):
+        flags.append(trace_targets)
+        return original(tensor, unitary, positions, block=block, trace_targets=trace_targets)
+
+    monkeypatch.setattr(ptm_module, "apply_unitary_to_pauli_ensemble", recording)
+    return flags
+
+
+@pytest.mark.parametrize("max_fuse_qubits", [2, 3])
+@pytest.mark.parametrize("seed", range(3))
+def test_controlled_power_traces_its_targets_only_when_all_of_them_leave(
+    seed, max_fuse_qubits, monkeypatch
+):
+    """Targets that all leave right after a controlled power are traced out
+    by it; when one target stays (a later op or the readout), or the power
+    is not controlled, the full conjugation runs and the leavers are traced
+    out after it."""
+    rng = np.random.default_rng(seed)
+    n = 5
+    spec = NoiseSpec(channel="amplitude-damping", strength=0.0, gate_strengths={"CU": 0.05})
+
+    def circuit(later_targets, wide_matrix):
+        circ = QuantumCircuit(n)
+        circ.unitary(_random_unitary(rng, 1), [0], name="U")
+        circ.unitary(_random_unitary(rng, 2), [1, 2], name="CU")
+        circ.unitary(wide_matrix, [1, 4, 3, 0], name="c-U^1")
+        circ.unitary(_random_unitary(rng, 2), [1, 2], name="CU")
+        for target in later_targets:
+            circ.unitary(_random_unitary(rng, 2), [1, target], name="CU")
+        return circ
+
+    states = _random_states(rng, n)
+    cases = [
+        (circuit([], _controlled(rng, 4)), [1, 2], [True]),
+        (circuit([3], _controlled(rng, 4)), [1, 2], [False]),
+        (circuit([], _controlled(rng, 4)), [1, 0], [False]),
+        (circuit([], _random_unitary(rng, 4)), [2, 1], [False]),
+    ]
+    for circ, keep, expected in cases:
+        flags = _traced_flags(monkeypatch)
+        _assert_matches_oracle(circ, spec, keep, states, max_fuse_qubits, readout=keep)
+        assert flags == expected
+        monkeypatch.undo()
+
+
+def test_qtda_route_cuts_the_program_to_the_precision_register(monkeypatch):
+    """The circuit route fuses the program for the precision register; the
+    system register's trailing channels are cut and the last controlled
+    power traces the system register out."""
+    programs = []
+    original = PTMExecutor.reduced_state
+
+    def recording(self, program, *args, **kwargs):
+        programs.append(program)
+        return original(self, program, *args, **kwargs)
+
+    monkeypatch.setattr(PTMExecutor, "reduced_state", recording)
+    flags = _traced_flags(monkeypatch)
+    config = QTDAConfig(
+        precision_qubits=3,
+        shots=None,
+        delta=6.0,
+        backend="statevector",
+        circuit_engine="ptm",
+        noise_channel="depolarizing",
+        noise_strength=0.01,
+        seed=1,
+    )
+    problem = EstimationProblem(laplacian=_workload_laplacian(8))
+    circuit_backend_result(problem, config, "exact", rng=np.random.default_rng(0))
+    (program,) = programs
+    assert program.readout == (0, 1, 2)
+    assert flags == [False, False, True]
+    last_wide = [op for op in program.ops if isinstance(op, WideUnitaryOp)][-1]
+    after = program.ops[program.ops.index(last_wide) + 1 :]
+    assert all(set(op.qubits) <= {0, 1, 2} for op in after)
