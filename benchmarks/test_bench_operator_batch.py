@@ -3,16 +3,17 @@
 PR 2 made ``sparse-exact`` fast on large Laplacians, but the batch engine
 still *built* every Laplacian dense and handed it over, so sweeps never saw
 the speedup: the backend's sparse fast path was unreachable end to end.  The
-operator layer (DESIGN.md §9) closes that gap — the engine negotiates the
-handoff format with the configured backend and builds flag-array Laplacians
-directly as CSR matrices.
+operator layer (DESIGN.md §9) closes that gap — ``sparse-exact`` declares
+``operator_format = "sparse"`` and the engine builds its flag-array
+Laplacians directly as CSR matrices.
 
 The gate: on a large-window sweep (annulus point clouds whose Δ_1 has
-hundreds of 1-simplices) with ``backend="sparse-exact"``, the negotiated
-sparse path must beat the forced dense-handoff path (the pre-operator
-behaviour, reachable via ``BatchConfig(operator_format="dense")``) by at
-least 2×, while producing the same science (same rounded Betti features,
-estimates within the sparse surrogate's documented tolerance).
+hundreds of 1-simplices) with ``backend="sparse-exact"``, the sparse path
+must beat the dense handoff (the pre-operator behaviour: a backend that
+declares ``"dense"`` and delegates to ``SparseExactBackend().run``, which
+then takes its dense path) by at least 2×, while producing the same science
+(same rounded Betti features, estimates within the sparse surrogate's
+documented tolerance).
 
 A second (non-gating) measurement times the ``stochastic-trace`` backend on
 the same sweep, recording the matvec-only path's trajectory in the JSON
@@ -26,7 +27,8 @@ import time
 import numpy as np
 import pytest
 
-from repro.core.batch import BatchConfig, BatchFeatureEngine
+from repro.core.backends import SparseExactBackend, temporary_backend
+from repro.core.batch import BatchFeatureEngine
 from repro.core.config import QTDAConfig
 from repro.core.pipeline import PipelineConfig
 from repro.datasets.point_clouds import circle_cloud
@@ -51,15 +53,28 @@ def _annulus_workload(paper_scale: bool):
     return clouds, epsilons
 
 
-def _engine(backend: str, operator_format=None) -> BatchFeatureEngine:
+class _DenseHandoff:
+    """``sparse-exact`` handed dense Laplacians: the pre-operator batch path."""
+
+    name = "sparse-exact-dense-handoff"
+    description = "sparse-exact fed dense Laplacians (benchmark baseline)"
+    operator_format = "dense"
+
+    def __init__(self):
+        self._inner = SparseExactBackend()
+
+    def run(self, problem, config, rng):
+        return self._inner.run(problem, config, rng)
+
+
+def _engine(backend: str) -> BatchFeatureEngine:
     return BatchFeatureEngine(
         PipelineConfig(
             use_quantum=True,
             estimator=QTDAConfig(
                 precision_qubits=PRECISION, shots=None, delta=DELTA, backend=backend, seed=1
             ),
-        ),
-        batch=BatchConfig(operator_format=operator_format),
+        )
     )
 
 
@@ -67,10 +82,11 @@ def _engine(backend: str, operator_format=None) -> BatchFeatureEngine:
 def test_bench_sparse_end_to_end_batch_speedup(benchmark, paper_scale, bench_json):
     clouds, epsilons = _annulus_workload(paper_scale)
 
-    dense_engine = _engine("sparse-exact", operator_format="dense")
-    start = time.perf_counter()
-    dense_features = dense_engine.sweep(clouds, epsilons)
-    dense_seconds = time.perf_counter() - start
+    with temporary_backend(_DenseHandoff.name, _DenseHandoff()):
+        dense_engine = _engine(_DenseHandoff.name)
+        start = time.perf_counter()
+        dense_features = dense_engine.sweep(clouds, epsilons)
+        dense_seconds = time.perf_counter() - start
 
     # benchmark.pedantic feeds the pytest-benchmark table; the gate ratio is
     # timed on a fresh engine below so the first run's (empty) cache is part

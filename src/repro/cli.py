@@ -296,22 +296,22 @@ def build_parser() -> argparse.ArgumentParser:
 def _run_list_backends(args) -> str:
     from repro.core.backends import available_backends, backend_capabilities, get_backend
 
-    rows = [("name", "formats", "noise", "description")]
+    rows = [("name", "format", "noise", "description")]
     for name in available_backends():
         caps = backend_capabilities(get_backend(name))
         rows.append(
             (
                 str(caps["name"]),
-                ",".join(caps["formats"]),
+                str(caps["operator_format"]),
                 "yes" if caps["supports_noise"] else "no",
                 str(caps["description"]),
             )
         )
     widths = [max(len(row[col]) for row in rows) for col in range(3)]
     lines = ["Registered estimator backends:"]
-    for name, formats, noise, description in rows:
+    for name, fmt, noise, description in rows:
         lines.append(
-            f"  {name:<{widths[0]}}  {formats:<{widths[1]}}  {noise:<{widths[2]}}  {description}"
+            f"  {name:<{widths[0]}}  {fmt:<{widths[1]}}  {noise:<{widths[2]}}  {description}"
         )
     return "\n".join(lines)
 

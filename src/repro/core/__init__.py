@@ -31,19 +31,15 @@ from repro.core.backends import (
     BettiBackend,
     EstimationProblem,
     available_backends,
-    backend_formats,
     backend_supports_noise,
     get_backend,
-    preferred_format,
     register_backend,
     temporary_backend,
     unregister_backend,
 )
 from repro.core.operators import (
-    OPERATOR_FORMATS,
     DenseOperator,
     LaplacianOperator,
-    MatrixFreeOperator,
     SparseOperator,
     as_operator,
 )
@@ -80,18 +76,14 @@ __all__ = [
     "BettiBackend",
     "EstimationProblem",
     "available_backends",
-    "backend_formats",
     "backend_supports_noise",
     "get_backend",
-    "preferred_format",
     "register_backend",
     "temporary_backend",
     "unregister_backend",
-    "OPERATOR_FORMATS",
     "LaplacianOperator",
     "DenseOperator",
     "SparseOperator",
-    "MatrixFreeOperator",
     "as_operator",
     "padded_spectrum",
     "PaddedSpectrum",

@@ -19,7 +19,7 @@ over all of them:
   session, served by the streaming sweep engine — DESIGN.md §13).
 * **Results** always arrive in the same :class:`EstimationResult` envelope:
   a payload (the numbers a legacy entry point would have returned) plus
-  :class:`Provenance` — backend name, negotiated operator format,
+  :class:`Provenance` — backend name, the Laplacian format it read,
   spectrum-cache hit/miss deltas, wall time, seed, and for ``estimate``
   requests ``betti_std`` and the circuit route facts, copied from the
   :class:`~repro.core.estimator.BettiEstimate`.  Provenance serialises from
@@ -48,7 +48,7 @@ from typing import Any, ClassVar, Dict, Iterable, Iterator, List, Mapping, Optio
 
 import numpy as np
 
-from repro.core.backends import backend_capabilities, get_backend, preferred_format
+from repro.core.backends import backend_capabilities, get_backend
 from repro.core.batch import BatchConfig, BatchFeatureEngine, StreamingFeatureEngine
 from repro.core.config import QTDAConfig
 from repro.core.estimator import BettiEstimate, QTDABettiEstimator
@@ -64,7 +64,10 @@ from repro.utils.validation import check_bool, check_integer
 #: Version of the request/result wire format.  Bump on any incompatible
 #: change to the dictionaries emitted by ``as_dict`` (consumers validate it
 #: through :meth:`EstimationResult.validate_dict`).
-#: History: 7 — ``QTDAConfig`` lost its Kraus-list noise-object field
+#: History: 8 — ``BatchConfig`` lost ``operator_format`` (each backend reads
+#: one Laplacian format; request fingerprints changed, a batch config
+#: carrying the field is rejected); 7 — ``QTDAConfig`` lost its Kraus-list
+#: noise-object field
 #: (noise is the plain-data ``NoiseSpec`` fields only) and the ``density``/
 #: ``purified`` values of ``circuit_engine`` (a config naming either is
 #: rejected), and an ``estimate`` request whose ``simplices`` miss a face is
@@ -86,7 +89,7 @@ from repro.utils.validation import check_bool, check_integer
 #: changed); 2 — provenance gained required ``engine_route``/``fused_gates`` fields and
 #: ``QTDAConfig`` gained ``circuit_engine`` (request fingerprints changed);
 #: 1 — initial service wire format.
-SCHEMA_VERSION = 7
+SCHEMA_VERSION = 8
 
 #: The request kinds the service understands, in dispatch order.
 #: ``observe`` (added within schema version 3 — purely additive) feeds raw
@@ -97,6 +100,16 @@ REQUEST_KINDS = ("estimate", "pipeline", "sweep", "experiment", "observe")
 #: Experiments addressable through :class:`ExperimentRequest` (the CLI
 #: subcommand names).
 EXPERIMENT_NAMES = ("fig3", "table1", "fig4", "appendix", "timeseries")
+
+#: Provenance backend name of results no quantum backend produced.
+_CLASSICAL_BACKEND = "classical-exact"
+
+
+def _operator_format(backend_name: str) -> str:
+    """The Laplacian format behind a result: its backend's, dense for classical rows."""
+    if backend_name == _CLASSICAL_BACKEND:
+        return "dense"
+    return get_backend(backend_name).operator_format
 
 
 # ---------------------------------------------------------------------------
@@ -171,11 +184,20 @@ def _freeze_clouds(clouds: Any, name: str) -> Tuple[Tuple[Tuple[float, ...], ...
 
 def _freeze_matrix(matrix: Any, name: str) -> Tuple[Tuple[float, ...], ...]:
     arr = np.asarray(matrix, dtype=float)
-    if arr.ndim != 2:
-        raise ValueError(f"{name} must be 2-D, got shape {arr.shape}")
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+        raise ValueError(f"{name} must be a square matrix, got shape {arr.shape}")
     if np.isnan(arr).any():
         raise ValueError(f"{name} must not contain NaN")
     return tuple(tuple(float(x) for x in row) for row in arr)
+
+
+def _takens(pipeline: PipelineConfig) -> TakensEmbedding:
+    """The delay embedding ``pipeline`` applies to raw time series."""
+    return TakensEmbedding(
+        dimension=pipeline.takens_dimension,
+        delay=pipeline.takens_delay,
+        stride=pipeline.takens_stride,
+    )
 
 
 def _own_config(request: Any, name: str, config_type: type) -> None:
@@ -383,6 +405,8 @@ def _freeze_pipeline_inputs(self) -> None:
     allowed = self._input_fields
     if len(given) != 1 or given[0] not in allowed:
         raise ValueError(f"exactly one of {allowed} must be provided, got {given or 'none'}")
+    _own_config(self, "pipeline", PipelineConfig)
+    _own_config(self, "batch", BatchConfig)
     if getattr(self, "point_clouds", None) is not None:
         object.__setattr__(self, "point_clouds", _freeze_clouds(self.point_clouds, "point_clouds"))
     if getattr(self, "time_series", None) is not None:
@@ -390,6 +414,13 @@ def _freeze_pipeline_inputs(self) -> None:
         if arr.ndim != 2:
             raise ValueError("time_series must be 2-D: one series per row")
         _check_finite(arr, "time_series")
+        # Checked here, not at embedding time, so a series too short for one
+        # embedded point is a client error (400 on the wire).
+        span = _takens(self.pipeline).window_size
+        if arr.shape[1] < span:
+            raise ValueError(
+                f"time_series rows have {arr.shape[1]} samples, fewer than the Takens span {span}"
+            )
         object.__setattr__(self, "time_series", tuple(tuple(float(x) for x in row) for row in arr))
     if getattr(self, "distance_matrices", None) is not None:
         object.__setattr__(
@@ -397,8 +428,6 @@ def _freeze_pipeline_inputs(self) -> None:
             "distance_matrices",
             tuple(_freeze_matrix(m, f"distance_matrices[{i}]") for i, m in enumerate(self.distance_matrices)),
         )
-    _own_config(self, "pipeline", PipelineConfig)
-    _own_config(self, "batch", BatchConfig)
 
 
 @dataclass(frozen=True)
@@ -485,11 +514,7 @@ class SweepRequest(_RequestBase):
         """The point clouds to sweep (delay-embedding time series if needed)."""
         if self.point_clouds is not None:
             return [np.asarray(c, dtype=float) for c in self.point_clouds]
-        embedder = TakensEmbedding(
-            dimension=self.pipeline.takens_dimension,
-            delay=self.pipeline.takens_delay,
-            stride=self.pipeline.takens_stride,
-        )
+        embedder = _takens(self.pipeline)
         return [embedder.transform(np.asarray(row, dtype=float)) for row in self.time_series]
 
 
@@ -590,6 +615,12 @@ class ObserveRequest(_RequestBase):
         _check_epsilons(epsilons)
         object.__setattr__(self, "epsilons", epsilons)
         _own_config(self, "pipeline", PipelineConfig)
+        # The session's engine would raise on its first window instead.
+        span = _takens(self.pipeline).window_size
+        if self.window_length < span:
+            raise ValueError(
+                f"window_length={self.window_length} is shorter than the Takens span {span}"
+            )
 
     @property
     def seed(self) -> Optional[int]:
@@ -891,7 +922,7 @@ def _run_fig4(params: Dict[str, Any]) -> Tuple[Dict[str, Any], str, Optional[int
     payload["report"] = render_grouping_scale_results(result)
     # Fig. 4 sweeps exact classical features only — same convention as
     # _pipeline_backend for use_quantum=False.
-    return payload, "classical-exact", config.seed if isinstance(config.seed, int) else None
+    return payload, _CLASSICAL_BACKEND, config.seed if isinstance(config.seed, int) else None
 
 
 def _run_appendix(params: Dict[str, Any]) -> Tuple[Dict[str, Any], str, Optional[int]]:
@@ -932,7 +963,7 @@ def _run_timeseries(params: Dict[str, Any]) -> Tuple[Dict[str, Any], str, Option
         backend = params.get("backend", "exact")
     else:
         # Same convention as _pipeline_backend: no quantum backend ran.
-        backend = "classical-exact"
+        backend = _CLASSICAL_BACKEND
     seed = params.get("seed", 7)
     return payload, backend, seed if isinstance(seed, int) else None
 
@@ -1098,14 +1129,14 @@ class QTDAService:
                 return cached
         hits0, misses0 = self._cache_counters()
         start = time.perf_counter()
-        payload, backend_name, operator_format, seed, extras = self._execute(request)
+        payload, backend_name, seed, extras = self._execute(request)
         wall = time.perf_counter() - start
         hits1, misses1 = self._cache_counters()
         provenance = Provenance(
             request_kind=request.kind,
             request_fingerprint=fingerprint if fingerprint is not None else "",
             backend=backend_name,
-            operator_format=operator_format,
+            operator_format=_operator_format(backend_name),
             seed=seed,
             wall_time_s=wall,
             cache_hits=hits1 - hits0,
@@ -1208,8 +1239,8 @@ class QTDAService:
     def _stream_sweep(
         self, request: SweepRequest, engine: BatchFeatureEngine, fingerprint: str
     ) -> Iterator[EstimationResult]:
-        operator_format = engine.negotiated_operator_format()
         backend_name = self._pipeline_backend(request.pipeline)
+        operator_format = _operator_format(backend_name)
         clouds = request.clouds()
         num_epsilons = len(request.epsilons)
         hits0, misses0 = self._cache_counters()
@@ -1289,14 +1320,14 @@ class QTDAService:
 
     @staticmethod
     def _pipeline_backend(pipeline: PipelineConfig) -> str:
-        return pipeline.estimator.backend if pipeline.use_quantum else "classical-exact"
+        return pipeline.estimator.backend if pipeline.use_quantum else _CLASSICAL_BACKEND
 
     def _execute(
         self, request: Request
-    ) -> Tuple[Dict[str, Any], str, str, Optional[int], Dict[str, Any]]:
+    ) -> Tuple[Dict[str, Any], str, Optional[int], Dict[str, Any]]:
         """Dispatch to the legacy execution paths.
 
-        Returns ``(payload, backend, operator_format, seed, extras)`` where
+        Returns ``(payload, backend, seed, extras)`` where
         ``extras`` holds the optional :class:`Provenance` fields the
         execution produced — for an estimate, every one that
         :class:`BettiEstimate` also carries — and ``run()`` splats it into
@@ -1310,7 +1341,6 @@ class QTDAService:
             return (
                 estimate.as_dict(),
                 request.config.backend,
-                estimator.operator_format,
                 request.seed,
                 {name: getattr(estimate, name) for name in _ESTIMATE_PROVENANCE},
             )
@@ -1340,13 +1370,7 @@ class QTDAService:
             }
             if exact is not None:
                 payload["exact"] = exact
-            return (
-                payload,
-                self._pipeline_backend(request.pipeline),
-                engine.negotiated_operator_format(),
-                request.seed,
-                {},
-            )
+            return payload, self._pipeline_backend(request.pipeline), request.seed, {}
         if isinstance(request, SweepRequest):
             engine = self._engine(request)
             features = engine.sweep(request.clouds(), request.epsilons)
@@ -1356,23 +1380,13 @@ class QTDAService:
                 "feature_names": list(engine.feature_names),
                 "num_samples": int(features.shape[1]),
             }
-            return (
-                payload,
-                self._pipeline_backend(request.pipeline),
-                engine.negotiated_operator_format(),
-                request.seed,
-                {},
-            )
+            return payload, self._pipeline_backend(request.pipeline), request.seed, {}
         if isinstance(request, ObserveRequest):
             return self._execute_observe(request)
         # ExperimentRequest
         runner = _EXPERIMENT_RUNNERS[request.experiment]
         payload, backend_name, seed = runner(request.param_dict)
-        try:
-            operator_format = preferred_format(get_backend(backend_name))
-        except ValueError:
-            operator_format = "dense"
-        return payload, backend_name, operator_format, seed, {}
+        return payload, backend_name, seed, {}
 
     def _session_for(self, request: ObserveRequest) -> _ObserveSession:
         """Get or create the named session; validate the configuration key."""
@@ -1405,7 +1419,7 @@ class QTDAService:
 
     def _execute_observe(
         self, request: ObserveRequest
-    ) -> Tuple[Dict[str, Any], str, str, Optional[int], Dict[str, Any]]:
+    ) -> Tuple[Dict[str, Any], str, Optional[int], Dict[str, Any]]:
         session = self._session_for(request)
         with session.lock:
             engine = session.engine
@@ -1428,14 +1442,7 @@ class QTDAService:
                 ],
                 "engine_stats": dict(engine.stats),
             }
-            operator_format = engine.negotiated_operator_format()
-        return (
-            payload,
-            self._pipeline_backend(request.pipeline),
-            operator_format,
-            request.seed,
-            {},
-        )
+        return payload, self._pipeline_backend(request.pipeline), request.seed, {}
 
 
 def describe_backends() -> List[Dict[str, Any]]:

@@ -11,16 +11,18 @@ name                      realisation
 ``sparse-exact``          shift-invert partial spectrum on the sparse
                           Laplacian (dense fallback below a size threshold)
 ``stochastic-trace``      Hutchinson/SLQ trace estimate via matvecs only
-                          (matrix-free, reports error bars)
+                          (reports error bars)
 ``statevector``           explicit Fig. 6 circuit, exact controlled powers
 ``trotter``               Fig. 6 with Trotterised evolution (Fig. 7)
 ========================  ====================================================
 
 Backends receive :class:`EstimationProblem`\\ s carrying a
-:class:`repro.core.operators.LaplacianOperator` and declare which operator
-formats they accept through ``supported_formats`` (normalised by
-:func:`backend_formats`; producers consult :func:`preferred_format` to decide
-what to build).  Third-party backends implement :class:`BettiBackend` and
+:class:`repro.core.operators.LaplacianOperator` and each declares the one
+format it reads as ``operator_format``: ``exact``, ``statevector`` and
+``trotter`` read ``"dense"``, ``sparse-exact`` and ``stochastic-trace`` read
+``"sparse"``.  The estimator builds every Laplacian in its backend's format,
+and :func:`register_backend` rejects a backend without a valid one.
+Third-party backends implement :class:`BettiBackend` and
 call :func:`register_backend` (or :func:`temporary_backend` for scoped
 registration); every consumer (config validation, estimator, pipeline, batch
 engine, CLI, experiment drivers) resolves names through this registry, so a
@@ -33,10 +35,8 @@ from repro.core.backends.base import (
     EstimationProblem,
     available_backends,
     backend_capabilities,
-    backend_formats,
     backend_supports_noise,
     get_backend,
-    preferred_format,
     register_backend,
     temporary_backend,
     unregister_backend,
@@ -55,10 +55,8 @@ __all__ = [
     "EstimationProblem",
     "available_backends",
     "backend_capabilities",
-    "backend_formats",
     "backend_supports_noise",
     "get_backend",
-    "preferred_format",
     "register_backend",
     "temporary_backend",
     "unregister_backend",

@@ -26,20 +26,13 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Iterator, Mapping, Optional, Protocol, Tuple, runtime_checkable
+from typing import TYPE_CHECKING, Dict, Iterator, Mapping, Optional, Protocol, runtime_checkable
 
 import numpy as np
 from scipy import sparse as _sparse
 
 from repro.core.hamiltonian import RescaledHamiltonian, SpectrumCache, build_hamiltonian
-from repro.core.operators import (
-    DENSE,
-    MATRIX_FREE,
-    OPERATOR_FORMATS,
-    SPARSE,
-    LaplacianOperator,
-    as_operator,
-)
+from repro.core.operators import DENSE, SPARSE, LaplacianOperator, as_operator
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a config<->backends cycle
     from repro.core.config import QTDAConfig
@@ -80,15 +73,6 @@ class EstimationProblem:
     def dimension(self) -> int:
         """``|S_k|`` — the unpadded Laplacian dimension."""
         return int(self.laplacian.shape[0])
-
-    @property
-    def is_sparse(self) -> bool:
-        return self.operator.format == SPARSE
-
-    @property
-    def format(self) -> str:
-        """Native format of the carried operator (see :data:`OPERATOR_FORMATS`)."""
-        return self.operator.format
 
     def dense_hamiltonian(self, config: "QTDAConfig") -> RescaledHamiltonian:
         """The padded, rescaled dense Hamiltonian (circuit backends need the matrix)."""
@@ -144,18 +128,17 @@ class BettiBackend(Protocol):
     backend's job — the estimator samples the returned distribution so that
     finite-shot behaviour is identical across backends.
 
-    Beyond the members below, a backend must declare the operator formats it
-    accepts as ``supported_formats`` (a preference-ordered tuple drawn from
-    :data:`~repro.core.operators.OPERATOR_FORMATS`) — :func:`register_backend`
-    enforces that it is present and valid.  An
-    optional ``supports_noise`` flag advertises whether the backend honours
-    ``QTDAConfig``'s noise fields (default: no).
+    An optional ``supports_noise`` flag advertises whether the backend
+    honours ``QTDAConfig``'s noise fields (default: no).
     """
 
     #: Registry name (also the value of ``QTDAConfig.backend``).
     name: str
     #: One-line human description (shown by ``repro-experiments list-backends``).
     description: str
+    #: The one Laplacian format the backend reads, ``"dense"`` or ``"sparse"``;
+    #: the estimator builds every Laplacian it hands over in this format.
+    operator_format: str
 
     def run(
         self,
@@ -164,39 +147,6 @@ class BettiBackend(Protocol):
         rng: np.random.Generator,
     ) -> BackendResult:  # pragma: no cover - protocol signature
         ...
-
-
-def backend_formats(backend: "BettiBackend") -> Tuple[str, ...]:
-    """Operator formats ``backend`` accepts, most-preferred first.
-
-    Backends declare ``supported_formats`` (a tuple drawn from
-    :data:`~repro.core.operators.OPERATOR_FORMATS`, e.g. ``("matrix-free",
-    "sparse", "dense")`` for the stochastic-trace backend).
-    """
-    formats = tuple(backend.supported_formats)
-    unknown = [f for f in formats if f not in OPERATOR_FORMATS]
-    if unknown:
-        raise ValueError(
-            f"backend {getattr(backend, 'name', backend)!r} declares unknown "
-            f"operator formats {unknown}; valid formats: {OPERATOR_FORMATS}"
-        )
-    return formats
-
-
-def preferred_format(backend: "BettiBackend") -> str:
-    """The single format a producer should build for ``backend``.
-
-    Walks the backend's declared formats in preference order and returns the
-    first *buildable* one.  ``"matrix-free"`` is never built by producers (a
-    concrete Laplacian is always available as a matrix), so it collapses to
-    sparse — a CSR matrix is the cheapest concrete matvec carrier.
-    """
-    for fmt in backend_formats(backend):
-        if fmt == DENSE:
-            return DENSE
-        if fmt in (SPARSE, MATRIX_FREE):
-            return SPARSE
-    return DENSE
 
 
 def backend_supports_noise(backend: "BettiBackend") -> bool:
@@ -214,8 +164,7 @@ def backend_capabilities(backend: "BettiBackend") -> Dict[str, object]:
     return {
         "name": backend.name,
         "description": backend.description,
-        "formats": list(backend_formats(backend)),
-        "preferred_format": preferred_format(backend),
+        "operator_format": backend.operator_format,
         "supports_noise": backend_supports_noise(backend),
     }
 
@@ -235,8 +184,11 @@ def register_backend(name: str, backend: BettiBackend) -> None:
     ValueError
         If ``name`` is already taken (re-registering is almost always an
         accident — call :func:`unregister_backend` first to replace a
-        backend deliberately) or if ``backend`` does not implement the
-        :class:`BettiBackend` protocol.
+        backend deliberately) or if ``backend`` declares an
+        ``operator_format`` other than ``"dense"`` or ``"sparse"``.
+    TypeError
+        If ``backend`` does not implement the :class:`BettiBackend` protocol
+        (``run``, ``description``, ``operator_format``).
     """
     if not isinstance(name, str) or not name:
         raise ValueError(f"backend name must be a non-empty string, got {name!r}")
@@ -249,12 +201,15 @@ def register_backend(name: str, backend: BettiBackend) -> None:
         raise TypeError(f"backend {name!r} does not implement BettiBackend.run")
     if not hasattr(backend, "description"):
         raise TypeError(f"backend {name!r} is missing the 'description' attribute")
-    if not getattr(backend, "supported_formats", None):
-        # Producers negotiate formats on every estimate (backend_formats /
-        # preferred_format); a backend without supported_formats would fail
-        # far from here, mid-estimate.
-        raise TypeError(f"backend {name!r} must declare supported_formats")
-    backend_formats(backend)  # validates any declared format names eagerly
+    # Checked here: the estimator reads the format on every estimate, so a
+    # missing or unknown one would otherwise fail far from here.
+    if not hasattr(backend, "operator_format"):
+        raise TypeError(f"backend {name!r} must declare operator_format")
+    if backend.operator_format not in (DENSE, SPARSE):
+        raise ValueError(
+            f"backend {name!r} declares operator_format {backend.operator_format!r}; "
+            f"it must be {DENSE!r} or {SPARSE!r}"
+        )
     _REGISTRY[name] = backend
 
 

@@ -23,7 +23,7 @@ class ExactBackend:
 
     name = "exact"
     description = "analytical QPE readout from the padded spectrum (dense |S_k| eigendecomposition)"
-    supported_formats = ("dense", "sparse", "matrix-free")
+    operator_format = "dense"
     supports_noise = False
 
     def run(self, problem: EstimationProblem, config, rng: np.random.Generator) -> BackendResult:

@@ -1,4 +1,4 @@
-"""The ``sparse-exact`` backend — matrix-free spectral path for large complexes.
+"""The ``sparse-exact`` backend — sparse partial-spectrum path for large complexes.
 
 The ``exact`` backend densifies the ``|S_k| x |S_k|`` Laplacian and runs a
 full ``eigvalsh``, which is cubic in ``|S_k|``; for Rips complexes with
@@ -70,7 +70,7 @@ class SparseExactBackend:
 
     name = "sparse-exact"
     description = "shift-invert partial spectrum on the sparse |S_k| Laplacian (dense fallback below threshold)"
-    supported_formats = ("sparse", "dense")
+    operator_format = "sparse"
     supports_noise = False
 
     def __init__(

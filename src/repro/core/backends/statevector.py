@@ -254,7 +254,7 @@ class StatevectorBackend:
 
     name = "statevector"
     description = "explicit Fig. 6 circuit with exact controlled powers of U (ensemble, ptm or trajectory route)"
-    supported_formats = ("dense",)
+    operator_format = "dense"
     supports_noise = True
 
     def run(self, problem: EstimationProblem, config, rng: np.random.Generator) -> BackendResult:

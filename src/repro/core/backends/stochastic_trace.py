@@ -13,8 +13,8 @@ trace with stochastic Lanczos quadrature (SLQ):
 * draw Rademacher probes ``z`` (``E[z zᵀ] = I``, so ``E[zᵀ f(Δ) z] = tr f(Δ)``
   — Hutchinson's estimator);
 * for each probe run ``m`` steps of Lanczos with the operator's ``matvec``
-  (full reorthogonalisation; the only primitive used, so matrix-free
-  operators work unchanged);
+  (full reorthogonalisation; the only operator primitive used, so the
+  sparse Laplacian is never densified);
 * the tridiagonal eigenpairs ``(θ_i, τ_i)`` form a Gauss quadrature of the
   probe's spectral measure: ``zᵀ f(Δ) z ≈ |S_k| Σ_i τ_i f(θ_i)``;
 * Ritz values inside ``zero_eigenvalue_atol`` of 0 are snapped to exactly 0
@@ -70,7 +70,7 @@ class StochasticTraceBackend:
 
     name = "stochastic-trace"
     description = "Hutchinson/SLQ trace estimate of the QPE readout (matvec-only, reports error bars)"
-    supported_formats = ("matrix-free", "sparse", "dense")
+    operator_format = "sparse"
     supports_noise = False
 
     def __init__(

@@ -19,7 +19,7 @@ class TrotterBackend:
 
     name = "trotter"
     description = "Fig. 6 circuit with U synthesised from the Pauli decomposition (Fig. 7 product formula)"
-    supported_formats = ("dense",)
+    operator_format = "dense"
     supports_noise = True
 
     def run(self, problem: EstimationProblem, config, rng: np.random.Generator) -> BackendResult:

@@ -24,10 +24,11 @@ Estimator backends are orthogonal to these *execution* backends: the engine
 builds a :class:`QTDABettiEstimator` per sample from ``config.estimator``, so
 any backend registered in :mod:`repro.core.backends` (``exact``,
 ``sparse-exact``, ``stochastic-trace``, ``statevector``, ...) passes
-through unchanged.  The engine additionally *negotiates the operator format*
-with the configured backend (DESIGN.md §9): sparse-capable backends receive
-flag-array Laplacians built directly as CSR matrices, so large-window sweeps
-get the sparse fast path end to end instead of a dense detour.
+through unchanged.  Each Laplacian is built from the flag arrays in the
+format the estimator's backend reads (:attr:`QTDABettiEstimator.
+operator_format`, DESIGN.md §9): ``sparse-exact`` and ``stochastic-trace``
+get CSR matrices end to end, with no dense detour.  Classical rows, which
+have no estimator, are built dense.
 """
 
 from __future__ import annotations
@@ -75,19 +76,12 @@ class BatchConfig:
     spectrum_cache_size:
         LRU capacity of the per-engine (serial/threads) or per-worker
         (processes) spectrum cache; ``0`` disables caching.
-    operator_format:
-        Format of the Laplacians handed to the estimator backend: ``None``
-        (default) negotiates it from the configured estimator backend's
-        ``supported_formats`` (so ``sparse-exact`` / ``stochastic-trace``
-        sweeps get sparse operators end to end), or force ``"dense"`` /
-        ``"sparse"`` explicitly (the dense-handoff benchmark baseline).
     """
 
     backend: str = "serial"
     max_workers: Optional[int] = None
     chunk_size: Optional[int] = None
     spectrum_cache_size: int = 1024
-    operator_format: Optional[str] = None
 
     def __post_init__(self):
         if self.backend not in BATCH_BACKENDS:
@@ -99,10 +93,6 @@ class BatchConfig:
         self.spectrum_cache_size = check_integer(
             self.spectrum_cache_size, "spectrum_cache_size", minimum=0
         )
-        if self.operator_format not in (None, "dense", "sparse"):
-            raise ValueError(
-                f"operator_format must be None, 'dense' or 'sparse', got {self.operator_format!r}"
-            )
 
     def as_dict(self) -> dict:
         """Plain-dictionary view, round-trippable through :meth:`from_dict`."""
@@ -126,30 +116,12 @@ class _SampleTask:
     seed: Optional[int]
 
 
-def _negotiate_laplacian_format(config: PipelineConfig, operator_format: Optional[str]) -> str:
-    """Negotiated operator format for estimator handoffs (DESIGN.md §9).
-
-    An explicit ``operator_format`` wins; otherwise the configured estimator
-    backend's format preference decides.  Classical-only runs
-    (``use_quantum=False``) stay dense — their eigenvalue counts densify
-    anyway.
-    """
-    if operator_format is not None:
-        return operator_format
-    if not config.use_quantum:
-        return "dense"
-    from repro.core.backends import get_backend, preferred_format
-
-    return preferred_format(get_backend(config.estimator.backend))
-
-
 def _flag_features(
     arrays: FlagComplexArrays,
     config: PipelineConfig,
     cache: Optional[SpectrumCache],
     estimator: Optional[QTDABettiEstimator],
     compute_exact: bool,
-    sparse_handoff: bool,
     operators: Optional[Dict[int, object]] = None,
 ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
     """Feature rows from prepared flag-complex arrays (the per-dimension loop).
@@ -157,6 +129,8 @@ def _flag_features(
     Shared by the per-sample sweep (:class:`_SampleSweeper`) and the
     streaming window engine (:class:`StreamingFeatureEngine`), so both
     routes run literally the same per-dimension code and stay bit-identical.
+    Laplacians are built in the estimator's :attr:`~QTDABettiEstimator.
+    operator_format`; without an estimator (classical rows) they are dense.
 
     ``operators`` is the streaming engine's reuse hook: a mutable mapping
     ``k -> LaplacianOperator`` whose existing entries are handed to the
@@ -168,6 +142,7 @@ def _flag_features(
     dims = config.homology_dimensions
     estimated = np.empty(len(dims))
     exact = np.empty(len(dims)) if compute_exact else None
+    sparse = estimator is not None and estimator.operator_format == "sparse"
     for f_idx, k in enumerate(dims):
         if arrays.num_simplices(k) == 0:
             estimated[f_idx] = 0.0
@@ -176,7 +151,7 @@ def _flag_features(
             continue
         laplacian = operators.get(k) if operators is not None else None
         if laplacian is None:
-            laplacian = laplacian_operator_from_flag_arrays(arrays, k, sparse_format=sparse_handoff)
+            laplacian = laplacian_operator_from_flag_arrays(arrays, k, sparse_format=sparse)
             if operators is not None:
                 operators[k] = laplacian
         exact_value: Optional[float] = None
@@ -210,13 +185,11 @@ class _SampleSweeper:
         config: PipelineConfig,
         cache: Optional[SpectrumCache],
         want_exact: bool,
-        laplacian_format: str = "dense",
     ):
         self.task = task
         self.config = config
         self.cache = cache
         self.compute_exact = want_exact or not config.use_quantum
-        self.sparse_handoff = laplacian_format == "sparse"
         self.estimator: Optional[QTDABettiEstimator] = None
         if config.use_quantum:
             self.estimator = QTDABettiEstimator(
@@ -227,9 +200,7 @@ class _SampleSweeper:
         """Feature rows ``(estimated (F,), exact (F,) or None)`` at one ε."""
         config = self.config
         arrays = flag_complex_arrays(self.task.distances, epsilon, config.max_complex_dimension)
-        return _flag_features(
-            arrays, config, self.cache, self.estimator, self.compute_exact, self.sparse_handoff
-        )
+        return _flag_features(arrays, config, self.cache, self.estimator, self.compute_exact)
 
 
 def _sample_features(
@@ -237,19 +208,14 @@ def _sample_features(
     config: PipelineConfig,
     cache: Optional[SpectrumCache],
     want_exact: bool,
-    laplacian_format: str = "dense",
 ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
     """Feature rows of one sample: ``(estimated (E, F), exact (E, F) or None)``.
 
     ``E`` indexes the grouping scales of the task, ``F`` the homology
-    dimensions.  ``laplacian_format`` is the negotiated operator format the
-    estimator backend receives (see :meth:`BatchFeatureEngine._laplacian_format`):
-    with ``"sparse"`` the flag-array Laplacians are built as CSR matrices and
-    never densified on the engine side, so sparse backends get their fast
-    path end to end.  Pure given ``(task, config, laplacian_format)`` — the
-    execution backends rely on that for bit-identical results.
+    dimensions.  Pure given ``(task, config)`` — the execution backends rely
+    on that for bit-identical results.
     """
-    sweeper = _SampleSweeper(task, config, cache, want_exact, laplacian_format)
+    sweeper = _SampleSweeper(task, config, cache, want_exact)
     dims = config.homology_dimensions
     estimated = np.empty((len(task.epsilons), len(dims)))
     exact = np.empty_like(estimated) if sweeper.compute_exact else None
@@ -278,12 +244,9 @@ def _process_cache(size: int) -> Optional[SpectrumCache]:
 
 def _run_chunk(payload) -> List[Tuple[int, Tuple[np.ndarray, Optional[np.ndarray]]]]:
     """Top-level (picklable) chunk runner for the ``processes`` backend."""
-    config, cache_size, tasks, want_exact, laplacian_format = payload
+    config, cache_size, tasks, want_exact = payload
     cache = _process_cache(cache_size)
-    return [
-        (task.index, _sample_features(task, config, cache, want_exact, laplacian_format))
-        for task in tasks
-    ]
+    return [(task.index, _sample_features(task, config, cache, want_exact)) for task in tasks]
 
 
 class BatchFeatureEngine:
@@ -407,10 +370,7 @@ class BatchFeatureEngine:
             for eps in scales:
                 yield eps, np.zeros((0, num_features))
             return
-        fmt = self._laplacian_format()
-        sweepers = [
-            _SampleSweeper(task, self.config, self._cache, False, fmt) for task in tasks
-        ]
+        sweepers = [_SampleSweeper(task, self.config, self._cache, False) for task in tasks]
         if self.batch.backend == "serial":
             for eps in scales:
                 yield eps, np.vstack([s.features_at(eps)[0] for s in sweepers])
@@ -447,7 +407,6 @@ class BatchFeatureEngine:
             epsilons=epsilons,
             spectrum_cache=self._cache,
             spectrum_cache_size=self.batch.spectrum_cache_size,
-            operator_format=self.batch.operator_format,
         )
         arr = np.array(series, dtype=float).reshape(-1)
         return (
@@ -491,30 +450,13 @@ class BatchFeatureEngine:
             for i, d in enumerate(distances)
         ]
 
-    def negotiated_operator_format(self) -> str:
-        """Public view of the negotiated handoff format (service provenance)."""
-        return self._laplacian_format()
-
-    def _laplacian_format(self) -> str:
-        """Negotiated operator format for estimator handoffs (DESIGN.md §9).
-
-        An explicit ``BatchConfig.operator_format`` wins; otherwise the
-        configured estimator backend's format preference decides, so e.g.
-        ``backend="sparse-exact"`` sweeps build flag-array Laplacians as CSR
-        matrices and the estimator never sees a dense matrix it would have to
-        re-sparsify.  Classical-only runs (``use_quantum=False``) stay dense —
-        their eigenvalue counts densify anyway.
-        """
-        return _negotiate_laplacian_format(self.config, self.batch.operator_format)
-
     def _execute(
         self, tasks: List[_SampleTask], want_exact: bool
     ) -> List[Tuple[np.ndarray, Optional[np.ndarray]]]:
         if not tasks:
             return []
-        fmt = self._laplacian_format()
         if self.batch.backend == "serial":
-            return [_sample_features(t, self.config, self._cache, want_exact, fmt) for t in tasks]
+            return [_sample_features(t, self.config, self._cache, want_exact) for t in tasks]
         workers = self.batch.max_workers or (os.cpu_count() or 1)
         workers = max(1, min(workers, len(tasks)))
         chunk = self.batch.chunk_size or max(1, math.ceil(len(tasks) / (4 * workers)))
@@ -523,7 +465,7 @@ class BatchFeatureEngine:
         if self.batch.backend == "threads":
             def run(chunk_tasks):
                 return [
-                    (t.index, _sample_features(t, self.config, self._cache, want_exact, fmt))
+                    (t.index, _sample_features(t, self.config, self._cache, want_exact))
                     for t in chunk_tasks
                 ]
 
@@ -533,7 +475,7 @@ class BatchFeatureEngine:
                         results[index] = value
         else:  # processes
             payloads = [
-                (self.config, self.batch.spectrum_cache_size, chunk_tasks, want_exact, fmt)
+                (self.config, self.batch.spectrum_cache_size, chunk_tasks, want_exact)
                 for chunk_tasks in chunks
             ]
             with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -613,7 +555,6 @@ class StreamingFeatureEngine:
         epsilons: Optional[Iterable[float]] = None,
         spectrum_cache: Optional[SpectrumCache] = None,
         spectrum_cache_size: int = 1024,
-        operator_format: Optional[str] = None,
         **overrides,
     ):
         base = config if config is not None else PipelineConfig()
@@ -632,8 +573,6 @@ class StreamingFeatureEngine:
             self._cache = SpectrumCache(spectrum_cache_size)
         else:
             self._cache = None
-        self._format = _negotiate_laplacian_format(self.config, operator_format)
-        self._sparse_handoff = self._format == "sparse"
         self._takens = TakensEmbedding(
             dimension=self.config.takens_dimension,
             delay=self.config.takens_delay,
@@ -675,10 +614,6 @@ class StreamingFeatureEngine:
     @property
     def samples_seen(self) -> int:
         return self._buffer_start + int(self._buffer.size)
-
-    def negotiated_operator_format(self) -> str:
-        """Public view of the negotiated handoff format (service provenance)."""
-        return self._format
 
     def observe(self, sample: float) -> Optional["WindowFeatures"]:
         """Feed one raw sample; the completed window's features, or ``None``.
@@ -784,7 +719,6 @@ class StreamingFeatureEngine:
                 self._cache,
                 estimator,
                 compute_exact,
-                self._sparse_handoff,
                 operators=state.operators,
             )
             features[e_idx] = row

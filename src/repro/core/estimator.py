@@ -22,7 +22,7 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.core.backends import EstimationProblem, get_backend, preferred_format
+from repro.core.backends import EstimationProblem, get_backend
 from repro.core.config import QTDAConfig
 from repro.core.hamiltonian import SpectrumCache, laplacian_spectrum_info
 from repro.quantum.measurement import sample_counts
@@ -174,12 +174,12 @@ class QTDABettiEstimator:
 
     @property
     def operator_format(self) -> str:
-        """Operator format negotiated with the configured backend.
+        """The format the configured backend reads, ``"dense"`` or ``"sparse"``.
 
-        The format :meth:`estimate` builds its Laplacians in (DESIGN.md §9);
-        the service API stamps it into result provenance.
+        :meth:`estimate` and the batch engine build every Laplacian they hand
+        to this estimator in it (DESIGN.md §9).
         """
-        return preferred_format(self.backend)
+        return self.backend.operator_format
 
     def estimate(
         self, complex_: SimplicialComplex | FlagComplexArrays, k: int, compute_exact: bool = True
@@ -225,9 +225,8 @@ class QTDABettiEstimator:
         """Estimate the kernel dimension of an explicit combinatorial Laplacian.
 
         Accepts dense matrices, ``scipy.sparse`` matrices and
-        :class:`~repro.core.operators.LaplacianOperator` objects (including
-        matrix-free ones).  The configured backend is resolved through the
-        registry and handed an
+        :class:`~repro.core.operators.LaplacianOperator` objects.  The
+        configured backend is resolved through the registry and handed an
         :class:`~repro.core.backends.EstimationProblem` (the Laplacian
         operator plus the shared spectrum cache, when one is attached); shot
         sampling of the returned distribution happens here so it is identical

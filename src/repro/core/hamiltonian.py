@@ -169,10 +169,8 @@ class SpectrumCache(BoundedCache):
     lookup, so they are stored read-only.
 
     Keys are :meth:`~repro.core.operators.LaplacianOperator.fingerprint`
-    content hashes, so sparse (and tagged matrix-free) operators are keyed
-    from their native storage — a cached sparse lookup never materialises a
-    dense matrix.  Operators without a fingerprint (untagged matrix-free
-    closures) bypass the cache instead of densifying just to compute a key.
+    content hashes, so sparse operators are keyed from their native storage
+    — a cached sparse lookup never materialises a dense matrix.
     """
 
     def __init__(self, maxsize: int = 1024):
@@ -184,10 +182,6 @@ class SpectrumCache(BoundedCache):
         if self.maxsize <= 0:
             return laplacian_spectrum_info(operator)
         key = operator.fingerprint()
-        if key is None:
-            # Unfingerprintable (untagged matrix-free) operator: computing a
-            # content key would require densifying, defeating the cache.
-            return laplacian_spectrum_info(operator)
         cached = self.get(key)
         if cached is not None:
             return cached

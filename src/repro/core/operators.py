@@ -1,44 +1,36 @@
 """The Laplacian operator layer — one seam between matrices and backends.
 
-Every layer of the estimator used to funnel combinatorial Laplacians around
-as raw ``ndarray`` / ``scipy.sparse`` objects, which forced format decisions
-(densify? re-sparsify? hash how?) onto each consumer separately.  This module
-centralises them: a :class:`LaplacianOperator` wraps a dense array, a CSR
-matrix or a matrix-free ``matvec`` closure behind one interface —
+A :class:`LaplacianOperator` wraps a combinatorial Laplacian, stored as a
+dense array (:class:`DenseOperator`) or a CSR matrix
+(:class:`SparseOperator`), behind one interface —
 
 * ``shape`` / ``dim`` — the ``|S_k| x |S_k|`` geometry;
 * ``matvec(x)`` — the only primitive an iterative backend needs;
-* ``to_dense()`` / ``to_sparse()`` — explicit, on-demand format conversion
-  (a matrix-free operator materialises by applying ``matvec`` to identity
-  columns, so conversion is always *possible*, just not always cheap);
+* ``to_dense()`` / ``to_sparse()`` — explicit, on-demand format conversion;
 * ``gershgorin_bound()`` — the Eq. 7 ``λ̃_max`` in whatever way is cheap for
   the format (row reductions, never a diagonalisation);
 * ``trace()`` / ``frobenius_norm_squared()`` — the moment reductions the
   surrogate-spectrum and stochastic-trace backends need;
 * ``fingerprint()`` — a content hash so :class:`~repro.core.hamiltonian.
-  SpectrumCache` can key sparse and matrix-free operators without ever
-  densifying them (``None`` marks an operator as uncacheable).
+  SpectrumCache` can key sparse operators without densifying them.
 
-Consumers negotiate formats through :data:`OPERATOR_FORMATS` and
-:func:`as_operator`; see DESIGN.md §9.
+Each backend declares the one format it reads (``operator_format``, see
+:mod:`repro.core.backends`); producers build Laplacians in that format and
+:func:`as_operator` wraps raw matrices.  See DESIGN.md §9.
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import Callable, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 from scipy import sparse as _sparse
 
 from repro.paulis.gershgorin import gershgorin_bound as _dense_gershgorin
 
-#: Canonical operator format names, in the order backends usually prefer
-#: them: ``"matrix-free"`` (matvec only), ``"sparse"`` (CSR), ``"dense"``.
-OPERATOR_FORMATS = ("matrix-free", "sparse", "dense")
-
-#: Formats every operator can be converted *to* (conversion cost varies).
-DENSE, SPARSE, MATRIX_FREE = "dense", "sparse", "matrix-free"
+#: The two operator formats: a dense ``ndarray`` or a CSR matrix.
+DENSE, SPARSE = "dense", "sparse"
 
 
 def _square_shape(shape) -> Tuple[int, int]:
@@ -51,12 +43,13 @@ def _square_shape(shape) -> Tuple[int, int]:
 class LaplacianOperator:
     """Abstract symmetric PSD linear operator over ``R^{|S_k|}``.
 
-    Subclasses fix the native storage ``format`` and implement the
-    conversion/reduction primitives; everything else (shape bookkeeping,
-    ``__matmul__`` sugar, default materialised reductions) lives here.
+    Subclasses fix the native storage ``format`` and implement ``matvec``,
+    ``to_dense`` and ``fingerprint``; everything else (shape bookkeeping,
+    ``__matmul__`` sugar, the reductions on the dense matrix, which
+    :class:`SparseOperator` overrides) lives here.
     """
 
-    #: One of :data:`OPERATOR_FORMATS`; the operator's *native* storage.
+    #: ``DENSE`` or ``SPARSE``; the operator's *native* storage.
     format: str = "abstract"
 
     def __init__(self, shape: Tuple[int, int]):
@@ -82,9 +75,9 @@ class LaplacianOperator:
     def to_sparse(self) -> "_sparse.csr_matrix":
         return _sparse.csr_matrix(self.to_dense())
 
-    def fingerprint(self) -> Optional[bytes]:
-        """Content hash for cache keying; ``None`` means uncacheable."""
-        return None
+    def fingerprint(self) -> bytes:  # pragma: no cover - abstract
+        """Content hash for cache keying (memoised by the subclasses)."""
+        raise NotImplementedError
 
     # -- derived reductions -------------------------------------------------------
     def gershgorin_bound(self) -> float:
@@ -124,9 +117,6 @@ class DenseOperator(LaplacianOperator):
     def to_dense(self) -> np.ndarray:
         return self._matrix
 
-    def to_sparse(self) -> "_sparse.csr_matrix":
-        return _sparse.csr_matrix(self._matrix)
-
     def fingerprint(self) -> bytes:
         # Memoised: operators are treated as immutable once constructed, so a
         # reused operator (e.g. across unchanged streaming windows) hashes its
@@ -135,15 +125,6 @@ class DenseOperator(LaplacianOperator):
             digest = hashlib.sha1(self._matrix.tobytes()).digest()
             self._fingerprint = b"dense" + self.dim.to_bytes(8, "little") + digest
         return self._fingerprint
-
-    def gershgorin_bound(self) -> float:
-        return _dense_gershgorin(self._matrix)
-
-    def trace(self) -> float:
-        return float(np.trace(self._matrix))
-
-    def frobenius_norm_squared(self) -> float:
-        return float(np.square(self._matrix).sum())
 
 
 class SparseOperator(LaplacianOperator):
@@ -197,80 +178,6 @@ class SparseOperator(LaplacianOperator):
 
     def frobenius_norm_squared(self) -> float:
         return float(np.square(self._matrix.data).sum())
-
-
-class MatrixFreeOperator(LaplacianOperator):
-    """A Laplacian given only through its action ``x ↦ Δ_k x``.
-
-    Parameters
-    ----------
-    matvec:
-        The action of the operator on a length-``n`` vector.
-    shape:
-        ``(n, n)``.
-    fingerprint:
-        Optional content tag (bytes) for cache keying.  Matrix-free operators
-        have no inspectable entries, so the *caller* must vouch for identity;
-        without a tag the operator is treated as uncacheable.
-    gershgorin:
-        Optional precomputed ``λ̃_max``; when omitted the bound is computed by
-        materialising (``dim`` matvecs) on first use.
-    trace, frobenius_norm_squared:
-        Optional precomputed moments, same rationale.
-    """
-
-    format = MATRIX_FREE
-
-    def __init__(
-        self,
-        matvec: Callable[[np.ndarray], np.ndarray],
-        shape: Tuple[int, int],
-        fingerprint: Optional[bytes] = None,
-        gershgorin: Optional[float] = None,
-        trace: Optional[float] = None,
-        frobenius_norm_squared: Optional[float] = None,
-    ):
-        super().__init__(shape)
-        self._matvec = matvec
-        self._fingerprint = fingerprint
-        self._gershgorin = gershgorin
-        self._trace = trace
-        self._frobenius2 = frobenius_norm_squared
-        self._dense: Optional[np.ndarray] = None
-
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        return np.asarray(self._matvec(np.asarray(x, dtype=float)), dtype=float)
-
-    def to_dense(self) -> np.ndarray:
-        """Materialise by applying ``matvec`` to the identity columns (cached)."""
-        if self._dense is None:
-            n = self.dim
-            columns = np.empty((n, n), dtype=float)
-            eye = np.eye(n)
-            for j in range(n):
-                columns[:, j] = self.matvec(eye[:, j])
-            self._dense = np.ascontiguousarray(columns)
-        return self._dense
-
-    def fingerprint(self) -> Optional[bytes]:
-        if self._fingerprint is None:
-            return None
-        return b"matfree" + self.dim.to_bytes(8, "little") + self._fingerprint
-
-    def gershgorin_bound(self) -> float:
-        if self._gershgorin is None:
-            self._gershgorin = _dense_gershgorin(self.to_dense())
-        return float(self._gershgorin)
-
-    def trace(self) -> float:
-        if self._trace is None:
-            self._trace = float(np.trace(self.to_dense()))
-        return float(self._trace)
-
-    def frobenius_norm_squared(self) -> float:
-        if self._frobenius2 is None:
-            self._frobenius2 = float(np.square(self.to_dense()).sum())
-        return float(self._frobenius2)
 
 
 def as_operator(laplacian) -> LaplacianOperator:

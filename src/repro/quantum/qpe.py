@@ -110,16 +110,15 @@ def phase_estimation_circuit(
     num_system: Optional[int] = None,
     num_auxiliary: int = 0,
     name: str = "QPE",
-    power_synthesis: str = "chain",
 ) -> QuantumCircuit:
     """Build the QPE circuit.
 
     Parameters
     ----------
     unitary:
-        One of: a dense ``2^q x 2^q`` unitary (controlled powers are exact
-        matrix powers), a :class:`SpectralUnitary` (all powers share its one
-        eigendecomposition), or a :class:`QuantumCircuit` implementing ``U``
+        One of: a dense ``2^q x 2^q`` unitary (each controlled power is an
+        independent repeated squaring), a :class:`SpectralUnitary` (all
+        powers share its one eigendecomposition), or a :class:`QuantumCircuit` implementing ``U``
         on the system register (each of its gates is individually controlled
         and the power ``2^j`` is realised by repetition — the faithful
         "implementation perspective" of the paper).
@@ -133,14 +132,6 @@ def phase_estimation_circuit(
         untouched by QPE itself.
     name:
         Circuit name.
-    power_synthesis:
-        How the ``t`` controlled powers of a *dense* unitary are computed:
-        ``"chain"`` (default) keeps the historical independent
-        repeated-squaring per precision qubit — bit-identical to every
-        pre-engine release — while ``"spectral"`` performs one Schur
-        decomposition and raises the eigenphases to ``2^j``
-        (:class:`SpectralUnitary`).  Ignored for circuit-valued and
-        already-spectral unitaries.
 
     Returns
     -------
@@ -149,10 +140,6 @@ def phase_estimation_circuit(
         a measurement marker on the precision register.
     """
     t = check_positive_integer(num_precision, "num_precision")
-    if power_synthesis not in ("chain", "spectral"):
-        raise ValueError(
-            f"power_synthesis must be 'chain' or 'spectral', got {power_synthesis!r}"
-        )
     unitary_circuit: Optional[QuantumCircuit] = None
     unitary_matrix: Optional[np.ndarray] = None
     spectral: Optional[SpectralUnitary] = None
@@ -171,10 +158,7 @@ def phase_estimation_circuit(
         q = int(np.log2(mat.shape[0])) if num_system is None else int(num_system)
         if mat.shape != (2**q, 2**q):
             raise ValueError(f"unitary shape {mat.shape} does not match {q} system qubits")
-        if power_synthesis == "spectral":
-            spectral = SpectralUnitary.from_unitary(mat)
-        else:
-            unitary_matrix = mat
+        unitary_matrix = mat
 
     total = t + q + int(num_auxiliary)
     circ = QuantumCircuit(total, name=name)

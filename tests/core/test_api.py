@@ -323,12 +323,12 @@ class TestWirePins:
     cannot drift: the result cache and the coalescer key on fingerprints."""
 
     FINGERPRINTS = {
-        "estimate": "25ebbc61e2f04afb51229f4274aa772b49e0fa64b426baf1b806fa6334e66d5a",
-        "estimate-points": "02852fe0e627589edd895f341fe43cba0e2186d84f55f156789a16e68fb1cf7d",
-        "pipeline": "570dd329dfa04d9a24b17cbf2e16e64ea1e5927541fe4cff49690bdfb15d82fd",
-        "sweep": "926d6b0719c538f773eea6e8dd8cad4e7d6d6b1823c2a7f10e1414a5e676e910",
-        "experiment": "52c8e639092e4dfb79424ad310652dc56fc57c922cab0f5bf27921f04cb4022f",
-        "observe": "c8c706b2a610d77ee1ef121600d682821a647e78062246d9f05929ea69b31383",
+        "estimate": "2279a7bdf8d5d2756e944c8cb3dbd28e6298d7661b464bee09ea85db25993f13",
+        "estimate-points": "a6e633436b6679cccfcd8c88e6873f961cd50b1edd7c5973c9fc4064802174fd",
+        "pipeline": "8d3b89dcf0a01708e94d83f37a8d27f9f34a59e8809e9d84991cbf3e2e4127b7",
+        "sweep": "4206b8a3ea3f8944a880955a3ba50149bbe7348131085bc0d2e713eaff2e88a0",
+        "experiment": "247f0f72907a5436e98df2c312322ec8c8bdd6a54daa525aaf28e768bff5f0f7",
+        "observe": "ea848dd93bedf7c748c587c7b315e11c8ab7f0585c463adbcfd5d8db3d198909",
     }
 
     def test_fingerprints_are_pinned(self):

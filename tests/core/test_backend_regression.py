@@ -135,18 +135,16 @@ def test_sparse_exact_matches_exact_on_worked_example():
 def _operator_view(laplacian, view: str):
     from scipy import sparse
 
-    from repro.core.operators import MatrixFreeOperator, as_operator
+    from repro.core.operators import as_operator
 
     if view == "dense-operator":
         return as_operator(laplacian)
     if view == "sparse-operator":
         return as_operator(sparse.csr_matrix(laplacian))
-    if view == "matrix-free":
-        return MatrixFreeOperator(lambda x: laplacian @ x, laplacian.shape)
     raise AssertionError(view)
 
 
-@pytest.mark.parametrize("view", ["dense-operator", "sparse-operator", "matrix-free"])
+@pytest.mark.parametrize("view", ["dense-operator", "sparse-operator"])
 @pytest.mark.parametrize("backend", ["exact", "sparse-exact", "statevector", "trotter"])
 def test_operator_layer_is_bit_identical_to_raw_matrices(backend, view):
     """Acceptance gate: wrapping the Laplacian in any LaplacianOperator view
@@ -169,9 +167,9 @@ def test_operator_layer_is_bit_identical_to_raw_matrices(backend, view):
 
 
 def test_pinned_estimates_unchanged_by_operator_negotiation():
-    """The estimator now negotiates formats through preferred_format; the
+    """The estimator builds Laplacians in its backend's operator_format; the
     pinned pre-registry numbers must still come out bit-identically (the
-    `exact` default remains a dense handoff)."""
+    `exact` default reads a dense Laplacian)."""
     make, k = _CASES["appendix"]
     estimate = QTDABettiEstimator(
         precision_qubits=3, shots=None, backend="exact", delta=6.0, seed=11

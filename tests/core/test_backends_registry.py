@@ -7,10 +7,8 @@ from repro.core.backends import (
     BackendResult,
     EstimationProblem,
     available_backends,
-    backend_formats,
     backend_supports_noise,
     get_backend,
-    preferred_format,
     register_backend,
     temporary_backend,
     unregister_backend,
@@ -32,7 +30,7 @@ class _ConstantBackend:
 
     name = "test-constant"
     description = "returns a fixed distribution"
-    supported_formats = ("dense",)
+    operator_format = "dense"
 
     def run(self, problem, config, rng):
         distribution = np.zeros(2**config.precision_qubits)
@@ -78,7 +76,7 @@ def test_register_rejects_objects_without_run():
 
 
 def test_register_rejects_incomplete_protocol():
-    """A backend without supported_formats must fail at registration, not
+    """A backend without operator_format must fail at registration, not
     mid-estimate."""
 
     class _NoFormatDeclaration:
@@ -87,43 +85,48 @@ def test_register_rejects_incomplete_protocol():
         def run(self, problem, config, rng):  # pragma: no cover - never called
             raise NotImplementedError
 
-    with pytest.raises(TypeError, match="supported_formats"):
+    with pytest.raises(TypeError, match="operator_format"):
         register_backend("broken", _NoFormatDeclaration())
-
-
-def test_register_accepts_supported_formats_without_legacy_flag(hollow_triangle):
-    """A backend written purely against the new format API registers fine."""
-
-    class _FormatsOnly:
-        name = "test-formats-only"
-        description = "declares supported_formats only"
-        supported_formats = ("dense",)
-
-        def run(self, problem, config, rng):
-            distribution = np.zeros(2**config.precision_qubits)
-            distribution[0] = 1.0
-            return BackendResult(
-                distribution=distribution,
-                num_system_qubits=max(1, int(np.ceil(np.log2(problem.dimension)))),
-                lambda_max=1.0,
-            )
-
-    backend = _FormatsOnly()
-    with temporary_backend(backend.name, backend):
-        assert preferred_format(backend) == "dense"
-        estimate = QTDABettiEstimator(
-            precision_qubits=3, shots=None, backend=backend.name
-        ).estimate(hollow_triangle, 1)
-        assert estimate.p_zero == 1.0
+    assert "broken" not in available_backends()
 
 
 def test_register_validates_declared_format_names_eagerly():
-    class _BadDeclaration(_ConstantBackend):
-        supported_formats = ("dense", "holographic")
+    """``operator_format`` is exactly one of ``"dense"`` and ``"sparse"``."""
+    for declared in ("holographic", "matrix-free", None, ("dense",)):
 
-    with pytest.raises(ValueError, match="holographic"):
-        register_backend("broken-formats", _BadDeclaration())
-    assert "broken-formats" not in available_backends()
+        class _BadDeclaration(_ConstantBackend):
+            operator_format = declared
+
+        with pytest.raises(ValueError, match="operator_format"):
+            register_backend("broken-formats", _BadDeclaration())
+        assert "broken-formats" not in available_backends()
+
+
+@pytest.mark.parametrize("declared", ["dense", "sparse"])
+def test_estimator_hands_the_backend_its_declared_format(hollow_triangle, declared):
+    """Every Laplacian the estimator builds reaches the backend in the
+    backend's ``operator_format``: from a complex and from flag arrays."""
+    from repro.core.operators import DenseOperator, SparseOperator
+    from repro.tda.rips import RipsComplex
+
+    received = []
+
+    class _Recording(_ConstantBackend):
+        operator_format = declared
+
+        def run(self, problem, config, rng):
+            received.append(type(problem.operator))
+            return super().run(problem, config, rng)
+
+    arrays = RipsComplex.from_points(np.eye(3), 1.5, max_dimension=2).flag_arrays()
+    backend = _Recording()
+    with temporary_backend(backend.name, backend):
+        estimator = QTDABettiEstimator(precision_qubits=3, shots=None, backend=backend.name)
+        assert estimator.operator_format == declared
+        estimator.estimate(hollow_triangle, 1)
+        estimator.estimate(arrays, 1)
+    expected = {"dense": DenseOperator, "sparse": SparseOperator}[declared]
+    assert received == [expected, expected]
 
 
 def test_register_rejects_empty_name():
@@ -177,23 +180,17 @@ def test_temporary_backend_rejects_duplicate_names():
             pass  # pragma: no cover - never entered
 
 
-# -- format negotiation ----------------------------------------------------------
+# -- operator formats ------------------------------------------------------------
 
 def test_backend_formats_of_builtins():
-    assert backend_formats(get_backend("exact"))[0] == "dense"
-    assert preferred_format(get_backend("exact")) == "dense"
-    assert preferred_format(get_backend("sparse-exact")) == "sparse"
-    assert preferred_format(get_backend("stochastic-trace")) == "sparse"
-    assert backend_formats(get_backend("stochastic-trace"))[0] == "matrix-free"
-    assert preferred_format(get_backend("statevector")) == "dense"
-
-
-def test_backend_formats_rejects_unknown_names():
-    class _BadFormats(_ConstantBackend):
-        supported_formats = ("dense", "quantised")
-
-    with pytest.raises(ValueError, match="quantised"):
-        backend_formats(_BadFormats())
+    formats = {name: get_backend(name).operator_format for name in BUILTIN_BACKENDS}
+    assert formats == {
+        "exact": "dense",
+        "sparse-exact": "sparse",
+        "stochastic-trace": "sparse",
+        "statevector": "dense",
+        "trotter": "dense",
+    }
 
 
 def test_backend_supports_noise_flags():
@@ -214,8 +211,7 @@ def test_estimation_problem_views(appendix_k):
 
     laplacian = combinatorial_laplacian(appendix_k, 1, sparse_format=True)
     problem = EstimationProblem(laplacian=laplacian)
-    assert problem.is_sparse
-    assert problem.format == "sparse"
+    assert problem.operator.format == "sparse"
     assert problem.dimension == 6
     assert isinstance(problem.operator, SparseOperator)
     assert problem.operator is problem.operator  # wrapped once, then reused
@@ -227,4 +223,4 @@ def test_estimation_problem_views(appendix_k):
 def test_estimator_exposes_resolved_backend():
     estimator = QTDABettiEstimator(backend="sparse-exact")
     assert estimator.backend.name == "sparse-exact"
-    assert preferred_format(estimator.backend) == "sparse"
+    assert estimator.operator_format == "sparse"

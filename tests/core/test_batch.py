@@ -1,8 +1,11 @@
 """Tests for the batched feature engine, the spectrum cache and the fast paths."""
 
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 
+from repro.core.backends import get_backend, temporary_backend
 from repro.core.batch import BATCH_BACKENDS, BatchConfig, BatchFeatureEngine
 from repro.core.config import QTDAConfig
 from repro.core.estimator import QTDABettiEstimator
@@ -202,24 +205,6 @@ def test_spectrum_cache_sparse_hits_never_densify(monkeypatch):
     assert np.array_equal(first[0], third[0]) and first[1] == third[1]
 
 
-def test_spectrum_cache_bypasses_unfingerprintable_operators():
-    """Untagged matrix-free operators compute uncached rather than densify-to-key."""
-    from repro.core.operators import MatrixFreeOperator
-
-    laplacian = combinatorial_laplacian(rips_complex(circle_cloud(8), 0.8, 2), 1)
-    operator = MatrixFreeOperator(lambda x: laplacian @ x, laplacian.shape)
-    cache = SpectrumCache(maxsize=4)
-    a = cache.spectrum(operator)
-    b = cache.spectrum(operator)
-    assert cache.hits == 0 and cache.misses == 0 and len(cache) == 0
-    assert np.array_equal(a[0], b[0])
-    # A *tagged* matrix-free operator is cacheable.
-    tagged = MatrixFreeOperator(lambda x: laplacian @ x, laplacian.shape, fingerprint=b"tag")
-    cache.spectrum(tagged)
-    cache.spectrum(tagged)
-    assert cache.hits == 1 and cache.misses == 1
-
-
 def test_cached_spectrum_cannot_be_corrupted_in_place():
     """Every lookup shares the cached eigenvalue array, so it is read-only."""
     path_laplacian = np.array([[1.0, -1.0], [-1.0, 1.0]])
@@ -253,57 +238,82 @@ def test_cache_reuse_across_precision_sweep(clouds):
     assert cache.hits >= 2 * cache.misses  # two of three sweeps fully served from cache
 
 
-# -- operator-format negotiation (DESIGN.md §9) -----------------------------------
+# -- operator formats (DESIGN.md §9) ---------------------------------------------
 
-def test_engine_negotiates_format_from_estimator_backend():
-    dense_engine = BatchFeatureEngine(PipelineConfig(use_quantum=True))
-    assert dense_engine._laplacian_format() == "dense"
-    for backend in ("sparse-exact", "stochastic-trace"):
-        engine = BatchFeatureEngine(
-            PipelineConfig(use_quantum=True, estimator=QTDAConfig(backend=backend))
-        )
-        assert engine._laplacian_format() == "sparse"
-    classical = BatchFeatureEngine(
-        PipelineConfig(use_quantum=False, estimator=QTDAConfig(backend="sparse-exact"))
-    )
-    assert classical._laplacian_format() == "dense"
-    forced = BatchFeatureEngine(
-        PipelineConfig(use_quantum=True, estimator=QTDAConfig(backend="sparse-exact")),
-        batch=BatchConfig(operator_format="dense"),
-    )
-    assert forced._laplacian_format() == "dense"
+@contextmanager
+def _declaring(backend: str, operator_format: str):
+    """Register ``backend``'s ``run`` under a new name that reads ``operator_format``."""
+    inner = get_backend(backend)
+
+    class _Declaring:
+        name = f"{backend}-as-{operator_format}"
+        description = f"{backend} handed {operator_format} Laplacians"
+
+        def run(self, problem, config, rng):
+            return inner.run(problem, config, rng)
+
+    _Declaring.operator_format = operator_format
+    with temporary_backend(_Declaring.name, _Declaring()):
+        yield _Declaring.name
+
+
+def test_engine_negotiates_format_from_estimator_backend(monkeypatch, clouds):
+    """Flag-array Laplacians are built in the estimator backend's format;
+    classical rows, which have no estimator, are built dense."""
+    import repro.core.batch as batch_module
+
+    built = []
+    original = batch_module.laplacian_operator_from_flag_arrays
+
+    def recording(arrays, k, sparse_format):
+        built.append(sparse_format)
+        return original(arrays, k, sparse_format=sparse_format)
+
+    monkeypatch.setattr(batch_module, "laplacian_operator_from_flag_arrays", recording)
+    cases = [
+        (PipelineConfig(use_quantum=True), False),
+        (PipelineConfig(use_quantum=True, estimator=QTDAConfig(backend="sparse-exact")), True),
+        (PipelineConfig(use_quantum=True, estimator=QTDAConfig(backend="stochastic-trace")), True),
+        (PipelineConfig(use_quantum=False, estimator=QTDAConfig(backend="sparse-exact")), False),
+    ]
+    for config, sparse_format in cases:
+        built.clear()
+        BatchFeatureEngine(config).transform_point_clouds(clouds[:1])
+        assert built and set(built) == {sparse_format}
 
 
 @pytest.mark.parametrize("backend", ["exact", "sparse-exact"])
 def test_sparse_and_dense_handoff_are_bit_identical(clouds, backend):
-    """Forcing either operator format changes cost only, never features."""
-    config = PipelineConfig(
-        epsilon=0.7,
-        use_quantum=True,
-        estimator=QTDAConfig(precision_qubits=4, shots=None, backend=backend),
-    )
-    dense = BatchFeatureEngine(config, batch=BatchConfig(operator_format="dense"))
-    sparse_ = BatchFeatureEngine(config, batch=BatchConfig(operator_format="sparse"))
-    negotiated = BatchFeatureEngine(config)
-    features = negotiated.transform_point_clouds(clouds)
-    assert np.array_equal(features, dense.transform_point_clouds(clouds))
-    assert np.array_equal(features, sparse_.transform_point_clouds(clouds))
+    """Handing a backend either operator format changes cost only, never features."""
+    def features(name):
+        config = PipelineConfig(
+            epsilon=0.7,
+            use_quantum=True,
+            estimator=QTDAConfig(precision_qubits=4, shots=None, backend=name),
+        )
+        return BatchFeatureEngine(config).transform_point_clouds(clouds)
+
+    native = features(backend)
+    for operator_format in ("dense", "sparse"):
+        with _declaring(backend, operator_format) as name:
+            assert np.array_equal(native, features(name))
 
 
 def test_sparse_handoff_on_generic_clique_route(clouds):
-    """Above dimension 2 the engine honours the negotiated format and matches the object oracle."""
-    config = PipelineConfig(
-        epsilon=0.7,
-        use_quantum=True,
-        homology_dimensions=(0, 1, 2),
-        estimator=QTDAConfig(precision_qubits=3, shots=None, backend="sparse-exact"),
-    )
-    features = BatchFeatureEngine(config).transform_point_clouds(clouds[:2])
-    dense = BatchFeatureEngine(
-        config, batch=BatchConfig(operator_format="dense")
-    ).transform_point_clouds(clouds[:2])
+    """Above dimension 2 the sparse handoff matches a dense one and the object oracle."""
+    def config(name):
+        return PipelineConfig(
+            epsilon=0.7,
+            use_quantum=True,
+            homology_dimensions=(0, 1, 2),
+            estimator=QTDAConfig(precision_qubits=3, shots=None, backend=name),
+        )
+
+    features = BatchFeatureEngine(config("sparse-exact")).transform_point_clouds(clouds[:2])
+    with _declaring("sparse-exact", "dense") as name:
+        dense = BatchFeatureEngine(config(name)).transform_point_clouds(clouds[:2])
     assert np.array_equal(features, dense)
-    estimator = QTDABettiEstimator(config.estimator)
+    estimator = QTDABettiEstimator(config("sparse-exact").estimator)
     for row, cloud in enumerate(clouds[:2]):
         complex_ = rips_complex(np.asarray(cloud, dtype=float), 0.7, 3)
         for col, k in enumerate((0, 1, 2)):
@@ -319,10 +329,9 @@ def test_batch_config_validation():
         BatchConfig(max_workers=0)
     with pytest.raises(ValueError):
         BatchConfig(chunk_size=0)
-    with pytest.raises(ValueError):
-        BatchConfig(operator_format="csr")
+    with pytest.raises(TypeError, match="operator_format"):
+        BatchConfig(operator_format="dense")
     assert BatchConfig(spectrum_cache_size=0).spectrum_cache_size == 0
-    assert BatchConfig(operator_format="sparse").operator_format == "sparse"
 
 
 def test_cache_disabled_still_correct(clouds, quantum_config):

@@ -4,13 +4,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from repro.core.operators import (
-    OPERATOR_FORMATS,
-    DenseOperator,
-    MatrixFreeOperator,
-    SparseOperator,
-    as_operator,
-)
+from repro.core.operators import DenseOperator, SparseOperator, as_operator
 from repro.paulis.gershgorin import gershgorin_bound
 from repro.tda.laplacian import (
     combinatorial_laplacian,
@@ -25,20 +19,13 @@ def laplacian(appendix_k):
     return combinatorial_laplacian(appendix_k, 1)
 
 
-def _matrix_free(lap: np.ndarray, **kwargs) -> MatrixFreeOperator:
-    return MatrixFreeOperator(lambda x: lap @ x, lap.shape, **kwargs)
-
-
 # -- coercion --------------------------------------------------------------------
 
 def test_as_operator_wraps_each_format(laplacian):
     dense = as_operator(laplacian)
     sparse_op = as_operator(sparse.csr_matrix(laplacian))
-    free = _matrix_free(laplacian)
     assert isinstance(dense, DenseOperator) and dense.format == "dense"
     assert isinstance(sparse_op, SparseOperator) and sparse_op.format == "sparse"
-    assert free.format == "matrix-free"
-    assert {op.format for op in (dense, sparse_op, free)} <= set(OPERATOR_FORMATS)
     # Idempotent: an operator passes through unchanged.
     assert as_operator(dense) is dense
 
@@ -47,7 +34,7 @@ def test_operators_must_be_square():
     with pytest.raises(ValueError, match="square"):
         DenseOperator(np.zeros((2, 3)))
     with pytest.raises(ValueError, match="square"):
-        MatrixFreeOperator(lambda x: x, (2, 3))
+        SparseOperator(sparse.csr_matrix((2, 3)))
     with pytest.raises(TypeError):
         SparseOperator(np.zeros((2, 2)))
 
@@ -55,11 +42,7 @@ def test_operators_must_be_square():
 # -- views are equivalent ---------------------------------------------------------
 
 def test_all_formats_agree_on_every_view(laplacian):
-    ops = [
-        as_operator(laplacian),
-        as_operator(sparse.csr_matrix(laplacian)),
-        _matrix_free(laplacian),
-    ]
+    ops = [as_operator(laplacian), as_operator(sparse.csr_matrix(laplacian))]
     x = np.arange(laplacian.shape[0], dtype=float)
     expected = laplacian @ x
     for op in ops:
@@ -112,39 +95,6 @@ def test_sparse_and_dense_fingerprints_never_collide(laplacian):
     assert DenseOperator(laplacian).fingerprint() != SparseOperator(
         sparse.csr_matrix(laplacian)
     ).fingerprint()
-
-
-def test_matrix_free_fingerprint_requires_a_tag(laplacian):
-    assert _matrix_free(laplacian).fingerprint() is None
-    tagged = _matrix_free(laplacian, fingerprint=b"appendix-k1")
-    assert tagged.fingerprint() is not None
-    assert tagged.fingerprint() != _matrix_free(laplacian, fingerprint=b"other").fingerprint()
-
-
-# -- matrix-free laziness ---------------------------------------------------------
-
-def test_matrix_free_precomputed_reductions_avoid_materialisation(laplacian):
-    calls = {"n": 0}
-
-    def counting_matvec(x):
-        calls["n"] += 1
-        return laplacian @ x
-
-    op = MatrixFreeOperator(
-        counting_matvec,
-        laplacian.shape,
-        gershgorin=gershgorin_bound(laplacian),
-        trace=float(np.trace(laplacian)),
-        frobenius_norm_squared=float(np.square(laplacian).sum()),
-    )
-    assert op.gershgorin_bound() == gershgorin_bound(laplacian)
-    assert op.trace() == pytest.approx(np.trace(laplacian))
-    assert op.frobenius_norm_squared() == pytest.approx(np.square(laplacian).sum())
-    assert calls["n"] == 0  # no reduction forced a materialisation
-    op.to_dense()
-    assert calls["n"] == laplacian.shape[0]
-    op.to_dense()  # cached — no further matvecs
-    assert calls["n"] == laplacian.shape[0]
 
 
 # -- construction helpers ---------------------------------------------------------

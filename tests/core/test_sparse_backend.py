@@ -123,7 +123,7 @@ def test_sparse_backend_rejects_asymmetric_matrices():
 
 
 def test_estimate_hands_sparse_laplacian_to_the_backend(appendix_k):
-    """``estimate`` consults ``supported_formats`` when building the Laplacian."""
+    """``estimate`` builds the Laplacian in the backend's ``operator_format``."""
     estimator = QTDABettiEstimator(precision_qubits=4, shots=None, delta=6.0, backend="sparse-exact")
     exact = QTDABettiEstimator(precision_qubits=4, shots=None, delta=6.0, backend="exact")
     a = estimator.estimate(appendix_k, 1)

@@ -13,7 +13,7 @@ from repro.core.backends import get_backend
 from repro.core.backends.stochastic_trace import StochasticTraceBackend
 from repro.core.config import QTDAConfig
 from repro.core.estimator import QTDABettiEstimator
-from repro.core.operators import MatrixFreeOperator
+from repro.core.operators import SparseOperator
 from repro.experiments.worked_example import appendix_complex
 from repro.tda.betti import betti_number
 from repro.tda.complexes import SimplicialComplex
@@ -80,22 +80,21 @@ def test_error_bar_shrinks_with_more_probes(appendix_k):
 
 
 def test_matrix_free_operator_only_uses_matvec(appendix_k):
-    """The backend never touches entries — a pure-closure operator works."""
-    laplacian = combinatorial_laplacian(appendix_k, 1)
+    """The backend reads the Laplacian through matvec and row reductions
+    only: a sparse operator is never densified."""
+    laplacian = combinatorial_laplacian(appendix_k, 1, sparse_format=True)
     calls = {"matvec": 0, "dense": 0}
 
-    class _Spy(MatrixFreeOperator):
+    class _Spy(SparseOperator):
+        def matvec(self, x):
+            calls["matvec"] += 1
+            return super().matvec(x)
+
         def to_dense(self):
             calls["dense"] += 1
             return super().to_dense()
 
-    def matvec(x):
-        calls["matvec"] += 1
-        return laplacian @ x
-
-    from repro.paulis.gershgorin import gershgorin_bound
-
-    operator = _Spy(matvec, laplacian.shape, gershgorin=gershgorin_bound(laplacian))
+    operator = _Spy(laplacian)
     estimate = _estimator().estimate_from_laplacian(operator)
     assert estimate.betti_rounded == 1
     assert calls["matvec"] > 0

@@ -52,7 +52,7 @@ def test_noiseless_backends_round_to_classical_betti(seed):
                 estimate = estimator.estimate(complex_, k, compute_exact=False)
                 assert estimate.betti_rounded == truth, (
                     f"backend {name!r} (circuit_engine={engine!r}, "
-                    f"supported_formats={backend.supported_formats}) rounded to "
+                    f"operator_format={backend.operator_format}) rounded to "
                     f"{estimate.betti_rounded}, classical beta_{k} = {truth} (seed {seed})"
                 )
 

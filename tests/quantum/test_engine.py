@@ -412,12 +412,10 @@ def test_phase_estimation_spectral_synthesis_matches_chain():
     rng = np.random.default_rng(13)
     u = _random_unitary(rng, 2)
     chain = phase_estimation_circuit(u, num_precision=3)
-    spectral = phase_estimation_circuit(u, num_precision=3, power_synthesis="spectral")
+    spectral = phase_estimation_circuit(SpectralUnitary.from_unitary(u), num_precision=3)
     sim = StatevectorSimulator()
     init = np.zeros(2**5, dtype=complex)
     init[3] = 1.0
     p_chain = sim.probabilities(chain, initial_state=init, qubits=[0, 1, 2])
     p_spectral = sim.probabilities(spectral, initial_state=init, qubits=[0, 1, 2])
     np.testing.assert_allclose(p_spectral, p_chain, atol=1e-10)
-    with pytest.raises(ValueError):
-        phase_estimation_circuit(u, num_precision=3, power_synthesis="bogus")

@@ -4,8 +4,9 @@ Drives :meth:`QTDAServer.handle_post` directly on a server that is never
 started, so no request crosses a socket and nothing is timed.  Inputs are
 malformed JSON, non-finite number tokens, wrong value types, unknown
 fields, oversized arrays, missing or wrong ``schema_version`` values,
-simplicial complexes that miss a face (closed ones must be served) and
-``precision_qubits`` past ``MAX_PRECISION_QUBITS``.
+simplicial complexes that miss a face (closed ones must be served),
+``precision_qubits`` past ``MAX_PRECISION_QUBITS``, non-square distance
+matrices and time series or observe windows shorter than the Takens span.
 Every one must come back as a 4xx error envelope: never a 500 and never an
 exception out of the adapter.  Examples are derandomised, so every run
 checks the same inputs.
@@ -255,3 +256,44 @@ def test_closed_and_unclosed_complexes(server, maximal, close):
         assert assert_client_error(server, "estimate", raw) == "invalid_request"
         with pytest.raises(ValueError, match="is missing"):
             EstimationRequest(simplices=sorted(simplices))
+
+
+def test_non_square_distance_matrix(server):
+    """A non-square distance matrix is a 400 at validation, not a 500 from
+    the flag-complex builder."""
+    document = PipelineRequest(distance_matrices=[[[0.0, 1.0], [1.0, 0.0]]], pipeline=CLASSICAL).as_dict()
+    document["distance_matrices"] = [[[0.0, 1.0, 2.0], [1.0, 0.0, 1.0]]]
+    assert assert_client_error(server, "pipeline", json.dumps(document).encode()) == "invalid_request"
+    with pytest.raises(ValueError, match="square"):
+        PipelineRequest(distance_matrices=document["distance_matrices"], pipeline=CLASSICAL)
+
+
+@pytest.mark.parametrize("route", ["pipeline", "sweep"])
+@pytest.mark.parametrize("samples, delay", [(3, 2), (20, 50)])
+def test_time_series_shorter_than_the_takens_span(server, route, samples, delay):
+    """A series too short for one embedded point is a 400, not a 500 from
+    the embedding: 3 samples need span (3 - 1) * 2 + 1 = 5, 20 need 101."""
+    pipeline = PipelineConfig(use_quantum=False, takens_dimension=3, takens_delay=delay)
+    series = [[0.1 * i for i in range(samples)]]
+    with pytest.raises(ValueError, match="Takens span"):
+        if route == "pipeline":
+            PipelineRequest(time_series=series, pipeline=pipeline)
+        else:
+            SweepRequest(time_series=series, epsilons=(0.5,), pipeline=pipeline)
+    document = json.loads(json.dumps(VALID[route]))
+    document.pop("point_clouds")
+    document["time_series"] = series
+    document["pipeline"] = pipeline.as_dict()
+    assert assert_client_error(server, route, json.dumps(document).encode()) == "invalid_request"
+
+
+def test_observe_window_shorter_than_the_takens_span(server):
+    """An observe window below the Takens span is a 400 at validation, not a
+    500 from the session's streaming engine."""
+    pipeline = PipelineConfig(use_quantum=False, takens_dimension=3, takens_delay=2)
+    document = replaced(VALID["observe"], ("window_length",), 4)
+    document["pipeline"] = pipeline.as_dict()
+    document["session"] = "fuzz-short-window"
+    assert assert_client_error(server, "observe", json.dumps(document).encode()) == "invalid_request"
+    with pytest.raises(ValueError, match="Takens span 5"):
+        ObserveRequest(window_length=4, epsilons=(0.5,), pipeline=pipeline)
