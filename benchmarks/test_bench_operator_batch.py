@@ -53,18 +53,12 @@ def _annulus_workload(paper_scale: bool):
     return clouds, epsilons
 
 
-class _DenseHandoff:
+class _DenseHandoff(SparseExactBackend):
     """``sparse-exact`` handed dense Laplacians: the pre-operator batch path."""
 
     name = "sparse-exact-dense-handoff"
     description = "sparse-exact fed dense Laplacians (benchmark baseline)"
     operator_format = "dense"
-
-    def __init__(self):
-        self._inner = SparseExactBackend()
-
-    def run(self, problem, config, rng):
-        return self._inner.run(problem, config, rng)
 
 
 def _engine(backend: str) -> BatchFeatureEngine:

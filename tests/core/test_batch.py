@@ -241,18 +241,18 @@ def test_cache_reuse_across_precision_sweep(clouds):
 # -- operator formats (DESIGN.md §9) ---------------------------------------------
 
 @contextmanager
-def _declaring(backend: str, operator_format: str):
-    """Register ``backend``'s ``run`` under a new name that reads ``operator_format``."""
+def _declaring(backend: str, fmt: str):
+    """Register ``backend``'s ``run`` under a new name that reads ``fmt``."""
     inner = get_backend(backend)
 
     class _Declaring:
-        name = f"{backend}-as-{operator_format}"
-        description = f"{backend} handed {operator_format} Laplacians"
+        name = f"{backend}-as-{fmt}"
+        description = f"{backend} handed {fmt} Laplacians"
+        operator_format = fmt
 
         def run(self, problem, config, rng):
             return inner.run(problem, config, rng)
 
-    _Declaring.operator_format = operator_format
     with temporary_backend(_Declaring.name, _Declaring()):
         yield _Declaring.name
 
