@@ -170,6 +170,19 @@ def _check_epsilons(epsilons: Tuple[float, ...], name: str = "epsilons") -> None
         raise ValueError(f"{name} must be non-negative")
 
 
+def _floats(value: Any, arr: np.ndarray) -> tuple:
+    """``value``, already validated as the 1-D or 2-D float array ``arr``, as float tuples.
+
+    ``float`` hands a Python float back unchanged, so the floats of a decoded
+    document are shared instead of re-boxed one numpy scalar at a time; an
+    ndarray goes through ``tolist`` first.
+    """
+    rows = arr.tolist() if isinstance(value, np.ndarray) else value
+    if arr.ndim == 1:
+        return tuple(map(float, rows))
+    return tuple(tuple(map(float, row)) for row in rows)
+
+
 def _freeze_clouds(clouds: Any, name: str) -> Tuple[Tuple[Tuple[float, ...], ...], ...]:
     """Normalise a sequence of point clouds to nested float tuples."""
     frozen = []
@@ -178,7 +191,7 @@ def _freeze_clouds(clouds: Any, name: str) -> Tuple[Tuple[Tuple[float, ...], ...
         if arr.ndim != 2:
             raise ValueError(f"{name}[{i}] must be a 2-D point cloud, got shape {arr.shape}")
         _check_finite(arr, f"{name}[{i}]")
-        frozen.append(tuple(tuple(float(x) for x in row) for row in arr))
+        frozen.append(_floats(cloud, arr))
     return tuple(frozen)
 
 
@@ -188,7 +201,7 @@ def _freeze_matrix(matrix: Any, name: str) -> Tuple[Tuple[float, ...], ...]:
         raise ValueError(f"{name} must be a square matrix, got shape {arr.shape}")
     if np.isnan(arr).any():
         raise ValueError(f"{name} must not contain NaN")
-    return tuple(tuple(float(x) for x in row) for row in arr)
+    return _floats(matrix, arr)
 
 
 def _takens(pipeline: PipelineConfig) -> TakensEmbedding:
@@ -356,9 +369,7 @@ class EstimationRequest(_RequestBase):
             if cloud.ndim != 2 or cloud.shape[0] == 0:
                 raise ValueError(f"'points' must be a non-empty 2-D cloud, got shape {cloud.shape}")
             _check_finite(cloud, "'points'")
-            object.__setattr__(
-                self, "points", tuple(tuple(float(x) for x in row) for row in cloud)
-            )
+            object.__setattr__(self, "points", _floats(self.points, cloud))
         _own_config(self, "config", QTDAConfig)
 
     @property
@@ -421,7 +432,7 @@ def _freeze_pipeline_inputs(self) -> None:
             raise ValueError(
                 f"time_series rows have {arr.shape[1]} samples, fewer than the Takens span {span}"
             )
-        object.__setattr__(self, "time_series", tuple(tuple(float(x) for x in row) for row in arr))
+        object.__setattr__(self, "time_series", _floats(self.time_series, arr))
     if getattr(self, "distance_matrices", None) is not None:
         object.__setattr__(
             self,
@@ -604,7 +615,7 @@ class ObserveRequest(_RequestBase):
         if arr.ndim != 1:
             raise ValueError("samples must be a 1-D sequence of raw time-series values")
         _check_finite(arr, "samples")
-        object.__setattr__(self, "samples", tuple(float(x) for x in arr))
+        object.__setattr__(self, "samples", _floats(self.samples, arr))
         object.__setattr__(
             self, "window_length", check_integer(self.window_length, "window_length", minimum=1)
         )

@@ -241,7 +241,7 @@ def qpe_probability_kernel(theta: float | np.ndarray, num_precision: int) -> np.
     denominator = (M**2) * np.sin(np.pi * delta) ** 2
     with np.errstate(divide="ignore", invalid="ignore"):
         probs = np.where(denominator > 1e-300, numerator / np.where(denominator == 0, 1.0, denominator), 0.0)
-    exact = np.isclose(delta - np.round(delta), 0.0, atol=1e-12)
+    exact = np.abs(delta - np.round(delta)) <= 1e-12
     probs = np.where(exact, 1.0, probs)
     # Normalise defensively against floating-point drift.
     probs = probs / probs.sum(axis=-1, keepdims=True)

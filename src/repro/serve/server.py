@@ -107,6 +107,20 @@ def _body_too_large(length: int) -> Tuple[int, str, str]:
     return 413, "body_too_large", message
 
 
+class _Listener(ThreadingHTTPServer):
+    """A threading HTTP server whose accept queue holds ``backlog`` connections.
+
+    ``socketserver`` listens with a backlog of 5: a burst of new connections
+    overflows it, and each dropped SYN costs its client a 1 s retry.
+    """
+
+    daemon_threads = True
+
+    def __init__(self, address: Tuple[str, int], handler: type, backlog: int):
+        self.request_queue_size = backlog  # read by server_activate's listen()
+        super().__init__(address, handler)
+
+
 @dataclass
 class ServeConfig:
     """Deployment knobs of one :class:`QTDAServer`.
@@ -298,9 +312,8 @@ class QTDAServer:
             quota_burst=self.config.quota_burst,
         )
         handler = type("_BoundRequestHandler", (_RequestHandler,), {"app": self})
-        httpd = ThreadingHTTPServer((self.config.host, self.config.port), handler)
-        httpd.daemon_threads = True
-        self._httpd = httpd
+        # The accept queue holds as many connections as admission lets run.
+        self._httpd = _Listener((self.config.host, self.config.port), handler, self.config.max_pending)
         self._thread: Optional[threading.Thread] = None
         self._started_at: Optional[float] = None
         self._stopped = False

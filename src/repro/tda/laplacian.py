@@ -9,6 +9,14 @@ kernel dimension equals the ``k``-th Betti number (Eq. 6).  The QTDA
 algorithm estimates exactly that kernel dimension with QPE.
 :func:`combinatorial_laplacian` builds it from a :class:`SimplicialComplex`,
 :func:`laplacian_from_flag_arrays` from the arrays every point cloud becomes.
+
+Above ``k = 0`` (the graph Laplacian, filled directly) the array builder
+finds every face's row once (``_face_rows``) and then takes one of two
+routes.  A dense ``Δ_k`` is scattered straight from face pairs into one
+preallocated array: no boundary matrix, no sparse product, no ``todense``.
+A CSR ``Δ_k`` keeps the sparse products of boundary matrices built from the
+same rows.  Both produce the same small-integer entries as the object path,
+so the dense matrices are byte-identical.
 """
 
 from __future__ import annotations
@@ -56,8 +64,8 @@ def laplacian_from_flag_arrays(arrays, k: int, sparse_format: bool = False) -> n
         return sparse.csr_matrix((0, 0)) if sparse_format else np.zeros((0, 0))
     if k == 0:
         # ∂_1 ∂_1ᵀ is the graph Laplacian: vertex degrees on the diagonal,
-        # -1 per edge — built directly instead of via two sparse products
-        # (same integer entries either way).
+        # -1 per edge — two fancy assignments, cheaper here than the
+        # face-pair scatter (same integer entries either way).
         edges = arrays.edges
         dense = np.zeros((n, n))
         if len(edges):
@@ -68,34 +76,80 @@ def laplacian_from_flag_arrays(arrays, k: int, sparse_format: bool = False) -> n
         if sparse_format:
             return sparse.csr_matrix(dense)
         return dense
+    if not sparse_format:
+        return _scatter_laplacian(arrays, k)
     d_k = _flag_boundary(arrays, k)
     lap = (d_k.T @ d_k).tocsr()
     if arrays.num_simplices(k + 1):
         d_k1 = _flag_boundary(arrays, k + 1)
         lap = (lap + d_k1 @ d_k1.T).tocsr()
-    if sparse_format:
-        return lap
-    return np.asarray(lap.todense(), dtype=float)
+    return lap
+
+
+def _scatter_laplacian(arrays, k: int) -> np.ndarray:
+    """Dense ``Δ_k``, ``k >= 1``, scattered from face pairs with no boundary matrix.
+
+    ``∂_{k+1} ∂_{k+1}ᵀ`` adds ``(-1)^(s+t)`` at ``(r_s, r_t)`` for faces
+    ``s, t`` of each ``(k+1)``-simplex; ``∂_kᵀ ∂_k`` does the same for every
+    two ``k``-simplices that share a ``(k-1)``-face.  Every entry is a small
+    integer, so the summation order cannot change a bit.
+    """
+    n = arrays.num_simplices(k)
+    lap = np.zeros((n, n))
+    flat = lap.reshape(-1)
+    if arrays.num_simplices(k + 1):
+        rows = _face_rows(arrays, k + 1)
+        signs = _face_signs(k + 1)
+        index = rows[:, :, None] * n + rows[:, None, :]
+        np.add.at(flat, index.ravel(), np.tile(np.outer(signs, signs).ravel(), len(rows)))
+    faces = _face_rows(arrays, k).ravel()  # slot s is face s % (k+1) of simplex s // (k+1)
+    left, right = _pairs_of_equal(faces)
+    signs = np.tile(_face_signs(k), n)
+    np.add.at(flat, (left // (k + 1)) * n + right // (k + 1), signs[left] * signs[right])
+    return lap
+
+
+def _pairs_of_equal(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every ordered pair ``(i, j)`` with ``keys[i] == keys[j]``, ``i == j`` included."""
+    order = np.argsort(keys, kind="stable")
+    starts = np.flatnonzero(np.diff(keys[order], prepend=-1))
+    sizes = np.diff(starts, append=len(keys))
+    # Sorted slot p is repeated once per member of its group; its run of
+    # pairs starts at cumsum(width)[p] - width[p] and walks the group from
+    # its first slot, so ``right`` is that position minus a per-run shift.
+    width = np.repeat(sizes, sizes)
+    shift = np.cumsum(width) - width - np.repeat(starts, sizes)
+    right = np.arange(width.sum()) - np.repeat(shift, width)
+    return np.repeat(order, width), order[right]
+
+
+def _face_signs(k: int) -> np.ndarray:
+    """``(-1)^t`` for faces ``t = 0..k`` of a ``k``-simplex (Eqs. 1–2)."""
+    return (-1.0) ** np.arange(k + 1)
+
+
+def _face_rows(arrays, k: int) -> np.ndarray:
+    """Row of each face among the ``(k-1)``-simplices, shape ``(|S_k|, k+1)``, ``k >= 1``.
+
+    Column ``t`` holds the face that drops vertex ``t``.  At ``k = 1`` the
+    faces are vertex ids; above that, each face is looked up among the sorted
+    ``(k-1)``-simplices.
+    """
+    simplices = arrays.simplices(k)
+    if k == 1:
+        return simplices[:, ::-1]
+    keep = [[c for c in range(k + 1) if c != t] for t in range(k + 1)]
+    faces = simplices[:, keep].reshape(-1, k)  # face t of simplex i is row i·(k+1) + t
+    return _row_index(arrays.simplices(k - 1), faces, arrays.num_points).reshape(len(simplices), k + 1)
 
 
 def _flag_boundary(arrays, k: int) -> sparse.csr_matrix:
-    """``∂_k`` (shape ``(|S_{k-1}|, |S_k|)``) of flag arrays, for ``k >= 1``.
-
-    Face ``t`` of a simplex drops its column ``t`` and carries the sign
-    ``(-1)^t`` (Eqs. 1–2).  At ``k = 1`` the faces are vertex ids; above
-    that, each face is looked up among the sorted ``(k-1)``-simplices.
-    """
-    simplices = arrays.simplices(k)
-    m = len(simplices)
-    keep = [[c for c in range(k + 1) if c != t] for t in range(k + 1)]
-    faces = simplices[:, keep].reshape(-1, k)  # column by column, faces t = 0..k
-    if k == 1:
-        rows = faces[:, 0]
-    else:
-        rows = _row_index(arrays.simplices(k - 1), faces, arrays.num_points)
+    """``∂_k`` (shape ``(|S_{k-1}|, |S_k|)``) of flag arrays, for ``k >= 1``."""
+    rows = _face_rows(arrays, k)
+    m = len(rows)
     cols = np.repeat(np.arange(m), k + 1)
-    data = np.tile((-1.0) ** np.arange(k + 1), m)
-    return sparse.csr_matrix((data, (rows, cols)), shape=(arrays.num_simplices(k - 1), m))
+    data = np.tile(_face_signs(k), m)
+    return sparse.csr_matrix((data, (rows.ravel(), cols)), shape=(arrays.num_simplices(k - 1), m))
 
 
 def _row_index(rows: np.ndarray, queries: np.ndarray, num_points: int) -> np.ndarray:
@@ -118,10 +172,9 @@ def _row_index(rows: np.ndarray, queries: np.ndarray, num_points: int) -> np.nda
 def combinatorial_laplacian_operator(complex_: SimplicialComplex, k: int, sparse_format: bool = True):
     """``Δ_k`` wrapped as a :class:`repro.core.operators.LaplacianOperator`.
 
-    The operator-returning variant of :func:`combinatorial_laplacian` for
-    consumers that negotiate formats with estimator backends (sparse CSR by
-    default — the boundary products are built sparse anyway, so the sparse
-    operator is the zero-copy view).
+    The operator-returning variant of :func:`combinatorial_laplacian`, in the
+    format the caller names (sparse CSR by default: the boundary products
+    are built sparse anyway, so the sparse operator is the zero-copy view).
     """
     # Imported lazily: repro.tda must stay importable without repro.core.
     from repro.core.operators import as_operator

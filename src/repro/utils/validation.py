@@ -58,7 +58,9 @@ def check_square_matrix(matrix: Any, name: str) -> np.ndarray:
 def check_symmetric(matrix: Any, name: str, atol: float = 1e-10) -> np.ndarray:
     """Validate that ``matrix`` is (numerically) symmetric/Hermitian."""
     arr = check_square_matrix(matrix, name)
-    if not np.allclose(arr, arr.conj().T, atol=atol):
+    adjoint = arr.conj().T
+    # Exact equality is the cheap test: it implies allclose, and NaN fails both.
+    if not (np.array_equal(arr, adjoint) or np.allclose(arr, adjoint, atol=atol)):
         raise ValueError(f"{name} must be symmetric/Hermitian to tolerance {atol}")
     return arr
 

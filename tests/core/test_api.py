@@ -101,6 +101,61 @@ class TestRequestValidation:
             request.k = 2
 
 
+#: Awkward float64s: a float32 round trip changes most of them.
+_FREEZE_BASE = np.array(
+    [[1.0 / 3.0, 0.1, 2.5, -1e-17, 1e17, 7.0]] * 6
+) + np.arange(6)[:, None] / 7.0
+
+
+def _as_input(kind, arr):
+    """``arr`` as the caller-side container ``kind``."""
+    if kind == "list":
+        return arr.tolist()
+    if kind == "tuple":
+        return tuple(map(tuple, arr.tolist())) if arr.ndim == 2 else tuple(arr.tolist())
+    if kind == "ndarray":
+        return arr
+    if kind == "int":
+        return np.rint(arr * 10.0).astype(int).tolist()
+    return arr.astype(np.float32)
+
+
+_FREEZERS = {
+    "points": lambda x: EstimationRequest(points=x, epsilon=1.0).points,
+    "point_clouds": lambda x: PipelineRequest(point_clouds=[x]).point_clouds[0],
+    "time_series": lambda x: PipelineRequest(time_series=x).time_series,
+    "distance_matrices": lambda x: PipelineRequest(distance_matrices=[x]).distance_matrices[0],
+    "samples": lambda x: ObserveRequest(samples=x[0], window_length=5, epsilons=(1.0,)).samples,
+}
+
+
+class TestFreezersShareFloats:
+    """Request freezing builds tuples of the caller's own floats, bit-equal to numpy's."""
+
+    @pytest.mark.parametrize("field", sorted(_FREEZERS))
+    @pytest.mark.parametrize("kind", ["list", "tuple", "ndarray", "int", "float32"])
+    def test_frozen_values_are_bit_equal_python_floats(self, field, kind):
+        given = _as_input(kind, _FREEZE_BASE)
+        frozen = _FREEZERS[field](given)
+        expected = np.asarray(given, dtype=float)
+        if field == "samples":
+            expected = expected[0]
+        values = list(frozen) if field == "samples" else [v for row in frozen for v in row]
+        assert all(type(v) is float for v in values)
+        assert np.asarray(frozen, dtype=float).tobytes() == expected.tobytes()
+
+    def test_decoded_document_floats_are_shared(self):
+        document = json.loads(
+            json.dumps(EstimationRequest(points=_FREEZE_BASE, epsilon=1.0).as_dict())
+        )
+        request = request_from_dict(document)
+        assert all(
+            got is given
+            for got_row, given_row in zip(request.points, document["points"])
+            for got, given in zip(got_row, given_row)
+        )
+
+
 class TestNonFiniteInputRejected:
     """NaN never reaches the flag arrays: each field fails validation with a ValueError."""
 

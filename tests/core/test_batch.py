@@ -4,6 +4,7 @@ from contextlib import contextmanager
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from repro.core.backends import get_backend, temporary_backend
 from repro.core.batch import BATCH_BACKENDS, BatchConfig, BatchFeatureEngine
@@ -127,6 +128,64 @@ def test_flag_arrays_match_clique_complex_and_laplacians():
                 expected = combinatorial_laplacian(complex_, k)
                 got = laplacian_from_flag_arrays(arrays, k)
                 assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+
+
+def test_flag_sparse_laplacians_match_dense_and_clique_complex():
+    """The CSR build equals the dense scatter and the object path, as matrices."""
+    rng = np.random.default_rng(3)
+    for max_dimension in (1, 2, 3, 4):
+        for _ in range(15):
+            points = rng.normal(size=(int(rng.integers(2, 16)), 3))
+            epsilon = float(rng.uniform(0.3, 2.5))
+            rips = RipsComplex.from_points(points, epsilon, max_dimension=max_dimension)
+            complex_, arrays = rips.complex(), rips.flag_arrays()
+            for k in range(max_dimension + 2):
+                got = laplacian_from_flag_arrays(arrays, k, sparse_format=True)
+                assert sparse.isspmatrix_csr(got)
+                dense = laplacian_from_flag_arrays(arrays, k)
+                oracle = combinatorial_laplacian(complex_, k, sparse_format=True)
+                assert got.shape == dense.shape == oracle.shape
+                assert np.array_equal(got.toarray(), dense)
+                assert np.array_equal(got.toarray(), oracle.toarray())
+
+
+def test_flag_laplacian_scatter_on_isolated_vertices_and_empty_cofaces():
+    """Isolated vertices (zero rows at k = 0) and an empty ``(k+1)``-level (no up part)."""
+    rng = np.random.default_rng(5)
+    far = 100.0 * np.eye(3)  # three points no edge reaches
+    for max_dimension in (1, 2, 3):
+        for _ in range(10):
+            points = np.vstack([rng.normal(size=(int(rng.integers(3, 10)), 3)), far])
+            rips = RipsComplex.from_points(points, float(rng.uniform(0.5, 2.0)), max_dimension=max_dimension)
+            complex_, arrays = rips.complex(), rips.flag_arrays()
+            assert arrays.num_simplices(max_dimension + 1) == 0
+            for k in range(max_dimension + 1):
+                expected = combinatorial_laplacian(complex_, k)
+                assert laplacian_from_flag_arrays(arrays, k).tobytes() == expected.tobytes()
+    # A 4-cycle has edges but no triangle: Δ_1 is the down part alone.
+    square = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+    rips = RipsComplex.from_points(square, 1.01, max_dimension=2)
+    assert rips.flag_arrays().num_simplices(2) == 0
+    expected = combinatorial_laplacian(rips.complex(), 1)
+    assert laplacian_from_flag_arrays(rips.flag_arrays(), 1).tobytes() == expected.tobytes()
+
+
+def test_flag_laplacian_scatter_on_large_annulus():
+    """The 450-point annulus at six neighbours: |S_1| = 2700, |S_2| = 6750."""
+    n = 450
+    rips = RipsComplex.from_points(circle_cloud(n), 2.0 * np.sin(6 * np.pi / n) + 1e-9, max_dimension=3)
+    complex_, arrays = rips.complex(), rips.flag_arrays()
+    assert arrays.f_vector()[:3] == (450, 2700, 6750)
+    got = laplacian_from_flag_arrays(arrays, 1)
+    assert got.tobytes() == combinatorial_laplacian(complex_, 1).tobytes()
+    # Δ_2 is a 364 MB dense matrix: the oracle's dense form is its CSR's
+    # ``todense``, compared here one block of rows at a time.
+    got = laplacian_from_flag_arrays(arrays, 2)
+    oracle = combinatorial_laplacian(complex_, 2, sparse_format=True)
+    assert got.shape == oracle.shape
+    for start in range(0, got.shape[0], 500):
+        block = np.asarray(oracle[start:start + 500].todense(), dtype=float)
+        assert got[start:start + 500].tobytes() == block.tobytes()
 
 
 def test_flag_face_lookup_is_exact_past_int64_codes():

@@ -64,6 +64,25 @@ def test_kernel_normalisation_and_exact_case():
     assert kernel[4] == pytest.approx(1.0)  # 0.25 * 16 = 4 exactly representable
 
 
+def test_kernel_matches_isclose_mask_bit_for_bit():
+    """The exact-phase mask ``|Δ - round(Δ)| <= 1e-12`` is the old ``np.isclose`` test."""
+    for t in (1, 3, 5):
+        M = 2**t
+        thetas = np.concatenate([np.arange(M) / M, np.linspace(0.0, 1.0, 97), [1.0 / 3.0, 1e-13, 1.0 - 1e-13]])
+        delta = (thetas % 1.0)[:, None] - np.arange(M) / M
+        numerator = np.sin(np.pi * M * delta) ** 2
+        denominator = (M**2) * np.sin(np.pi * delta) ** 2
+        with np.errstate(divide="ignore", invalid="ignore"):
+            probs = np.where(denominator > 1e-300, numerator / np.where(denominator == 0, 1.0, denominator), 0.0)
+        probs = np.where(np.isclose(delta - np.round(delta), 0.0, atol=1e-12), 1.0, probs)
+        expected = probs / probs.sum(axis=-1, keepdims=True)
+        assert qpe_probability_kernel(thetas, t).tobytes() == expected.tobytes()
+    special = np.array([np.nan, np.inf, -np.inf, 0.0, -0.0, 1e-12, -1e-12, 1.0000000000001e-12, 0.5])
+    with np.errstate(invalid="ignore"):
+        frac = special - np.round(special)
+    assert np.array_equal(np.abs(frac) <= 1e-12, np.isclose(frac, 0.0, atol=1e-12))
+
+
 def test_kernel_vectorised_shape():
     out = qpe_probability_kernel(np.array([0.1, 0.2, 0.9]), 3)
     assert out.shape == (3, 8)

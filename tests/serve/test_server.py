@@ -294,6 +294,17 @@ class TestHeaderRobustness:
         assert server_module._RequestHandler.timeout is not None
         assert server_module._RequestHandler.timeout > 0
 
+    @pytest.mark.parametrize("max_pending", [1, 16, 64, 256])
+    def test_listen_backlog_holds_max_pending_connections(self, max_pending):
+        """``listen()`` gets ``max_pending``, not ``socketserver``'s 5: a burst of
+        new connections must not overflow the accept queue and wait 1 s for a
+        SYN retry."""
+        server = QTDAServer(ServeConfig(port=0, max_pending=max_pending))
+        try:
+            assert server._httpd.request_queue_size == max_pending
+        finally:
+            server.stop()
+
 
 class _SendCounter:
     """Socket proxy that counts the writes a handler makes on its connection."""

@@ -61,6 +61,28 @@ def test_check_symmetric():
         check_symmetric(np.array([[0.0, 1.0], [0.0, 0.0]]), "m")
 
 
+def test_check_symmetric_tolerance_and_non_finite_entries():
+    """The exact-equality fast path accepts and rejects what the tolerance test does."""
+    def off_by(delta):  # around a zero entry, where allclose's rtol adds nothing
+        return np.array([[2.0, 0.0], [delta, 2.0]])
+
+    assert check_symmetric(off_by(1e-11), "m") is not None
+    with pytest.raises(ValueError):
+        check_symmetric(off_by(1e-9), "m")
+    for nan_matrix in ([[np.nan, 0.0], [0.0, 2.0]], [[2.0, np.nan], [np.nan, 2.0]]):
+        with pytest.raises(ValueError):
+            check_symmetric(np.array(nan_matrix), "m")
+    for inf in (np.inf, -np.inf):
+        check_symmetric(np.array([[0.0, inf], [inf, 1.0]]), "m")
+        with pytest.raises(ValueError):
+            check_symmetric(np.array([[0.0, inf], [-inf, 1.0]]), "m")
+        with pytest.raises(ValueError):
+            check_symmetric(np.array([[0.0, inf], [1.0, 1.0]]), "m")
+    check_symmetric(np.array([[1.0, 1j], [-1j, 1.0]]), "m")
+    with pytest.raises(ValueError):
+        check_symmetric(np.array([[1.0, 1j], [1j, 1.0]]), "m")
+
+
 def test_check_power_of_two():
     assert check_power_of_two(8, "n") == 8
     with pytest.raises(ValueError):
