@@ -14,9 +14,12 @@ benchmarks) under per-gate-class depolarising noise, the warm ``ptm`` route
 (:func:`~repro.core.backends.statevector.density_reference_distribution`) by at
 least 5× while agreeing with it to 1e-12 (absolute, per readout probability
 — an exactness pin, not a statistical tolerance).  The artefact also records
-``wide_op_tensor_qubits``: how many qubits the density tensor holds at each
-wide controlled power (7/8/9/10: each precision qubit joins the tensor right
-before its own controlled power).
+``wide_op_tensor_qubits``, how many qubits the density tensor holds at each
+wide controlled power (6/7/8/9: each precision qubit is still its input
+factor at its own controlled power and joins as the power's output), and
+``peak_tensor_qubits``, the most any kernel's input or output holds (9 =
+``t + q - 1``: the last power traces the system register out without
+joining its control).
 """
 
 from __future__ import annotations
@@ -76,19 +79,26 @@ def _route_seconds(problem: EstimationProblem, engine: str):
     return time.perf_counter() - start, result
 
 
-def _wide_op_tensor_qubits(problem: EstimationProblem, monkeypatch):
-    """Tensor qubits at each wide unitary of one ``ptm`` run."""
-    seen = []
-    original = ptm_module.apply_unitary_to_pauli_ensemble
+def _tensor_qubits(problem: EstimationProblem, monkeypatch):
+    """Tensor qubits at each wide unitary of one ``ptm`` run, and the most
+    any superoperator or wide-unitary input or output holds."""
+    wide, sizes = [], []
 
-    def recording(tensor, *args, **kwargs):
-        seen.append(tensor.ndim // 2)
-        return original(tensor, *args, **kwargs)
+    def recorded(kernel, is_wide):
+        def recording(tensor, *args, **kwargs):
+            out = kernel(tensor, *args, **kwargs)
+            if is_wide:
+                wide.append(tensor.ndim // 2)
+            sizes.extend([tensor.ndim // 2, out.ndim // 2])
+            return out
+
+        return recording
 
     with monkeypatch.context() as patch:
-        patch.setattr(ptm_module, "apply_unitary_to_pauli_ensemble", recording)
+        for name, is_wide in (("apply_superop", False), ("apply_unitary_to_pauli_ensemble", True)):
+            patch.setattr(ptm_module, name, recorded(getattr(ptm_module, name), is_wide))
         _route_seconds(problem, "ptm")
-    return seen
+    return wide, max(sizes)
 
 
 def _density_seconds(problem: EstimationProblem):
@@ -118,7 +128,7 @@ def test_bench_ptm_route_speedup(benchmark, paper_scale, bench_json, monkeypatch
     ptm_warm_seconds = statistics.median(warm_runs)
     quartiles = statistics.quantiles(warm_runs, n=4)
     ptm_warm_iqr = quartiles[2] - quartiles[0]
-    wide_op_tensor_qubits = _wide_op_tensor_qubits(problem, monkeypatch)
+    wide_op_tensor_qubits, peak_tensor_qubits = _tensor_qubits(problem, monkeypatch)
 
     dim = 2**6
     betti_ptm = dim * float(ptm.distribution[0])
@@ -131,7 +141,7 @@ def test_bench_ptm_route_speedup(benchmark, paper_scale, bench_json, monkeypatch
         f"gate_strengths={GATE_STRENGTHS}: ptm {cold_seconds:.3f}s cold / "
         f"{ptm_warm_seconds:.3f}s warm median (IQR {ptm_warm_iqr:.3f}s, "
         f"{len(warm_runs)} runs; {ptm.route['fused_gates']} fused superops; wide ops on "
-        f"{wide_op_tensor_qubits} tensor qubits) | "
+        f"{wide_op_tensor_qubits} tensor qubits, peak {peak_tensor_qubits}) | "
         f"density {density_seconds:.3f}s | speedup {speedup:.1f}x | "
         f"betti {betti_ptm:.6f} vs density {betti_density:.6f} "
         f"(max |Δp| = {max_abs_diff:.2e})"
@@ -153,6 +163,7 @@ def test_bench_ptm_route_speedup(benchmark, paper_scale, bench_json, monkeypatch
             "speedup_vs_density": speedup,
             "fused_superoperators": ptm.route["fused_gates"],
             "wide_op_tensor_qubits": wide_op_tensor_qubits,
+            "peak_tensor_qubits": peak_tensor_qubits,
             "betti_ptm": betti_ptm,
             "betti_density": betti_density,
             "max_abs_distribution_diff": max_abs_diff,

@@ -129,6 +129,8 @@ def _json_safe(value: Any) -> Any:
         return value.tolist()
     if isinstance(value, Mapping):
         return {str(k): _json_safe(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)) and set(map(type, value)) == {float}:
+        return list(value)  # frozen float series: already JSON-safe
     if isinstance(value, (list, tuple, set)):
         return [_json_safe(v) for v in value]
     raise TypeError(f"value of type {type(value).__name__} is not JSON-serialisable: {value!r}")

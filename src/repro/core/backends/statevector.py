@@ -55,11 +55,14 @@ from repro.utils.rng import as_rng
 #: Concrete circuit-execution routes (``"auto"`` resolves to one of these).
 CIRCUIT_ROUTES = ("ensemble", "trajectory", "ptm")
 
-#: Largest ``t + q`` for which ``auto`` prefers the exact ``ptm`` route for
-#: noisy runs.  The route's state is a complex density tensor of at
-#: most ``4^(t+q)`` entries (16 bytes an entry: 268 MB at 12 qubits, 4.3 GB
-#: at 14), so above the threshold ``auto`` falls back to stochastic
-#: trajectories, whose state stays ``2^(t+q)``.
+#: Largest ``t + q`` the exact ``ptm`` route runs: ``auto`` prefers it for
+#: noisy runs up to here and an explicit ``ptm`` is refused above.  The
+#: route's state is a complex density tensor, 16 bytes an entry.  On QTDA
+#: every controlled power acts on its control's input factor, so the
+#: tensor peaks at ``4^(t+q-1)`` entries, the one the last power sees
+#: (67 MB at 12 qubits, 1.1 GB at 14); a circuit whose qubits all join
+#: holds ``4^(t+q)``.  Above the threshold ``auto`` falls back to
+#: stochastic trajectories, whose state stays ``2^(t+q)``.
 PTM_AUTO_QUBIT_THRESHOLD = 12
 
 
@@ -74,12 +77,20 @@ def resolve_circuit_route(config, total_qubits: Optional[int] = None) -> str:
     ``None`` — callers that cannot know the size — counts as fitting), and to
     the stochastic ``trajectory`` route above
     :data:`PTM_AUTO_QUBIT_THRESHOLD`.  Noise-free runs resolve ``"auto"`` to
-    ``ensemble``; a zero-strength channel counts as noise-free.
+    ``ensemble``; a zero-strength channel counts as noise-free.  An explicit
+    ``ptm`` above the threshold raises ``ValueError`` before anything is
+    allocated, with or without noise.
     """
     engine = config.circuit_engine
     if engine not in ("auto",) + CIRCUIT_ROUTES:
         raise ValueError(
             f"circuit_engine must be one of {('auto',) + CIRCUIT_ROUTES}, got {engine!r}"
+        )
+    if engine == "ptm" and total_qubits is not None and total_qubits > PTM_AUTO_QUBIT_THRESHOLD:
+        raise ValueError(
+            f"circuit_engine='ptm' holds a density tensor of up to 4^{total_qubits} entries; "
+            f"it runs at most {PTM_AUTO_QUBIT_THRESHOLD} qubits (t + q), use 'trajectory' "
+            "or 'auto' for larger circuits"
         )
     if not config.resolved_noise_spec().has_gate_noise:
         return "ensemble" if engine == "auto" else engine
@@ -163,7 +174,7 @@ def circuit_backend_result(
     else:
         # ptm: gates and their channels, cut to the precision register's
         # light cone, lowered to Liouville superoperators and fused; one
-        # complex density tensor (at most 4^(t+q) entries) evolves through
+        # complex density tensor (at most 4^(t+q-1) entries) evolves through
         # them, each qubit held from its first coupling op to its last op.
         executor = PTMExecutor()
         gate_spec = spec if spec.has_gate_noise else None

@@ -91,7 +91,9 @@ class QTDAConfig:
           and fused, and one complex density tensor evolves through the
           fused program, holding each qubit only from its first op to its
           last.  Deterministic; agrees with the density-matrix oracle to
-          floating point at gate-fusion speed.
+          floating point at gate-fusion speed.  Runs at most
+          :data:`repro.core.backends.statevector.PTM_AUTO_QUBIT_THRESHOLD`
+          qubits ``t + q``; a larger circuit raises ``ValueError``.
         * ``"trajectory"`` — the noisy counterpart of ``ensemble``:
           stochastic Kraus-branch trajectories on the same ``(2^(t+q), B)``
           array, one sampled branch per ensemble member after each gate,

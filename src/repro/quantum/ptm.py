@@ -25,6 +25,10 @@ still matter (:meth:`PTMExecutor.reduced_state`):
 
 * a single-qubit op on a qubit that has not joined acts on its ``2 x 2``
   input factor, and the qubit joins the tensor at its first other op;
+* a controlled power ``I (+) V`` whose control has not joined acts on the
+  control's input factor ``f``: it never forms ``f ⊗ rho``, and the control
+  joins as the leading axis pair of the result
+  (:func:`apply_unitary_to_pauli_ensemble`);
 * an unmeasured qubit is traced out right after its last op; when those
   are the targets of a controlled power whose control stays, the power
   returns ``Tr_targets[U ρ U†]`` from four block traces and never forms
@@ -34,11 +38,12 @@ still matter (:meth:`PTMExecutor.reduced_state`):
 All of these are exact because every program op is trace-preserving.  The
 program builder feeds them: it holds each qubit's leading single-qubit ops
 back until the qubit's first coupling op and fuses them only with each
-other (exact, since a held op only moves past ops on other qubits), so each
-QTDA precision qubit joins right before its own controlled power of ``U``;
-and it drops the ops outside the readout's light cone before fusing, so the
-system register's trailing noise neither fuses into the precision qubits'
-blocks nor keeps the system register alive past the last power.  The
+other (exact, since a held op only moves past ops on other qubits), so
+each QTDA precision qubit is still its input factor when its own
+controlled power of ``U`` runs; and it drops the ops outside the
+readout's light cone before fusing, so the system register's trailing
+noise neither fuses into the precision qubits' blocks nor keeps the
+system register alive past the last power.  The
 readout is the diagonal over the measured qubits, so the result matches the
 density route to floating-point accuracy.
 
@@ -188,6 +193,7 @@ def apply_unitary_to_pauli_ensemble(
     positions: Sequence[int],
     block: Optional[np.ndarray] = None,
     trace_targets: bool = False,
+    control_factor: Optional[np.ndarray] = None,
 ):
     """Conjugate the Liouville tensor by a unitary too wide for a superoperator.
 
@@ -209,17 +215,32 @@ def apply_unitary_to_pauli_ensemble(
     ``V†V``, so ``V`` need not be unitary.  The result holds the control's
     (row, col) pair first, then the other non-target pairs in their
     previous order.
+
+    ``control_factor`` (controlled ``U`` only) is the ``2 x 2`` input
+    factor ``f`` of a control that has not joined the tensor; ``positions``
+    then lists the targets only and the kernel returns ``U (f ⊗ rho) U†``
+    without forming ``f ⊗ rho``.  Its block ``(a, b)`` is ``f_ab X_ab``
+    with ``X_00 = rho``, ``X_10 = V rho``, ``X_01 = rho V†`` and
+    ``X_11 = V rho V†``: three GEMMs on the un-joined tensor.  With
+    ``trace_targets`` it returns the four block traces of ``rho`` itself,
+    each scaled by ``f_ab``.  Neither assumes ``rho`` Hermitian or ``V``
+    unitary.  The control's pair leads the result, followed by the
+    tensor's (non-target, if traced) pairs in their previous order.
     """
     positions = [int(p) for p in positions]
+    if (trace_targets or control_factor is not None) and block is None:
+        raise ValueError(
+            "trace_targets and control_factor need the controlled block V of U = I (+) V"
+        )
+    if control_factor is not None:
+        factor = np.asarray(control_factor).reshape(2, 2)
+        if trace_targets:
+            return _traced_controlled(tensor, np.asarray(block), None, positions, factor)
+        return _factored_controlled(tensor, np.asarray(block), positions, factor)
     if trace_targets:
-        if block is None:
-            raise ValueError("trace_targets needs the controlled block V of U = I (+) V")
-        return _traced_controlled(tensor, np.asarray(block), positions)
-    k = len(positions)
-    dim = 2**k
-    rest = [axis for axis in range(tensor.ndim) if axis not in _bit_axes(positions)]
-    perm = [2 * p for p in positions] + [2 * p + 1 for p in positions] + rest
-    work = np.ascontiguousarray(np.transpose(tensor, perm)).reshape(dim, dim, -1)
+        return _traced_controlled(tensor, np.asarray(block), positions[0], positions[1:])
+    dim = 2 ** len(positions)
+    work, perm = _grouped(tensor, positions)
     if block is not None:
         half = dim // 2
         work[half:] = np.matmul(block, work[half:].reshape(half, -1)).reshape(half, dim, -1)
@@ -230,10 +251,46 @@ def apply_unitary_to_pauli_ensemble(
     return np.transpose(work.reshape((2,) * tensor.ndim), np.argsort(perm).tolist())
 
 
-def _traced_controlled(tensor, block: np.ndarray, positions: Sequence[int]):
-    """``Tr_targets[U rho U†]`` for ``U = I (+) V`` on ``positions`` (control
-    first), by the four block traces of :func:`apply_unitary_to_pauli_ensemble`."""
-    control, targets = positions[0], positions[1:]
+def _grouped(tensor, positions: Sequence[int]):
+    """A contiguous copy of ``tensor`` as ``(2^k, 2^k, rest)``: the row bits
+    of the qubits at ``positions``, their col bits, then the other axes in
+    order; returned with the axis permutation that made it."""
+    dim = 2 ** len(positions)
+    rest = [axis for axis in range(tensor.ndim) if axis not in _bit_axes(positions)]
+    perm = [2 * p for p in positions] + [2 * p + 1 for p in positions] + rest
+    return np.ascontiguousarray(np.transpose(tensor, perm)).reshape(dim, dim, -1), perm
+
+
+def _factored_controlled(tensor, block: np.ndarray, targets: Sequence[int], factor: np.ndarray):
+    """``U (f ⊗ rho) U†`` for ``U = I (+) V`` on (control, ``targets``) with
+    the control still its input factor ``f``, by the blocks ``f_ab X_ab`` of
+    :func:`apply_unitary_to_pauli_ensemble`.  ``f_01`` and ``f_11`` scale the
+    small ``V̄`` so that only ``f_10 V rho`` needs a pass of its own."""
+    dim = 2 ** len(targets)
+    work, perm = _grouped(tensor, targets)
+    out = np.empty((2, 2) + work.shape, dtype=np.result_type(work, block, factor))
+    v_conj = np.conj(block)
+    np.multiply(work, factor[0, 0], out=out[0, 0])
+    np.matmul(block, work.reshape(dim, -1), out=out[1, 0].reshape(dim, -1))
+    np.matmul(factor[1, 1] * v_conj, out[1, 0], out=out[1, 1])
+    out[1, 0] *= factor[1, 0]
+    np.matmul(factor[0, 1] * v_conj, work, out=out[0, 1])
+    order = [0, 1] + [2 + axis for axis in np.argsort(perm).tolist()]
+    return np.transpose(out.reshape((2,) * (tensor.ndim + 2)), order)
+
+
+def _traced_controlled(
+    tensor,
+    block: np.ndarray,
+    control: Optional[int],
+    targets: Sequence[int],
+    factor: Optional[np.ndarray] = None,
+):
+    """``Tr_targets[U rho U†]`` for ``U = I (+) V`` on (``control``,
+    ``targets``), by the four block traces of
+    :func:`apply_unitary_to_pauli_ensemble`.  With ``factor`` the control
+    has not joined (``control`` is ``None``): every block trace reads
+    ``rho`` itself and is scaled by ``factor[a, b]``."""
     m = len(targets)
     # einsum labels: target row bits 0..m-1, target col bits m..2m-1 (in
     # ``targets`` order, as V indexes them), then one per kept axis.
@@ -265,15 +322,20 @@ def _traced_controlled(tensor, block: np.ndarray, positions: Sequence[int]):
     v_conj = aligned(block.conj(), row_axes + col_axes)
 
     def view(a: int, b: int):
+        if control is None:
+            return tensor
         index = [slice(None)] * tensor.ndim
         index[2 * control], index[2 * control + 1] = a, b
         return tensor[tuple(index)]
 
-    out = np.empty((2, 2) + (2,) * len(kept), dtype=np.result_type(tensor, block))
+    operands = (tensor, block) if factor is None else (tensor, block, factor)
+    out = np.empty((2, 2) + (2,) * len(kept), dtype=np.result_type(*operands))
     out[0, 0] = np.einsum(view(0, 0), diagonal, kept)
     out[1, 1] = np.einsum(gram, order, view(1, 1), view_axes, kept)
     out[1, 0] = np.einsum(v, order, view(1, 0), view_axes, kept)
     out[0, 1] = np.einsum(v_conj, order, view(0, 1), view_axes, kept)
+    if factor is not None:
+        out *= factor.reshape((2, 2) + (1,) * len(kept))
     return out
 
 
@@ -367,7 +429,8 @@ class PTMExecutor:
         touching none of the qubits that later ops (or the readout) depend
         on is trace-preserving on qubits that are traced out anyway.  A
         single-qubit op on a qubit that has not joined acts on its ``2 x 2``
-        input factor.  A qubit joins the tensor at its first other op and,
+        input factor, and so does a controlled power on its control's
+        factor.  A qubit joins the tensor at its first other op and,
         unless kept, leaves right after its last one; targets of a
         controlled power that all leave right after it are traced out by
         the power itself.  Returns the ``(2^k, 2^k)`` matrix with
@@ -408,10 +471,17 @@ class PTMExecutor:
                 (q,) = op.qubits
                 factors[q] = (op.matrix @ factors[q].reshape(4)).reshape(2, 2)
                 continue
-            new = [q for q in op.qubits if q not in axes]
+            # A controlled power whose control has not joined acts on the
+            # control's input factor; the control joins as its output.
+            control = op.qubits[0]
+            factored = (
+                isinstance(op, WideUnitaryOp) and op.block is not None and control not in axes
+            )
+            support = op.qubits[1:] if factored else op.qubits
+            new = [q for q in support if q not in axes]
             if new:
                 tensor = join(tensor, new)
-            positions = [axes.index(q) for q in op.qubits]
+            positions = [axes.index(q) for q in support]
             leaving = [q for q in op.qubits if last[q] == index and q not in keep]
             if isinstance(op, PTMOp):
                 tensor = apply_superop(tensor, op.matrix, positions)
@@ -419,11 +489,18 @@ class PTMExecutor:
             else:
                 traced = op.block is not None and leaving == list(op.qubits[1:])
                 tensor = apply_unitary_to_pauli_ensemble(
-                    tensor, op.matrix, positions, block=op.block, trace_targets=traced
+                    tensor,
+                    op.matrix,
+                    positions,
+                    block=op.block,
+                    trace_targets=traced,
+                    control_factor=factors[control] if factored else None,
                 )
                 if traced:
-                    axes[:] = [op.qubits[0]] + [q for q in axes if q not in op.qubits]
+                    axes[:] = [control] + [q for q in axes if q not in op.qubits]
                     leaving = []
+                elif factored:
+                    axes.insert(0, control)
             if leaving:
                 identity = _outer_product([np.eye(2)] * len(leaving))
                 targets = _bit_axes([axes.index(q) for q in leaving])

@@ -7,6 +7,7 @@ expressible as a request and produces bit-identical numerics through the
 service.
 """
 
+import hashlib
 import json
 
 import numpy as np
@@ -392,6 +393,44 @@ class TestWirePins:
         for name, request in corpus.items():
             rebuilt = request_from_dict(json.loads(json.dumps(request.as_dict())))
             assert rebuilt.fingerprint() == self.FINGERPRINTS[name]
+
+    def test_float_series_encode_without_a_call_per_sample(self, monkeypatch):
+        """A frozen series of exact floats is copied into the canonical JSON
+        as it is, byte-identical to walking it one sample at a time."""
+        from repro.core import api
+
+        def walk(value):
+            # The per-item walk that the float-series shortcut must match.
+            if isinstance(value, float):
+                return float(value)
+            if isinstance(value, dict):
+                return {str(k): walk(v) for k, v in value.items()}
+            if isinstance(value, (list, tuple)):
+                return [walk(v) for v in value]
+            return api._json_safe(value)
+
+        rng = np.random.default_rng(5)
+        series = rng.standard_normal((2, 40)) * 10.0 ** rng.integers(-300, 300, (2, 40))
+        series[0, :4] = (-0.0, 1.0, 1e-320, 2.0**60)
+        request = SweepRequest(time_series=series, epsilons=(0.5, 1.5))
+        document = request.as_dict()
+        want = json.dumps(walk(document), sort_keys=True, separators=(",", ":"))
+        assert api.canonical_json(document) == want
+        assert request.fingerprint() == hashlib.sha256(want.encode("utf-8")).hexdigest()
+
+        calls = []
+        original = api._json_safe
+
+        def counting(value):
+            calls.append(value)
+            return original(value)
+
+        monkeypatch.setattr(api, "_json_safe", counting)
+        row = request.time_series[0]
+        assert counting(row) == list(row) and len(calls) == 1
+        # Anything but exact floats still takes the per-item walk.
+        assert counting((1.0, np.float64(2.0), 3)) == [1.0, 2.0, 3] and len(calls) == 5
+        assert counting([True, 1.0]) == [True, 1.0]
 
     def test_provenance_keys_are_the_documented_schema(self):
         provenance = Provenance(

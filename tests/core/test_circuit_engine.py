@@ -122,8 +122,9 @@ def test_resolve_circuit_route_table():
     noise = dict(noise_channel="depolarizing", noise_strength=0.01)
     noisy = QTDAConfig(backend="statevector", **noise)
     # Noise resolves auto to the exact PTM route while the register fits,
-    # trajectory above the threshold; explicit trajectory/ptm requests are
-    # honoured.
+    # trajectory above the threshold; explicit trajectory requests are
+    # honoured at any size, explicit ptm ones up to the threshold (see
+    # test_explicit_ptm_above_the_threshold_is_refused_before_allocating).
     assert resolve_circuit_route(noisy) == "ptm"
     assert resolve_circuit_route(noisy, total_qubits=PTM_AUTO_QUBIT_THRESHOLD) == "ptm"
     assert (
@@ -132,7 +133,9 @@ def test_resolve_circuit_route_table():
     )
     for engine in ("trajectory", "ptm"):
         config = QTDAConfig(backend="statevector", circuit_engine=engine, **noise)
-        assert resolve_circuit_route(config, total_qubits=PTM_AUTO_QUBIT_THRESHOLD + 1) == engine
+        assert resolve_circuit_route(config, total_qubits=PTM_AUTO_QUBIT_THRESHOLD) == engine
+    config = QTDAConfig(backend="statevector", circuit_engine="trajectory", **noise)
+    assert resolve_circuit_route(config, total_qubits=PTM_AUTO_QUBIT_THRESHOLD + 1) == "trajectory"
     # Zero-strength channels count as noise-free.
     zero = QTDAConfig(backend="statevector", noise_channel="depolarizing", noise_strength=0.0)
     assert resolve_circuit_route(zero) == "ensemble"
@@ -144,6 +147,34 @@ def test_resolve_circuit_route_table():
         noise_gate_strengths={"CNOT": 0.05},
     )
     assert resolve_circuit_route(gate_only) == "ptm"
+
+
+def test_explicit_ptm_above_the_threshold_is_refused_before_allocating(monkeypatch):
+    """An explicit ``ptm`` over ``PTM_AUTO_QUBIT_THRESHOLD`` qubits raises
+    ``ValueError`` at route resolution, with or without noise, before the
+    circuit is built; ``auto`` still falls back to trajectories there."""
+    import repro.core.backends.statevector as statevector
+    from repro.core.backends.statevector import PTM_AUTO_QUBIT_THRESHOLD, circuit_backend_result
+
+    noise = dict(noise_channel="depolarizing", noise_strength=0.01)
+    for extra in (noise, {}):
+        config = QTDAConfig(backend="statevector", circuit_engine="ptm", **extra)
+        with pytest.raises(ValueError, match="at most 12 qubits"):
+            resolve_circuit_route(config, total_qubits=PTM_AUTO_QUBIT_THRESHOLD + 1)
+    auto = QTDAConfig(backend="statevector", **noise)
+    assert resolve_circuit_route(auto, total_qubits=PTM_AUTO_QUBIT_THRESHOLD + 1) == "trajectory"
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("the circuit was built for a refused ptm request")
+
+    monkeypatch.setattr(statevector, "qtda_circuit", no_build)
+    # t = 12 precision qubits on the 2-qubit appendix Laplacian: 14 qubits.
+    config = QTDAConfig(
+        backend="statevector", circuit_engine="ptm", precision_qubits=12, delta=6.0, **noise
+    )
+    problem = EstimationProblem(laplacian=combinatorial_laplacian(appendix_complex(), 1))
+    with pytest.raises(ValueError, match="circuit_engine='ptm'"):
+        circuit_backend_result(problem, config, "exact", rng=as_rng(0))
 
 
 def test_pure_state_engines_reject_noise():

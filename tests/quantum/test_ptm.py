@@ -14,9 +14,10 @@ program fusion against the density route's gate-then-Kraus walk, the
 schedule that defers each qubit's single-qubit prefix (and the tensor width
 it leaves at each wide unitary), the exact join / trace-out / light-cone
 skip rules of the evolution, per-channel memoisation and the program cache.
-The last section pins the three identities that keep the tensor small:
+The last section pins the four identities that keep the tensor small:
 a prefix applied to the input factor, a program cut to a readout's light
-cone before fusion, and a controlled power that traces out its targets.
+cone before fusion, a controlled power that traces out its targets, and a
+controlled power that acts on its control's input factor.
 """
 
 import itertools
@@ -550,11 +551,12 @@ def _workload_laplacian(dim):
     return (lap + lap.T) / 2.0
 
 
-@pytest.mark.parametrize("dimension, widths", [(48, [7, 8, 9, 10]), (16, [5, 6, 7, 8])])
+@pytest.mark.parametrize("dimension, widths", [(48, [6, 7, 8, 9]), (16, [4, 5, 6, 7])])
 def test_wide_unitaries_run_on_the_qubits_joined_so_far(dimension, widths, monkeypatch):
-    """At t=4 each precision qubit joins right before its own controlled
-    power, so the j-th wide unitary sees the system register plus j+1
-    precision qubits (dimension 48 pads to q=6, 16 to q=4)."""
+    """At t=4 each precision qubit is still its input factor at its own
+    controlled power and joins as the power's output, so the j-th wide
+    unitary sees the system register plus j precision qubits (dimension 48
+    pads to q=6, 16 to q=4)."""
     seen = []
     original = ptm_module.apply_unitary_to_pauli_ensemble
 
@@ -578,6 +580,38 @@ def test_wide_unitaries_run_on_the_qubits_joined_so_far(dimension, widths, monke
     result = circuit_backend_result(problem, config, "exact", rng=np.random.default_rng(0))
     assert result.route["engine_route"] == "ptm"
     assert seen == widths
+
+
+def test_largest_tensor_of_the_q6_t4_run_holds_nine_qubits(monkeypatch):
+    """The tensor peaks at ``t + q - 1`` qubits: the last controlled power
+    acts on its control's factor, so the 10-qubit product the join made is
+    never formed (every kernel's input and output is recorded)."""
+    sizes = []
+
+    def recorded(kernel):
+        def recording(tensor, *args, **kwargs):
+            out = kernel(tensor, *args, **kwargs)
+            sizes.extend([tensor.ndim // 2, out.ndim // 2])
+            return out
+
+        return recording
+
+    for name in ("apply_superop", "apply_unitary_to_pauli_ensemble"):
+        monkeypatch.setattr(ptm_module, name, recorded(getattr(ptm_module, name)))
+    config = QTDAConfig(
+        precision_qubits=4,
+        shots=None,
+        delta=6.0,
+        backend="statevector",
+        circuit_engine="ptm",
+        noise_channel="depolarizing",
+        noise_strength=0.002,
+        noise_gate_strengths={"c-U": 0.004, "H": 0.001},
+        seed=2023,
+    )
+    problem = EstimationProblem(laplacian=_workload_laplacian(48))
+    circuit_backend_result(problem, config, "exact", rng=np.random.default_rng(0))
+    assert max(sizes) == 9
 
 
 def test_reduced_state_validates_its_arguments():
@@ -838,13 +872,57 @@ def test_traced_controlled_power_equals_apply_then_trace_out(seed, positions):
         apply_unitary_to_pauli_ensemble(tensor, u, positions, trace_targets=True)
 
 
-def _traced_flags(monkeypatch):
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("targets", [[0, 3], [4, 1, 2], [2]])
+def test_factored_control_equals_joining_then_applying(seed, targets):
+    """A controlled power whose control is still its ``2 x 2`` input factor
+    equals joining the factor and then running the controlled kernel, for a
+    non-Hermitian tensor and factor, a non-unitary ``V`` and targets
+    anywhere in the layout, with and without tracing the targets out."""
+    rng = np.random.default_rng(seed)
+    n = 5
+    half = 2 ** len(targets)
+
+    def general(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    v = general(half, half)
+    u = np.eye(2 * half, dtype=complex)
+    u[half:, half:] = v
+    tensor = general(*(2,) * (2 * n))
+    factor = general(2, 2)
+    # Joined: the factor is the trailing pair, so the control sits at n.
+    joined = tensor.reshape(tensor.shape + (1, 1)) * factor
+    positions = [n] + targets
+    for kernel in ({"block": v}, {}):
+        full = apply_unitary_to_pauli_ensemble(joined, u, positions, **kernel)
+        want = np.moveaxis(full, [2 * n, 2 * n + 1], [0, 1])
+        got = apply_unitary_to_pauli_ensemble(tensor, u, targets, block=v, control_factor=factor)
+        assert got.shape == want.shape == (2,) * (2 * n + 2)
+        assert np.max(np.abs(got - want)) <= 1e-12
+    want = apply_unitary_to_pauli_ensemble(joined, u, positions, block=v, trace_targets=True)
+    got = apply_unitary_to_pauli_ensemble(
+        tensor, u, targets, block=v, trace_targets=True, control_factor=factor
+    )
+    assert got.shape == want.shape == (2,) * (2 * (n - len(targets) + 1))
+    assert np.max(np.abs(got - want)) <= 1e-12
+    with pytest.raises(ValueError, match="controlled block"):
+        apply_unitary_to_pauli_ensemble(tensor, u, targets, control_factor=factor)
+
+
+def _traced_flags(monkeypatch, factored=None):
+    """Record each wide unitary's ``trace_targets`` flag (and, into
+    ``factored``, whether its control arrived as an input factor)."""
     flags = []
     original = ptm_module.apply_unitary_to_pauli_ensemble
 
-    def recording(tensor, unitary, positions, block=None, trace_targets=False):
+    def recording(tensor, unitary, positions, block=None, trace_targets=False, **kwargs):
         flags.append(trace_targets)
-        return original(tensor, unitary, positions, block=block, trace_targets=trace_targets)
+        if factored is not None:
+            factored.append(kwargs.get("control_factor") is not None)
+        return original(
+            tensor, unitary, positions, block=block, trace_targets=trace_targets, **kwargs
+        )
 
     monkeypatch.setattr(ptm_module, "apply_unitary_to_pauli_ensemble", recording)
     return flags
@@ -887,6 +965,35 @@ def test_controlled_power_traces_its_targets_only_when_all_of_them_leave(
         monkeypatch.undo()
 
 
+@pytest.mark.parametrize("max_fuse_qubits", [2, 3])
+@pytest.mark.parametrize("seed", range(3))
+def test_controlled_powers_on_unjoined_controls_match_the_oracle(
+    seed, max_fuse_qubits, monkeypatch
+):
+    """Both controlled powers of a two-control circuit find their control
+    still an input factor (after its held prefix) and act on it; the reduced
+    state matches the density oracle whether the last power traces its
+    targets out or one of them stays."""
+    rng = np.random.default_rng(seed)
+    n = 5
+    circ = QuantumCircuit(n)
+    circ.unitary(_random_unitary(rng, 1), [0], name="U")
+    circ.unitary(_random_unitary(rng, 1), [1], name="U")
+    circ.unitary(_random_unitary(rng, 2), [2, 3], name="CU")
+    circ.unitary(_controlled(rng, 4), [0, 2, 3, 4], name="c-U^1")
+    circ.unitary(_random_unitary(rng, 2), [2, 4], name="CU")
+    circ.unitary(_controlled(rng, 4), [1, 4, 2, 3], name="c-U^2")
+    circ.unitary(_random_unitary(rng, 2), [0, 1], name="CU")
+    states = _random_states(rng, n)
+    for keep, traced in (([0, 1], [False, True]), ([1, 0, 2], [False, False])):
+        factored = []
+        flags = _traced_flags(monkeypatch, factored)
+        _assert_matches_oracle(circ, _MIXED_SPEC, keep, states, max_fuse_qubits, readout=keep)
+        assert flags == traced
+        assert factored == [True, True]
+        monkeypatch.undo()
+
+
 def test_qtda_route_cuts_the_program_to_the_precision_register(monkeypatch):
     """The circuit route fuses the program for the precision register; the
     system register's trailing channels are cut and the last controlled
@@ -899,7 +1006,8 @@ def test_qtda_route_cuts_the_program_to_the_precision_register(monkeypatch):
         return original(self, program, *args, **kwargs)
 
     monkeypatch.setattr(PTMExecutor, "reduced_state", recording)
-    flags = _traced_flags(monkeypatch)
+    factored = []
+    flags = _traced_flags(monkeypatch, factored)
     config = QTDAConfig(
         precision_qubits=3,
         shots=None,
@@ -915,6 +1023,8 @@ def test_qtda_route_cuts_the_program_to_the_precision_register(monkeypatch):
     (program,) = programs
     assert program.readout == (0, 1, 2)
     assert flags == [False, False, True]
+    # Every precision qubit is still its input factor at its own power.
+    assert factored == [True, True, True]
     last_wide = [op for op in program.ops if isinstance(op, WideUnitaryOp)][-1]
     after = program.ops[program.ops.index(last_wide) + 1 :]
     assert all(set(op.qubits) <= {0, 1, 2} for op in after)
