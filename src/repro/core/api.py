@@ -54,9 +54,9 @@ from repro.core.config import QTDAConfig
 from repro.core.estimator import BettiEstimate, QTDABettiEstimator
 from repro.core.hamiltonian import SpectrumCache
 from repro.core.pipeline import PipelineConfig
-from repro.tda.complexes import SimplicialComplex, check_closed
-from repro.tda.rips import FlagComplexArrays, RipsComplex
-from repro.tda.simplex import Simplex
+from repro.tda.complexes import ComplexArrays, SimplicialComplex
+from repro.tda.rips import RipsComplex
+from repro.tda.simplex import vertex_label
 from repro.tda.takens import TakensEmbedding
 from repro.utils.cache import BoundedCache
 from repro.utils.validation import check_bool, check_integer
@@ -350,12 +350,13 @@ class EstimationRequest(_RequestBase):
         if self.simplices is not None:
             if self.epsilon is not None or self.max_dimension is not None:
                 raise ValueError("'epsilon'/'max_dimension' only apply to point-cloud requests")
-            simplices = tuple(tuple(int(v) for v in s) for s in self.simplices)
+            simplices = tuple(tuple(map(vertex_label, s)) for s in self.simplices)
             if not simplices:
                 raise ValueError("'simplices' must not be empty")
-            # Checked here, not at build time, so an unclosed complex is a
-            # client error (400 on the wire) rather than a failed execution.
-            check_closed({Simplex(s) for s in simplices})
+            # Built here, not only at build time, so a bad label or an
+            # unclosed complex is a client error (400 on the wire) rather
+            # than a failed execution.
+            SimplicialComplex(simplices)
             object.__setattr__(self, "simplices", simplices)
         else:
             if self.epsilon is None:
@@ -378,10 +379,10 @@ class EstimationRequest(_RequestBase):
     def seed(self) -> Optional[int]:
         return _int_seed(self.config.seed)
 
-    def build_complex(self) -> SimplicialComplex | FlagComplexArrays:
-        """Materialise the complex: flag arrays for ``points``, else the ``simplices``."""
+    def build_complex(self) -> ComplexArrays:
+        """Materialise the complex as arrays: of the ``simplices``, or the flag complex of ``points``."""
         if self.simplices is not None:
-            return SimplicialComplex(self.simplices)
+            return SimplicialComplex(self.simplices).arrays
         return RipsComplex.from_points(
             np.asarray(self.points, dtype=float), self.epsilon, max_dimension=self.max_dimension
         ).flag_arrays()

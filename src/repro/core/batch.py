@@ -9,8 +9,7 @@ through three reuse layers (DESIGN.md §7):
    shared across every grouping scale ε of a sweep;
 2. *vectorised complexes* — every Rips complex is built as integer arrays,
    one per dimension (:func:`repro.tda.rips.flag_complex_arrays`), and its
-   Laplacians straight from them, instead of per-simplex Python objects —
-   the matrices are bit-identical to the object path's;
+   Laplacians straight from them, with no per-simplex Python objects;
 3. *spectrum cache* — Laplacian eigendecompositions are cached
    (:class:`repro.core.hamiltonian.SpectrumCache`), so revisiting a Laplacian
    across ε values, precision settings or repeated windows is free.
@@ -45,9 +44,10 @@ from repro.core.estimator import QTDABettiEstimator, kernel_dimension
 from repro.core.hamiltonian import SpectrumCache
 from repro.core.pipeline import PipelineConfig, apply_pipeline_overrides
 from repro.tda.betti import betti_number  # noqa: F401 - perfbench/tracing.py traces this name
+from repro.tda.complexes import ComplexArrays
 from repro.tda.distances import pairwise_distances
 from repro.tda.laplacian import laplacian_operator_from_flag_arrays
-from repro.tda.rips import FlagComplexArrays, flag_complex_arrays
+from repro.tda.rips import flag_complex_arrays
 from repro.tda.takens import TakensEmbedding
 from repro.utils.rng import derive_seed
 from repro.utils.validation import check_integer
@@ -117,7 +117,7 @@ class _SampleTask:
 
 
 def _flag_features(
-    arrays: FlagComplexArrays,
+    arrays: ComplexArrays,
     config: PipelineConfig,
     cache: Optional[SpectrumCache],
     estimator: Optional[QTDABettiEstimator],
@@ -510,7 +510,7 @@ class _EpsilonState:
 
     __slots__ = ("arrays", "operators", "row")
 
-    def __init__(self, arrays: FlagComplexArrays):
+    def __init__(self, arrays: ComplexArrays):
         self.arrays = arrays
         #: k -> LaplacianOperator built from ``arrays``; kept while the arrays
         #: are, so their memoised fingerprints survive across windows.
@@ -518,11 +518,6 @@ class _EpsilonState:
         #: cached classical feature row (pure function of the arrays); never
         #: used in quantum mode, where per-window seeds must differ.
         self.row: Optional[np.ndarray] = None
-
-
-def _same_arrays(a: FlagComplexArrays, b: FlagComplexArrays) -> bool:
-    """Content equality of two flag complexes over the same number of points."""
-    return all(np.array_equal(x, y) for x, y in zip(a.skeleton, b.skeleton))
 
 
 class StreamingFeatureEngine:
@@ -685,7 +680,7 @@ class StreamingFeatureEngine:
         for eps in self.epsilons:
             arrays = flag_complex_arrays(distances, eps, self.config.max_complex_dimension)
             state = self._states.get(eps)
-            if state is None or not _same_arrays(state.arrays, arrays):
+            if state is None or state.arrays != arrays:
                 self._states[eps] = _EpsilonState(arrays)
                 unchanged = False
         if unchanged:

@@ -26,9 +26,8 @@ from repro.core.backends import EstimationProblem, get_backend
 from repro.core.config import QTDAConfig
 from repro.core.hamiltonian import SpectrumCache, laplacian_spectrum_info
 from repro.quantum.measurement import sample_counts
-from repro.tda.complexes import SimplicialComplex
-from repro.tda.laplacian import combinatorial_laplacian, laplacian_from_flag_arrays
-from repro.tda.rips import FlagComplexArrays
+from repro.tda.complexes import ComplexArrays, SimplicialComplex
+from repro.tda.laplacian import combinatorial_laplacian
 from repro.utils.rng import as_rng
 from repro.utils.validation import check_integer
 
@@ -182,25 +181,23 @@ class QTDABettiEstimator:
         return self.backend.operator_format
 
     def estimate(
-        self, complex_: SimplicialComplex | FlagComplexArrays, k: int, compute_exact: bool = True
+        self, complex_: SimplicialComplex | ComplexArrays, k: int, compute_exact: bool = True
     ) -> BettiEstimate:
-        """Estimate ``β_k`` of a simplicial complex or of flag-complex arrays.
+        """Estimate ``β_k`` of a simplicial complex or of its arrays.
 
-        The two differ only in which Laplacian builder runs.
+        Both reach the same :func:`combinatorial_laplacian` through their
+        ``.arrays``, built in the backend's :attr:`operator_format`.
         ``compute_exact=True`` also reports the exact ``β_k``, counted at
         ``config.zero_eigenvalue_atol`` (:func:`kernel_dimension`).
         """
-        if isinstance(complex_, FlagComplexArrays):
-            build = laplacian_from_flag_arrays
-        elif isinstance(complex_, SimplicialComplex):
-            build = combinatorial_laplacian
-        else:
+        arrays = getattr(complex_, "arrays", None)
+        if not isinstance(arrays, ComplexArrays):
             raise TypeError(
-                "estimate expects a SimplicialComplex or FlagComplexArrays; "
+                "estimate expects a SimplicialComplex or ComplexArrays; "
                 "use estimate_from_laplacian for raw matrices"
             )
         k = check_integer(k, "k", minimum=0)
-        if complex_.num_simplices(k) == 0:
+        if arrays.num_simplices(k) == 0:
             # No k-simplices: β_k = 0 by convention, nothing to run.
             return BettiEstimate(
                 betti_estimate=0.0,
@@ -214,7 +211,7 @@ class QTDABettiEstimator:
                 lambda_max=0.0,
                 delta=self.config.delta,
             )
-        laplacian = build(complex_, k, sparse_format=self.operator_format == "sparse")
+        laplacian = combinatorial_laplacian(arrays, k, sparse_format=self.operator_format == "sparse")
         exact = None
         if compute_exact:
             atol = self.config.zero_eigenvalue_atol
@@ -260,7 +257,7 @@ class QTDABettiEstimator:
 
     def estimate_betti_numbers(
         self,
-        complex_: SimplicialComplex | FlagComplexArrays,
+        complex_: SimplicialComplex | ComplexArrays,
         dimensions: Sequence[int],
         compute_exact: bool = True,
     ) -> List[BettiEstimate]:

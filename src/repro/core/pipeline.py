@@ -27,8 +27,9 @@ import numpy as np
 
 from repro.core.config import QTDAConfig
 from repro.core.estimator import BettiEstimate, QTDABettiEstimator, kernel_dimension
-from repro.tda.laplacian import laplacian_from_flag_arrays
-from repro.tda.rips import FlagComplexArrays, RipsComplex
+from repro.tda.complexes import ComplexArrays
+from repro.tda.laplacian import combinatorial_laplacian
+from repro.tda.rips import RipsComplex
 from repro.tda.takens import TakensEmbedding
 
 
@@ -150,7 +151,7 @@ class QTDAPipeline:
             estimates = self._estimator.estimate_betti_numbers(arrays, dims, compute_exact=False)
             return np.asarray([estimate.betti_estimate for estimate in estimates], dtype=float)
         atol = self.config.estimator.zero_eigenvalue_atol
-        exact = [kernel_dimension(laplacian_from_flag_arrays(arrays, k), atol) for k in dims]
+        exact = [kernel_dimension(combinatorial_laplacian(arrays, k), atol) for k in dims]
         return np.asarray(exact, dtype=float)
 
     def estimates_from_point_cloud(self, points: np.ndarray, epsilon: Optional[float] = None) -> List[BettiEstimate]:
@@ -158,7 +159,7 @@ class QTDAPipeline:
         arrays = self._flag_arrays(points, epsilon)
         return self._estimator.estimate_betti_numbers(arrays, self.config.homology_dimensions)
 
-    def _flag_arrays(self, points: np.ndarray, epsilon: Optional[float]) -> FlagComplexArrays:
+    def _flag_arrays(self, points: np.ndarray, epsilon: Optional[float]) -> ComplexArrays:
         eps = self.config.epsilon if epsilon is None else float(epsilon)
         return RipsComplex.from_points(
             np.asarray(points, dtype=float), eps, max_dimension=self.config.max_complex_dimension

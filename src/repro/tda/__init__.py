@@ -5,10 +5,14 @@ Provides everything Section 2 of the paper needs:
 * point-cloud geometry: pairwise distances and epsilon-neighbourhood graphs
   (:mod:`repro.tda.distances`);
 * simplicial complexes and the Vietoris–Rips construction
-  (:mod:`repro.tda.simplex`, :mod:`repro.tda.complexes`, :mod:`repro.tda.rips`);
+  (:mod:`repro.tda.simplex`, :mod:`repro.tda.complexes`, :mod:`repro.tda.rips`).
+  Every complex has one representation, :class:`ComplexArrays` (one sorted
+  int64 array of vertex ranks per dimension): point clouds become it
+  directly, and a :class:`SimplicialComplex` holds it with its vertex labels;
 * restricted boundary operators, combinatorial Laplacians and classical Betti
   numbers (:mod:`repro.tda.boundary`, :mod:`repro.tda.laplacian`,
-  :mod:`repro.tda.betti`, :mod:`repro.tda.homology`);
+  :mod:`repro.tda.betti`, :mod:`repro.tda.homology`), each matrix built by
+  one array builder from either type's ``.arrays``;
 * persistent homology for the paper's future-work extension
   (:mod:`repro.tda.filtration`, :mod:`repro.tda.persistence`);
 * Takens delay embedding of time series (:mod:`repro.tda.takens`);
@@ -18,12 +22,11 @@ Provides everything Section 2 of the paper needs:
 
 from repro.tda.distances import pairwise_distances, epsilon_graph, epsilon_edges
 from repro.tda.simplex import Simplex
-from repro.tda.complexes import SimplicialComplex
+from repro.tda.complexes import ComplexArrays, SimplicialComplex
 from repro.tda.rips import RipsComplex, rips_complex
 from repro.tda.boundary import boundary_matrix, boundary_operators
 from repro.tda.laplacian import (
     combinatorial_laplacian,
-    combinatorial_laplacian_operator,
     laplacian_operator_from_flag_arrays,
     laplacian_spectrum,
 )
@@ -40,12 +43,12 @@ __all__ = [
     "epsilon_edges",
     "Simplex",
     "SimplicialComplex",
+    "ComplexArrays",
     "RipsComplex",
     "rips_complex",
     "boundary_matrix",
     "boundary_operators",
     "combinatorial_laplacian",
-    "combinatorial_laplacian_operator",
     "laplacian_operator_from_flag_arrays",
     "laplacian_spectrum",
     "betti_number",

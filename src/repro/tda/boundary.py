@@ -13,22 +13,27 @@ Eqs. 14–15 of the worked example).
 
 from __future__ import annotations
 
-from typing import Dict, List
-
 import numpy as np
 from scipy import sparse
 
-from repro.tda.complexes import SimplicialComplex
+from repro.tda.complexes import ComplexArrays, SimplicialComplex
 from repro.utils.validation import check_integer
 
 
-def boundary_matrix(complex_: SimplicialComplex, k: int, sparse_format: bool = False) -> np.ndarray | sparse.csr_matrix:
+def face_signs(k: int) -> np.ndarray:
+    """``(-1)^t`` for faces ``t = 0..k`` of a ``k``-simplex (Eqs. 1–2)."""
+    return (-1.0) ** np.arange(k + 1)
+
+
+def boundary_matrix(
+    complex_: SimplicialComplex | ComplexArrays, k: int, sparse_format: bool = False
+) -> np.ndarray | sparse.csr_matrix:
     """The matrix of ``∂_k`` in the canonical simplex ordering of ``complex_``.
 
     Parameters
     ----------
     complex_:
-        The simplicial complex.
+        The simplicial complex, read through its ``.arrays``.
     k:
         Chain dimension.  ``∂_0`` is the (conventionally) zero map onto the
         trivial space, represented as a ``0 x |S_0|`` matrix.
@@ -41,32 +46,22 @@ def boundary_matrix(complex_: SimplicialComplex, k: int, sparse_format: bool = F
     numpy.ndarray or scipy.sparse.csr_matrix
         Shape ``(|S_{k-1}|, |S_k|)``; empty dimensions give zero-sized
         matrices so that downstream rank computations handle edge cases
-        uniformly.
+        uniformly.  Column ``i`` holds ``(-1)^t`` in the row of face ``t``
+        of simplex ``i`` (:meth:`~repro.tda.complexes.ComplexArrays.face_rows`).
     """
     k = check_integer(k, "k", minimum=0)
-    k_simplices = complex_.simplices(k)
-    if k == 0:
-        shape = (0, len(k_simplices))
+    arrays = complex_.arrays
+    m = arrays.num_simplices(k)
+    shape = (arrays.num_simplices(k - 1), m) if k else (0, m)
+    if k == 0 or m == 0:
         return sparse.csr_matrix(shape) if sparse_format else np.zeros(shape)
-    lower_index: Dict = complex_.simplex_index(k - 1)
-    shape = (len(lower_index), len(k_simplices))
-    rows: List[int] = []
-    cols: List[int] = []
-    data: List[float] = []
-    for col, simplex in enumerate(k_simplices):
-        for sign, face in simplex.boundary():
-            try:
-                row = lower_index[face]
-            except KeyError as exc:  # pragma: no cover - complexes are closed by construction
-                raise ValueError(f"Complex is not closed: face {face} of {simplex} is missing") from exc
-            rows.append(row)
-            cols.append(col)
-            data.append(float(sign))
-    mat = sparse.csr_matrix((data, (rows, cols)), shape=shape)
+    rows = arrays.face_rows(k).ravel()
+    cols = np.repeat(np.arange(m), k + 1)
+    mat = sparse.csr_matrix((np.tile(face_signs(k), m), (rows, cols)), shape=shape)
     return mat if sparse_format else mat.toarray()
 
 
-def boundary_operators(complex_: SimplicialComplex, k: int, sparse_format: bool = False):
+def boundary_operators(complex_: SimplicialComplex | ComplexArrays, k: int, sparse_format: bool = False):
     """The pair ``(∂_k, ∂_{k+1})`` needed to form the combinatorial Laplacian ``Δ_k``."""
     return (
         boundary_matrix(complex_, k, sparse_format=sparse_format),
@@ -74,7 +69,7 @@ def boundary_operators(complex_: SimplicialComplex, k: int, sparse_format: bool 
     )
 
 
-def boundary_composition_is_zero(complex_: SimplicialComplex, k: int, atol: float = 1e-12) -> bool:
+def boundary_composition_is_zero(complex_: SimplicialComplex | ComplexArrays, k: int, atol: float = 1e-12) -> bool:
     """Check the fundamental identity ``∂_k ∘ ∂_{k+1} = 0`` for the complex."""
     if k < 1:
         return True

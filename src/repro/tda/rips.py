@@ -4,19 +4,22 @@ Given a point cloud (or a precomputed distance matrix) and a grouping scale
 ``ε``, the Vietoris–Rips complex contains a ``k``-simplex for every set of
 ``k + 1`` points that are *pairwise* within ``ε``.  Equivalently, it is the
 clique (flag) complex of the ε-neighbourhood graph.  Every point cloud takes
-that form as :func:`flag_complex_arrays`, integer arrays per dimension;
-:meth:`RipsComplex.complex` enumerates the same cliques into a
-:class:`SimplicialComplex`, the object path kept as the test oracle.
+that form as :func:`flag_complex_arrays`, a
+:class:`~repro.tda.complexes.ComplexArrays` built level by level with no
+closure check (a flag complex is closed by construction).
+:meth:`RipsComplex.complex` enumerates the same cliques with networkx into a
+:class:`SimplicialComplex`: an independent enumeration that the tests and
+the benchmark's answer check compare the arrays against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 import numpy as np
 
-from repro.tda.complexes import SimplicialComplex
+from repro.tda.complexes import ComplexArrays, SimplicialComplex
 from repro.tda.distances import MetricLike, epsilon_graph, pairwise_distances
 from repro.utils.validation import check_integer
 
@@ -82,7 +85,7 @@ class RipsComplex:
         return epsilon_graph(self.distance_matrix, self.epsilon, is_distance_matrix=True)
 
     def complex(self) -> SimplicialComplex:
-        """The simplicial complex ``K_ε`` (cached after the first call)."""
+        """The simplicial complex ``K_ε`` from networkx cliques (cached after the first call)."""
         if self._complex is None:
             self._complex = SimplicialComplex.from_graph(self.graph(), max_dimension=self.max_dimension)
         return self._complex
@@ -91,8 +94,8 @@ class RipsComplex:
         """Simplex count of ``K_ε`` (all dimensions or a single one)."""
         return self.complex().num_simplices(dimension)
 
-    def flag_arrays(self) -> "FlagComplexArrays":
-        """Vectorised array view of the complex (see :class:`FlagComplexArrays`)."""
+    def flag_arrays(self) -> ComplexArrays:
+        """The complex as :class:`ComplexArrays`, enumerated by :func:`flag_complex_arrays`."""
         return flag_complex_arrays(self.distance_matrix, self.epsilon, self.max_dimension)
 
     def __repr__(self) -> str:
@@ -102,65 +105,9 @@ class RipsComplex:
         )
 
 
-@dataclass(frozen=True)
-class FlagComplexArrays:
-    """A Vietoris–Rips (flag) complex as plain integer arrays, one per dimension.
-
-    Point clouds reach their Laplacians without per-simplex Python objects:
-    vertices are implicitly ``0..num_points-1``, and ``skeleton[k - 1]`` holds
-    the ``(|S_k|, k + 1)`` int64 array of ``k``-simplices for every
-    ``1 <= k <= max_dimension``.  Rows list each simplex's sorted vertices in
-    the *same lexicographic order* that
-    :class:`repro.tda.complexes.SimplicialComplex` uses, so boundary matrices
-    and Laplacians built from either representation are identical entry for
-    entry (the equivalence the test suite pins down).
-    """
-
-    num_points: int
-    skeleton: Tuple[np.ndarray, ...]
-
-    @property
-    def max_dimension(self) -> int:
-        return len(self.skeleton)
-
-    def simplices(self, k: int) -> np.ndarray:
-        """The ``(|S_k|, k + 1)`` array of ``k``-simplices (vertices as ``(n, 1)``)."""
-        if k == 0:
-            return np.arange(self.num_points, dtype=np.int64)[:, None]
-        if 1 <= k <= self.max_dimension:
-            return self.skeleton[k - 1]
-        return np.zeros((0, k + 1), dtype=np.int64)
-
-    @property
-    def edges(self) -> np.ndarray:
-        return self.simplices(1)
-
-    @property
-    def triangles(self) -> np.ndarray:
-        return self.simplices(2)
-
-    def num_simplices(self, dimension: Optional[int] = None) -> int:
-        if dimension is not None:
-            return len(self.simplices(int(dimension))) if dimension >= 0 else 0
-        return self.num_points + sum(len(level) for level in self.skeleton)
-
-    def f_vector(self) -> Tuple[int, ...]:
-        counts = [self.num_points] + [len(level) for level in self.skeleton]
-        while len(counts) > 1 and counts[-1] == 0:
-            counts.pop()
-        return tuple(counts) if self.num_points else ()
-
-    def to_complex(self) -> SimplicialComplex:
-        """Materialise the equivalent :class:`SimplicialComplex` (slow path)."""
-        simplices: List[Tuple[int, ...]] = [(v,) for v in range(self.num_points)]
-        for level in self.skeleton:
-            simplices.extend(tuple(int(v) for v in row) for row in level)
-        return SimplicialComplex(simplices)
-
-
 def flag_complex_arrays(
     distance_matrix: np.ndarray, epsilon: float, max_dimension: int = 2
-) -> FlagComplexArrays:
+) -> ComplexArrays:
     """Vectorised flag-complex enumeration from a precomputed distance matrix.
 
     Array counterpart of ``SimplicialComplex.from_graph(epsilon_graph(...))``
@@ -196,7 +143,7 @@ def flag_complex_arrays(
         level[:, :d] = lower[rows]
         level[:, d] = last
         skeleton.append(level)
-    return FlagComplexArrays(num_points=n, skeleton=tuple(skeleton))
+    return ComplexArrays(num_vertices=n, skeleton=tuple(skeleton))
 
 
 def rips_complex(

@@ -7,26 +7,40 @@ is kept everywhere (it fixes the signs of the boundary operator, Eqs. 1–2).
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, Tuple
+from typing import Any, Iterable, Iterator, List, Tuple
+
+from repro.utils.validation import check_integer
+
+#: Largest vertex label: complexes store their labels in int64 arrays.
+MAX_LABEL = 2**63 - 1
+
+
+def vertex_label(value: Any) -> int:
+    """A vertex label, validated by the :func:`check_integer` rules.
+
+    Labels are non-negative integers below ``2**63``; floats, strings and
+    booleans raise ``TypeError`` rather than being truncated.
+    """
+    if type(value) is int and 0 <= value <= MAX_LABEL:
+        return value
+    return check_integer(value, "vertex label", minimum=0, maximum=MAX_LABEL)
 
 
 class Simplex:
     """An ordered simplex ``[v_0 < v_1 < ... < v_k]``.
 
-    Immutable and hashable so it can be used as a dictionary key when indexing
-    boundary-matrix columns.
+    Immutable and hashable.  Complexes store their simplices as rows of
+    int64 arrays; a :class:`Simplex` is what their accessors hand out.
     """
 
     __slots__ = ("_vertices",)
 
     def __init__(self, vertices: Iterable[int]):
-        verts = tuple(sorted(int(v) for v in vertices))
+        verts = tuple(sorted(vertex_label(v) for v in vertices))
         if len(verts) == 0:
             raise ValueError("A simplex needs at least one vertex")
         if len(set(verts)) != len(verts):
             raise ValueError(f"Simplex vertices must be distinct, got {verts}")
-        if any(v < 0 for v in verts):
-            raise ValueError("Simplex vertices must be non-negative integers")
         self._vertices = verts
 
     # -- basic properties ---------------------------------------------------
@@ -63,19 +77,6 @@ class Simplex:
             Simplex(self._vertices[:t] + self._vertices[t + 1 :])
             for t in range(len(self._vertices))
         ]
-
-    def boundary(self) -> List[Tuple[int, "Simplex"]]:
-        """Signed boundary ``∂s = Σ_t (-1)^t s(t)`` as (sign, face) pairs."""
-        return [((-1) ** t, face) for t, face in enumerate(self.faces())]
-
-    def all_subsimplices(self) -> List["Simplex"]:
-        """Every non-empty subset of the vertices as a simplex (includes self)."""
-        from itertools import combinations
-
-        out: List[Simplex] = []
-        for size in range(1, len(self._vertices) + 1):
-            out.extend(Simplex(c) for c in combinations(self._vertices, size))
-        return out
 
     def is_face_of(self, other: "Simplex") -> bool:
         """Whether this simplex's vertex set is contained in ``other``'s."""

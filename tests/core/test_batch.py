@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 
+from complex_oracle import clique_levels, oracle_laplacian, oracle_laplacian_int
 from repro.core.backends import get_backend, temporary_backend
 from repro.core.batch import BATCH_BACKENDS, BatchConfig, BatchFeatureEngine
 from repro.core.config import QTDAConfig
@@ -14,7 +15,7 @@ from repro.core.hamiltonian import SpectrumCache, build_hamiltonian, padded_spec
 from repro.core.pipeline import PipelineConfig, QTDAPipeline
 from repro.datasets.point_clouds import circle_cloud, clusters_cloud
 from repro.tda.betti import betti_number
-from repro.tda.laplacian import combinatorial_laplacian, laplacian_from_flag_arrays
+from repro.tda.laplacian import combinatorial_laplacian
 from repro.tda.rips import RipsComplex, rips_complex
 
 
@@ -120,33 +121,34 @@ def test_flag_arrays_match_clique_complex_and_laplacians():
             points = rng.normal(size=(int(rng.integers(2, 16)), 3))
             epsilon = float(rng.uniform(0.3, 2.5))
             rips = RipsComplex.from_points(points, epsilon, max_dimension=max_dimension)
-            complex_ = rips.complex()
             arrays = rips.flag_arrays()
-            assert arrays.to_complex() == complex_
-            assert arrays.f_vector() == complex_.f_vector()
+            levels = clique_levels(rips.distance_matrix, epsilon, max_dimension)
+            assert arrays == rips.complex().arrays
+            assert arrays.f_vector() == tuple(len(levels[k]) for k in sorted(levels))
             for k in range(max_dimension + 2):
-                expected = combinatorial_laplacian(complex_, k)
-                got = laplacian_from_flag_arrays(arrays, k)
+                expected = oracle_laplacian(levels, k)
+                got = combinatorial_laplacian(arrays, k)
                 assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
 
 
 def test_flag_sparse_laplacians_match_dense_and_clique_complex():
-    """The CSR build equals the dense scatter and the object path, as matrices."""
+    """The CSR build equals the dense scatter and the per-simplex oracle, as matrices."""
     rng = np.random.default_rng(3)
     for max_dimension in (1, 2, 3, 4):
         for _ in range(15):
             points = rng.normal(size=(int(rng.integers(2, 16)), 3))
             epsilon = float(rng.uniform(0.3, 2.5))
             rips = RipsComplex.from_points(points, epsilon, max_dimension=max_dimension)
-            complex_, arrays = rips.complex(), rips.flag_arrays()
+            arrays = rips.flag_arrays()
+            levels = clique_levels(rips.distance_matrix, epsilon, max_dimension)
             for k in range(max_dimension + 2):
-                got = laplacian_from_flag_arrays(arrays, k, sparse_format=True)
+                got = combinatorial_laplacian(arrays, k, sparse_format=True)
                 assert sparse.isspmatrix_csr(got)
-                dense = laplacian_from_flag_arrays(arrays, k)
-                oracle = combinatorial_laplacian(complex_, k, sparse_format=True)
+                dense = combinatorial_laplacian(arrays, k)
+                oracle = oracle_laplacian(levels, k)
                 assert got.shape == dense.shape == oracle.shape
                 assert np.array_equal(got.toarray(), dense)
-                assert np.array_equal(got.toarray(), oracle.toarray())
+                assert np.array_equal(got.toarray(), oracle)
 
 
 def test_flag_laplacian_scatter_on_isolated_vertices_and_empty_cofaces():
@@ -157,34 +159,37 @@ def test_flag_laplacian_scatter_on_isolated_vertices_and_empty_cofaces():
         for _ in range(10):
             points = np.vstack([rng.normal(size=(int(rng.integers(3, 10)), 3)), far])
             rips = RipsComplex.from_points(points, float(rng.uniform(0.5, 2.0)), max_dimension=max_dimension)
-            complex_, arrays = rips.complex(), rips.flag_arrays()
+            arrays = rips.flag_arrays()
+            levels = clique_levels(rips.distance_matrix, rips.epsilon, max_dimension)
             assert arrays.num_simplices(max_dimension + 1) == 0
             for k in range(max_dimension + 1):
-                expected = combinatorial_laplacian(complex_, k)
-                assert laplacian_from_flag_arrays(arrays, k).tobytes() == expected.tobytes()
+                expected = oracle_laplacian(levels, k)
+                assert combinatorial_laplacian(arrays, k).tobytes() == expected.tobytes()
     # A 4-cycle has edges but no triangle: Δ_1 is the down part alone.
     square = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
     rips = RipsComplex.from_points(square, 1.01, max_dimension=2)
     assert rips.flag_arrays().num_simplices(2) == 0
-    expected = combinatorial_laplacian(rips.complex(), 1)
-    assert laplacian_from_flag_arrays(rips.flag_arrays(), 1).tobytes() == expected.tobytes()
+    expected = oracle_laplacian(clique_levels(rips.distance_matrix, 1.01, 2), 1)
+    assert combinatorial_laplacian(rips.flag_arrays(), 1).tobytes() == expected.tobytes()
 
 
 def test_flag_laplacian_scatter_on_large_annulus():
     """The 450-point annulus at six neighbours: |S_1| = 2700, |S_2| = 6750."""
     n = 450
-    rips = RipsComplex.from_points(circle_cloud(n), 2.0 * np.sin(6 * np.pi / n) + 1e-9, max_dimension=3)
-    complex_, arrays = rips.complex(), rips.flag_arrays()
+    epsilon = 2.0 * np.sin(6 * np.pi / n) + 1e-9
+    rips = RipsComplex.from_points(circle_cloud(n), epsilon, max_dimension=3)
+    arrays = rips.flag_arrays()
+    levels = clique_levels(rips.distance_matrix, epsilon, 3)
     assert arrays.f_vector()[:3] == (450, 2700, 6750)
-    got = laplacian_from_flag_arrays(arrays, 1)
-    assert got.tobytes() == combinatorial_laplacian(complex_, 1).tobytes()
-    # Δ_2 is a 364 MB dense matrix: the oracle's dense form is its CSR's
-    # ``todense``, compared here one block of rows at a time.
-    got = laplacian_from_flag_arrays(arrays, 2)
-    oracle = combinatorial_laplacian(complex_, 2, sparse_format=True)
+    got = combinatorial_laplacian(arrays, 1)
+    assert got.tobytes() == oracle_laplacian(levels, 1).tobytes()
+    # Δ_2 is a 364 MB dense matrix: the oracle's exact integer CSR is
+    # compared with it one block of rows at a time.
+    got = combinatorial_laplacian(arrays, 2)
+    oracle = oracle_laplacian_int(levels, 2)
     assert got.shape == oracle.shape
     for start in range(0, got.shape[0], 500):
-        block = np.asarray(oracle[start:start + 500].todense(), dtype=float)
+        block = oracle[start:start + 500].toarray().astype(float)
         assert got[start:start + 500].tobytes() == block.tobytes()
 
 
@@ -197,10 +202,11 @@ def test_flag_face_lookup_is_exact_past_int64_codes():
     arrays = rips.flag_arrays()
     assert 1000**8 > 2**63
     assert arrays.num_simplices(8) == 1
-    assert arrays.to_complex() == rips.complex()
+    assert arrays == rips.complex().arrays
+    levels = clique_levels(rips.distance_matrix, 0.1, 8)
     for k in range(9):
-        expected = combinatorial_laplacian(rips.complex(), k)
-        assert laplacian_from_flag_arrays(arrays, k).tobytes() == expected.tobytes()
+        expected = oracle_laplacian(levels, k)
+        assert combinatorial_laplacian(arrays, k).tobytes() == expected.tobytes()
 
 
 # -- spectrum cache --------------------------------------------------------------

@@ -8,7 +8,6 @@ from repro.core.operators import DenseOperator, SparseOperator, as_operator
 from repro.paulis.gershgorin import gershgorin_bound
 from repro.tda.laplacian import (
     combinatorial_laplacian,
-    combinatorial_laplacian_operator,
     laplacian_operator_from_flag_arrays,
 )
 from repro.tda.rips import rips_complex
@@ -100,10 +99,10 @@ def test_sparse_and_dense_fingerprints_never_collide(laplacian):
 # -- construction helpers ---------------------------------------------------------
 
 def test_operator_returning_laplacian_helpers(appendix_k):
-    op = combinatorial_laplacian_operator(appendix_k, 1)
+    op = laplacian_operator_from_flag_arrays(appendix_k, 1)
     assert op.format == "sparse"
     np.testing.assert_array_equal(op.to_dense(), combinatorial_laplacian(appendix_k, 1))
-    dense_op = combinatorial_laplacian_operator(appendix_k, 1, sparse_format=False)
+    dense_op = laplacian_operator_from_flag_arrays(appendix_k, 1, sparse_format=False)
     assert dense_op.format == "dense"
     np.testing.assert_array_equal(dense_op.to_dense(), op.to_dense())
 

@@ -4,11 +4,13 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from complex_oracle import oracle_boundary, oracle_laplacian, oracle_levels
 from repro.core.estimator import QTDABettiEstimator
 from repro.core.hamiltonian import build_hamiltonian
 from repro.core.padding import pad_laplacian
 from repro.tda.betti import betti_number, betti_numbers, euler_characteristic
 from repro.tda.boundary import boundary_matrix
+from repro.tda.complexes import SimplicialComplex
 from repro.tda.homology import betti_number_gf2, betti_numbers_gf2
 from repro.tda.laplacian import combinatorial_laplacian
 from repro.tda.random_complexes import random_simplicial_complex
@@ -31,6 +33,24 @@ def test_boundary_squared_is_zero(params):
         d_k1 = boundary_matrix(complex_, k + 1)
         if d_k.size and d_k1.size:
             assert np.allclose(d_k @ d_k1, 0.0)
+
+
+@settings(max_examples=30, deadline=None)
+@given(complex_params, st.integers(min_value=1, max_value=50), st.integers(min_value=0, max_value=100))
+def test_builders_match_the_per_simplex_oracle(params, scale, offset):
+    """∂_k and Δ_k of a complex with labels ``scale·v + offset`` equal the oracle's."""
+    n, p, seed = params
+    clique = random_simplicial_complex(n, edge_probability=p, seed=seed, ensure_nontrivial=False)
+    simplices = [tuple(scale * v + offset for v in s.vertices) for s in clique.simplices()]
+    complex_ = SimplicialComplex(simplices[::-1])
+    levels = oracle_levels(simplices)
+    for k in range(complex_.dimension + 2):
+        expected = oracle_boundary(levels, k).toarray().astype(float)
+        assert np.array_equal(boundary_matrix(complex_, k), expected)
+        assert np.array_equal(boundary_matrix(complex_, k, sparse_format=True).toarray(), expected)
+        expected = oracle_laplacian(levels, k)
+        assert combinatorial_laplacian(complex_, k).tobytes() == expected.tobytes()
+        assert np.array_equal(combinatorial_laplacian(complex_, k, sparse_format=True).toarray(), expected)
 
 
 @settings(max_examples=30, deadline=None)
@@ -66,7 +86,7 @@ def test_estimator_exact_betti_is_rank_and_gf2_betti(params):
         i, j = edge.vertices
         distances[i, j] = distances[j, i] = 0.5
     arrays = flag_complex_arrays(distances, 1.0, max_dimension=2)
-    assert arrays.to_complex() == complex_
+    assert arrays == complex_.arrays
     estimator = QTDABettiEstimator(precision_qubits=3, shots=None)
     for k in range(4):
         expected = betti_number(complex_, k)

@@ -4,7 +4,8 @@ Drives :meth:`QTDAServer.handle_post` directly on a server that is never
 started, so no request crosses a socket and nothing is timed.  Inputs are
 malformed JSON, non-finite number tokens, wrong value types, unknown
 fields, oversized arrays, missing or wrong ``schema_version`` values,
-simplicial complexes that miss a face (closed ones must be served),
+simplicial complexes that miss a face (closed ones must be served) or
+whose vertex labels are not integers in ``[0, 2**63)``,
 ``precision_qubits`` past ``MAX_PRECISION_QUBITS``, non-square distance
 matrices and time series or observe windows shorter than the Takens span.
 Every one must come back as a 4xx error envelope: never a 500 and never an
@@ -256,6 +257,36 @@ def test_closed_and_unclosed_complexes(server, maximal, close):
         assert assert_client_error(server, "estimate", raw) == "invalid_request"
         with pytest.raises(ValueError, match="is missing"):
             EstimationRequest(simplices=sorted(simplices))
+
+
+@pytest.mark.parametrize(
+    "simplices, error",
+    [
+        ([[0.9], [1.2], [0.9, 1.2]], TypeError),
+        ([[1.0], [2.0], [1.0, 2.0]], TypeError),
+        ([["0"], ["1"], ["0", "1"]], TypeError),
+        ([[True], [False], [False, True]], TypeError),
+        ([[0], [10**30], [0, 10**30]], ValueError),
+        ([[0], [2**63], [0, 2**63]], ValueError),
+        ([[-1], [0], [-1, 0]], ValueError),
+    ],
+    ids=["fraction", "integral-float", "string", "bool", "10**30", "2**63", "negative"],
+)
+def test_vertex_labels_follow_the_integer_rules(server, simplices, error):
+    """A label is an integer in ``[0, 2**63)``: ``0.9`` is not truncated to
+    vertex 0, and a label past int64 is a 400, not a 500."""
+    document = replaced(VALID["estimate"], ("simplices",), simplices)
+    assert assert_client_error(server, "estimate", json.dumps(document).encode()) == "invalid_request"
+    with pytest.raises(error, match="vertex label"):
+        EstimationRequest(simplices=simplices)
+
+
+def test_largest_vertex_label_is_served(server):
+    top = 2**63 - 1
+    document = replaced(VALID["estimate"], ("simplices",), [[5], [top], [5, top]])
+    status, body, _headers = server.handle_post("estimate", json.dumps(document).encode(), "fuzz")
+    assert status == 200, body
+    assert body["payload"]["exact_betti"] == 0
 
 
 def test_non_square_distance_matrix(server):

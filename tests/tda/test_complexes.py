@@ -1,6 +1,10 @@
 """Tests for SimplicialComplex."""
 
+import re
+from itertools import combinations
+
 import networkx as nx
+import numpy as np
 import pytest
 
 from repro.tda.complexes import SimplicialComplex
@@ -97,3 +101,65 @@ def test_is_connected(appendix_k, two_components):
 def test_equality(hollow_triangle):
     same = SimplicialComplex([(0,), (1,), (2,), (0, 1), (0, 2), (1, 2)])
     assert hollow_triangle == same
+
+
+@pytest.mark.parametrize(
+    "simplices, missing",
+    [
+        ([(0,), (1,), (0, 1, 2)], "Simplex[1, 2]"),
+        ([(0,), (1,), (2,), (0, 1), (0, 2), (0, 1, 2)], "Simplex[1, 2]"),
+        ([(7,), (9,), (7, 9), (7, 11)], "Simplex[11]"),
+        ([(5,), (6,), (7,), (5, 6, 7)], "Simplex[6, 7]"),
+        ([(1,), (2,), (1, 2), (1, 2, 3)], "Simplex[2, 3]"),
+    ],
+)
+def test_closure_check_names_a_missing_face(simplices, missing):
+    with pytest.raises(ValueError, match=rf"is present but its face {re.escape(missing)} is missing"):
+        SimplicialComplex(simplices)
+
+
+def test_closure_check_agrees_with_a_face_walk():
+    """Random sets of simplices on six vertices: closed exactly when every face is there."""
+    rng = np.random.default_rng(17)
+    universe = [c for size in range(1, 5) for c in combinations(range(6), size)]
+    for _ in range(300):
+        chosen = {universe[i] for i in rng.choice(len(universe), size=int(rng.integers(1, 30)), replace=False)}
+        closed = all(face in chosen for s in chosen for face in combinations(s, len(s) - 1) if face)
+        labels = [tuple(int(v) * 5 + 2 for v in rng.permutation(s)) for s in chosen]
+        if closed:
+            assert SimplicialComplex(labels).num_simplices() == len(chosen)
+        else:
+            with pytest.raises(ValueError, match="is missing"):
+                SimplicialComplex(labels)
+
+
+def test_labels_are_validated_not_coerced():
+    with pytest.raises(TypeError, match="vertex label"):
+        SimplicialComplex([[0.9], [1.2], [0.9, 1.2]])
+    with pytest.raises(TypeError, match="vertex label"):
+        SimplicialComplex([["0"]])
+    with pytest.raises(ValueError, match="vertex label"):
+        SimplicialComplex([[10**30]])
+    with pytest.raises(ValueError, match="distinct"):
+        SimplicialComplex([(1,), (1, 1)])
+    huge = SimplicialComplex([(3,), (2**63 - 1,), (3, 2**63 - 1)])
+    assert huge.vertices == (3, 2**63 - 1)
+    assert (3, 2**63 - 1) in huge and (2**63 - 1,) in huge and (4,) not in huge
+
+
+def test_arrays_hold_vertex_ranks_in_lexicographic_order():
+    complex_ = SimplicialComplex([(30,), (10,), (20,), (30, 10), (20, 30), (10, 20), (20, 10, 30)])
+    assert complex_.vertices == (10, 20, 30)
+    arrays = complex_.arrays
+    assert arrays.arrays is arrays
+    assert arrays.simplices(1).tolist() == [[0, 1], [0, 2], [1, 2]]
+    assert arrays.simplices(2).tolist() == [[0, 1, 2]]
+    assert arrays.f_vector() == complex_.f_vector() == (3, 3, 1)
+    assert arrays.num_simplices() == len(complex_) == 7
+    assert arrays.dimension == complex_.dimension == 2
+
+
+def test_empty_complex():
+    complex_ = SimplicialComplex([])
+    assert complex_.f_vector() == () and complex_.dimension == -1 and len(complex_) == 0
+    assert complex_.simplices() == [] and complex_.vertices == ()

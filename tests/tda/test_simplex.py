@@ -1,5 +1,6 @@
 """Tests for the Simplex value object."""
 
+import numpy as np
 import pytest
 
 from repro.tda.simplex import Simplex
@@ -24,6 +25,22 @@ def test_invalid_simplices_rejected():
         Simplex([-1, 0])
 
 
+@pytest.mark.parametrize("label", [0.9, 1.0, "0", True, None])
+def test_labels_follow_the_integer_rules(label):
+    """Labels are not coerced: ``int(0.9)`` would silently become vertex 0."""
+    with pytest.raises(TypeError, match="vertex label"):
+        Simplex([label, 5])
+
+
+def test_labels_must_fit_int64():
+    assert Simplex([2**63 - 1]).vertices == (2**63 - 1,)
+    assert Simplex([np.int64(3), np.uint8(1)]).vertices == (1, 3)
+    with pytest.raises(ValueError, match="vertex label"):
+        Simplex([2**63])
+    with pytest.raises(ValueError, match="vertex label"):
+        Simplex([10**30])
+
+
 def test_faces_drop_one_vertex_each():
     faces = Simplex([0, 1, 2]).faces()
     assert faces == [Simplex([1, 2]), Simplex([0, 2]), Simplex([0, 1])]
@@ -31,17 +48,6 @@ def test_faces_drop_one_vertex_each():
 
 def test_vertex_has_no_faces():
     assert Simplex([4]).faces() == []
-
-
-def test_boundary_signs_follow_equation_2():
-    boundary = Simplex([0, 1, 2]).boundary()
-    signs = [s for s, _ in boundary]
-    assert signs == [1, -1, 1]
-
-
-def test_all_subsimplices_count():
-    # A 2-simplex has 2^3 - 1 = 7 non-empty subsets.
-    assert len(Simplex([0, 1, 2]).all_subsimplices()) == 7
 
 
 def test_is_face_of():
