@@ -20,6 +20,13 @@ factor at its own controlled power and joins as the power's output), and
 ``peak_tensor_qubits``, the most any kernel's input or output holds (9 =
 ``t + q - 1``: the last power traces the system register out without
 joining its control).
+
+The superoperator share is recorded per op: ``superop_tensor_qubits`` is
+the tensor width each superoperator runs on, ``superop_ms`` its median time
+over ``WARM_REPEATS`` instrumented runs, and ``folded_superoperators`` how
+many superoperators the traced last power absorbs as adjoints instead of
+running them on its 9-qubit input.  ``fused_superoperators`` is 16 (18
+before the system register's noise waited for the next power).
 """
 
 from __future__ import annotations
@@ -79,26 +86,49 @@ def _route_seconds(problem: EstimationProblem, engine: str):
     return time.perf_counter() - start, result
 
 
-def _tensor_qubits(problem: EstimationProblem, monkeypatch):
-    """Tensor qubits at each wide unitary of one ``ptm`` run, and the most
-    any superoperator or wide-unitary input or output holds."""
-    wide, sizes = [], []
+def _kernel_profile(problem: EstimationProblem, monkeypatch):
+    """One instrumented ``ptm`` run per warm repeat: the tensor qubits at
+    each wide unitary, the most any kernel's input or output holds, the
+    tensor qubits and median time of each superoperator, and how many
+    superoperators the wide unitaries fold."""
+    runs = []
 
-    def recorded(kernel, is_wide):
+    def recorded(kernel, is_wide, run):
         def recording(tensor, *args, **kwargs):
+            start = time.perf_counter()
             out = kernel(tensor, *args, **kwargs)
+            seconds = time.perf_counter() - start
             if is_wide:
-                wide.append(tensor.ndim // 2)
-            sizes.extend([tensor.ndim // 2, out.ndim // 2])
+                run["wide"].append(tensor.ndim // 2)
+                run["folded"] += len(kwargs.get("folded", ()))
+            else:
+                run["superops"].append((tensor.ndim // 2, seconds))
+            run["sizes"].extend([tensor.ndim // 2, out.ndim // 2])
             return out
 
         return recording
 
-    with monkeypatch.context() as patch:
-        for name, is_wide in (("apply_superop", False), ("apply_unitary_to_pauli_ensemble", True)):
-            patch.setattr(ptm_module, name, recorded(getattr(ptm_module, name), is_wide))
-        _route_seconds(problem, "ptm")
-    return wide, max(sizes)
+    for _ in range(WARM_REPEATS):
+        run = {"wide": [], "superops": [], "sizes": [], "folded": 0}
+        with monkeypatch.context() as patch:
+            for name, is_wide in (
+                ("apply_superop", False),
+                ("apply_unitary_to_pauli_ensemble", True),
+            ):
+                patch.setattr(ptm_module, name, recorded(getattr(ptm_module, name), is_wide, run))
+            _route_seconds(problem, "ptm")
+        runs.append(run)
+    first = runs[0]
+    return {
+        "wide_op_tensor_qubits": first["wide"],
+        "peak_tensor_qubits": max(first["sizes"]),
+        "superop_tensor_qubits": [width for width, _ in first["superops"]],
+        "superop_ms": [
+            1e3 * statistics.median(run["superops"][index][1] for run in runs)
+            for index in range(len(first["superops"]))
+        ],
+        "folded_superoperators": first["folded"],
+    }
 
 
 def _density_seconds(problem: EstimationProblem):
@@ -128,7 +158,7 @@ def test_bench_ptm_route_speedup(benchmark, paper_scale, bench_json, monkeypatch
     ptm_warm_seconds = statistics.median(warm_runs)
     quartiles = statistics.quantiles(warm_runs, n=4)
     ptm_warm_iqr = quartiles[2] - quartiles[0]
-    wide_op_tensor_qubits, peak_tensor_qubits = _tensor_qubits(problem, monkeypatch)
+    profile = _kernel_profile(problem, monkeypatch)
 
     dim = 2**6
     betti_ptm = dim * float(ptm.distribution[0])
@@ -140,8 +170,12 @@ def test_bench_ptm_route_speedup(benchmark, paper_scale, bench_json, monkeypatch
         f"q=6 t={PRECISION} depolarizing p={NOISE_STRENGTH} "
         f"gate_strengths={GATE_STRENGTHS}: ptm {cold_seconds:.3f}s cold / "
         f"{ptm_warm_seconds:.3f}s warm median (IQR {ptm_warm_iqr:.3f}s, "
-        f"{len(warm_runs)} runs; {ptm.route['fused_gates']} fused superops; wide ops on "
-        f"{wide_op_tensor_qubits} tensor qubits, peak {peak_tensor_qubits}) | "
+        f"{len(warm_runs)} runs; {ptm.route['fused_gates']} fused superops, "
+        f"{profile['folded_superoperators']} folded; superops on "
+        f"{profile['superop_tensor_qubits']} tensor qubits, "
+        f"{sum(profile['superop_ms']):.2f} ms; wide ops on "
+        f"{profile['wide_op_tensor_qubits']} tensor qubits, "
+        f"peak {profile['peak_tensor_qubits']}) | "
         f"density {density_seconds:.3f}s | speedup {speedup:.1f}x | "
         f"betti {betti_ptm:.6f} vs density {betti_density:.6f} "
         f"(max |Δp| = {max_abs_diff:.2e})"
@@ -162,8 +196,7 @@ def test_bench_ptm_route_speedup(benchmark, paper_scale, bench_json, monkeypatch
             "density_seconds": density_seconds,
             "speedup_vs_density": speedup,
             "fused_superoperators": ptm.route["fused_gates"],
-            "wide_op_tensor_qubits": wide_op_tensor_qubits,
-            "peak_tensor_qubits": peak_tensor_qubits,
+            **profile,
             "betti_ptm": betti_ptm,
             "betti_density": betti_density,
             "max_abs_distribution_diff": max_abs_diff,

@@ -355,8 +355,13 @@ class EstimationRequest(_RequestBase):
                 raise ValueError("'simplices' must not be empty")
             # Built here, not only at build time, so a bad label or an
             # unclosed complex is a client error (400 on the wire) rather
-            # than a failed execution.
-            SimplicialComplex(simplices)
+            # than a failed execution.  build_complex returns these arrays;
+            # like the fingerprint caches they live outside the dataclass
+            # fields, so equality, hashing and the wire form ignore them.
+            arrays = SimplicialComplex(simplices).arrays
+            for array in arrays.skeleton:
+                array.setflags(write=False)
+            object.__setattr__(self, "_complex_arrays_cache", arrays)
             object.__setattr__(self, "simplices", simplices)
         else:
             if self.epsilon is None:
@@ -380,9 +385,10 @@ class EstimationRequest(_RequestBase):
         return _int_seed(self.config.seed)
 
     def build_complex(self) -> ComplexArrays:
-        """Materialise the complex as arrays: of the ``simplices``, or the flag complex of ``points``."""
+        """Materialise the complex as arrays: of the ``simplices`` (the
+        read-only arrays validation built), or the flag complex of ``points``."""
         if self.simplices is not None:
-            return SimplicialComplex(self.simplices).arrays
+            return self._complex_arrays_cache
         return RipsComplex.from_points(
             np.asarray(self.points, dtype=float), self.epsilon, max_dimension=self.max_dimension
         ).flag_arrays()

@@ -291,9 +291,11 @@ def fuse_circuit(circuit: QuantumCircuit, max_fuse_qubits: int = 3) -> Tuple[Gat
 # controlled powers cannot have explicit superoperators (4^(1+q) blows up);
 # they pass through as unitaries with a precomputed controlled-block fast
 # path — but their *noise* is small and keeps fusing on either side.  Before
-# fusing, the stream is scheduled so each qubit joins the density tensor as
-# late as possible (_defer_single_qubit_prefixes); the wide powers then run
-# on the qubits that have joined so far instead of on the whole register.
+# fusing, the stream is scheduled so each single-qubit op waits for its
+# qubit's next coupling op (_defer_single_qubit_runs): each qubit joins the
+# density tensor as late as possible, so the wide powers run on the qubits
+# that have joined so far instead of on the whole register, and the noise a
+# power leaves on its targets lands right before the next power on them.
 # The scheduled stream is then cut to the readout's backward light cone
 # (_light_cone), and each qubit's held prefix is marked (_mark_prefixes) so
 # the window keeps it apart: the executor applies it to the qubit's input
@@ -313,24 +315,23 @@ def _density_walk(circuit: QuantumCircuit, noise_spec: Optional[NoiseSpec]):
                 yield qubits, channel
 
 
-def _defer_single_qubit_prefixes(stream):
-    """Reorder ``(qubits, ...)`` items so each qubit joins the tensor late.
+def _defer_single_qubit_runs(stream):
+    """Reorder ``(qubits, ...)`` items so each single-qubit op runs late.
 
-    A qubit's leading single-qubit ops (its Hadamard and the channels
-    attached to it) are held back until the first op that couples it to
-    another qubit, then emitted in stream order right before that op.  Ops
-    of a qubit that never couples are emitted at the end, in stream order.
-    The result is the same evolution: a held op only moves past ops on other
-    qubits, and no two ops sharing a qubit swap.
+    Every run of a qubit's single-qubit ops (its Hadamard, the channels
+    attached to it, the channels a coupling op left on it) is held back
+    until the qubit's next op that couples it to another qubit, then
+    emitted in stream order right before that op.  Ops still held after the
+    last coupling op are emitted at the end, in stream order.  The result
+    is the same evolution: a held op only moves past ops on other qubits,
+    and no two ops sharing a qubit swap.
     """
     pending: Dict[int, List[Tuple[int, tuple]]] = {}
-    coupled = set()
     for index, item in enumerate(stream):
         qubits = item[0]
-        if len(qubits) == 1 and qubits[0] not in coupled:
+        if len(qubits) == 1:
             pending.setdefault(qubits[0], []).append((index, item))
             continue
-        coupled.update(qubits)
         yield from _in_stream_order(pending.pop(q, []) for q in qubits)
         yield item
     yield from _in_stream_order(pending.values())
@@ -344,8 +345,8 @@ def _in_stream_order(held):
 
 
 def _ptm_op_stream(circuit: QuantumCircuit, noise_spec: Optional[NoiseSpec]):
-    """The density walk, scheduled so single-qubit prefixes join late."""
-    return _defer_single_qubit_prefixes(_density_walk(circuit, noise_spec))
+    """The density walk, scheduled so single-qubit ops run late."""
+    return _defer_single_qubit_runs(_density_walk(circuit, noise_spec))
 
 
 def _light_cone(stream: Sequence[tuple], readout) -> List[tuple]:

@@ -33,19 +33,24 @@ still matter (:meth:`PTMExecutor.reduced_state`):
   are the targets of a controlled power whose control stays, the power
   returns ``Tr_targets[U ρ U†]`` from four block traces and never forms
   ``U ρ U†`` (:func:`apply_unitary_to_pauli_ensemble`);
+* a superoperator on such a traced power's targets only, with nothing
+  between them on its qubits, never touches the tensor: the power applies
+  its adjoint to the small block-trace operands instead, because
+  ``Tr(M S(X)) = Tr(S*(M) X)`` (:func:`_adjoint_apply`);
 * an op outside the backward light cone of the measured qubits is skipped.
 
 All of these are exact because every program op is trace-preserving.  The
-program builder feeds them: it holds each qubit's leading single-qubit ops
-back until the qubit's first coupling op and fuses them only with each
-other (exact, since a held op only moves past ops on other qubits), so
-each QTDA precision qubit is still its input factor when its own
-controlled power of ``U`` runs; and it drops the ops outside the
-readout's light cone before fusing, so the system register's trailing
-noise neither fuses into the precision qubits' blocks nor keeps the
-system register alive past the last power.  The
-readout is the diagonal over the measured qubits, so the result matches the
-density route to floating-point accuracy.
+program builder feeds them: it holds every run of a qubit's single-qubit
+ops back until the qubit's next coupling op (exact, since a held op only
+moves past ops on other qubits) and fuses a qubit's leading run only with
+itself, so each QTDA precision qubit is still its input factor when its
+own controlled power of ``U`` runs, and the noise each power leaves on the
+system register waits for the next power, where the last power folds it;
+and it drops the ops outside the readout's light cone before fusing, so
+the system register's trailing noise neither fuses into the precision
+qubits' blocks nor keeps the system register alive past the last power.
+The readout is the diagonal over the measured qubits, so the result
+matches the density route to floating-point accuracy.
 
 Conventions: the first qubit of a support tuple is the most significant
 digit, matching the :class:`~repro.quantum.operations.Gate` bit convention.
@@ -58,7 +63,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -194,6 +199,7 @@ def apply_unitary_to_pauli_ensemble(
     block: Optional[np.ndarray] = None,
     trace_targets: bool = False,
     control_factor: Optional[np.ndarray] = None,
+    folded: Sequence[Tuple[np.ndarray, Sequence[int]]] = (),
 ):
     """Conjugate the Liouville tensor by a unitary too wide for a superoperator.
 
@@ -210,11 +216,19 @@ def apply_unitary_to_pauli_ensemble(
     returns ``Tr_targets[U rho U†]`` instead, for targets that leave the
     tensor right after the op.  Per control block ``(a, b)`` that is
     ``Tr rho_00``, ``Tr(V rho_10)``, ``Tr(rho_01 V†)`` and
-    ``Tr(V†V rho_11)``: four ``einsum`` contractions on strided views of
-    the tensor, no GEMM and no copy of it.  The (1, 1) block keeps
+    ``Tr(V†V rho_11)``: a diagonal sum and one GEMM of the three small
+    operands against one grouped copy of the tensor, never ``U rho U†``.  The (1, 1) block keeps
     ``V†V``, so ``V`` need not be unitary.  The result holds the control's
     (row, col) pair first, then the other non-target pairs in their
     previous order.
+
+    ``folded`` (with ``trace_targets`` only) lists ``(superop, positions)``
+    superoperators on target positions, in program order, that act on
+    ``rho`` right before the op and are not applied to it.  Since
+    ``Tr(M S(X)) = Tr(S*(M) X)``, each one's adjoint acts on the small
+    operands ``V``, ``V†V`` and ``V†`` instead, in reverse order
+    (:func:`_adjoint_apply`); ``Tr rho_00`` needs nothing, because a
+    trace-preserving ``S`` keeps ``S*(I) = I``.
 
     ``control_factor`` (controlled ``U`` only) is the ``2 x 2`` input
     factor ``f`` of a control that has not joined the tensor; ``positions``
@@ -232,13 +246,17 @@ def apply_unitary_to_pauli_ensemble(
         raise ValueError(
             "trace_targets and control_factor need the controlled block V of U = I (+) V"
         )
+    if folded and not trace_targets:
+        raise ValueError("folded superoperators need trace_targets")
     if control_factor is not None:
         factor = np.asarray(control_factor).reshape(2, 2)
         if trace_targets:
-            return _traced_controlled(tensor, np.asarray(block), None, positions, factor)
+            return _traced_controlled(tensor, np.asarray(block), None, positions, factor, folded)
         return _factored_controlled(tensor, np.asarray(block), positions, factor)
     if trace_targets:
-        return _traced_controlled(tensor, np.asarray(block), positions[0], positions[1:])
+        return _traced_controlled(
+            tensor, np.asarray(block), positions[0], positions[1:], folded=folded
+        )
     dim = 2 ** len(positions)
     work, perm = _grouped(tensor, positions)
     if block is not None:
@@ -251,13 +269,14 @@ def apply_unitary_to_pauli_ensemble(
     return np.transpose(work.reshape((2,) * tensor.ndim), np.argsort(perm).tolist())
 
 
-def _grouped(tensor, positions: Sequence[int]):
+def _grouped(tensor, positions: Sequence[int], lead: Sequence[int] = ()):
     """A contiguous copy of ``tensor`` as ``(2^k, 2^k, rest)``: the row bits
-    of the qubits at ``positions``, their col bits, then the other axes in
-    order; returned with the axis permutation that made it."""
+    of the qubits at ``positions``, their col bits, the (row, col) pairs of
+    the qubits at ``lead``, then the other axes in order; returned with the
+    axis permutation that made it."""
     dim = 2 ** len(positions)
-    rest = [axis for axis in range(tensor.ndim) if axis not in _bit_axes(positions)]
-    perm = [2 * p for p in positions] + [2 * p + 1 for p in positions] + rest
+    front = [2 * p for p in positions] + [2 * p + 1 for p in positions] + _bit_axes(lead)
+    perm = front + [axis for axis in range(tensor.ndim) if axis not in front]
     return np.ascontiguousarray(np.transpose(tensor, perm)).reshape(dim, dim, -1), perm
 
 
@@ -279,61 +298,77 @@ def _factored_controlled(tensor, block: np.ndarray, targets: Sequence[int], fact
     return np.transpose(out.reshape((2,) * (tensor.ndim + 2)), order)
 
 
+def _adjoint_apply(transposed: np.ndarray, superop: np.ndarray, indices: Sequence[int]):
+    """``S*(M)ᵀ`` for each ``Mᵀ`` of the ``(B, 2^m, 2^m)`` stack
+    ``transposed`` and a superoperator ``S`` on qubits ``indices`` of the
+    ``m``, where ``S*`` is the adjoint: ``Tr(S*(M) X) = Tr(M S(X))``.
+
+    ``Tr(M Y) = vec(Mᵀ)ᵀ vec(Y)``, so ``vec(S*(M)ᵀ) = Sᵀ vec(Mᵀ)``: each
+    folded qubit's (row, col) bits of ``Mᵀ`` are contracted with ``S``'s
+    output digits, and ``S``'s input digits take their place.
+    """
+    count, dim = transposed.shape[0], transposed.shape[-1]
+    m, k = dim.bit_length() - 1, len(indices)
+    contracted = [1 + axis for i in indices for axis in (i, m + i)]
+    out = np.tensordot(
+        transposed.reshape((count,) + (2,) * (2 * m)),
+        np.asarray(superop).reshape((2,) * (4 * k)),
+        axes=(contracted, list(range(2 * k))),
+    )
+    # ``out``: the batch axis, the other bit axes in order, then S's input
+    # (row, col) digits per folded qubit.
+    rest = [axis for axis in range(1, 1 + 2 * m) if axis not in contracted]
+    source = {axis: 1 + n for n, axis in enumerate(rest)}
+    for n, i in enumerate(indices):
+        source[1 + i] = len(rest) + 1 + 2 * n
+        source[1 + m + i] = len(rest) + 2 + 2 * n
+    order = [0] + [source[axis] for axis in range(1, 1 + 2 * m)]
+    return np.ascontiguousarray(out.transpose(order)).reshape(count, dim, dim)
+
+
 def _traced_controlled(
     tensor,
     block: np.ndarray,
     control: Optional[int],
     targets: Sequence[int],
     factor: Optional[np.ndarray] = None,
+    folded: Sequence[Tuple[np.ndarray, Sequence[int]]] = (),
 ):
     """``Tr_targets[U rho U†]`` for ``U = I (+) V`` on (``control``,
     ``targets``), by the four block traces of
-    :func:`apply_unitary_to_pauli_ensemble`.  With ``factor`` the control
-    has not joined (``control`` is ``None``): every block trace reads
-    ``rho`` itself and is scaled by ``factor[a, b]``."""
-    m = len(targets)
-    # einsum labels: target row bits 0..m-1, target col bits m..2m-1 (in
-    # ``targets`` order, as V indexes them), then one per kept axis.
-    row = {p: j for j, p in enumerate(targets)}
-    view_axes, diagonal, kept = [], [], []
-    for axis in range(tensor.ndim):
-        p, is_col = divmod(axis, 2)
-        if p == control:
-            continue
-        if p in row:
-            view_axes.append(row[p] + m * is_col)
-            diagonal.append(row[p])
-        else:
-            kept.append(2 * m + len(kept))
-            view_axes.append(kept[-1])
-            diagonal.append(kept[-1])
-    row_axes, col_axes = list(range(m)), list(range(m, 2 * m))
-    shape = (2,) * (2 * m)
-    # The small operands are laid out in the view's target-axis order, so
-    # einsum walks both in one memory order.
-    order = [label for label in view_axes if label < 2 * m]
+    :func:`apply_unitary_to_pauli_ensemble`, with the ``folded``
+    superoperators' adjoints applied to the small operands.  With
+    ``factor`` the control has not joined (``control`` is ``None``): every
+    block trace reads ``rho`` itself and is scaled by ``factor[a, b]``.
 
-    def aligned(matrix, labels):
-        axes = [labels.index(label) for label in order]
-        return np.ascontiguousarray(matrix.reshape(shape).transpose(axes))
-
-    v = aligned(block, col_axes + row_axes)
-    gram = aligned(block.conj().T @ block, col_axes + row_axes)
-    v_conj = aligned(block.conj(), row_axes + col_axes)
-
-    def view(a: int, b: int):
-        if control is None:
-            return tensor
-        index = [slice(None)] * tensor.ndim
-        index[2 * control], index[2 * control + 1] = a, b
-        return tensor[tuple(index)]
-
-    operands = (tensor, block) if factor is None else (tensor, block, factor)
-    out = np.empty((2, 2) + (2,) * len(kept), dtype=np.result_type(*operands))
-    out[0, 0] = np.einsum(view(0, 0), diagonal, kept)
-    out[1, 1] = np.einsum(gram, order, view(1, 1), view_axes, kept)
-    out[1, 0] = np.einsum(v, order, view(1, 0), view_axes, kept)
-    out[0, 1] = np.einsum(v_conj, order, view(0, 1), view_axes, kept)
+    ``Tr(M X) = Σ_xy Mᵀ_yx X_yx`` is a dot product of ``Mᵀ`` with the
+    targets' grouped (row, col) bits, so the three operand traces are one
+    GEMM against one grouped copy of the tensor, with the control's pair
+    leading the kept axes so each block ``(a, b)`` is a strided slice.
+    ``Tr rho_00`` is the grouped copy's diagonal sum.
+    """
+    dim = 2 ** len(targets)
+    # Mᵀ of the operand M of Tr(M rho_ab) for blocks (0, 1), (1, 0) and
+    # (1, 1): V†, V and V†V.  (0, 0) takes the identity, which every folded
+    # S keeps: S*(I) = I.
+    operands = np.stack([block.conj(), block.T, block.T @ block.conj()])
+    for superop, positions in reversed(folded):
+        operands = _adjoint_apply(operands, superop, [targets.index(p) for p in positions])
+    lead = () if control is None else (control,)
+    work, _ = _grouped(tensor, targets, lead)
+    kept = (2,) * (tensor.ndim - 2 * len(targets) - 2 * len(lead))
+    # Columns: the control's four (row, col) blocks when it has joined,
+    # then the kept axes.
+    work = work.reshape(dim, dim, 4 ** len(lead), -1)
+    traces = np.empty((4, work.shape[-1]), dtype=np.result_type(work, operands))
+    traces[0] = np.trace(work[:, :, 0])
+    rows = operands.reshape(3, 1, dim * dim)
+    columns = work.reshape(dim * dim, work.shape[2], -1)
+    if control is None:
+        traces[1:] = np.matmul(rows, columns[:, 0])[:, 0]
+    else:
+        traces[1:] = np.matmul(rows, columns[:, 1:].transpose(1, 0, 2))[:, 0]
+    out = traces.reshape((2, 2) + kept)
     if factor is not None:
         out *= factor.reshape((2, 2) + (1,) * len(kept))
     return out
@@ -400,6 +435,32 @@ class PTMProgram:
         return distinct_nbytes(arrays)
 
 
+def _folds(ops: Sequence[PTMProgramOp], traced: Sequence[int]) -> Dict[int, List[int]]:
+    """The superoperators each traced controlled power absorbs.
+
+    Maps the index of each power in ``traced`` to the indices, in program
+    order, of the :class:`PTMOp` s it folds: ops on the power's targets
+    only, where every op between one and the power that shares a qubit with
+    it is folded too.  Such an op only moves past ops on other qubits, so
+    it may act last, right before the power that traces its qubits out.
+    """
+    folds = {}
+    for index in traced:
+        targets, blocked, found = set(ops[index].qubits[1:]), set(), []
+        for j in range(index - 1, -1, -1):
+            if targets <= blocked:
+                break
+            op = ops[j]
+            if isinstance(op, PTMOp) and targets.issuperset(op.qubits) and blocked.isdisjoint(
+                op.qubits
+            ):
+                found.append(j)
+            else:
+                blocked.update(op.qubits)
+        folds[index] = found[::-1]
+    return folds
+
+
 class PTMExecutor:
     """Evolves product-state inputs through a :class:`PTMProgram`."""
 
@@ -456,6 +517,19 @@ class PTMExecutor:
                 ops.append(op)
         ops.reverse()
         last = {q: index for index, op in enumerate(ops) for q in op.qubits}
+
+        def leaving(index):
+            return [q for q in ops[index].qubits if last[q] == index and q not in keep]
+
+        traced = [
+            index
+            for index, op in enumerate(ops)
+            if isinstance(op, WideUnitaryOp)
+            and op.block is not None
+            and leaving(index) == list(op.qubits[1:])
+        ]
+        folds = _folds(ops, traced)
+        folded = {j for found in folds.values() for j in found}
         factors = [np.asarray(state, dtype=complex) for state in initial_states]
 
         def join(tensor, new):
@@ -467,6 +541,8 @@ class PTMExecutor:
         tensor = np.ones((), dtype=complex)
         axes = []  # qubit label of each (row bit, col bit) axis pair
         for index, op in enumerate(ops):
+            if index in folded:
+                continue
             if isinstance(op, PTMOp) and len(op.qubits) == 1 and op.qubits[0] not in axes:
                 (q,) = op.qubits
                 factors[q] = (op.matrix @ factors[q].reshape(4)).reshape(2, 2)
@@ -482,12 +558,12 @@ class PTMExecutor:
             if new:
                 tensor = join(tensor, new)
             positions = [axes.index(q) for q in support]
-            leaving = [q for q in op.qubits if last[q] == index and q not in keep]
+            leavers = leaving(index)
             if isinstance(op, PTMOp):
                 tensor = apply_superop(tensor, op.matrix, positions)
                 axes[:] = list(op.qubits) + [q for q in axes if q not in op.qubits]
             else:
-                traced = op.block is not None and leaving == list(op.qubits[1:])
+                traced = index in folds
                 tensor = apply_unitary_to_pauli_ensemble(
                     tensor,
                     op.matrix,
@@ -495,17 +571,21 @@ class PTMExecutor:
                     block=op.block,
                     trace_targets=traced,
                     control_factor=factors[control] if factored else None,
+                    folded=[
+                        (ops[j].matrix, [axes.index(q) for q in ops[j].qubits])
+                        for j in folds.get(index, ())
+                    ],
                 )
                 if traced:
                     axes[:] = [control] + [q for q in axes if q not in op.qubits]
-                    leaving = []
+                    leavers = []
                 elif factored:
                     axes.insert(0, control)
-            if leaving:
-                identity = _outer_product([np.eye(2)] * len(leaving))
-                targets = _bit_axes([axes.index(q) for q in leaving])
+            if leavers:
+                identity = _outer_product([np.eye(2)] * len(leavers))
+                targets = _bit_axes([axes.index(q) for q in leavers])
                 tensor = np.tensordot(tensor, identity, axes=(targets, list(range(identity.ndim))))
-                axes[:] = [q for q in axes if q not in leaving]
+                axes[:] = [q for q in axes if q not in leavers]
         missing = [q for q in keep if q not in axes]
         if missing:
             tensor = join(tensor, missing)

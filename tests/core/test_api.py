@@ -898,6 +898,25 @@ class TestGeometryFingerprint:
         request = EstimationRequest(simplices=TRIANGLE)
         assert request.geometry_fingerprint() is request.geometry_fingerprint()
 
+    def test_simplices_complex_is_built_once_and_stays_off_the_wire(self):
+        """Validation builds the ``simplices`` complex once; build_complex
+        returns those read-only arrays, and the wire dict, equality and
+        hash do not see them."""
+        request = EstimationRequest(simplices=APPENDIX_SIMPLICES, k=1)
+        before = request.as_dict()
+        first = request.build_complex()
+        second = request.build_complex()
+        assert first is second
+        assert all(a is b for a, b in zip(first.skeleton, second.skeleton))
+        assert all(not array.flags.writeable for array in first.skeleton)
+        want = SimplicialComplex(APPENDIX_SIMPLICES).arrays
+        assert first.num_vertices == want.num_vertices
+        assert all(np.array_equal(a, b) for a, b in zip(first.skeleton, want.skeleton))
+        assert request.as_dict() == before
+        assert request.as_dict() == EstimationRequest(simplices=APPENDIX_SIMPLICES, k=1).as_dict()
+        twin = EstimationRequest.from_dict(before)
+        assert twin == request and hash(twin) == hash(request)
+
 
 class TestServiceLifecycle:
     def test_close_is_idempotent(self):

@@ -11,13 +11,14 @@ Three algebraic laws pin the superoperator construction itself:
 The rest locks down the execution machinery against the density oracle: the
 wide-unitary conjugation (controlled fast path included), the embedding,
 program fusion against the density route's gate-then-Kraus walk, the
-schedule that defers each qubit's single-qubit prefix (and the tensor width
-it leaves at each wide unitary), the exact join / trace-out / light-cone
-skip rules of the evolution, per-channel memoisation and the program cache.
-The last section pins the four identities that keep the tensor small:
-a prefix applied to the input factor, a program cut to a readout's light
-cone before fusion, a controlled power that traces out its targets, and a
-controlled power that acts on its control's input factor.
+schedule that holds each single-qubit item until its qubit's next coupling
+item (and the tensor width it leaves at each wide unitary), the exact join /
+trace-out / light-cone skip rules of the evolution, per-channel memoisation
+and the program cache.  The last section pins the five identities that keep
+the tensor small: a prefix applied to the input factor, a program cut to a
+readout's light cone before fusion, a controlled power that traces out its
+targets, a controlled power that acts on its control's input factor, and
+target-only superoperators folded into a traced power as adjoints.
 """
 
 import itertools
@@ -38,6 +39,7 @@ from repro.quantum.channels import (
 from repro.quantum.circuit import QuantumCircuit
 from repro.quantum.density_matrix import DensityMatrix, DensityMatrixSimulator
 from repro.quantum.fusion import (
+    _defer_single_qubit_runs,
     _density_walk,
     _embed,
     _join,
@@ -478,7 +480,7 @@ def test_qtda_distribution_matches_density_on_the_mixed_input():
 
 
 # ---------------------------------------------------------------------------
-# Scheduling: each qubit's single-qubit prefix waits for its first coupling
+# Scheduling: each single-qubit item waits for its qubit's next coupling
 # ---------------------------------------------------------------------------
 
 
@@ -524,15 +526,27 @@ def _op_key(item):
 def test_schedule_is_exact_and_keeps_each_qubits_order(seed, max_fuse_qubits):
     rng = np.random.default_rng(seed)
     circ = _late_coupling_circuit(rng)
-    walk = [_op_key(item) for item in _density_walk(circ, _MIXED_SPEC)]
+    walk_items = list(_density_walk(circ, _MIXED_SPEC))
+    walk = [_op_key(item) for item in walk_items]
     scheduled = [_op_key(item) for item in _ptm_op_stream(circ, _MIXED_SPEC)]
     assert sorted(scheduled) == sorted(walk)
     assert scheduled != walk
     for q in range(circ.num_qubits):
         assert [op for op in scheduled if q in op[0]] == [op for op in walk if q in op[0]]
-    # Qubit 3 never couples: its ops close the stream, in stream order.
-    only_three = [op for op in walk if op[0] == (3,)]
-    assert scheduled[-len(only_three):] == only_three
+    # The same schedule on walk positions, so that equal ops stay apart.
+    order = [i for _, i in _defer_single_qubit_runs((q, i) for i, (q, _) in enumerate(walk_items))]
+    assert [walk[i] for i in order] == scheduled
+    coupling = [len(walk_items[i][0]) > 1 for i in order]
+    for at, i in enumerate(order):
+        if coupling[at]:
+            continue
+        # A single-qubit item sits right before its qubit's next coupling
+        # item, or after the stream's last coupling item...
+        later = [order[j] for j in range(at + 1, len(order)) if coupling[j]]
+        assert not later or walk_items[i][0][0] in walk_items[later[0]][0]
+        # ...and a run of single-qubit items keeps stream order.
+        if at + 1 < len(order) and not coupling[at + 1]:
+            assert order[at + 1] > i
 
     states = _random_states(rng, circ.num_qubits)
     clear_ptm_cache()
@@ -585,17 +599,25 @@ def test_wide_unitaries_run_on_the_qubits_joined_so_far(dimension, widths, monke
 def test_largest_tensor_of_the_q6_t4_run_holds_nine_qubits(monkeypatch):
     """The tensor peaks at ``t + q - 1`` qubits: the last controlled power
     acts on its control's factor, so the 10-qubit product the join made is
-    never formed (every kernel's input and output is recorded)."""
-    sizes = []
+    never formed (every kernel's input and output is recorded).  No
+    superoperator runs on those 9 qubits: the system register's noise after
+    the third power waits for the last power, which traces the register out
+    and folds that noise in as adjoints."""
+    sizes, superop_widths, folded = [], [], []
 
     def recorded(kernel):
         def recording(tensor, *args, **kwargs):
             out = kernel(tensor, *args, **kwargs)
             sizes.extend([tensor.ndim // 2, out.ndim // 2])
+            if kernel is original_superop:
+                superop_widths.append(tensor.ndim // 2)
+            else:
+                folded.append(len(kwargs.get("folded", ())))
             return out
 
         return recording
 
+    original_superop = ptm_module.apply_superop
     for name in ("apply_superop", "apply_unitary_to_pauli_ensemble"):
         monkeypatch.setattr(ptm_module, name, recorded(getattr(ptm_module, name)))
     config = QTDAConfig(
@@ -612,6 +634,9 @@ def test_largest_tensor_of_the_q6_t4_run_holds_nine_qubits(monkeypatch):
     problem = EstimationProblem(laplacian=_workload_laplacian(48))
     circuit_backend_result(problem, config, "exact", rng=np.random.default_rng(0))
     assert max(sizes) == 9
+    assert max(superop_widths) == 8
+    # The blocks (4, 5, 6) and (7, 8, 9) fold into the last power.
+    assert folded == [0, 0, 0, 2]
 
 
 def test_reduced_state_validates_its_arguments():
@@ -992,6 +1017,120 @@ def test_controlled_powers_on_unjoined_controls_match_the_oracle(
         assert flags == traced
         assert factored == [True, True]
         monkeypatch.undo()
+
+
+def _random_cptp_superop(rng, k, rank=3):
+    """A random ``k``-qubit CPTP superoperator: ``rank`` Kraus blocks of a
+    random isometry."""
+    dim = 2**k
+    isometry, _ = np.linalg.qr(
+        rng.standard_normal((rank * dim, dim)) + 1j * rng.standard_normal((rank * dim, dim))
+    )
+    return superop_from_kraus([isometry[r * dim : (r + 1) * dim] for r in range(rank)])
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("indices", [[0], [3, 1], [2, 0, 3], [1, 2]])
+def test_adjoint_superoperator_moves_across_the_trace(seed, indices):
+    """``Tr(S*(M) X) == Tr(M S(X))`` for a random CPTP ``S`` on any subset
+    of the qubits (in any order), non-Hermitian ``M`` and ``X``, and a
+    stack of ``M``; ``S*(I) = I``, which is trace preservation."""
+    rng = np.random.default_rng(seed)
+    m = 4
+    dim = 2**m
+    superop = _random_cptp_superop(rng, len(indices))
+    matrices = rng.standard_normal((3, dim, dim)) + 1j * rng.standard_normal((3, dim, dim))
+    x = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    embedded = _embed(superop, tuple(indices), tuple(range(m)), 4)
+    s_x = _from_tensor((embedded @ _to_tensor(x, m).reshape(-1)).reshape((2,) * (2 * m)), m)
+    # The kernel maps each Mᵀ to S*(M)ᵀ.
+    adjoint = ptm_module._adjoint_apply(matrices.transpose(0, 2, 1), superop, indices)
+    for matrix, moved in zip(matrices, adjoint):
+        assert abs(np.trace(moved.T @ x) - np.trace(matrix @ s_x)) <= 1e-12
+    identity = ptm_module._adjoint_apply(np.eye(dim)[None], superop, indices)[0]
+    assert np.max(np.abs(identity - np.eye(dim))) <= 1e-12
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("control_factor", [False, True])
+def test_traced_power_with_folded_superoperators_equals_applying_them_first(
+    seed, control_factor
+):
+    """Folding target-only CPTP superoperators into a traced power equals
+    applying them to the tensor first, with a non-unitary ``V``, the control
+    joined or still its input factor, and overlapping folds in order."""
+    rng = np.random.default_rng(seed)
+    n = 5
+    targets = [3, 0, 4] if not control_factor else [3, 0, 4, 1]
+    half = 2 ** len(targets)
+    v = rng.standard_normal((half, half)) + 1j * rng.standard_normal((half, half))
+    u = np.eye(2 * half, dtype=complex)
+    u[half:, half:] = v
+    tensor = _to_tensor(_random_density(rng, n), n)
+    folds = [
+        (_random_cptp_superop(rng, 2), [4, 3]),
+        (_random_cptp_superop(rng, 1), [3]),
+        (_random_cptp_superop(rng, 3), [0, 3, 4]),
+    ]
+    applied = tensor
+    for superop, positions in folds:
+        # apply_superop leads with the targets' pairs; move them back.
+        moved = ptm_module._bit_axes(positions)
+        rest = [axis for axis in range(2 * n) if axis not in moved]
+        applied = np.moveaxis(
+            apply_superop(applied, superop, positions), list(range(2 * n)), moved + rest
+        )
+    if control_factor:
+        kernel = {"control_factor": _random_density(rng, 1)}
+        positions = targets
+    else:
+        kernel = {}
+        positions = [2] + targets
+    want = apply_unitary_to_pauli_ensemble(
+        applied, u, positions, block=v, trace_targets=True, **kernel
+    )
+    got = apply_unitary_to_pauli_ensemble(
+        tensor, u, positions, block=v, trace_targets=True, folded=folds, **kernel
+    )
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-12
+    with pytest.raises(ValueError, match="trace_targets"):
+        apply_unitary_to_pauli_ensemble(tensor, u, positions, block=v, folded=folds, **kernel)
+
+
+@pytest.mark.parametrize("max_fuse_qubits", [2, 3])
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("control_factor", [False, True])
+def test_target_only_ops_before_a_traced_power_fold_and_match_the_oracle(
+    seed, control_factor, max_fuse_qubits, monkeypatch
+):
+    """Gates and channels on the targets only, between the targets' last
+    coupling to the rest and a controlled power that traces them out, fold
+    into that power; the reduced state matches the density oracle with the
+    control joined (it coupled before) or still its input factor."""
+    rng = np.random.default_rng(seed)
+    n = 5
+    circ = QuantumCircuit(n)
+    circ.unitary(_random_unitary(rng, 1), [0], name="U")
+    if not control_factor:
+        circ.unitary(_random_unitary(rng, 2), [0, 1], name="CU")
+    circ.unitary(_random_unitary(rng, 2), [1, 2], name="CU")
+    circ.unitary(_random_unitary(rng, 2), [3, 4], name="CU")
+    circ.unitary(_random_unitary(rng, 1), [2], name="U")
+    circ.unitary(_controlled(rng, 4), [0, 2, 3, 4], name="c-U^1")
+    circ.unitary(_random_unitary(rng, 2), [0, 1], name="CU")
+    states = _random_states(rng, n)
+    calls = []
+    original = ptm_module.apply_unitary_to_pauli_ensemble
+
+    def recording(tensor, *args, **kwargs):
+        calls.append((kwargs.get("trace_targets", False), len(kwargs.get("folded", ()))))
+        return original(tensor, *args, **kwargs)
+
+    monkeypatch.setattr(ptm_module, "apply_unitary_to_pauli_ensemble", recording)
+    _assert_matches_oracle(circ, _MIXED_SPEC, [0, 1], states, max_fuse_qubits, readout=[0, 1])
+    ((traced, folded),) = calls
+    assert traced and folded >= 1
 
 
 def test_qtda_route_cuts_the_program_to_the_precision_register(monkeypatch):
