@@ -4,9 +4,11 @@ Noisy runs used to have exactly one faithful path: density-matrix evolution,
 a ``2^(t+q) x 2^(t+q)`` matrix with every Kraus branch applied to it after
 every gate.  The trajectory route (DESIGN.md §12) unravels the channel
 stochastically instead: each of ``n_trajectories`` repetitions evolves the
-``2^q`` ensemble members through the unfused circuit, sampling one Kraus
-branch per member after each gate, and the repetitions' spread is the error
-bar.
+``2^q`` ensemble members through the circuit, sampling one Kraus branch per
+member after each gate, and the repetitions' spread is the error bar.  Only
+the (trajectory, member) columns that draw a non-identity branch run gate by
+gate; the others share one fused noise-free pass.  The share of such
+*dirty* columns is recorded as ``dirty_column_share``.
 
 The gate: at ``q = 6`` system qubits and ``t = 4`` precision qubits (the
 same 48-dimensional workload Laplacian as the circuit-engine benchmark)
@@ -28,8 +30,10 @@ from repro.core.backends import EstimationProblem
 from repro.core.backends.statevector import (
     circuit_backend_result,
     density_reference_distribution,
+    qtda_circuit,
 )
 from repro.core.config import QTDAConfig
+from repro.quantum.engine import EnsembleExecutor, derive_trajectory_seeds
 from repro.utils.rng import as_rng
 
 PRECISION = 4  # t
@@ -77,6 +81,30 @@ def _density_seconds(problem: EstimationProblem):
     return time.perf_counter() - start, distribution
 
 
+def _dirty_column_share(problem: EstimationProblem) -> float:
+    """The share of (trajectory, member) columns the timed run stepped gate
+    by gate: the same circuit, noise and seeds as :func:`_route_seconds`."""
+    config = _config("trajectory")
+    circuit, spec = qtda_circuit(
+        problem.dense_hamiltonian(config),
+        precision_qubits=PRECISION,
+        use_purification=False,
+        synthesis="exact",
+        power_synthesis="spectral",
+    )
+    seeds = derive_trajectory_seeds(as_rng(config.seed), N_TRAJECTORIES)
+    members = 2**spec.system_qubits
+    _, dirty = EnsembleExecutor()._trajectory_rows(
+        circuit,
+        list(spec.precision_register),
+        range(members),
+        config.resolved_noise_spec(),
+        seeds,
+        None,
+    )
+    return dirty / (N_TRAJECTORIES * members)
+
+
 @pytest.mark.benchmark(group="noise-trajectory")
 def test_bench_trajectory_route_speedup(benchmark, paper_scale, bench_json):
     laplacian = _workload_laplacian()
@@ -96,13 +124,15 @@ def test_bench_trajectory_route_speedup(benchmark, paper_scale, bench_json):
     betti_sem = dim * float(trajectory.p_zero_std)
     deviation_sigma = abs(betti_trajectory - betti_density) / betti_sem
     speedup = density_seconds / trajectory_seconds
+    dirty_share = _dirty_column_share(problem)
     print()
     print(
         f"q=6 t={PRECISION} depolarizing p={NOISE_STRENGTH}: trajectory "
         f"{trajectory_seconds:.3f}s (warm {trajectory_warm_seconds:.3f}s, "
         f"{N_TRAJECTORIES} trajectories) | density {density_seconds:.3f}s | "
         f"speedup {speedup:.1f}x | betti {betti_trajectory:.3f}±{betti_sem:.3f} "
-        f"vs density {betti_density:.3f} ({deviation_sigma:.2f}σ)"
+        f"vs density {betti_density:.3f} ({deviation_sigma:.2f}σ) | "
+        f"dirty columns {dirty_share:.1%}"
     )
     bench_json(
         "noise_trajectory",
@@ -121,6 +151,7 @@ def test_bench_trajectory_route_speedup(benchmark, paper_scale, bench_json):
             "betti_trajectory_sem": betti_sem,
             "betti_density": betti_density,
             "deviation_sigma": deviation_sigma,
+            "dirty_column_share": dirty_share,
             "gate": GATE,
         },
     )

@@ -147,11 +147,12 @@ def circuit_backend_result(
     p_zero_std = fused_gates = n_trajectories = None
 
     if route == "trajectory":
-        # Fusion is bypassed so noise lands after every original gate; the
-        # engine applies the readout error per trajectory, so the spread over
-        # the repetitions (``p_zero_std``) accounts for it.
+        # Columns that drew an error run unfused, so noise lands after every
+        # original gate; the error-free columns share one fused noise-free
+        # pass.  The engine applies the readout error per trajectory, so the
+        # spread over the repetitions (``p_zero_std``) accounts for it.
         n_trajectories = config.n_trajectories
-        distribution, sem = EnsembleExecutor(fuse=False).trajectory_basis_distribution(
+        distribution, sem = EnsembleExecutor().trajectory_basis_distribution(
             circuit,
             qubits=precision_register,
             basis_states=system_basis,

@@ -18,7 +18,6 @@ from itertools import combinations
 from typing import List
 
 import numpy as np
-from scipy import stats
 
 #: Names of the six extracted features, in column order.
 FEATURE_NAMES = ("rms", "variance", "kurtosis", "skewness", "crest_factor", "peak_to_peak")
@@ -26,6 +25,10 @@ FEATURE_NAMES = ("rms", "variance", "kurtosis", "skewness", "crest_factor", "pea
 
 def condition_features(signal: np.ndarray) -> np.ndarray:
     """Six standard condition-monitoring features of one vibration window."""
+    # Imported here, by its only user: ``scipy.stats`` costs ~30 MB and
+    # ~0.4 s at import, which every importer of the gearbox dataset paid.
+    from scipy import stats
+
     x = np.asarray(signal, dtype=float).reshape(-1)
     if x.size < 4:
         raise ValueError("signal too short for feature extraction (need >= 4 samples)")

@@ -214,7 +214,13 @@ class QuantumChannel:
             probs.append(p)
             # Zero-probability branches (e.g. depolarizing at p=0) keep an
             # identity placeholder; the cumulative table never selects them.
-            unitaries.append(k / np.sqrt(p) if p > 0 else np.eye(dim, dtype=complex))
+            # So does a branch ``c·I`` with ``c > 0``: ``k / sqrt(p)`` can
+            # land an ulp off 1 (``sqrt(1 - p)² ≠ 1 - p`` for p = 0.02).
+            scalar = k[0, 0]
+            if p <= 0 or (scalar.real > 0 and np.array_equal(k, scalar * np.eye(dim))):
+                unitaries.append(np.eye(dim, dtype=complex))
+            else:
+                unitaries.append(k / np.sqrt(p))
         if mixed_unitary:
             p_arr = np.asarray(probs, dtype=float)
             eye = np.eye(dim, dtype=complex)
@@ -222,7 +228,7 @@ class QuantumChannel:
             object.__setattr__(self, "cumulative_probabilities", np.cumsum(p_arr))
             object.__setattr__(self, "unitary_branches", tuple(unitaries))
             # Exact-identity branches (the √(1−p)·I branch of the Pauli-type
-            # channels divides out to I bit-exactly) are no-ops the trajectory
+            # channels, set to I above) are no-ops the trajectory
             # sampler can skip; at realistic strengths that is the sampled
             # branch for almost every ensemble member.
             object.__setattr__(

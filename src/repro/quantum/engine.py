@@ -10,13 +10,14 @@ gate through the whole batch with a single :func:`tensordot` contraction, so
 the mixed state costs ``O(2^(t+q) · 2^q)`` flops per gate on a flat array
 instead of a squared state, with no auxiliary qubits at all.
 
-Two design points:
+Three design points:
 
-* **One kernel.**  :func:`apply_gate_to_ensemble` is the only contraction in
+* **One kernel.**  :func:`apply_gate_to_ensemble` is the gate contraction of
   the package — the single-state simulator's ``apply_gate_to_statevector`` is
   its batch-1 specialisation (bit-identical: the underlying GEMM sees the
   same operand bytes in the same order, the trailing batch axis of length 1
-  changes nothing).
+  changes nothing).  The controlled-block kernel below is its half-state
+  specialisation for ``I (+) V`` gates.
 * **Gate fusion.**  The executor runs circuits through the fusion pass of
   :mod:`repro.quantum.fusion`, which merges adjacent gates acting on at most
   ``max_fuse_qubits`` qubits into one matrix — QPE's repeated
@@ -24,7 +25,14 @@ Two design points:
   caches each segment between wider gates per content, so the Hadamards
   and the inverse QFT are fused once per circuit shape; a new Laplacian
   only brings its own controlled powers (and whatever small gates were
-  built from it).
+  built from it).  A wider gate with exact ``I (+) V`` structure (QPE's
+  controlled powers) applies only ``V``, to its control's ``|1>`` half
+  (:func:`apply_controlled_block_to_ensemble`).
+* **Noise trajectories.**  The trajectory route samples Kraus branches per
+  (trajectory, member) column.  Columns that draw no error follow the
+  noise-free circuit and share one fused pass; fusion is deliberately
+  bypassed only for the columns that drew an error, which run gate by gate
+  so that noise lands after every original gate.
 """
 
 from __future__ import annotations
@@ -35,6 +43,7 @@ import numpy as np
 
 from repro.quantum.channels import NoiseSpec, QuantumChannel, apply_readout_error
 from repro.quantum.circuit import QuantumCircuit
+from repro.quantum.gates import controlled_block
 from repro.quantum.measurement import ensemble_member_marginal_probabilities
 from repro.quantum.operations import Barrier, Gate, Measurement
 
@@ -129,6 +138,48 @@ def apply_gate_to_ensemble(
     return np.ascontiguousarray(psi).reshape(2**num_qubits, batch)
 
 
+def apply_controlled_block_to_ensemble(
+    states,
+    block,
+    qubits: Sequence[int],
+    num_qubits: int,
+):
+    """Apply ``U = I (+) V`` to every member of a ``(2^n, B)`` ensemble.
+
+    ``qubits[0]`` is the control and ``block`` is ``V`` on ``qubits[1:]``
+    (:func:`~repro.quantum.gates.controlled_block`).  The control's ``|0>``
+    half is copied unchanged and ``V`` is contracted with the ``|1>`` half
+    only: half the rows and half the contraction length of the dense
+    :func:`apply_gate_to_ensemble`, so a quarter of its flops.  Equal to the
+    dense kernel up to floating-point association.
+    """
+    qubits = [int(q) for q in qubits]
+    control, targets = qubits[0], qubits[1:]
+    k = len(targets)
+    batch = states.shape[-1]
+    psi = states.reshape([2] * num_qubits + [batch])
+    out = np.empty(psi.shape, dtype=np.result_type(psi, block))
+    lead = (slice(None),) * control
+    out[lead + (0,)] = psi[lead + (0,)]
+    # The |1> slice has no control axis: targets after it sit one axis lower.
+    axes = [t - (t > control) for t in targets]
+    half = np.tensordot(
+        np.asarray(block).reshape([2] * (2 * k)),
+        psi[lead + (1,)],
+        axes=(list(range(k, 2 * k)), axes),
+    )
+    out[lead + (1,)] = np.moveaxis(half, list(range(k)), axes)
+    return out.reshape(2**num_qubits, batch)
+
+
+def _apply_prepared(states, prepared, num_qubits: int):
+    """One prepared ``(matrix, qubits, block)`` step of :meth:`EnsembleExecutor._prepare`."""
+    matrix, qubits, block = prepared
+    if block is not None:
+        return apply_controlled_block_to_ensemble(states, block, qubits, num_qubits)
+    return apply_gate_to_ensemble(states, matrix, qubits, num_qubits)
+
+
 def _apply_member_matrices(states, matrices, qubits, num_qubits: int):
     """Apply a *different* ``d x d`` matrix to each member of a ``(2^n, B)`` ensemble.
 
@@ -151,17 +202,29 @@ def _apply_member_matrices(states, matrices, qubits, num_qubits: int):
     return np.ascontiguousarray(psi).reshape(2**num_qubits, batch)
 
 
+def _mixed_unitary_branches(channel: QuantumChannel, uniforms):
+    """The branch index each uniform in ``[0, 1)`` picks from a mixed-unitary
+    channel's cumulative branch table (any array shape)."""
+    # A uniform at or past the table's last entry (rounding) takes the last branch.
+    idx = np.searchsorted(channel.cumulative_probabilities, uniforms, side="right")
+    return np.minimum(idx, len(channel.unitary_branches) - 1)
+
+
 def sample_channel_branches(
     channel: QuantumChannel,
     states,
     qubits: Sequence[int],
     num_qubits: int,
-    rng: np.random.Generator,
+    uniforms,
 ):
     """One trajectory step: sample a Kraus branch of ``channel`` per ensemble member.
 
+    ``uniforms`` holds one draw in ``[0, 1)`` per ensemble member (column of
+    ``states``); member ``b``'s branch depends only on ``uniforms[b]`` and
+    its own state, so any subset of columns can be stepped on its own.
+
     Mixed-unitary channels (Pauli-type — every ``K_k = √p_k U_k``) use the
-    precomputed cumulative branch table: one ``searchsorted`` over ``B``
+    precomputed cumulative branch table: one ``searchsorted`` over the
     uniforms picks each member's branch, and no renormalisation is needed
     (unitary branches preserve norm).  Members that drew an exact-identity
     branch — almost all of them at realistic strengths — are skipped
@@ -174,10 +237,9 @@ def sample_channel_branches(
     selected states are renormalised by ``√p_k``.
     """
     batch = states.shape[-1]
+    uniforms = np.asarray(uniforms, dtype=float)
     if channel.is_mixed_unitary:
-        u = rng.random(batch)
-        idx = np.searchsorted(channel.cumulative_probabilities, u, side="right")
-        idx = np.clip(idx, 0, len(channel.unitary_branches) - 1)
+        idx = _mixed_unitary_branches(channel, uniforms)
         active = np.flatnonzero(~channel.identity_branches[idx])
         if active.size == 0:
             return states
@@ -195,7 +257,7 @@ def sample_channel_branches(
     )  # (K, 2^n, B)
     probs = (np.abs(branch_states) ** 2).sum(axis=1)  # (K, B) Born weights
     cumulative = np.cumsum(probs, axis=0)
-    u = rng.random(batch) * cumulative[-1]
+    u = uniforms * cumulative[-1]
     idx = (u[None, :] > cumulative).sum(axis=0)
     idx = np.clip(idx, 0, len(channel.kraus_ops) - 1)
     members = np.arange(batch)
@@ -275,20 +337,27 @@ class EnsembleExecutor:
         return self._evolve(states, self._prepare(self.gate_plan(circuit)), n)
 
     def _prepare(self, gates: Iterable[Gate]):
-        """Complex ``(matrix, qubits)`` pairs for a gate plan, markers dropped.
+        """Complex ``(matrix, qubits, block)`` steps for a gate plan, markers dropped.
 
-        Built once per plan, not once per chunk: every column block of an
-        ensemble reuses the same list.
+        ``block`` is the ``V`` of a gate wider than the fusion window with
+        exact ``I (+) V`` structure (QPE's controlled powers), which then
+        runs on its control's ``|1>`` half only
+        (:func:`apply_controlled_block_to_ensemble`); every other gate
+        keeps the dense kernel.  Built once per plan, not once per chunk:
+        every column block of an ensemble reuses the same list.
         """
-        return [
-            (np.asarray(gate.matrix, dtype=complex), gate.qubits)
-            for gate in gates
-            if not isinstance(gate, (Measurement, Barrier))
-        ]
+        prepared = []
+        for gate in gates:
+            if isinstance(gate, (Measurement, Barrier)):
+                continue
+            matrix = np.asarray(gate.matrix, dtype=complex)
+            wide = len(gate.qubits) > self.max_fuse_qubits
+            prepared.append((matrix, gate.qubits, controlled_block(matrix) if wide else None))
+        return prepared
 
     def _evolve(self, states, prepared, num_qubits: int):
-        for matrix, qubits in prepared:
-            states = apply_gate_to_ensemble(states, matrix, qubits, num_qubits)
+        for step in prepared:
+            states = _apply_prepared(states, step, num_qubits)
         return states
 
     def basis_ensemble_distribution(
@@ -361,18 +430,22 @@ class EnsembleExecutor:
         Evolves the basis-state ensemble through ``circuit`` like
         :meth:`basis_ensemble_distribution`, but after each gate samples one
         Kraus branch of every channel ``noise_spec`` places there
-        (:func:`sample_channel_branches`) — per ensemble member, still one
-        contraction per gate across the batch.  The whole run is repeated
-        ``n_trajectories`` times; the mean over trajectories estimates the
-        density-matrix result and the spread is returned as a per-outcome
-        standard error (``std(ddof=1)/sqrt(T)``; zeros for a single
-        trajectory).
+        (:func:`sample_channel_branches`) per ensemble member.  The whole
+        run is repeated ``n_trajectories`` times; the mean over trajectories
+        estimates the density-matrix result and the spread is returned as a
+        per-outcome standard error (``std(ddof=1)/sqrt(T)``; zeros for a
+        single trajectory).  Readout error is applied to each trajectory's
+        marginal as the exact per-bit confusion contraction.
 
-        Gate fusion is deliberately bypassed: the density oracle injects noise
-        after every *original* gate, and fusing would move the injection
-        points, so the trajectory mean would converge to a different channel
-        composition.  Readout error is applied to each trajectory's marginal
-        as the exact per-bit confusion contraction.
+        Each (trajectory, member) *column* draws its branches first
+        (:meth:`_trajectory_rows`).  A *clean* column — every channel
+        mixed-unitary, every draw an identity branch — follows the
+        noise-free circuit exactly, so all clean columns of a member share
+        one fused noise-free pass.  Only the *dirty* columns run gate by
+        gate, and for them gate fusion is deliberately bypassed: the density
+        oracle injects noise after every *original* gate, and fusing would
+        move the injection points, so the trajectory mean would converge to
+        a different channel composition.
 
         Each trajectory runs under its own seed derived from ``rng``
         (:func:`derive_trajectory_seeds`): trajectory ``i``'s branch draws
@@ -381,38 +454,114 @@ class EnsembleExecutor:
         Returns ``(mean_distribution, standard_error)``.
         """
         seeds = derive_trajectory_seeds(rng, n_trajectories)
-        n = circuit.num_qubits
-        basis = self._validated_basis(circuit, basis_states)
-        w = _normalised_weights(weights, len(basis))
-        gates = [g for g in circuit.gates if not isinstance(g, (Measurement, Barrier))]
-        prepared = [(np.asarray(g.matrix, dtype=complex), g.qubits) for g in gates]
-        noise_plan = [noise_spec.channels_for_gate(g) for g in gates]
-        chunk = self.max_batch(n)
-        out_dim = 2 ** len(list(qubits))
-        rows = np.zeros((len(seeds), out_dim))
-        for trajectory, seed in enumerate(seeds):
-            trajectory_rng = np.random.default_rng(int(seed))
-            total: Optional[np.ndarray] = None
-            for start in range(0, len(basis), chunk):
-                block = basis[start : start + chunk]
-                states = self._basis_block(block, n)
-                for (matrix, gate_qubits), placed in zip(prepared, noise_plan):
-                    states = apply_gate_to_ensemble(states, matrix, gate_qubits, n)
-                    for channel, targets in placed:
-                        states = sample_channel_branches(
-                            channel, states, targets, n, trajectory_rng
-                        )
-                marginals = ensemble_member_marginal_probabilities(states, n, qubits)
-                partial = marginals @ w[start : start + len(block)]
-                total = partial if total is None else total + partial
-            assert total is not None
-            distribution = total / total.sum()
-            if noise_spec.readout_error > 0:
-                distribution = apply_readout_error(distribution, noise_spec.readout_error)
-            rows[trajectory] = distribution
+        rows, _ = self._trajectory_rows(circuit, qubits, basis_states, noise_spec, seeds, weights)
         mean = rows.mean(axis=0)
         if len(seeds) > 1:
             sem = rows.std(axis=0, ddof=1) / np.sqrt(len(seeds))
         else:
-            sem = np.zeros(out_dim)
+            sem = np.zeros(rows.shape[1])
         return mean, sem
+
+    def _trajectory_rows(self, circuit, qubits, basis_states, noise_spec, seeds, weights):
+        """The ``(T, out_dim)`` readout distribution of each trajectory, and
+        how many of the ``T · len(basis_states)`` columns were dirty.
+
+        Per column chunk of the basis (at most :meth:`max_batch` members),
+        trajectory ``i`` draws all its uniforms at once,
+        ``rng_i.random((steps, len(chunk)))`` with one row per placed
+        channel: the same stream as one ``rng_i.random(len(chunk))`` per
+        channel in circuit order, because the chunks stay the outer loop of
+        each generator.  A column's branch at a step depends only on its
+        own uniform (and, for a general channel, its own state), so the
+        columns can be regrouped freely:
+
+        * clean columns read their marginals from one fused noise-free pass
+          over the chunk's members that have a clean column;
+        * dirty columns (all of them once any channel is general) run the
+          unfused per-gate sampler on their own uniforms, collected across
+          trajectories into blocks no wider than the chunk: a wider block
+          would amortise more per-gate overhead, but on a large register it
+          falls out of cache, and every step that draws an error copies it.
+        """
+        n = circuit.num_qubits
+        basis = self._validated_basis(circuit, basis_states)
+        w = _normalised_weights(weights, len(basis))
+        qubits = list(qubits)
+        gates = [g for g in circuit.gates if not isinstance(g, (Measurement, Barrier))]
+        prepared = self._prepare(gates)
+        noise_plan = [noise_spec.channels_for_gate(g) for g in gates]
+        channels = [channel for placed in noise_plan for channel, _ in placed]
+        # The uniform rows (steps) each distinct channel reads.
+        by_channel: dict = {}
+        for step, channel in enumerate(channels):
+            by_channel.setdefault(id(channel), (channel, []))[1].append(step)
+        steps_of = [(channel, np.array(steps)) for channel, steps in by_channel.values()]
+        can_be_clean = all(channel.is_mixed_unitary for channel in channels)
+        noise_free = None
+        generators = [np.random.default_rng(int(seed)) for seed in seeds]
+        chunk = self.max_batch(n)
+        out_dim = 2 ** len(qubits)
+        totals = np.zeros((len(seeds), out_dim))
+        dirty_columns = 0
+
+        def run_dirty(block, pending, marginals):
+            """Step the pending ``(trajectories, members, uniforms)`` columns
+            of ``block`` gate by gate and store their marginals."""
+            trajectories = np.concatenate([t for t, _, _ in pending])
+            members = np.concatenate([m for _, m, _ in pending])
+            uniforms = np.concatenate([u for _, _, u in pending], axis=1)
+            states = self._basis_block([block[m] for m in members], n)
+            step = 0
+            for gate_step, placed in zip(prepared, noise_plan):
+                states = _apply_prepared(states, gate_step, n)
+                for channel, targets in placed:
+                    states = sample_channel_branches(channel, states, targets, n, uniforms[step])
+                    step += 1
+            marginals[trajectories, :, members] = ensemble_member_marginal_probabilities(
+                states, n, qubits
+            ).T
+
+        for start in range(0, len(basis), chunk):
+            block = basis[start : start + chunk]
+            width = len(block)
+            marginals = np.empty((len(seeds), out_dim, width))
+            clean = np.zeros((len(seeds), width), dtype=bool)
+            pending: list = []
+            pending_width = 0
+            for trajectory, generator in enumerate(generators):
+                uniforms = generator.random((len(channels), width))
+                if can_be_clean:
+                    clean[trajectory] = True
+                    for channel, steps in steps_of:
+                        drawn = _mixed_unitary_branches(channel, uniforms[steps])
+                        clean[trajectory] &= channel.identity_branches[drawn].all(axis=0)
+                dirty = np.flatnonzero(~clean[trajectory])
+                dirty_columns += dirty.size
+                if pending_width + dirty.size > width:
+                    run_dirty(block, pending, marginals)
+                    pending, pending_width = [], 0
+                if dirty.size:
+                    pending.append(
+                        (np.full(dirty.size, trajectory), dirty, uniforms[:, dirty])
+                    )
+                    pending_width += dirty.size
+            if pending:
+                run_dirty(block, pending, marginals)
+            members = np.flatnonzero(clean.any(axis=0))
+            if members.size:
+                if noise_free is None:
+                    noise_free = self._prepare(self.gate_plan(circuit))
+                states = self._evolve(
+                    self._basis_block([block[m] for m in members], n), noise_free, n
+                )
+                shared = np.empty((out_dim, width))
+                shared[:, members] = ensemble_member_marginal_probabilities(states, n, qubits)
+                trajectories, columns = np.nonzero(clean)
+                marginals[trajectories, :, columns] = shared[:, columns].T
+            totals += marginals @ w[start : start + width]
+        rows = totals / totals.sum(axis=1, keepdims=True)
+        if noise_spec.readout_error > 0:
+            rows = np.stack(
+                [apply_readout_error(row, noise_spec.readout_error) for row in rows]
+            )
+        return rows, dirty_columns

@@ -43,6 +43,7 @@ import numpy as np
 
 from repro.quantum.channels import NoiseSpec
 from repro.quantum.circuit import QuantumCircuit
+from repro.quantum.gates import controlled_block
 from repro.quantum.operations import Gate
 from repro.quantum.ptm import (
     PTMOp,
@@ -50,7 +51,6 @@ from repro.quantum.ptm import (
     WideUnitaryOp,
     channel_content_key,
     channel_superop,
-    controlled_block,
     gate_superop,
 )
 from repro.utils.cache import BoundedCache, distinct_nbytes

@@ -8,6 +8,8 @@ same convention used throughout :mod:`repro.quantum`.
 
 from __future__ import annotations
 
+from typing import Optional
+
 import numpy as np
 
 # ---------------------------------------------------------------------------
@@ -109,6 +111,27 @@ def controlled(unitary: np.ndarray, num_controls: int = 1) -> np.ndarray:
     out = np.eye(total, dtype=complex)
     out[total - dim :, total - dim :] = unitary
     return out
+
+
+def controlled_block(matrix: np.ndarray) -> Optional[np.ndarray]:
+    """The ``V`` of ``U = I (+) V`` if ``matrix`` has exact controlled block
+    structure (control = most significant qubit), else ``None``.
+
+    The inverse of :func:`controlled` with one control: the identity half
+    must be exact, so a matrix that is only close to controlled keeps its
+    dense path.  The returned ``V`` is a view into ``matrix``.
+    """
+    matrix = np.asarray(matrix)
+    half = matrix.shape[0] // 2
+    if half < 1:
+        return None
+    if (
+        np.array_equal(matrix[:half, :half], np.eye(half, dtype=matrix.dtype))
+        and not matrix[:half, half:].any()
+        and not matrix[half:, :half].any()
+    ):
+        return matrix[half:, half:]
+    return None
 
 
 def crx(theta: float) -> np.ndarray:

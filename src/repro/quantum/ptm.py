@@ -69,6 +69,7 @@ import numpy as np
 
 from repro.quantum.channels import QuantumChannel
 from repro.quantum.engine import DEFAULT_MAX_FUSE_QUBITS
+from repro.quantum.gates import controlled_block
 from repro.utils.cache import BoundedCache, distinct_nbytes
 
 
@@ -174,22 +175,6 @@ def apply_superop(tensor, superop, positions: Sequence[int]):
     k = len(positions)
     op = superop.reshape((2,) * (4 * k))
     return np.tensordot(op, tensor, axes=(list(range(2 * k, 4 * k)), _bit_axes(positions)))
-
-
-def controlled_block(matrix: np.ndarray) -> Optional[np.ndarray]:
-    """The ``V`` of ``U = I (+) V`` if ``matrix`` has exact controlled block
-    structure (control = most significant qubit), else ``None``."""
-    matrix = np.asarray(matrix)
-    half = matrix.shape[0] // 2
-    if half < 1:
-        return None
-    if (
-        np.array_equal(matrix[:half, :half], np.eye(half, dtype=matrix.dtype))
-        and not matrix[:half, half:].any()
-        and not matrix[half:, :half].any()
-    ):
-        return matrix[half:, half:]
-    return None
 
 
 def apply_unitary_to_pauli_ensemble(

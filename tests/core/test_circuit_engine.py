@@ -285,6 +285,31 @@ def test_trajectory_mean_matches_density_within_3_sigma():
         assert abs(trajectory.betti_estimate - density_betti) < 3 * sigma, case
 
 
+def test_trajectory_mean_matches_density_within_3_sigma_under_amplitude_damping():
+    """A general (not mixed-unitary) channel samples every column on its own
+    Born weights; its mean must converge to the density answer as well."""
+    common = dict(
+        precision_qubits=3,
+        shots=None,
+        backend="statevector",
+        delta=6.0,
+        noise_channel="amplitude-damping",
+        noise_strength=0.03,
+    )
+    for case in sorted(_REFERENCE):
+        make, k = _REFERENCE[case]
+        density = _oracle(
+            "statevector", case, noise_channel="amplitude-damping", noise_strength=0.03
+        )
+        trajectory = QTDABettiEstimator(
+            circuit_engine="trajectory", n_trajectories=64, seed=5, **common
+        ).estimate(make(), k)
+        assert trajectory.engine_route == "trajectory"
+        density_betti = 2**trajectory.num_system_qubits * density[0]
+        sigma = max(trajectory.betti_std or 0.0, 1e-6)
+        assert abs(trajectory.betti_estimate - density_betti) < 3 * sigma, case
+
+
 def test_trajectory_route_is_deterministic_given_seed():
     kwargs = dict(
         precision_qubits=3,

@@ -1,5 +1,10 @@
 """Tests for condition-monitoring features and the feature-to-cloud map."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -74,3 +79,19 @@ def test_feature_rows_to_point_clouds():
     assert clouds[0].shape == (4, 3)
     with pytest.raises(ValueError):
         feature_rows_to_point_clouds(np.arange(10.0).reshape(2, 5))
+
+
+def test_service_and_gearbox_imports_leave_scipy_stats_unloaded():
+    """``scipy.stats`` (~30 MB, ~0.4 s) loads only when features are computed."""
+    src = Path(__file__).resolve().parents[2] / "src"
+    path = os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])
+    env = {**os.environ, "PYTHONPATH": path}
+    script = (
+        "import sys\n"
+        "import repro.serve, repro.core.api, repro.datasets.gearbox\n"
+        "assert 'scipy.stats' not in sys.modules, 'scipy.stats was imported'\n"
+        "from repro.datasets.features import condition_features\n"
+        "condition_features([0.0, 1.0, 0.5, -1.0, 0.25])\n"
+        "assert 'scipy.stats' in sys.modules\n"
+    )
+    subprocess.run([sys.executable, "-c", script], env=env, check=True, timeout=120)

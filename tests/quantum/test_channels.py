@@ -59,6 +59,20 @@ def test_mixed_unitary_detection(name, mixed_unitary):
         assert channel.identity_branches is None
 
 
+@pytest.mark.parametrize(
+    "name", ["depolarizing", "bit-flip", "phase-flip", "two-qubit-depolarizing", "correlated-zz"]
+)
+def test_identity_branch_is_marked_at_every_strength(name):
+    """``sqrt(1 - p)`` squared is not always ``1 - p`` in floating point
+    (p = 0.02 is one such strength), so dividing the branch by ``sqrt(p_k)``
+    left it an ulp off ``I`` and every trajectory column went through the
+    per-gate sampler.  The ``c·I`` branch is ``I`` exactly at every strength."""
+    for strength in np.round(np.arange(0.001, 0.2, 0.001), 3):
+        channel = QuantumChannel.from_name(name, float(strength))
+        assert channel.identity_branches[0], strength
+        assert np.array_equal(channel.unitary_branches[0], np.eye(2**channel.arity))
+
+
 def test_from_name_rejects_unknown_channels():
     with pytest.raises(ValueError, match="available channels"):
         QuantumChannel.from_name("dephasing-42", 0.1)

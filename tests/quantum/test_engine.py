@@ -11,9 +11,11 @@ import pytest
 
 from repro.quantum.channels import NoiseSpec
 from repro.quantum.circuit import QuantumCircuit
+import repro.quantum.engine as engine
 from repro.quantum.engine import (
     DEFAULT_MEMORY_BUDGET_BYTES,
     EnsembleExecutor,
+    apply_controlled_block_to_ensemble,
     apply_gate_to_ensemble,
 )
 import repro.quantum.fusion as fusion
@@ -25,7 +27,7 @@ from repro.quantum.fusion import (
     fusion_cache_info,
     ptm_cache_info,
 )
-from repro.quantum.gates import is_unitary, matrix_power_unitary
+from repro.quantum.gates import controlled, controlled_block, is_unitary, matrix_power_unitary
 from repro.quantum.measurement import (
     born_probabilities,
     ensemble_member_marginal_probabilities,
@@ -111,6 +113,72 @@ def test_apply_gate_to_ensemble_rejects_nothing_it_should_not():
         axis=1,
     )
     np.testing.assert_allclose(out, expected, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# Controlled-block kernel: U = I (+) V acts on the control's |1> half only
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("q", [4, 5, 6])
+@pytest.mark.parametrize("where", ["control-first", "control-mid"])
+def test_controlled_block_kernel_matches_the_dense_kernel(q, where):
+    rng = np.random.default_rng(40 + q)
+    n = q + 2
+    v = _random_unitary(rng, q)
+    u = controlled(v)
+    if where == "control-first":
+        qubits = [0] + list(range(2, q + 2))
+    else:
+        # Control mid-register, targets on both sides of it and permuted.
+        others = [i for i in range(n) if i != 3]
+        qubits = [3] + list(rng.permutation(others)[:q])
+    states = _random_states(rng, n, batch=5)
+    block = controlled_block(u)
+    assert block is not None and np.array_equal(block, v)
+    fast = apply_controlled_block_to_ensemble(states, block, qubits, n)
+    dense = apply_gate_to_ensemble(states, u, qubits, n)
+    np.testing.assert_allclose(fast, dense, rtol=0, atol=1e-12)
+    # The control's |0> half is copied, not recomputed.
+    control_zero = (np.arange(2**n) >> (n - 1 - qubits[0]) & 1) == 0
+    assert np.array_equal(fast[control_zero], states[control_zero])
+
+
+def test_only_wide_gates_with_controlled_structure_take_the_block_path(monkeypatch):
+    rng = np.random.default_rng(5)
+    n = 6
+    circuit = QuantumCircuit(n)
+    circuit.h(0)
+    circuit.unitary(controlled(_random_unitary(rng, 4)), [1, 2, 3, 4, 5], name="c-U")
+    circuit.unitary(_random_unitary(rng, 5), [0, 2, 3, 4, 5], name="W")
+    circuit.unitary(controlled(_random_unitary(rng, 1)), [0, 1], name="c-small")
+    executor = EnsembleExecutor(fuse=False)
+    blocks = [block is not None for _, _, block in executor._prepare(circuit.gates)]
+    # Only the wide controlled power has a block; a wide gate without the
+    # structure and a controlled gate inside the fusion window stay dense.
+    assert blocks == [False, True, False, False]
+    calls = {"block": 0, "dense": 0}
+    block_kernel = engine.apply_controlled_block_to_ensemble
+    dense_kernel = engine.apply_gate_to_ensemble
+
+    def count_block(*args):
+        calls["block"] += 1
+        return block_kernel(*args)
+
+    def count_dense(*args):
+        calls["dense"] += 1
+        return dense_kernel(*args)
+
+    monkeypatch.setattr(engine, "apply_controlled_block_to_ensemble", count_block)
+    monkeypatch.setattr(engine, "apply_gate_to_ensemble", count_dense)
+    states = _random_states(rng, n, batch=3)
+    out = executor.run(circuit, states)
+    assert calls == {"block": 1, "dense": 3}
+    monkeypatch.undo()
+    expected = states
+    for gate in circuit.gates:
+        expected = apply_gate_to_ensemble(expected, gate.matrix, gate.qubits, n)
+    np.testing.assert_allclose(out, expected, rtol=0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -48,6 +48,7 @@ from repro.quantum.fusion import (
     fuse_ptm_program,
     ptm_cache_info,
 )
+from repro.quantum.gates import controlled_block
 from repro.quantum.ptm import (
     PTMExecutor,
     WideUnitaryOp,
@@ -56,7 +57,6 @@ from repro.quantum.ptm import (
     channel_content_key,
     channel_superop,
     clear_ptm_memo,
-    controlled_block,
     gate_superop,
     ptm_memo_info,
     superop_from_kraus,
