@@ -6,18 +6,24 @@ as input, and the faithful ways to simulate that — purification on ``t + 2q``
 qubits, or density-matrix evolution of a ``2^(t+q) x 2^(t+q)`` matrix — pay
 for the mixedness quadratically.  This module provides the third route: store
 an ensemble of ``B`` pure states as one ``(2^n, B)`` array and push *every*
-gate through the whole batch with a single :func:`tensordot` contraction, so
-the mixed state costs ``O(2^(t+q) · 2^q)`` flops per gate on a flat array
-instead of a squared state, with no auxiliary qubits at all.
+gate through the whole batch with a single contraction, so the mixed state
+costs ``O(2^(t+q) · 2^q)`` flops per gate on a flat array instead of a
+squared state, with no auxiliary qubits at all.
 
 Three design points:
 
 * **One kernel.**  :func:`apply_gate_to_ensemble` is the gate contraction of
   the package — the single-state simulator's ``apply_gate_to_statevector`` is
-  its batch-1 specialisation (bit-identical: the underlying GEMM sees the
-  same operand bytes in the same order, the trailing batch axis of length 1
-  changes nothing).  The controlled-block kernel below is its half-state
-  specialisation for ``I (+) V`` gates.
+  its batch-1 specialisation.  A gate on an ascending contiguous qubit run
+  ``[a, a+k)`` is one ``np.matmul`` against the free ``(2^a, 2^k, rest)``
+  reshape of the block, with no transpose copy; a narrower non-contiguous
+  support is padded with identities to its contiguous hull of at most
+  :data:`HULL_QUBITS` qubits (once per plan in :meth:`EnsembleExecutor.
+  _prepare`), so every layout of the QTDA circuit takes that path and only
+  a wider hull falls back to ``tensordot``.  At the pinned 16-column block
+  the view GEMMs are bit-identical to the ``tensordot`` contraction on
+  ascending supports.  The controlled-block kernel below is the same view
+  GEMM on the control's ``|1>`` half for ``I (+) V`` gates.
 * **Gate fusion.**  The executor runs circuits through the fusion pass of
   :mod:`repro.quantum.fusion`, which merges adjacent gates acting on at most
   ``max_fuse_qubits`` qubits into one matrix — QPE's repeated
@@ -43,7 +49,7 @@ import numpy as np
 
 from repro.quantum.channels import NoiseSpec, QuantumChannel, apply_readout_error
 from repro.quantum.circuit import QuantumCircuit
-from repro.quantum.gates import controlled_block
+from repro.quantum.gates import controlled_block, embed_operator
 from repro.quantum.measurement import ensemble_member_marginal_probabilities
 from repro.quantum.operations import Barrier, Gate, Measurement
 
@@ -65,6 +71,14 @@ DEFAULT_MAX_FUSE_QUBITS = 3
 #: answers.  16 columns keeps the contraction wide enough to amortise
 #: per-gate overhead.
 DEFAULT_COLUMN_BLOCK = 16
+
+#: Widest contiguous hull a gate on a non-contiguous support is padded to
+#: so that it runs as one GEMM on a view of the block (one qubit past the
+#: fusion window: the fused ``(0, 2, 3)`` blocks of the inverse QFT).  A
+#: padded gate does ``2^(hull - k)`` times the flops of the bare one, so a
+#: wider hull keeps the transposing ``tensordot`` contraction.
+HULL_QUBITS = DEFAULT_MAX_FUSE_QUBITS + 1
+
 
 def derive_trajectory_seeds(rng: np.random.Generator, n_trajectories: int) -> Tuple[int, ...]:
     """Deterministic per-trajectory integer seeds drawn from ``rng``.
@@ -98,6 +112,26 @@ def _normalised_weights(weights, count: int) -> np.ndarray:
     return w / total_weight
 
 
+def contiguous_form(gate_matrix, qubits: Sequence[int]):
+    """The gate as ``(matrix, start, width)`` on the ascending run
+    ``[start, start + width)`` of qubits, or ``None``.
+
+    A gate whose support already is an ascending contiguous run keeps its
+    matrix.  Any other support is padded with identities to its contiguous
+    hull (:func:`~repro.quantum.gates.embed_operator`, an exact copy of
+    entries) when the hull spans at most :data:`HULL_QUBITS` qubits; a
+    wider hull returns ``None``.
+    """
+    qubits = tuple(int(q) for q in qubits)
+    start = min(qubits)
+    hull = tuple(range(start, max(qubits) + 1))
+    if qubits == hull:
+        return gate_matrix, start, len(hull)
+    if len(hull) > HULL_QUBITS:
+        return None
+    return embed_operator(gate_matrix, qubits, hull), start, len(hull)
+
+
 def apply_gate_to_ensemble(
     states,
     gate_matrix,
@@ -119,12 +153,28 @@ def apply_gate_to_ensemble(
 
     Notes
     -----
-    The whole batch is contracted in one ``tensordot`` — the gate's column
-    indices against the target qubit axes of the rank-``n+1`` state tensor
-    (batch axis last) — so the per-gate cost is ``O(2^n · 2^k · B)`` with no
-    Python loop over batch members.  For ``B = 1`` the contraction is
-    bit-identical to the single-state kernel it generalises.
+    On an ascending contiguous support ``[a, a+k)`` (or one padded to its
+    hull, :func:`contiguous_form`) the block is viewed, without a copy, as
+    ``(2^a, 2^k, rest)`` and the whole batch is one ``np.matmul`` of the
+    gate against it: one GEMM per leading index, no transpose of the state.
+    At ``a = 0`` that is the GEMM ``tensordot`` issues.  Only a support
+    whose hull is wider than :data:`HULL_QUBITS` takes the general
+    ``tensordot`` contraction against the target axes of the rank-``n+1``
+    state tensor.  Either way the per-gate cost is ``O(2^n · 2^k · B)`` with
+    no Python loop over batch members.
     """
+    batch = states.shape[-1]
+    form = contiguous_form(gate_matrix, qubits)
+    if form is None:
+        return _tensordot_gate(states, gate_matrix, qubits, num_qubits)
+    matrix, start, width = form
+    view = states.reshape(2**start, 2**width, -1)
+    return np.matmul(matrix, view).reshape(2**num_qubits, batch)
+
+
+def _tensordot_gate(states, gate_matrix, qubits: Sequence[int], num_qubits: int):
+    """:func:`apply_gate_to_ensemble` on any support: the gate's column
+    indices contracted with the target axes of the rank-``n+1`` state tensor."""
     qubits = [int(q) for q in qubits]
     k = len(qubits)
     batch = states.shape[-1]
@@ -152,7 +202,29 @@ def apply_controlled_block_to_ensemble(
     only: half the rows and half the contraction length of the dense
     :func:`apply_gate_to_ensemble`, so a quarter of its flops.  Equal to the
     dense kernel up to floating-point association.
+
+    When the control ``c`` sits before an ascending contiguous target run
+    starting at ``s`` (every QPE power), the block is viewed as
+    ``(2^c, 2, 2^(s-c-1), 2^k, rest)`` and ``V`` is one ``np.matmul`` into
+    the ``|1>`` slice of the output, with no transpose copy.
     """
+    qubits = [int(q) for q in qubits]
+    control, targets = qubits[0], qubits[1:]
+    k = len(targets)
+    batch = states.shape[-1]
+    start = targets[0]
+    if control < start and targets == list(range(start, start + k)):
+        view = states.reshape(2**control, 2, 2 ** (start - control - 1), 2**k, -1)
+        out = np.empty(view.shape, dtype=np.result_type(view, block))
+        out[:, 0] = view[:, 0]
+        np.matmul(block, view[:, 1], out=out[:, 1])
+        return out.reshape(2**num_qubits, batch)
+    return _tensordot_controlled_block(states, block, qubits, num_qubits)
+
+
+def _tensordot_controlled_block(states, block, qubits: Sequence[int], num_qubits: int):
+    """:func:`apply_controlled_block_to_ensemble` on any layout: ``V``
+    contracted with the target axes of the control's ``|1>`` slice."""
     qubits = [int(q) for q in qubits]
     control, targets = qubits[0], qubits[1:]
     k = len(targets)
@@ -184,10 +256,24 @@ def _apply_member_matrices(states, matrices, qubits, num_qubits: int):
     """Apply a *different* ``d x d`` matrix to each member of a ``(2^n, B)`` ensemble.
 
     ``matrices`` is ``(B, d, d)`` with ``d = 2^len(qubits)`` — the sampled
-    Kraus branch of each ensemble member.  The whole batch still goes through
-    one einsum: the target qubit axes are moved to the front, flattened to
-    ``(d, M, B)``, and contracted against the per-member matrix stack.
+    Kraus branch of each ensemble member.  The whole batch goes through one
+    einsum.  Ascending contiguous targets ``[a, a+k)`` contract against the
+    free ``(2^a, d, M, B)`` view of the block, with no copy of it.
     """
+    qubits = [int(q) for q in qubits]
+    k = len(qubits)
+    d = 2**k
+    batch = states.shape[-1]
+    start = qubits[0]
+    if qubits == list(range(start, start + k)):
+        view = states.reshape(2**start, d, -1, batch)
+        return np.einsum("bij,ajmb->aimb", matrices, view).reshape(2**num_qubits, batch)
+    return _moveaxis_member_matrices(states, matrices, qubits, num_qubits)
+
+
+def _moveaxis_member_matrices(states, matrices, qubits: Sequence[int], num_qubits: int):
+    """:func:`_apply_member_matrices` on any targets: moved to the front,
+    flattened to ``(d, M, B)``, contracted and moved back."""
     qubits = [int(q) for q in qubits]
     k = len(qubits)
     d = 2**k
@@ -229,12 +315,14 @@ def sample_channel_branches(
     (unitary branches preserve norm).  Members that drew an exact-identity
     branch — almost all of them at realistic strengths — are skipped
     entirely; the remaining sampled unitaries are gathered into a stack and
-    applied to just those columns in a single einsum.
+    applied to just those columns in a single einsum.  This step is **in
+    place**: the drawn columns are written straight back into ``states``,
+    which the caller must own, and ``states`` is returned.
 
     General channels (amplitude damping) need per-state Born probabilities
     ``p_k(ψ_b) = ‖K_k ψ_b‖²``: every branch is applied to the full ensemble,
     the branch is sampled from each member's own distribution, and the
-    selected states are renormalised by ``√p_k``.
+    selected states, renormalised by ``√p_k``, are returned as a new block.
     """
     batch = states.shape[-1]
     uniforms = np.asarray(uniforms, dtype=float)
@@ -243,15 +331,9 @@ def sample_channel_branches(
         active = np.flatnonzero(~channel.identity_branches[idx])
         if active.size == 0:
             return states
-        if active.size < batch:
-            mats = np.stack(channel.unitary_branches)[idx[active]]
-            out = np.array(states, copy=True)
-            out[:, active] = _apply_member_matrices(
-                np.ascontiguousarray(states[:, active]), mats, qubits, num_qubits
-            )
-            return out
-        mats = np.stack(channel.unitary_branches)[idx]
-        return _apply_member_matrices(states, mats, qubits, num_qubits)
+        mats = np.stack(channel.unitary_branches)[idx[active]]
+        states[:, active] = _apply_member_matrices(states[:, active], mats, qubits, num_qubits)
+        return states
     branch_states = np.stack(
         [apply_gate_to_ensemble(states, k, qubits, num_qubits) for k in channel.kraus_ops]
     )  # (K, 2^n, B)
@@ -343,16 +425,24 @@ class EnsembleExecutor:
         exact ``I (+) V`` structure (QPE's controlled powers), which then
         runs on its control's ``|1>`` half only
         (:func:`apply_controlled_block_to_ensemble`); every other gate
-        keeps the dense kernel.  Built once per plan, not once per chunk:
-        every column block of an ensemble reuses the same list.
+        keeps the dense kernel, padded here to its contiguous hull
+        (:func:`contiguous_form`) so the kernel never pads it again.  Built
+        once per plan, not once per chunk: every column block of an
+        ensemble reuses the same list.
         """
         prepared = []
         for gate in gates:
             if isinstance(gate, (Measurement, Barrier)):
                 continue
             matrix = np.asarray(gate.matrix, dtype=complex)
-            wide = len(gate.qubits) > self.max_fuse_qubits
-            prepared.append((matrix, gate.qubits, controlled_block(matrix) if wide else None))
+            qubits = tuple(gate.qubits)
+            block = controlled_block(matrix) if len(qubits) > self.max_fuse_qubits else None
+            if block is None:
+                form = contiguous_form(matrix, qubits)
+                if form is not None:
+                    matrix, start, width = form
+                    qubits = tuple(range(start, start + width))
+            prepared.append((matrix, qubits, block))
         return prepared
 
     def _evolve(self, states, prepared, num_qubits: int):
@@ -411,8 +501,7 @@ class EnsembleExecutor:
     def _basis_block(self, block, num_qubits: int):
         """A ``(2^n, len(block))`` array whose column ``i`` is ``|block[i]>``."""
         states = np.zeros((2**num_qubits, len(block)), dtype=complex)
-        for column, b in enumerate(block):
-            states[b, column] = 1.0
+        states[np.asarray(block, dtype=np.intp), np.arange(len(block))] = 1.0
         return states
 
     def trajectory_basis_distribution(
@@ -481,7 +570,8 @@ class EnsembleExecutor:
           unfused per-gate sampler on their own uniforms, collected across
           trajectories into blocks no wider than the chunk: a wider block
           would amortise more per-gate overhead, but on a large register it
-          falls out of cache, and every step that draws an error copies it.
+          falls out of cache.  Each block is built fresh here, so the
+          sampler steps its drawn columns in place.
         """
         n = circuit.num_qubits
         basis = self._validated_basis(circuit, basis_states)

@@ -43,7 +43,7 @@ import numpy as np
 
 from repro.quantum.channels import NoiseSpec
 from repro.quantum.circuit import QuantumCircuit
-from repro.quantum.gates import controlled_block
+from repro.quantum.gates import controlled_block, embed_operator
 from repro.quantum.operations import Gate
 from repro.quantum.ptm import (
     PTMOp,
@@ -99,36 +99,10 @@ def clear_ptm_cache() -> None:
 # --- the greedy window -------------------------------------------------------
 
 
-def _embed(
-    matrix: np.ndarray, qubits: Tuple[int, ...], support: Tuple[int, ...], d: int
-) -> np.ndarray:
-    """Expand an operator on ``qubits`` to the full ``support`` register.
-
-    ``d`` is the local dimension of one qubit: 2 for a gate, 4 for a
-    superoperator.  ``matrix ⊗ I`` acts on the digits ``qubits + (the rest
-    of support)``; permuting the digit axes into ``support`` order gives the
-    embedding.  Only entries are copied, so the result is exact.
-    """
-    if tuple(qubits) == tuple(support):
-        return np.asarray(matrix, dtype=complex)
-    s, k = len(support), len(qubits)
-    rest = [q for q in support if q not in qubits]
-    # Axes of the outer product: qubits' out, qubits' in, rest out, rest in.
-    out_axis = {q: j for j, q in enumerate(qubits)}
-    out_axis.update({q: 2 * k + j for j, q in enumerate(rest)})
-    in_axis = {q: axis + (k if q in qubits else s - k) for q, axis in out_axis.items()}
-    full = np.multiply.outer(
-        np.asarray(matrix, dtype=complex).reshape((d,) * (2 * k)),
-        np.eye(d ** (s - k)).reshape((d,) * (2 * (s - k))),
-    )
-    full = full.transpose([out_axis[q] for q in support] + [in_axis[q] for q in support])
-    return full.reshape(d**s, d**s)
-
-
 def _join(
     op: np.ndarray, qubits: Tuple[int, ...], block: np.ndarray, support: Tuple[int, ...], d: int
 ) -> np.ndarray:
-    """``_embed(op, qubits, support, d) @ block`` without the embedding.
+    """``embed_operator(op, qubits, support, d) @ block`` without the embedding.
 
     The embedding is the identity on the other digits, so the product only
     contracts the operator's input digits with the output digits of
@@ -164,13 +138,13 @@ def _fuse_run(items, max_fuse_qubits: int, d: int) -> List[Tuple[Tuple[int, ...]
             same_kind = prefix == held and (not prefix or union == support)
             if same_kind and len(union) <= max_fuse_qubits:
                 if union != support:
-                    matrix = _embed(matrix, support, union, d)
+                    matrix = embed_operator(matrix, support, union, d)
                 matrix = _join(op, qubits, matrix, union, d)
                 support, count = union, count + 1
                 continue
             blocks.append((support, matrix, count))
         support, held = tuple(sorted(qubits)), prefix
-        matrix, count = _embed(op, qubits, support, d), 1
+        matrix, count = embed_operator(op, qubits, support, d), 1
     if support is not None:
         blocks.append((support, matrix, count))
     return blocks

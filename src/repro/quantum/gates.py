@@ -8,7 +8,7 @@ same convention used throughout :mod:`repro.quantum`.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -132,6 +132,33 @@ def controlled_block(matrix: np.ndarray) -> Optional[np.ndarray]:
     ):
         return matrix[half:, half:]
     return None
+
+
+def embed_operator(
+    matrix: np.ndarray, qubits: Sequence[int], support: Sequence[int], d: int = 2
+) -> np.ndarray:
+    """Expand an operator on ``qubits`` to the full ``support`` register.
+
+    ``d`` is the local dimension of one qubit: 2 for a gate, 4 for a
+    superoperator.  ``matrix ⊗ I`` acts on the digits ``qubits + (the rest
+    of support)``; permuting the digit axes into ``support`` order gives the
+    embedding.  Only entries are copied, so the result is exact.
+    """
+    qubits, support = tuple(qubits), tuple(support)
+    if qubits == support:
+        return np.asarray(matrix, dtype=complex)
+    s, k = len(support), len(qubits)
+    rest = [q for q in support if q not in qubits]
+    # Axes of the outer product: qubits' out, qubits' in, rest out, rest in.
+    out_axis = {q: j for j, q in enumerate(qubits)}
+    out_axis.update({q: 2 * k + j for j, q in enumerate(rest)})
+    in_axis = {q: axis + (k if q in qubits else s - k) for q, axis in out_axis.items()}
+    full = np.multiply.outer(
+        np.asarray(matrix, dtype=complex).reshape((d,) * (2 * k)),
+        np.eye(d ** (s - k)).reshape((d,) * (2 * (s - k))),
+    )
+    full = full.transpose([out_axis[q] for q in support] + [in_axis[q] for q in support])
+    return full.reshape(d**s, d**s)
 
 
 def crx(theta: float) -> np.ndarray:

@@ -99,9 +99,8 @@ def apply_gate_to_statevector(state: np.ndarray, gate_matrix: np.ndarray, qubits
 
     This is the batch-1 specialisation of :func:`repro.quantum.engine.
     apply_gate_to_ensemble` — the state is viewed as a ``(2^n, 1)`` ensemble
-    and pushed through the same contraction kernel (bit-identical: the
-    trailing batch axis of length 1 changes neither operand layout nor
-    summation order).
+    and pushed through the same contraction kernel, so a batch-1 run of the
+    ensemble engine is bit-identical to this simulator.
 
     Parameters
     ----------

@@ -41,14 +41,13 @@ from repro.quantum.density_matrix import DensityMatrix, DensityMatrixSimulator
 from repro.quantum.fusion import (
     _defer_single_qubit_runs,
     _density_walk,
-    _embed,
     _join,
     _ptm_op_stream,
     clear_ptm_cache,
     fuse_ptm_program,
     ptm_cache_info,
 )
-from repro.quantum.gates import controlled_block
+from repro.quantum.gates import controlled_block, embed_operator
 from repro.quantum.ptm import (
     PTMExecutor,
     WideUnitaryOp,
@@ -186,7 +185,7 @@ def test_random_circuit_ptm_homomorphism(seed):
         qubits = tuple(int(q) for q in rng.choice(n, size=k, replace=False))
         u = _random_unitary(rng, k)
         circ.unitary(u, list(qubits))
-        program = _embed(gate_superop(u), qubits, tuple(range(n)), 4) @ program
+        program = embed_operator(gate_superop(u), qubits, tuple(range(n)), 4) @ program
     total = np.eye(2**n, dtype=complex)
     # Reference: the circuit unitary, each gate embedded by direct summation.
     for gate in circ.gates:
@@ -237,7 +236,7 @@ def test_embedding_is_bit_identical_to_identity_application(seed):
     qubits = tuple(int(q) for q in rng.choice(support, size=k, replace=False))
     for d in (4, 2):
         matrix = rng.standard_normal((d**k, d**k)) + 1j * rng.standard_normal((d**k, d**k))
-        got = _embed(matrix, qubits, support, d)
+        got = embed_operator(matrix, qubits, support, d)
         assert np.array_equal(got, _embed_by_identity_application(matrix, qubits, support, d))
 
 
@@ -253,7 +252,7 @@ def test_left_multiply_matches_the_embedded_product(seed):
     superop = rng.standard_normal((4**k, 4**k)) + 1j * rng.standard_normal((4**k, 4**k))
     block = rng.standard_normal((4**s, 4**s)) + 1j * rng.standard_normal((4**s, 4**s))
     got = _join(superop, qubits, block, support, 4)
-    want = _embed(superop, qubits, support, 4) @ block
+    want = embed_operator(superop, qubits, support, 4) @ block
     assert np.allclose(got, want, rtol=0, atol=1e-12)
 
 
@@ -1041,7 +1040,7 @@ def test_adjoint_superoperator_moves_across_the_trace(seed, indices):
     superop = _random_cptp_superop(rng, len(indices))
     matrices = rng.standard_normal((3, dim, dim)) + 1j * rng.standard_normal((3, dim, dim))
     x = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    embedded = _embed(superop, tuple(indices), tuple(range(m)), 4)
+    embedded = embed_operator(superop, tuple(indices), tuple(range(m)), 4)
     s_x = _from_tensor((embedded @ _to_tensor(x, m).reshape(-1)).reshape((2,) * (2 * m)), m)
     # The kernel maps each Mᵀ to S*(M)ᵀ.
     adjoint = ptm_module._adjoint_apply(matrices.transpose(0, 2, 1), superop, indices)
