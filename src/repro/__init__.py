@@ -8,7 +8,7 @@ algorithm:
   and density matrix), QFT/QPE builders, Trotterised Pauli evolution, noise.
 * :mod:`repro.tda` — simplicial complexes, Vietoris–Rips construction,
   boundary operators, combinatorial Laplacians, classical Betti numbers,
-  persistence, Takens embedding.
+  Takens embedding.
 * :mod:`repro.core` — the QPE-based Betti-number estimator (the paper's
   contribution) and the point-cloud-to-features pipeline.
 * :mod:`repro.api` — the service-grade front door: typed requests

@@ -19,7 +19,7 @@ from typing import Dict, Optional
 import numpy as np
 
 from repro.core.backends import available_backends
-from repro.core.backends.statevector import CIRCUIT_ROUTES
+from repro.core.backends.statevector import CIRCUIT_ROUTES, PTM_AUTO_QUBIT_THRESHOLD
 from repro.quantum.channels import (
     NOISE_CHANNELS,
     TWO_QUBIT_NOISE_CHANNELS,
@@ -93,7 +93,9 @@ class QTDAConfig:
           last.  Deterministic; agrees with the density-matrix oracle to
           floating point at gate-fusion speed.  Runs at most
           :data:`repro.core.backends.statevector.PTM_AUTO_QUBIT_THRESHOLD`
-          qubits ``t + q``; a larger circuit raises ``ValueError``.
+          qubits ``t + q``; a larger circuit raises ``ValueError``, and so
+          does the config itself once ``t`` alone reaches the threshold
+          (every Laplacian adds ``q >= 1``).
         * ``"trajectory"`` — the noisy counterpart of ``ensemble``:
           stochastic Kraus-branch trajectories on the same ``(2^(t+q), B)``
           array, one sampled branch per ensemble member after each gate,
@@ -237,6 +239,15 @@ class QTDAConfig:
             raise ValueError(
                 "circuit_engine='ensemble' cannot simulate noise channels; "
                 "use circuit_engine='ptm', 'trajectory' (or 'auto')"
+            )
+        if self.circuit_engine == "ptm" and self.precision_qubits >= PTM_AUTO_QUBIT_THRESHOLD:
+            # Every Laplacian needs q >= 1 system qubits, so t + q exceeds the
+            # threshold and route resolution would refuse the run anyway;
+            # refusing it here makes it a client error (400 on the wire).
+            raise ValueError(
+                f"circuit_engine='ptm' runs at most {PTM_AUTO_QUBIT_THRESHOLD} qubits (t + q) "
+                f"and every Laplacian adds at least one, so precision_qubits must stay below "
+                f"{PTM_AUTO_QUBIT_THRESHOLD}, got {self.precision_qubits}; use 'trajectory' or 'auto'"
             )
 
     def resolved_noise_spec(self) -> NoiseSpec:

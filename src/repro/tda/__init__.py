@@ -13,8 +13,6 @@ Provides everything Section 2 of the paper needs:
   numbers (:mod:`repro.tda.boundary`, :mod:`repro.tda.laplacian`,
   :mod:`repro.tda.betti`, :mod:`repro.tda.homology`), each matrix built by
   one array builder from either type's ``.arrays``;
-* persistent homology for the paper's future-work extension
-  (:mod:`repro.tda.filtration`, :mod:`repro.tda.persistence`);
 * Takens delay embedding of time series (:mod:`repro.tda.takens`);
 * random simplicial complexes for the Section 4 experiments
   (:mod:`repro.tda.random_complexes`).
@@ -33,8 +31,6 @@ from repro.tda.laplacian import (
 from repro.tda.betti import betti_number, betti_numbers, euler_characteristic
 from repro.tda.homology import betti_numbers_gf2, boundary_rank_gf2
 from repro.tda.takens import TakensEmbedding, takens_embedding
-from repro.tda.filtration import Filtration, rips_filtration
-from repro.tda.persistence import PersistenceDiagram, persistent_betti_number, persistence_diagrams
 from repro.tda.random_complexes import random_simplicial_complex, random_point_cloud_complex
 
 __all__ = [
@@ -58,11 +54,6 @@ __all__ = [
     "boundary_rank_gf2",
     "TakensEmbedding",
     "takens_embedding",
-    "Filtration",
-    "rips_filtration",
-    "PersistenceDiagram",
-    "persistent_betti_number",
-    "persistence_diagrams",
     "random_simplicial_complex",
     "random_point_cloud_complex",
 ]

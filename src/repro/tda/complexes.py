@@ -281,24 +281,6 @@ class SimplicialComplex(_FaceCounts):
         graph.add_edges_from(map(tuple, self._labels[self._arrays.simplices(1)].tolist()))
         return graph
 
-    def star(self, vertex: int) -> List[Simplex]:
-        """All simplices containing ``vertex``."""
-        return [s for s in self.simplices() if vertex in s]
-
-    def link(self, vertex: int) -> List[Simplex]:
-        """The link of ``vertex``: faces of its star that do not contain it."""
-        out = []
-        for simplex in self.star(vertex):
-            remaining = tuple(v for v in simplex.vertices if v != vertex)
-            if remaining:
-                out.append(Simplex(remaining))
-        return sorted(set(out))
-
-    def add_simplex(self, simplex, close_downward: bool = True) -> "SimplicialComplex":
-        """Return a new complex with ``simplex`` (and its faces) added."""
-        simplices = self.simplices() + [simplex if isinstance(simplex, Simplex) else Simplex(simplex)]
-        return SimplicialComplex(simplices, close_downward=close_downward)
-
     def is_connected(self) -> bool:
         """Connectivity of the 1-skeleton (true for the empty complex)."""
         graph = self.one_skeleton_graph()

@@ -7,7 +7,7 @@ is kept everywhere (it fixes the signs of the boundary operator, Eqs. 1–2).
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Iterator, List, Tuple
+from typing import Any, Iterable, Iterator, Tuple
 
 from repro.utils.validation import check_integer
 
@@ -27,10 +27,12 @@ def vertex_label(value: Any) -> int:
 
 
 class Simplex:
-    """An ordered simplex ``[v_0 < v_1 < ... < v_k]``.
+    """A simplex: its vertex labels ``v_0 < v_1 < ... < v_k``, held in ascending order.
 
-    Immutable and hashable.  Complexes store their simplices as rows of
-    int64 arrays; a :class:`Simplex` is what their accessors hand out.
+    Immutable and hashable, and equal to any sequence or set of the same
+    labels; simplices have no order among themselves.  Complexes store their
+    simplices as rows of int64 arrays; a :class:`Simplex` is what their
+    accessors hand out.
     """
 
     __slots__ = ("_vertices",)
@@ -63,25 +65,6 @@ class Simplex:
     def __contains__(self, vertex: int) -> bool:
         return int(vertex) in self._vertices
 
-    # -- combinatorics ------------------------------------------------------
-    def faces(self) -> List["Simplex"]:
-        """The ``k + 1`` codimension-1 faces (each omits one vertex).
-
-        Ordered so that ``faces()[t]`` omits vertex ``v_t``, matching the
-        ``s_{k-1}(t)`` notation of Eq. (2); the boundary operator attaches the
-        sign ``(-1)^t`` to the ``t``-th entry.
-        """
-        if self.dimension == 0:
-            return []
-        return [
-            Simplex(self._vertices[:t] + self._vertices[t + 1 :])
-            for t in range(len(self._vertices))
-        ]
-
-    def is_face_of(self, other: "Simplex") -> bool:
-        """Whether this simplex's vertex set is contained in ``other``'s."""
-        return set(self._vertices).issubset(other._vertices)
-
     # -- dunder plumbing ------------------------------------------------------
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Simplex):
@@ -89,13 +72,6 @@ class Simplex:
         if isinstance(other, (tuple, list, frozenset, set)):
             return self._vertices == tuple(sorted(int(v) for v in other))
         return NotImplemented
-
-    def __lt__(self, other: "Simplex") -> bool:
-        if not isinstance(other, Simplex):
-            return NotImplemented
-        # Order by dimension first, then lexicographically — the ordering used
-        # for boundary-matrix columns throughout the package.
-        return (self.dimension, self._vertices) < (other.dimension, other._vertices)
 
     def __hash__(self) -> int:
         return hash(self._vertices)

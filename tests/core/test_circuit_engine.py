@@ -168,9 +168,10 @@ def test_explicit_ptm_above_the_threshold_is_refused_before_allocating(monkeypat
         raise AssertionError("the circuit was built for a refused ptm request")
 
     monkeypatch.setattr(statevector, "qtda_circuit", no_build)
-    # t = 12 precision qubits on the 2-qubit appendix Laplacian: 14 qubits.
+    # t = 11 precision qubits on the 2-qubit appendix Laplacian: 13 qubits.
+    # The config admits t = 11; t >= 12 is refused by QTDAConfig itself.
     config = QTDAConfig(
-        backend="statevector", circuit_engine="ptm", precision_qubits=12, delta=6.0, **noise
+        backend="statevector", circuit_engine="ptm", precision_qubits=11, delta=6.0, **noise
     )
     problem = EstimationProblem(laplacian=combinatorial_laplacian(appendix_complex(), 1))
     with pytest.raises(ValueError, match="circuit_engine='ptm'"):

@@ -6,7 +6,8 @@ malformed JSON, non-finite number tokens, wrong value types, unknown
 fields, oversized arrays, missing or wrong ``schema_version`` values,
 simplicial complexes that miss a face (closed ones must be served) or
 whose vertex labels are not integers in ``[0, 2**63)``,
-``precision_qubits`` past ``MAX_PRECISION_QUBITS``, non-square distance
+``precision_qubits`` past ``MAX_PRECISION_QUBITS`` or, on an explicit
+``ptm`` route, at ``PTM_AUTO_QUBIT_THRESHOLD``, non-square distance
 matrices and time series or observe windows shorter than the Takens span.
 Every one must come back as a 4xx error envelope: never a 500 and never an
 exception out of the adapter.  Examples are derandomised, so every run
@@ -27,6 +28,7 @@ from repro.core.api import (
     PipelineRequest,
     SweepRequest,
 )
+from repro.core.backends.statevector import PTM_AUTO_QUBIT_THRESHOLD
 from repro.core.config import MAX_PRECISION_QUBITS, QTDAConfig
 from repro.core.pipeline import PipelineConfig
 from repro.datasets.point_clouds import circle_cloud
@@ -236,6 +238,28 @@ def test_precision_qubits_over_the_cap(server, precision_qubits):
     assert assert_client_error(server, "estimate", raw) == "invalid_request"
     with pytest.raises(ValueError, match="precision_qubits"):
         QTDAConfig(precision_qubits=precision_qubits)
+
+
+@pytest.mark.parametrize("precision_qubits", [PTM_AUTO_QUBIT_THRESHOLD, MAX_PRECISION_QUBITS])
+def test_explicit_ptm_that_can_never_run(server, precision_qubits):
+    """An explicit ``ptm`` at ``t >= PTM_AUTO_QUBIT_THRESHOLD`` exceeds the
+    route's ``t + q`` budget on every Laplacian (``q >= 1``): the wire answers
+    400 at validation, not a 500 from route resolution, and in process the
+    config raises the same ``ValueError`` whatever the backend."""
+    ptm = {
+        "precision_qubits": precision_qubits,
+        "backend": "statevector",
+        "circuit_engine": "ptm",
+        "noise_channel": "depolarizing",
+        "noise_strength": 0.01,
+    }
+    document = json.loads(json.dumps(VALID["estimate"]))
+    document["config"].update(ptm)
+    assert assert_client_error(server, "estimate", json.dumps(document).encode()) == "invalid_request"
+    for backend in ("statevector", "exact"):
+        with pytest.raises(ValueError, match="precision_qubits"):
+            QTDAConfig(**{**ptm, "backend": backend})
+    assert QTDAConfig(**{**ptm, "precision_qubits": PTM_AUTO_QUBIT_THRESHOLD - 1}).circuit_engine == "ptm"
 
 
 @FUZZ

@@ -78,21 +78,6 @@ def test_one_skeleton_graph(appendix_k):
     assert graph.number_of_edges() == 6
 
 
-def test_star_and_link(appendix_k):
-    star = appendix_k.star(3)
-    assert Simplex([1, 2, 3]) in star
-    link = appendix_k.link(3)
-    assert Simplex([1, 2]) in link
-    assert all(3 not in s for s in link)
-
-
-def test_add_simplex(appendix_k):
-    bigger = appendix_k.add_simplex((3, 4, 5))
-    assert bigger.num_simplices(2) == 2
-    # original is unchanged
-    assert appendix_k.num_simplices(2) == 1
-
-
 def test_is_connected(appendix_k, two_components):
     assert appendix_k.is_connected()
     assert not two_components.is_connected()

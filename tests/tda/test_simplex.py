@@ -41,28 +41,9 @@ def test_labels_must_fit_int64():
         Simplex([10**30])
 
 
-def test_faces_drop_one_vertex_each():
-    faces = Simplex([0, 1, 2]).faces()
-    assert faces == [Simplex([1, 2]), Simplex([0, 2]), Simplex([0, 1])]
-
-
-def test_vertex_has_no_faces():
-    assert Simplex([4]).faces() == []
-
-
-def test_is_face_of():
-    assert Simplex([0, 2]).is_face_of(Simplex([0, 1, 2]))
-    assert not Simplex([0, 3]).is_face_of(Simplex([0, 1, 2]))
-
-
 def test_equality_with_tuples_and_hashing():
     assert Simplex([2, 0]) == (0, 2)
     assert Simplex([0, 2]) in {Simplex([0, 2])}
-
-
-def test_ordering_dimension_then_lex():
-    assert Simplex([5]) < Simplex([0, 1])
-    assert Simplex([0, 1]) < Simplex([0, 2])
 
 
 def test_contains_and_iter():

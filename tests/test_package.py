@@ -75,21 +75,38 @@ def test_api_module_importable():
     assert set(repro.api.__all__) == set(repro.core.api.__all__)
 
 
+SUBPACKAGES = (
+    "repro.paulis",
+    "repro.quantum",
+    "repro.tda",
+    "repro.core",
+    "repro.ml",
+    "repro.datasets",
+    "repro.experiments",
+    "repro.utils",
+)
+
+
 def test_all_subpackages_importable():
     import importlib
 
-    for name in (
-        "repro.paulis",
-        "repro.quantum",
-        "repro.tda",
-        "repro.core",
-        "repro.ml",
-        "repro.datasets",
-        "repro.experiments",
-        "repro.utils",
-    ):
+    for name in SUBPACKAGES:
         module = importlib.import_module(name)
         assert module is not None
+
+
+@pytest.mark.parametrize("name", SUBPACKAGES)
+def test_subpackage_all_resolves(name):
+    """Every name a subpackage's ``__all__`` lists is bound, so
+    ``from <subpackage> import *`` works; a stale entry left behind by a
+    deletion fails here."""
+    import importlib
+
+    module = importlib.import_module(name)
+    exported = getattr(module, "__all__", None)
+    assert exported, f"{name} has no __all__"
+    missing = [symbol for symbol in exported if not hasattr(module, symbol)]
+    assert not missing, f"{name}.__all__ lists unbound names {missing}"
 
 
 def test_public_api_docstrings():
