@@ -169,3 +169,20 @@ def test_pure_state_engines_reject_extended_gate_noise():
         )
     # Readout error is classical post-processing — allowed on every engine.
     QTDAConfig(backend="statevector", circuit_engine="ensemble", readout_error=0.05)
+
+
+@pytest.mark.parametrize("engine", ["auto", "trajectory", "ptm"])
+def test_only_an_explicit_ptm_is_bounded_by_the_ptm_qubit_threshold(engine):
+    """``auto`` falls back to trajectories and ``trajectory`` has no qubit budget;
+    an explicit ``ptm`` at ``t >= PTM_AUTO_QUBIT_THRESHOLD`` can never run."""
+    from repro.core.backends.statevector import PTM_AUTO_QUBIT_THRESHOLD
+
+    noisy = {"backend": "statevector", "noise_channel": "depolarizing", "noise_strength": 0.01}
+    below = QTDAConfig(circuit_engine=engine, precision_qubits=PTM_AUTO_QUBIT_THRESHOLD - 1, **noisy)
+    assert below.circuit_engine == engine
+    at = dict(circuit_engine=engine, precision_qubits=PTM_AUTO_QUBIT_THRESHOLD, **noisy)
+    if engine == "ptm":
+        with pytest.raises(ValueError, match="circuit_engine='ptm'"):
+            QTDAConfig(**at)
+    else:
+        assert QTDAConfig(**at).precision_qubits == PTM_AUTO_QUBIT_THRESHOLD

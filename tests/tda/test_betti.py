@@ -2,8 +2,10 @@
 
 import pytest
 
+from repro.datasets.point_clouds import clusters_cloud
 from repro.tda.betti import betti_number, betti_numbers, betti_summary, euler_characteristic
 from repro.tda.complexes import SimplicialComplex
+from repro.tda.homology import betti_numbers_gf2
 from repro.tda.rips import rips_complex
 
 
@@ -69,3 +71,16 @@ def test_betti_summary(appendix_k):
     assert summary["betti_numbers"] == [1, 1, 0]
     assert summary["euler_characteristic"] == 0
     assert summary["alternating_betti_sum"] == 0
+
+
+@pytest.mark.parametrize("epsilon, components", [(2.0, 3), (100.0, 1)])
+def test_clusters_merge_above_their_separation(epsilon, components):
+    points = clusters_cloud(num_clusters=3, points_per_cluster=5, separation=10.0, spread=0.1, seed=1)
+    complex_ = rips_complex(points, epsilon=epsilon, max_dimension=1)
+    assert betti_numbers(complex_, 0) == [components]
+
+
+@pytest.mark.parametrize("epsilon", [0.3, 0.7, 1.2])
+def test_rips_betti_numbers_match_the_gf2_reference(circle_points, epsilon):
+    complex_ = rips_complex(circle_points, epsilon=epsilon, max_dimension=2)
+    assert betti_numbers(complex_, 1) == betti_numbers_gf2(complex_, 1)

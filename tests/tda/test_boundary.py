@@ -6,6 +6,7 @@ from scipy import sparse
 
 from repro.tda.boundary import boundary_composition_is_zero, boundary_matrix, boundary_operators
 from repro.tda.complexes import SimplicialComplex
+from repro.tda.simplex import Simplex
 
 
 #: ∂_1 of the worked example; rows indexed by vertices 1..5, columns by edges
@@ -94,3 +95,17 @@ def test_tetrahedron_boundary_ranks():
     assert d3.shape == (4, 1)
     assert np.allclose(d1 @ d2, 0.0)
     assert np.allclose(d2 @ d3, 0.0)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_boundary_column_drops_one_vertex_at_a_time(k):
+    """Eq. 1: column ``[v_0..v_k]`` holds ``(-1)^i`` at the face without ``v_i``."""
+    complex_ = SimplicialComplex.from_maximal_simplices([(0, 1, 2, 3)])
+    rows = complex_.simplex_index(k - 1)
+    matrix = boundary_matrix(complex_, k)
+    for column, simplex in enumerate(complex_.simplices(k)):
+        expected = np.zeros(len(rows))
+        for i in range(k + 1):
+            face = simplex.vertices[:i] + simplex.vertices[i + 1:]
+            expected[rows[Simplex(face)]] = (-1) ** i
+        assert np.array_equal(matrix[:, column], expected)

@@ -70,3 +70,32 @@ def test_num_simplices_and_repr():
     assert rc.num_points == 2
     assert rc.num_simplices(1) == 1
     assert "RipsComplex" in repr(rc)
+
+
+@pytest.mark.parametrize("epsilon", [0.2, 0.5, 0.9])
+def test_simplices_are_the_cliques_within_epsilon(epsilon):
+    """A simplex is in the complex exactly when its diameter is at most ε."""
+    from itertools import combinations
+
+    from repro.tda.distances import pairwise_distances
+
+    points = np.random.default_rng(4).random((8, 2))
+    dist = pairwise_distances(points)
+    expected = {
+        subset
+        for size in (1, 2, 3)
+        for subset in combinations(range(len(points)), size)
+        if all(dist[i, j] <= epsilon for i, j in combinations(subset, 2))
+    }
+    complex_ = rips_complex(points, epsilon=epsilon, max_dimension=2)
+    assert {s.vertices for s in complex_.simplices()} == expected
+
+
+@pytest.mark.parametrize(
+    "epsilon, f_vector",
+    [(0.99, (3,)), (1.0, (3, 1)), (2.0, (3, 2)), (np.sqrt(5.0), (3, 3, 1))],
+)
+def test_simplex_enters_at_its_diameter(epsilon, f_vector):
+    """Edges of lengths 1, 2 and √5: each simplex enters once ε reaches its diameter."""
+    points = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 2.0]])
+    assert rips_complex(points, epsilon=epsilon, max_dimension=2).f_vector() == f_vector

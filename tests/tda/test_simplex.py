@@ -51,3 +51,9 @@ def test_contains_and_iter():
     assert 3 in s and 2 not in s
     assert list(s) == [1, 3]
     assert len(s) == 2
+
+
+def test_simplices_have_no_order():
+    """Complexes order their simplices by rank arrays, so Simplex defines no ``<``."""
+    with pytest.raises(TypeError):
+        sorted([Simplex([1, 2]), Simplex([0])])
