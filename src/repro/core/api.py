@@ -59,7 +59,7 @@ from repro.tda.rips import RipsComplex
 from repro.tda.simplex import vertex_label
 from repro.tda.takens import TakensEmbedding
 from repro.utils.cache import BoundedCache
-from repro.utils.validation import check_bool, check_integer
+from repro.utils.validation import InvalidRequestError, check_bool, check_integer
 
 #: Version of the request/result wire format.  Bump on any incompatible
 #: change to the dictionaries emitted by ``as_dict`` (consumers validate it
@@ -1430,7 +1430,7 @@ class QTDAService:
                 session = _ObserveSession(engine, key)
                 self._sessions[request.session] = session
         if session.key != key:
-            raise ValueError(
+            raise InvalidRequestError(
                 f"observe request for session {request.session!r} does not match the "
                 "session's window_length/stride/epsilons/pipeline configuration; "
                 "close_session() first to reconfigure"

@@ -1,14 +1,19 @@
 """The ``statevector`` backend — the explicit Fig. 6 circuit.
 
-Builds the full QTDA circuit with exact controlled powers of ``U = exp(iH)``
-and executes it over one of three routes (``QTDAConfig.circuit_engine``,
-DESIGN.md §11):
+Runs the full QTDA circuit with exact controlled powers of ``U = exp(iH)``
+over one of three routes (``QTDAConfig.circuit_engine``, DESIGN.md §11).
+Only those powers depend on the Laplacian, so each circuit shape ``(route,
+t, q, noise, fusion window)`` is built and compiled once, with the powers
+left as open slots (:func:`qtda_template`); a request computes its powers
+``U^{2^j}`` from one ``eigh`` of ``H`` (:func:`controlled_powers`), binds
+them and runs the compiled program:
 
 * ``ensemble`` (the default for noise-free runs) — the maximally mixed input
   is simulated by evolving the ``2^q`` system basis states as *one batched
   ``(2^(t+q), B)`` statevector array* on the execution engine
-  (:mod:`repro.quantum.engine`): every gate is a single ``tensordot`` across
-  the whole batch, adjacent gates are fused, the batch is chunked to a
+  (:mod:`repro.quantum.engine`): adjacent gates are fused, every gate is one
+  GEMM on a reshaped view of the whole batch, each controlled power applies
+  only ``V`` to its control's ``|1>`` half, the batch is chunked to a
   memory budget, and the readout is the batch-averaged marginal.
   Mathematically identical to evolving ``|0><0| ⊗ I/2^q`` but
   ``O(2^(t+q) · 2^q)`` flops per gate on a flat array instead of a squared
@@ -39,18 +44,25 @@ only in how ``U`` is synthesised.
 
 from __future__ import annotations
 
-from typing import Optional
+import json
+from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
 from repro.core.backends.base import BackendResult, EstimationProblem, register_backend
+from repro.core.hamiltonian import RescaledHamiltonian
 from repro.core.qtda_circuit import qtda_circuit
-from repro.quantum.channels import apply_readout_error
+from repro.quantum.channels import NoiseSpec, apply_readout_error
+from repro.quantum.circuit import QuantumCircuit
 from repro.quantum.density_matrix import DensityMatrix, DensityMatrixSimulator
-from repro.quantum.engine import EnsembleExecutor
-from repro.quantum.ptm import PTMExecutor
+from repro.quantum.engine import DEFAULT_MAX_FUSE_QUBITS, EnsembleExecutor, EnsembleProgram
+from repro.quantum.operations import Gate
+from repro.quantum.ptm import PTMExecutor, PTMProgram
+from repro.quantum.qpe import SpectralUnitary
 from repro.quantum.statevector import StatevectorSimulator
+from repro.utils.cache import BoundedCache
 from repro.utils.rng import as_rng
+from repro.utils.validation import InvalidRequestError
 
 #: Concrete circuit-execution routes (``"auto"`` resolves to one of these).
 CIRCUIT_ROUTES = ("ensemble", "trajectory", "ptm")
@@ -65,6 +77,26 @@ CIRCUIT_ROUTES = ("ensemble", "trajectory", "ptm")
 #: stochastic trajectories, whose state stays ``2^(t+q)``.
 PTM_AUTO_QUBIT_THRESHOLD = 12
 
+#: Compiled exact-synthesis programs, one per circuit shape: ``(route, t,
+#: q, noise spec, fusion window)``.  Bounded by entry count, since clients
+#: choose the noise spec; a program holds the fused small gates and
+#: superoperators of its shape, never a Laplacian's controlled power.
+TEMPLATE_CACHE_MAXSIZE = 32
+
+_TEMPLATES = BoundedCache(TEMPLATE_CACHE_MAXSIZE)
+
+CompiledProgram = Union[EnsembleProgram, PTMProgram]
+
+
+def template_cache_info():
+    """Hit/miss/size counters of the compiled-program cache."""
+    return _TEMPLATES.info()
+
+
+def clear_template_cache() -> None:
+    """Drop every compiled program and reset the counters (tests)."""
+    _TEMPLATES.clear()
+
 
 def resolve_circuit_route(config, total_qubits: Optional[int] = None) -> str:
     """Resolve ``config.circuit_engine`` to a concrete route.
@@ -78,7 +110,8 @@ def resolve_circuit_route(config, total_qubits: Optional[int] = None) -> str:
     the stochastic ``trajectory`` route above
     :data:`PTM_AUTO_QUBIT_THRESHOLD`.  Noise-free runs resolve ``"auto"`` to
     ``ensemble``; a zero-strength channel counts as noise-free.  An explicit
-    ``ptm`` above the threshold raises ``ValueError`` before anything is
+    ``ptm`` above the threshold raises
+    :class:`~repro.utils.validation.InvalidRequestError` before anything is
     allocated, with or without noise.
     """
     engine = config.circuit_engine
@@ -87,7 +120,7 @@ def resolve_circuit_route(config, total_qubits: Optional[int] = None) -> str:
             f"circuit_engine must be one of {('auto',) + CIRCUIT_ROUTES}, got {engine!r}"
         )
     if engine == "ptm" and total_qubits is not None and total_qubits > PTM_AUTO_QUBIT_THRESHOLD:
-        raise ValueError(
+        raise InvalidRequestError(
             f"circuit_engine='ptm' holds a density tensor of up to 4^{total_qubits} entries; "
             f"it runs at most {PTM_AUTO_QUBIT_THRESHOLD} qubits (t + q), use 'trajectory' "
             "or 'auto' for larger circuits"
@@ -106,22 +139,103 @@ def resolve_circuit_route(config, total_qubits: Optional[int] = None) -> str:
     return "ptm"
 
 
+def _compile(
+    route: str,
+    circuit: QuantumCircuit,
+    spec: NoiseSpec,
+    readout: Sequence[int],
+    slots: Sequence[Gate] = (),
+) -> CompiledProgram:
+    """``circuit`` compiled for ``route``, the gates of ``slots`` left open.
+
+    ``ptm``: gates and their channels, cut to the light cone of
+    ``readout``, lowered to Liouville superoperators and fused.
+    ``ensemble``: the fused gate plan.  ``trajectory``: that plan for the
+    error-free columns, plus the unfused steps and the noise placed after
+    each gate for the columns that drew an error.
+    """
+    if route == "ptm":
+        gate_spec = spec if spec.has_gate_noise else None
+        return PTMExecutor().program(circuit, noise_spec=gate_spec, readout=readout, slots=slots)
+    noise_spec = spec if route == "trajectory" else None
+    return EnsembleExecutor().compile(circuit, slots=slots, noise_spec=noise_spec)
+
+
+def _read_only(program: CompiledProgram) -> CompiledProgram:
+    """``program`` with the arrays it holds marked read-only: a template is
+    shared by every thread that runs its shape.  Arrays it shares with the
+    segment caches or the gate constants of :mod:`repro.quantum.gates`
+    become read-only there too; no kernel writes into a gate matrix."""
+    if isinstance(program, PTMProgram):
+        arrays = [op.matrix for op in program.ops]
+    else:
+        arrays = [step[0] for step in program.steps + (program.gate_steps or ())]
+    for array in arrays:
+        if array is not None:
+            array.setflags(write=False)
+    return program
+
+
+def qtda_template(
+    route: str, hamiltonian: RescaledHamiltonian, precision_qubits: int, spec: NoiseSpec
+) -> CompiledProgram:
+    """The exact-synthesis QTDA circuit of this shape compiled for ``route``,
+    with its ``t`` controlled powers as open slots (cached per shape).
+
+    Only the controlled powers depend on the Laplacian: the Hadamards, the
+    inverse QFT and the noise ``spec`` places are fixed by ``(t, q,
+    spec)``.  On a miss the circuit is built from ``hamiltonian`` and
+    compiled with today's planners, power ``j`` (the one precision qubit
+    ``j`` controls) as slot ``j``; :func:`controlled_powers` gives the
+    blocks a run binds.
+    """
+    t, q = int(precision_qubits), hamiltonian.num_qubits
+    key = (route, t, q, json.dumps(spec.as_dict(), sort_keys=True), DEFAULT_MAX_FUSE_QUBITS)
+    program = _TEMPLATES.get(key)
+    if program is None:
+        circuit, layout = qtda_circuit(
+            hamiltonian,
+            precision_qubits=t,
+            use_purification=False,
+            synthesis="exact",
+            power_synthesis="spectral",
+        )
+        system = set(layout.system_register)
+        powers = [gate for gate in circuit.gates if system.intersection(gate.qubits)]
+        program = _read_only(_compile(route, circuit, spec, layout.precision_register, powers))
+        program = _TEMPLATES.put(key, program)
+    return program
+
+
+def controlled_powers(hamiltonian: RescaledHamiltonian, precision_qubits: int) -> List[np.ndarray]:
+    """The blocks ``V_j = U^{2^(t-1-j)}`` of the exact QTDA circuit's
+    controlled powers, ``U = exp(iH)`` from one ``eigh`` of ``H``: the same
+    arrays :func:`~repro.core.qtda_circuit.qtda_circuit` puts in the
+    ``I (+) V_j`` blocks with ``power_synthesis="spectral"``."""
+    t = int(precision_qubits)
+    spectral = SpectralUnitary.from_hermitian(hamiltonian.matrix)
+    return [spectral.power(2 ** (t - 1 - j)) for j in range(t)]
+
+
 def circuit_backend_result(
     problem: EstimationProblem,
     config,
     synthesis: str,
     rng: Optional[np.random.Generator] = None,
 ) -> BackendResult:
-    """Build and execute the Fig. 6 circuit, returning the readout distribution.
+    """Execute the Fig. 6 circuit, returning the readout distribution.
 
     The route comes from ``config.circuit_engine`` via
     :func:`resolve_circuit_route` and the noise from
     ``config.resolved_noise_spec()``.  Every route runs the circuit on
-    ``t + q`` qubits; the exact synthesis builds its controlled powers
-    spectrally (one ``eigh`` of ``H``, phases raised to ``2^j``).  Every
-    synthesis style emits the same gate *sequence*, so
-    ``spec.channels_for_gate`` places noise at identical points on the
-    ``ptm`` and ``trajectory`` routes and in :func:`density_reference_distribution`.
+    ``t + q`` qubits.  The exact synthesis compiles each circuit shape once
+    (:func:`qtda_template`) and binds each run's controlled powers into it
+    (:func:`controlled_powers`: one ``eigh`` of ``H``, phases raised to
+    ``2^j``); the Trotter synthesis, whose every gate depends on ``H``,
+    builds and compiles its circuit per run.  Every synthesis style emits
+    the same gate *sequence*, so ``spec.channels_for_gate`` places noise at
+    identical points on the ``ptm`` and ``trajectory`` routes and in
+    :func:`density_reference_distribution`.
 
     ``rng`` drives the trajectory route's branch sampling (falls back to a
     ``config.seed``-derived generator).  A configured ``readout_error`` is
@@ -129,21 +243,24 @@ def circuit_backend_result(
     confusion contraction).
     """
     hamiltonian = problem.dense_hamiltonian(config)
-    route = resolve_circuit_route(
-        config, total_qubits=config.precision_qubits + hamiltonian.num_qubits
-    )
+    t, q = config.precision_qubits, hamiltonian.num_qubits
+    route = resolve_circuit_route(config, total_qubits=t + q)
     spec = config.resolved_noise_spec()
-    circuit, circuit_spec = qtda_circuit(
-        hamiltonian,
-        precision_qubits=config.precision_qubits,
-        use_purification=False,
-        synthesis=synthesis,
-        trotter_steps=config.trotter_steps,
-        trotter_order=config.trotter_order,
-        power_synthesis="spectral" if synthesis == "exact" else "chain",
-    )
-    precision_register = list(circuit_spec.precision_register)
-    system_basis = range(2**circuit_spec.system_qubits)
+    if synthesis == "exact":
+        template = qtda_template(route, hamiltonian, t, spec)
+        program = template.bind(controlled_powers(hamiltonian, t))
+    else:
+        circuit, _ = qtda_circuit(
+            hamiltonian,
+            precision_qubits=t,
+            use_purification=False,
+            synthesis=synthesis,
+            trotter_steps=config.trotter_steps,
+            trotter_order=config.trotter_order,
+        )
+        program = _compile(route, circuit, spec, range(t))
+    precision_register = list(range(t))
+    system_basis = range(2**q)
     p_zero_std = fused_gates = n_trajectories = None
 
     if route == "trajectory":
@@ -153,7 +270,7 @@ def circuit_backend_result(
         # spread over the repetitions (``p_zero_std``) accounts for it.
         n_trajectories = config.n_trajectories
         distribution, sem = EnsembleExecutor().trajectory_basis_distribution(
-            circuit,
+            program,
             qubits=precision_register,
             basis_states=system_basis,
             noise_spec=spec,
@@ -165,28 +282,17 @@ def circuit_backend_result(
     elif route == "ensemble":
         # The 2^q system basis states form one batched array (full-register
         # basis index b: the precision register reads |0...0>); the engine
-        # fuses adjacent small gates and chunks the batch to its budget.
-        executor = EnsembleExecutor()
-        plan = executor.gate_plan(circuit)
-        distribution = executor.basis_ensemble_distribution(
-            circuit, qubits=precision_register, basis_states=system_basis, plan=plan
+        # chunks the batch to its budget.
+        distribution = EnsembleExecutor().basis_ensemble_distribution(
+            program, qubits=precision_register, basis_states=system_basis
         )
-        fused_gates = len(plan)
+        fused_gates = len(program.steps)
     else:
-        # ptm: gates and their channels, cut to the precision register's
-        # light cone, lowered to Liouville superoperators and fused; one
-        # complex density tensor (at most 4^(t+q-1) entries) evolves through
-        # them, each qubit held from its first coupling op to its last op.
-        executor = PTMExecutor()
-        gate_spec = spec if spec.has_gate_noise else None
-        program = executor.program(circuit, noise_spec=gate_spec, readout=precision_register)
-        distribution = executor.qtda_distribution(
-            circuit,
-            precision_qubits=precision_register,
-            precision_count=circuit_spec.precision_qubits,
-            system_count=circuit_spec.system_qubits,
-            noise_spec=gate_spec,
-            program=program,
+        # ptm: one complex density tensor (at most 4^(t+q-1) entries)
+        # evolves through the fused superoperators, each qubit held from its
+        # first coupling op to its last op.
+        distribution = PTMExecutor().qtda_distribution(
+            program, precision_qubits=precision_register, precision_count=t, system_count=q
         )
         fused_gates = program.num_superops
     if route != "trajectory" and spec.readout_error > 0:

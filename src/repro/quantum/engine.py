@@ -28,12 +28,13 @@ Three design points:
   :mod:`repro.quantum.fusion`, which merges adjacent gates acting on at most
   ``max_fuse_qubits`` qubits into one matrix — QPE's repeated
   ``U^{2^j}``-by-repetition synthesis collapses dramatically.  The pass
-  caches each segment between wider gates per content, so the Hadamards
-  and the inverse QFT are fused once per circuit shape; a new Laplacian
-  only brings its own controlled powers (and whatever small gates were
-  built from it).  A wider gate with exact ``I (+) V`` structure (QPE's
-  controlled powers) applies only ``V``, to its control's ``|1>`` half
-  (:func:`apply_controlled_block_to_ensemble`).
+  caches each segment between wider gates per content.  A wider gate with
+  exact ``I (+) V`` structure (QPE's controlled powers) applies only ``V``,
+  to its control's ``|1>`` half (:func:`apply_controlled_block_to_ensemble`).
+  :meth:`EnsembleExecutor.compile` plans and prepares a circuit once into
+  an :class:`EnsembleProgram`; gates named as *slots* keep their ``V``
+  open, so one program serves every run that differs only in those blocks
+  (the exact QTDA circuit's controlled powers) and a run only binds them.
 * **Noise trajectories.**  The trajectory route samples Kraus branches per
   (trajectory, member) column.  Columns that draw no error follow the
   noise-free circuit and share one fused pass; fusion is deliberately
@@ -43,13 +44,14 @@ Three design points:
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence, Tuple
+from dataclasses import dataclass, replace
+from typing import Iterable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.quantum.channels import NoiseSpec, QuantumChannel, apply_readout_error
 from repro.quantum.circuit import QuantumCircuit
-from repro.quantum.gates import controlled_block, embed_operator
+from repro.quantum.gates import BlockSlot, controlled_block, embed_operator
 from repro.quantum.measurement import ensemble_member_marginal_probabilities
 from repro.quantum.operations import Barrier, Gate, Measurement
 
@@ -252,6 +254,39 @@ def _apply_prepared(states, prepared, num_qubits: int):
     return apply_gate_to_ensemble(states, matrix, qubits, num_qubits)
 
 
+@dataclass(frozen=True)
+class EnsembleProgram:
+    """A circuit compiled once for the ensemble kernels
+    (:meth:`EnsembleExecutor.compile`).
+
+    ``steps`` is the fused gate plan as prepared ``(matrix, qubits, block)``
+    steps (:meth:`EnsembleExecutor._prepare`): the ensemble route runs it,
+    and so do the trajectory route's error-free columns.  A program compiled
+    for a noise spec also holds the unfused prepared ``gate_steps`` and, per
+    gate, the ``(channel, qubits)`` list the spec places after it
+    (``noise_plan``): the trajectory route's columns that drew an error run
+    those.  The step of a slot gate has no matrix and an open
+    :class:`~repro.quantum.gates.BlockSlot` block until :meth:`bind`.
+    """
+
+    num_qubits: int
+    steps: Tuple[tuple, ...]
+    gate_steps: Optional[Tuple[tuple, ...]] = None
+    noise_plan: Optional[Tuple[tuple, ...]] = None
+
+    def bind(self, blocks: Sequence[np.ndarray]) -> "EnsembleProgram":
+        """The program with ``blocks[j]`` as the block of slot ``j``."""
+
+        def bound(steps):
+            return tuple(
+                (matrix, qubits, blocks[block.index] if isinstance(block, BlockSlot) else block)
+                for matrix, qubits, block in steps
+            )
+
+        gate_steps = None if self.gate_steps is None else bound(self.gate_steps)
+        return replace(self, steps=bound(self.steps), gate_steps=gate_steps)
+
+
 def _apply_member_matrices(states, matrices, qubits, num_qubits: int):
     """Apply a *different* ``d x d`` matrix to each member of a ``(2^n, B)`` ensemble.
 
@@ -377,13 +412,40 @@ class EnsembleExecutor:
         self.memory_budget_bytes = int(memory_budget_bytes)
 
     # -- planning -------------------------------------------------------------
-    def gate_plan(self, circuit: QuantumCircuit) -> Tuple[Gate, ...]:
-        """The gate sequence this executor will run (fused when enabled)."""
+    def gate_plan(self, circuit: QuantumCircuit, slots: Sequence[Gate] = ()) -> Tuple[Gate, ...]:
+        """The gate sequence this executor will run (fused when enabled);
+        the gates of ``slots`` pass through unfused."""
         if self.fuse:
             from repro.quantum.fusion import fuse_circuit
 
-            return fuse_circuit(circuit, max_fuse_qubits=self.max_fuse_qubits)
+            return fuse_circuit(circuit, max_fuse_qubits=self.max_fuse_qubits, slots=slots)
         return circuit.gates
+
+    def compile(
+        self,
+        circuit: QuantumCircuit,
+        slots: Sequence[Gate] = (),
+        noise_spec: Optional[NoiseSpec] = None,
+    ) -> EnsembleProgram:
+        """``circuit`` compiled for :meth:`basis_ensemble_distribution`, and
+        with ``noise_spec`` also for :meth:`trajectory_basis_distribution`.
+
+        Each gate of ``slots`` (controlled ``I (+) V``, matched by identity)
+        stays unfused whatever its width, and its steps hold the open
+        :class:`~repro.quantum.gates.BlockSlot` of its position in ``slots``
+        instead of ``V``: compile once, then :meth:`EnsembleProgram.bind`
+        each run's blocks.
+        """
+        steps = self._prepare(self.gate_plan(circuit, slots), slots)
+        if noise_spec is None:
+            return EnsembleProgram(circuit.num_qubits, steps)
+        gates = circuit.gates
+        return EnsembleProgram(
+            circuit.num_qubits,
+            steps,
+            gate_steps=self._prepare(gates, slots),
+            noise_plan=tuple(tuple(noise_spec.channels_for_gate(gate)) for gate in gates),
+        )
 
     def max_batch(self, num_qubits: int) -> int:
         """Widest batch whose ``(2^n, B)`` complex array fits the memory budget."""
@@ -416,26 +478,31 @@ class EnsembleExecutor:
             raise ValueError(
                 f"Ensemble has state dimension {states.shape[0]}, expected {2**n} for {n} qubits"
             )
-        return self._evolve(states, self._prepare(self.gate_plan(circuit)), n)
+        return self._evolve(states, self.compile(circuit).steps, n)
 
-    def _prepare(self, gates: Iterable[Gate]):
+    def _prepare(self, gates: Iterable[Gate], slots: Sequence[Gate] = ()):
         """Complex ``(matrix, qubits, block)`` steps for a gate plan, markers dropped.
 
         ``block`` is the ``V`` of a gate wider than the fusion window with
         exact ``I (+) V`` structure (QPE's controlled powers), which then
         runs on its control's ``|1>`` half only
-        (:func:`apply_controlled_block_to_ensemble`); every other gate
-        keeps the dense kernel, padded here to its contiguous hull
-        (:func:`contiguous_form`) so the kernel never pads it again.  Built
-        once per plan, not once per chunk: every column block of an
-        ensemble reuses the same list.
+        (:func:`apply_controlled_block_to_ensemble`); a gate of ``slots``
+        gets the open :class:`~repro.quantum.gates.BlockSlot` of its
+        position instead, and no matrix.  Every other gate keeps the dense
+        kernel, padded here to its contiguous hull (:func:`contiguous_form`)
+        so the kernel never pads it again.  Built once per plan, not once
+        per chunk: every column block of an ensemble reuses the same steps.
         """
+        slot_of = {id(gate): index for index, gate in enumerate(slots)}
         prepared = []
         for gate in gates:
             if isinstance(gate, (Measurement, Barrier)):
                 continue
-            matrix = np.asarray(gate.matrix, dtype=complex)
             qubits = tuple(gate.qubits)
+            if id(gate) in slot_of:
+                prepared.append((None, qubits, BlockSlot(slot_of[id(gate)])))
+                continue
+            matrix = np.asarray(gate.matrix, dtype=complex)
             block = controlled_block(matrix) if len(qubits) > self.max_fuse_qubits else None
             if block is None:
                 form = contiguous_form(matrix, qubits)
@@ -443,7 +510,7 @@ class EnsembleExecutor:
                     matrix, start, width = form
                     qubits = tuple(range(start, start + width))
             prepared.append((matrix, qubits, block))
-        return prepared
+        return tuple(prepared)
 
     def _evolve(self, states, prepared, num_qubits: int):
         for step in prepared:
@@ -452,14 +519,15 @@ class EnsembleExecutor:
 
     def basis_ensemble_distribution(
         self,
-        circuit: QuantumCircuit,
+        circuit: Union[QuantumCircuit, EnsembleProgram],
         qubits: Sequence[int],
         basis_states: Sequence[int],
         weights: Optional[Sequence[float]] = None,
-        plan: Optional[Tuple[Gate, ...]] = None,
     ) -> np.ndarray:
         """Readout distribution on ``qubits`` for an ensemble of basis states.
 
+        ``circuit`` is compiled first (:meth:`compile`); an
+        :class:`EnsembleProgram` with every slot bound runs as it is.
         Evolves the ensemble ``{|basis_states[b]>}`` through ``circuit`` and
         returns the weighted average of each member's marginal probabilities
         on ``qubits`` (uniform weights by default — the maximally mixed
@@ -470,13 +538,12 @@ class EnsembleExecutor:
         with the block's weights — so no per-member probability vector over
         the full register is ever materialised, and because every block is
         evolved at the same pinned width the result does not depend on the
-        memory budget.  ``plan`` lets callers that already obtained
-        :meth:`gate_plan` for this circuit skip planning it again.
+        memory budget.
         """
         n = circuit.num_qubits
         basis = self._validated_basis(circuit, basis_states)
         w = _normalised_weights(weights, len(basis))
-        prepared = self._prepare(plan if plan is not None else self.gate_plan(circuit))
+        prepared = self._compiled(circuit).steps
         chunk = self.evolution_block(n)
         total: Optional[np.ndarray] = None
         for start in range(0, len(basis), chunk):
@@ -488,7 +555,12 @@ class EnsembleExecutor:
         assert total is not None
         return total / total.sum()
 
-    def _validated_basis(self, circuit: QuantumCircuit, basis_states) -> list:
+    def _compiled(self, circuit, noise_spec: Optional[NoiseSpec] = None) -> EnsembleProgram:
+        if isinstance(circuit, EnsembleProgram):
+            return circuit
+        return self.compile(circuit, noise_spec=noise_spec)
+
+    def _validated_basis(self, circuit, basis_states) -> list:
         dim = 2**circuit.num_qubits
         basis = [int(b) for b in basis_states]
         if not basis:
@@ -506,7 +578,7 @@ class EnsembleExecutor:
 
     def trajectory_basis_distribution(
         self,
-        circuit: QuantumCircuit,
+        circuit: Union[QuantumCircuit, EnsembleProgram],
         qubits: Sequence[int],
         basis_states: Sequence[int],
         noise_spec: NoiseSpec,
@@ -524,7 +596,9 @@ class EnsembleExecutor:
         estimates the density-matrix result and the spread is returned as a
         per-outcome standard error (``std(ddof=1)/sqrt(T)``; zeros for a
         single trajectory).  Readout error is applied to each trajectory's
-        marginal as the exact per-bit confusion contraction.
+        marginal as the exact per-bit confusion contraction.  ``circuit``
+        may be an :class:`EnsembleProgram` compiled with ``noise_spec`` and
+        with every slot bound.
 
         Each (trajectory, member) *column* draws its branches first
         (:meth:`_trajectory_rows`).  A *clean* column — every channel
@@ -577,9 +651,10 @@ class EnsembleExecutor:
         basis = self._validated_basis(circuit, basis_states)
         w = _normalised_weights(weights, len(basis))
         qubits = list(qubits)
-        gates = [g for g in circuit.gates if not isinstance(g, (Measurement, Barrier))]
-        prepared = self._prepare(gates)
-        noise_plan = [noise_spec.channels_for_gate(g) for g in gates]
+        program = self._compiled(circuit, noise_spec)
+        if program.noise_plan is None:
+            raise ValueError("the trajectory route needs a program compiled with its noise spec")
+        noise_plan = program.noise_plan
         channels = [channel for placed in noise_plan for channel, _ in placed]
         # The uniform rows (steps) each distinct channel reads.
         by_channel: dict = {}
@@ -587,7 +662,6 @@ class EnsembleExecutor:
             by_channel.setdefault(id(channel), (channel, []))[1].append(step)
         steps_of = [(channel, np.array(steps)) for channel, steps in by_channel.values()]
         can_be_clean = all(channel.is_mixed_unitary for channel in channels)
-        noise_free = None
         generators = [np.random.default_rng(int(seed)) for seed in seeds]
         chunk = self.max_batch(n)
         out_dim = 2 ** len(qubits)
@@ -602,7 +676,7 @@ class EnsembleExecutor:
             uniforms = np.concatenate([u for _, _, u in pending], axis=1)
             states = self._basis_block([block[m] for m in members], n)
             step = 0
-            for gate_step, placed in zip(prepared, noise_plan):
+            for gate_step, placed in zip(program.gate_steps, noise_plan):
                 states = _apply_prepared(states, gate_step, n)
                 for channel, targets in placed:
                     states = sample_channel_branches(channel, states, targets, n, uniforms[step])
@@ -639,10 +713,8 @@ class EnsembleExecutor:
                 run_dirty(block, pending, marginals)
             members = np.flatnonzero(clean.any(axis=0))
             if members.size:
-                if noise_free is None:
-                    noise_free = self._prepare(self.gate_plan(circuit))
                 states = self._evolve(
-                    self._basis_block([block[m] for m in members], n), noise_free, n
+                    self._basis_block([block[m] for m in members], n), program.steps, n
                 )
                 shared = np.empty((out_dim, width))
                 shared[:, members] = ensemble_member_marginal_probabilities(states, n, qubits)

@@ -20,18 +20,22 @@ the state once instead of ``2^j`` times.  Two thin wrappers feed it:
   walk, scheduled so each qubit joins the density tensor late and cut to
   the readout's light cone, for the exact noisy ``ptm`` route.
 
-Gates wider than the window (QPE's exact controlled powers) pass through
-unfused and cut the stream into *segments*; the greedy window never fuses
-across them, so a fused stream is the concatenation of its segments fused
+Gates wider than the window, and the *slot* gates a caller names (QPE's
+exact controlled powers, whatever their width), pass through unfused and
+cut the stream into *segments*; the greedy window never fuses across them,
+so a fused stream is the concatenation of its segments fused
 independently.  Each segment is cached per content (its ops' qubits and
 prefix marks, gate-matrix bytes or channel content keys, and the window,
 charged by the distinct buffers it holds) in a
-:class:`~repro.utils.cache.BoundedCache`.  In the QPE circuit only the
-controlled powers depend on the Laplacian, so a new point cloud of a
-known size hits every segment — the Hadamards, the inverse QFT and every
-noise channel — and only its wide gates are rebuilt.  A segment hit builds
-no matrix and looks up no channel superoperator.  Wide gates are never
+:class:`~repro.utils.cache.BoundedCache`.  A segment hit builds no matrix
+and looks up no channel superoperator.  Pass-through gates are never
 cached.
+
+The exact QTDA route plans its circuit once per shape, not per request:
+the ``statevector`` backend compiles each ``(route, t, q, noise, window)``
+once with the controlled powers as slots and binds each request's powers
+into them (DESIGN.md §11).  The segment caches serve those compilations
+and the Trotter synthesis, whose every gate depends on the Laplacian.
 """
 
 from __future__ import annotations
@@ -43,7 +47,7 @@ import numpy as np
 
 from repro.quantum.channels import NoiseSpec
 from repro.quantum.circuit import QuantumCircuit
-from repro.quantum.gates import controlled_block, embed_operator
+from repro.quantum.gates import BlockSlot, controlled_block, embed_operator
 from repro.quantum.operations import Gate
 from repro.quantum.ptm import (
     PTMOp,
@@ -178,17 +182,21 @@ def _fuse_segments(
     max_fuse_qubits: int,
     cache: BoundedCache,
     fuse: Callable[[List[tuple]], tuple],
-    wide: Callable[[Gate], object],
+    wide: Callable[[Gate, Optional[int]], object],
+    slots: Sequence[Gate] = (),
 ) -> List[object]:
     """Cut a ``(qubits, gate_or_channel, prefix)`` stream at every gate
-    wider than the window; fuse each segment once per content, rebuild each
-    wide gate.
+    wider than the window and at every gate of ``slots``; fuse each segment
+    once per content, rebuild each gate it was cut at.
 
     ``fuse`` turns a segment into its fused ops (called on a cache miss
-    only), ``wide`` turns a wide gate into its pass-through op.
+    only), ``wide(gate, slot)`` turns a gate it was cut at into its
+    pass-through op; ``slot`` is the gate's position in ``slots`` (matched
+    by identity), or ``None``.
     """
     if max_fuse_qubits < 1:
         raise ValueError(f"max_fuse_qubits must be >= 1, got {max_fuse_qubits}")
+    slot_of = {id(gate): index for index, gate in enumerate(slots)}
     ops: List[object] = []
     run: List[tuple] = []
     contents: Dict[int, bytes] = {}
@@ -206,9 +214,10 @@ def _fuse_segments(
 
     for item in stream:
         payload = item[1]
-        if isinstance(payload, Gate) and payload.num_qubits > max_fuse_qubits:
+        slot = slot_of.get(id(payload))
+        if slot is not None or (isinstance(payload, Gate) and payload.num_qubits > max_fuse_qubits):
             flush()
-            ops.append(wide(payload))
+            ops.append(wide(payload, slot))
         else:
             run.append(item)
     flush()
@@ -218,7 +227,9 @@ def _fuse_segments(
 # --- gate plans (the ensemble route) ------------------------------------------
 
 
-def fuse_circuit(circuit: QuantumCircuit, max_fuse_qubits: int = 3) -> Tuple[Gate, ...]:
+def fuse_circuit(
+    circuit: QuantumCircuit, max_fuse_qubits: int = 3, slots: Sequence[Gate] = ()
+) -> Tuple[Gate, ...]:
     """The circuit's gates with adjacent small-support runs fused.
 
     Parameters
@@ -229,6 +240,9 @@ def fuse_circuit(circuit: QuantumCircuit, max_fuse_qubits: int = 3) -> Tuple[Gat
     max_fuse_qubits:
         Largest combined qubit support a fused block may reach.  Gates wider
         than this pass through unfused and split the surrounding blocks.
+    slots:
+        Gates of ``circuit`` that pass through unfused whatever their width
+        (the controlled powers a compiled plan leaves open).
 
     Returns
     -------
@@ -252,7 +266,9 @@ def fuse_circuit(circuit: QuantumCircuit, max_fuse_qubits: int = 3) -> Tuple[Gat
         return tuple(plan)
 
     stream = [(gate.qubits, gate, False) for gate in circuit.gates]
-    return tuple(_fuse_segments(stream, max_fuse_qubits, _PLAN_CACHE, fuse, lambda gate: gate))
+    return tuple(
+        _fuse_segments(stream, max_fuse_qubits, _PLAN_CACHE, fuse, lambda gate, _: gate, slots)
+    )
 
 
 # --- PTM programs (the exact noisy route) -------------------------------------
@@ -356,6 +372,7 @@ def fuse_ptm_program(
     noise_spec: Optional[NoiseSpec] = None,
     max_fuse_qubits: int = 3,
     readout: Optional[Sequence[int]] = None,
+    slots: Sequence[Gate] = (),
 ):
     """The circuit + noise lowered to a fused :class:`~repro.quantum.ptm.
     PTMProgram` (each segment between wide gates cached per content).
@@ -370,6 +387,12 @@ def fuse_ptm_program(
     qubit's single-qubit prefix fuses only with itself, so the executor
     applies it to the qubit's input factor.  ``readout_error`` places no
     channel, so specs that differ only in it share every segment.
+
+    Each gate of ``slots`` (controlled ``I (+) V``, matched by identity)
+    passes through whatever its width as a ``WideUnitaryOp`` whose block is
+    the open :class:`~repro.quantum.gates.BlockSlot` of its position in
+    ``slots``, with no matrix; :meth:`~repro.quantum.ptm.PTMProgram.bind`
+    fills it.
     """
     n = circuit.num_qubits
     readout = tuple(range(n)) if readout is None else tuple(sorted({int(q) for q in readout}))
@@ -390,11 +413,13 @@ def fuse_ptm_program(
             for support, matrix, count in _fuse_run(superops, max_fuse_qubits, 4)
         )
 
-    def wide(gate: Gate) -> WideUnitaryOp:
+    def wide(gate: Gate, slot: Optional[int]) -> WideUnitaryOp:
+        if slot is not None:
+            return WideUnitaryOp(gate.qubits, matrix=None, name=gate.name, block=BlockSlot(slot))
         block = controlled_block(gate.matrix)
         return WideUnitaryOp(qubits=gate.qubits, matrix=gate.matrix, name=gate.name, block=block)
 
     stream = list(_ptm_op_stream(circuit, noise_spec))
     marked = list(_mark_prefixes(_light_cone(stream, readout)))
-    ops = _fuse_segments(marked, max_fuse_qubits, _PTM_CACHE, fuse, wide)
+    ops = _fuse_segments(marked, max_fuse_qubits, _PTM_CACHE, fuse, wide, slots)
     return PTMProgram(num_qubits=n, ops=tuple(ops), source_ops=len(stream), readout=readout)

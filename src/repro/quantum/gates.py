@@ -3,11 +3,14 @@
 Every function/constant here returns a dense unitary as a complex NumPy
 array.  Matrices for multi-qubit gates are given in the standard tensor
 ordering where the *first* listed qubit is the most significant bit — the
-same convention used throughout :mod:`repro.quantum`.
+same convention used throughout :mod:`repro.quantum`.  The controlled-gate
+helpers also cut the ``V`` out of ``I (+) V`` (:func:`controlled_block`) and
+mark it open in a compiled plan (:class:`BlockSlot`).
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -132,6 +135,18 @@ def controlled_block(matrix: np.ndarray) -> Optional[np.ndarray]:
     ):
         return matrix[half:, half:]
     return None
+
+
+@dataclass(frozen=True)
+class BlockSlot:
+    """The open ``V`` of a controlled gate ``I (+) V`` in a compiled plan.
+
+    A plan compiled once per circuit shape leaves the block of each gate
+    that changes between runs (QTDA's controlled powers ``U^{2^j}``) open;
+    a run binds its ``blocks[index]`` into it.
+    """
+
+    index: int
 
 
 def embed_operator(

@@ -52,6 +52,12 @@ qubits' blocks nor keeps the system register alive past the last power.
 The readout is the diagonal over the measured qubits, so the result
 matches the density route to floating-point accuracy.
 
+None of these decisions reads a matrix: the walk (which ops run, where each
+qubit's axis pair sits, what joins, leaves and folds when) is planned once
+per program and readout (:func:`_schedule`).  A program compiled with its
+controlled powers as open slots (:meth:`PTMProgram.bind`) shares that plan
+with every binding, so a run of a known circuit shape only contracts.
+
 Conventions: the first qubit of a support tuple is the most significant
 digit, matching the :class:`~repro.quantum.operations.Gate` bit convention.
 A trace-preserving superoperator satisfies ``vec(I)ᵀ S = vec(I)ᵀ``; a
@@ -62,14 +68,14 @@ tests.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass, field, replace
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.quantum.channels import QuantumChannel
 from repro.quantum.engine import DEFAULT_MAX_FUSE_QUBITS
-from repro.quantum.gates import controlled_block
+from repro.quantum.gates import BlockSlot, controlled_block
 from repro.utils.cache import BoundedCache, distinct_nbytes
 
 
@@ -378,10 +384,13 @@ class WideUnitaryOp:
     """A unitary too wide for an explicit superoperator, applied as ``U ρ U†``."""
 
     qubits: Tuple[int, ...]
-    matrix: np.ndarray
+    #: ``U``; ``None`` for a slot, which only ever holds its block.
+    matrix: Optional[np.ndarray]
     name: str = "unitary"
-    #: ``V`` of the ``I (+) V`` controlled structure, when present.
-    block: Optional[np.ndarray] = None
+    #: ``V`` of the ``I (+) V`` controlled structure, when present; a
+    #: slot's is an open :class:`~repro.quantum.gates.BlockSlot` until
+    #: :meth:`PTMProgram.bind`.
+    block: Union[np.ndarray, BlockSlot, None] = None
 
 
 PTMProgramOp = Union[PTMOp, WideUnitaryOp]
@@ -398,6 +407,22 @@ class PTMProgram:
     #: The qubits the program may be read out on: the stream was cut to
     #: their backward light cone before fusion (every qubit: nothing cut).
     readout: Tuple[int, ...]
+    #: :meth:`PTMExecutor.reduced_state` schedules per kept-qubit tuple.
+    #: They depend on the ops' qubits and kinds only, never on a block, so
+    #: a program and every :meth:`bind` copy of it share one memo.
+    schedules: Dict[Tuple[int, ...], "_Schedule"] = field(
+        default_factory=dict, compare=False, repr=False
+    )
+
+    def bind(self, blocks: Sequence[np.ndarray]) -> "PTMProgram":
+        """The program with ``blocks[j]`` as the block of slot ``j``."""
+        ops = tuple(
+            replace(op, block=blocks[op.block.index])
+            if isinstance(op, WideUnitaryOp) and isinstance(op.block, BlockSlot)
+            else op
+            for op in self.ops
+        )
+        return replace(self, ops=ops)
 
     @property
     def num_superops(self) -> int:
@@ -415,8 +440,9 @@ class PTMProgram:
         (:func:`controlled_block`), and a channel standing alone in several
         blocks is one memoised array; each buffer is counted once.
         """
-        arrays = [op.matrix for op in self.ops]
-        arrays += [op.block for op in self.ops if getattr(op, "block", None) is not None]
+        arrays = [op.matrix for op in self.ops if op.matrix is not None]
+        blocks = (getattr(op, "block", None) for op in self.ops)
+        arrays += [block for block in blocks if isinstance(block, np.ndarray)]
         return distinct_nbytes(arrays)
 
 
@@ -446,15 +472,129 @@ def _folds(ops: Sequence[PTMProgramOp], traced: Sequence[int]) -> Dict[int, List
     return folds
 
 
+class _Step(NamedTuple):
+    """One step of a :class:`_Schedule`."""
+
+    #: Index of the op in the program.
+    index: int
+    #: ``"factor"`` (a single-qubit op on its qubit's input factor),
+    #: ``"superop"`` or ``"wide"``.
+    kind: str
+    #: Qubits whose input factors join the tensor right before the op.
+    join: Tuple[int, ...] = ()
+    #: Tensor positions of the op's support (a factored power's targets).
+    positions: Tuple[int, ...] = ()
+    #: ``trace_targets`` of :func:`apply_unitary_to_pauli_ensemble`.
+    traced: bool = False
+    #: The control of a power whose control has not joined: the power acts
+    #: on that control's input factor.
+    factored: Optional[int] = None
+    #: ``(op index, positions)`` of each superoperator a traced power folds.
+    folded: Tuple[Tuple[int, Tuple[int, ...]], ...] = ()
+    #: Bit axes of the qubits traced out right after the op.
+    leavers: Tuple[int, ...] = ()
+
+
+class _Schedule(NamedTuple):
+    """How :meth:`PTMExecutor.reduced_state` walks a program for one
+    kept-qubit tuple (:func:`_schedule`)."""
+
+    steps: Tuple[_Step, ...]
+    #: Kept qubits no op touches; they join after the last step.
+    missing: Tuple[int, ...]
+    #: The axis order that lays the kept qubits' row bits, then their col
+    #: bits, out in ``keep`` order.
+    order: Tuple[int, ...]
+
+
+def _schedule(program: PTMProgram, keep: Tuple[int, ...]) -> _Schedule:
+    """The reduced-state walk of ``program`` for the kept qubits ``keep``.
+
+    Which ops run (the backward light cone of ``keep``) and how, which
+    qubits join before each op and leave after it, which traced powers
+    fold which superoperators, and where each qubit's axis pair sits at
+    every op.  It reads the ops' qubits and kinds only, never a matrix or
+    a block, so it holds for every binding of the program's slots.
+    """
+    live = set(keep)
+    source = []
+    for index in range(len(program.ops) - 1, -1, -1):
+        if live.intersection(program.ops[index].qubits):
+            live.update(program.ops[index].qubits)
+            source.append(index)
+    source.reverse()
+    ops = [program.ops[index] for index in source]
+    last = {q: index for index, op in enumerate(ops) for q in op.qubits}
+
+    def leaving(index):
+        return [q for q in ops[index].qubits if last[q] == index and q not in keep]
+
+    traced = [
+        index
+        for index, op in enumerate(ops)
+        if isinstance(op, WideUnitaryOp)
+        and op.block is not None
+        and leaving(index) == list(op.qubits[1:])
+    ]
+    folds = _folds(ops, traced)
+    folded = {j for found in folds.values() for j in found}
+    steps = []
+    axes = []  # qubit label of each (row bit, col bit) axis pair
+    for index, op in enumerate(ops):
+        if index in folded:
+            continue
+        if isinstance(op, PTMOp) and len(op.qubits) == 1 and op.qubits[0] not in axes:
+            steps.append(_Step(source[index], "factor"))
+            continue
+        # A controlled power whose control has not joined acts on the
+        # control's input factor; the control joins as its output.
+        control = op.qubits[0]
+        factored = isinstance(op, WideUnitaryOp) and op.block is not None and control not in axes
+        support = op.qubits[1:] if factored else op.qubits
+        join = tuple(q for q in support if q not in axes)
+        axes.extend(join)
+        positions = tuple(axes.index(q) for q in support)
+        leavers = leaving(index)
+        if isinstance(op, PTMOp):
+            step = _Step(source[index], "superop", join, positions)
+            axes[:] = list(op.qubits) + [q for q in axes if q not in op.qubits]
+        else:
+            step = _Step(
+                source[index],
+                "wide",
+                join,
+                positions,
+                traced=index in folds,
+                factored=control if factored else None,
+                folded=tuple(
+                    (source[j], tuple(axes.index(q) for q in ops[j].qubits))
+                    for j in folds.get(index, ())
+                ),
+            )
+            if step.traced:
+                axes[:] = [control] + [q for q in axes if q not in op.qubits]
+                leavers = []
+            elif factored:
+                axes.insert(0, control)
+        steps.append(step._replace(leavers=tuple(_bit_axes([axes.index(q) for q in leavers]))))
+        axes[:] = [q for q in axes if q not in leavers]
+    missing = tuple(q for q in keep if q not in axes)
+    axes.extend(missing)
+    order = [axes.index(q) for q in keep]
+    rows_then_cols = tuple([2 * p for p in order] + [2 * p + 1 for p in order])
+    return _Schedule(tuple(steps), missing, rows_then_cols)
+
+
 class PTMExecutor:
     """Evolves product-state inputs through a :class:`PTMProgram`."""
 
     def __init__(self, max_fuse_qubits: int = DEFAULT_MAX_FUSE_QUBITS):
         self.max_fuse_qubits = int(max_fuse_qubits)
 
-    def program(self, circuit, noise_spec=None, readout=None) -> PTMProgram:
+    def program(self, circuit, noise_spec=None, readout=None, slots=()) -> PTMProgram:
         """The circuit's fused superoperator program (cached per segment),
-        cut to the backward light cone of ``readout`` (default: every qubit)."""
+        cut to the backward light cone of ``readout`` (default: every qubit);
+        the gates of ``slots`` stay open (:meth:`PTMProgram.bind`)."""
         from repro.quantum.fusion import fuse_ptm_program
 
         return fuse_ptm_program(
@@ -462,6 +602,7 @@ class PTMExecutor:
             noise_spec=noise_spec,
             max_fuse_qubits=self.max_fuse_qubits,
             readout=readout,
+            slots=slots,
         )
 
     def reduced_state(
@@ -481,103 +622,65 @@ class PTMExecutor:
         controlled power that all leave right after it are traced out by
         the power itself.  Returns the ``(2^k, 2^k)`` matrix with
         ``qubits[0]`` as the most significant bit.
+
+        The walk (:func:`_schedule`) is planned once per program and kept
+        qubits, and shared by every :meth:`PTMProgram.bind` copy; a run only
+        applies it.
         """
-        keep = [int(q) for q in qubits]
+        keep = tuple(int(q) for q in qubits)
         if len(set(keep)) != len(keep) or any(not 0 <= q < program.num_qubits for q in keep):
-            raise ValueError(f"invalid readout qubits {keep} for {program.num_qubits} qubits")
+            raise ValueError(f"invalid readout qubits {list(keep)} for {program.num_qubits} qubits")
         if not set(keep) <= set(program.readout):
             raise ValueError(
-                f"readout qubits {keep} are outside {list(program.readout)}, the readout "
+                f"readout qubits {list(keep)} are outside {list(program.readout)}, the readout "
                 "the program's light cone was cut for"
             )
         if len(initial_states) != program.num_qubits:
             raise ValueError(
                 f"expected {program.num_qubits} initial states, got {len(initial_states)}"
             )
-        live = set(keep)
-        ops = []
-        for op in reversed(program.ops):
-            if live.intersection(op.qubits):
-                live.update(op.qubits)
-                ops.append(op)
-        ops.reverse()
-        last = {q: index for index, op in enumerate(ops) for q in op.qubits}
-
-        def leaving(index):
-            return [q for q in ops[index].qubits if last[q] == index and q not in keep]
-
-        traced = [
-            index
-            for index, op in enumerate(ops)
-            if isinstance(op, WideUnitaryOp)
-            and op.block is not None
-            and leaving(index) == list(op.qubits[1:])
-        ]
-        folds = _folds(ops, traced)
-        folded = {j for found in folds.values() for j in found}
+        schedule = program.schedules.get(keep)
+        if schedule is None:
+            schedule = program.schedules.setdefault(keep, _schedule(program, keep))
         factors = [np.asarray(state, dtype=complex) for state in initial_states]
 
         def join(tensor, new):
             """Append the input factors of qubits ``new`` as trailing axis pairs."""
             factor = _outer_product([factors[q] for q in new])
-            axes.extend(new)
             return tensor.reshape(tensor.shape + (1,) * factor.ndim) * factor
 
         tensor = np.ones((), dtype=complex)
-        axes = []  # qubit label of each (row bit, col bit) axis pair
-        for index, op in enumerate(ops):
-            if index in folded:
-                continue
-            if isinstance(op, PTMOp) and len(op.qubits) == 1 and op.qubits[0] not in axes:
+        for step in schedule.steps:
+            op = program.ops[step.index]
+            if step.kind == "factor":
                 (q,) = op.qubits
                 factors[q] = (op.matrix @ factors[q].reshape(4)).reshape(2, 2)
                 continue
-            # A controlled power whose control has not joined acts on the
-            # control's input factor; the control joins as its output.
-            control = op.qubits[0]
-            factored = (
-                isinstance(op, WideUnitaryOp) and op.block is not None and control not in axes
-            )
-            support = op.qubits[1:] if factored else op.qubits
-            new = [q for q in support if q not in axes]
-            if new:
-                tensor = join(tensor, new)
-            positions = [axes.index(q) for q in support]
-            leavers = leaving(index)
-            if isinstance(op, PTMOp):
-                tensor = apply_superop(tensor, op.matrix, positions)
-                axes[:] = list(op.qubits) + [q for q in axes if q not in op.qubits]
+            if step.join:
+                tensor = join(tensor, step.join)
+            if step.kind == "superop":
+                tensor = apply_superop(tensor, op.matrix, step.positions)
             else:
-                traced = index in folds
+                if isinstance(op.block, BlockSlot):
+                    raise ValueError(f"{op.name!r} is an open slot: bind the program first")
                 tensor = apply_unitary_to_pauli_ensemble(
                     tensor,
                     op.matrix,
-                    positions,
+                    step.positions,
                     block=op.block,
-                    trace_targets=traced,
-                    control_factor=factors[control] if factored else None,
-                    folded=[
-                        (ops[j].matrix, [axes.index(q) for q in ops[j].qubits])
-                        for j in folds.get(index, ())
-                    ],
+                    trace_targets=step.traced,
+                    control_factor=None if step.factored is None else factors[step.factored],
+                    folded=[(program.ops[j].matrix, positions) for j, positions in step.folded],
                 )
-                if traced:
-                    axes[:] = [control] + [q for q in axes if q not in op.qubits]
-                    leavers = []
-                elif factored:
-                    axes.insert(0, control)
-            if leavers:
-                identity = _outer_product([np.eye(2)] * len(leavers))
-                targets = _bit_axes([axes.index(q) for q in leavers])
-                tensor = np.tensordot(tensor, identity, axes=(targets, list(range(identity.ndim))))
-                axes[:] = [q for q in axes if q not in leavers]
-        missing = [q for q in keep if q not in axes]
-        if missing:
-            tensor = join(tensor, missing)
-        order = [axes.index(q) for q in keep]
-        tensor = np.transpose(tensor, [2 * p for p in order] + [2 * p + 1 for p in order])
+            if step.leavers:
+                identity = _outer_product([np.eye(2)] * (len(step.leavers) // 2))
+                tensor = np.tensordot(
+                    tensor, identity, axes=(list(step.leavers), list(range(identity.ndim)))
+                )
+        if schedule.missing:
+            tensor = join(tensor, schedule.missing)
         dim = 2 ** len(keep)
-        return np.ascontiguousarray(tensor).reshape(dim, dim)
+        return np.ascontiguousarray(np.transpose(tensor, schedule.order)).reshape(dim, dim)
 
     def qtda_distribution(
         self,
@@ -586,15 +689,18 @@ class PTMExecutor:
         precision_count: int,
         system_count: int,
         noise_spec=None,
-        program: Optional[PTMProgram] = None,
     ) -> np.ndarray:
         """Readout distribution of the mixed-input QTDA circuit, exactly.
 
-        Builds (or reuses) the fused program, cut to the light cone of
-        ``precision_qubits``, evolves the ``|0><0|^t (x) I/2^q`` input, and
-        returns the ``(2^t,)`` marginal over ``precision_qubits``.
+        Lowers ``circuit`` to its fused program, cut to the light cone of
+        ``precision_qubits`` (:meth:`program`), unless it already is a
+        :class:`PTMProgram` with every slot bound; evolves the
+        ``|0><0|^t (x) I/2^q`` input, and returns the ``(2^t,)`` marginal
+        over ``precision_qubits``.
         """
-        if program is None:
+        if isinstance(circuit, PTMProgram):
+            program = circuit
+        else:
             program = self.program(circuit, noise_spec=noise_spec, readout=precision_qubits)
         t, q = int(precision_count), int(system_count)
         if t < 0 or q < 0 or t + q != program.num_qubits:

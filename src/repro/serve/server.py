@@ -68,6 +68,7 @@ from repro.core.api import (
 from repro.serve.coalescer import RequestCoalescer
 from repro.serve.metrics import MetricsRegistry
 from repro.serve.quotas import AdmissionController, AdmissionRejected
+from repro.utils.validation import InvalidRequestError
 
 __all__ = [
     "MAX_BODY_BYTES",
@@ -438,6 +439,9 @@ class QTDAServer:
                 result, coalesced = self.coalescer.execute(request, self.service.run)
             else:
                 result, coalesced = self.service.run(request), False
+        except InvalidRequestError as exc:
+            # A client fault that only shows at execution, not a server fault.
+            return self._reject(route, 400, "invalid_request", str(exc))
         except Exception as exc:  # noqa: BLE001 - the adapter must not crash the worker
             logger.exception("request execution failed")
             return self._reject(route, 500, "internal_error", f"{type(exc).__name__}: {exc}")

@@ -14,12 +14,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain, combinations, takewhile
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
 
-import networkx as nx
 import numpy as np
 
 from repro.tda.simplex import Simplex, vertex_label
+
+if TYPE_CHECKING:  # networkx loads only where a graph is read or built
+    import networkx as nx
 
 
 class _FaceCounts:
@@ -230,6 +232,8 @@ class SimplicialComplex(_FaceCounts):
         This is exactly the Vietoris–Rips construction once the graph is the
         ε-neighbourhood graph: every ``(k+1)``-clique becomes a ``k``-simplex.
         """
+        import networkx as nx
+
         # enumerate_all_cliques yields every clique, vertices first, in non-decreasing size.
         return cls(takewhile(lambda clique: len(clique) <= max_dimension + 1, nx.enumerate_all_cliques(graph)))
 
@@ -276,6 +280,8 @@ class SimplicialComplex(_FaceCounts):
 
     def one_skeleton_graph(self) -> nx.Graph:
         """The underlying graph (0- and 1-simplices)."""
+        import networkx as nx
+
         graph = nx.Graph()
         graph.add_nodes_from(self.vertices)
         graph.add_edges_from(map(tuple, self._labels[self._arrays.simplices(1)].tolist()))
@@ -286,6 +292,8 @@ class SimplicialComplex(_FaceCounts):
         graph = self.one_skeleton_graph()
         if graph.number_of_nodes() == 0:
             return True
+        import networkx as nx
+
         return nx.is_connected(graph)
 
     def __eq__(self, other: object) -> bool:

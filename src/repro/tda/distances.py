@@ -8,11 +8,13 @@ distance at most the grouping scale ``ε``, producing the graph
 
 from __future__ import annotations
 
-from typing import Callable, List, Tuple
+from typing import TYPE_CHECKING, Callable, List, Tuple
 
 import numpy as np
-import networkx as nx
 from scipy.spatial.distance import cdist
+
+if TYPE_CHECKING:  # networkx loads only where a graph is built
+    import networkx as nx
 
 MetricLike = str | Callable[[np.ndarray, np.ndarray], float]
 
@@ -79,6 +81,8 @@ def epsilon_graph(points_or_distances: np.ndarray, epsilon: float, *, is_distanc
             raise ValueError("distance matrix must be square")
     else:
         dist = pairwise_distances(points_or_distances, metric=metric)
+    import networkx as nx
+
     graph = nx.Graph()
     graph.add_nodes_from(range(dist.shape[0]))
     for i, j in epsilon_edges(dist, epsilon):

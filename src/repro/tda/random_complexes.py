@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from typing import Tuple
 
-import networkx as nx
 import numpy as np
 
 from repro.tda.complexes import SimplicialComplex
@@ -52,6 +51,8 @@ def random_simplicial_complex(
         Redraw (up to a few times) if the complex has no simplices of
         dimension >= 1, so that ``Δ_1`` is not empty for the k=1 experiments.
     """
+    import networkx as nx
+
     n = check_integer(num_vertices, "num_vertices", minimum=1)
     rng = as_rng(seed)
     attempts = 8 if ensure_nontrivial else 1

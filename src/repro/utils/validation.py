@@ -12,6 +12,17 @@ from typing import Any
 import numpy as np
 
 
+class InvalidRequestError(ValueError):
+    """A request that passed validation but cannot run as asked.
+
+    Raised at execution for a fault in the request itself that only shows
+    once its input is known (an explicit ``ptm`` route whose ``t + q``
+    exceeds the route's cap, an observe request whose configuration does
+    not match its session's).  The server answers it like a validation
+    error, with a 400, not as a server fault.
+    """
+
+
 def check_integer(value: Any, name: str, minimum: int | None = None, maximum: int | None = None) -> int:
     """Validate that ``value`` is an integer within ``[minimum, maximum]``."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):

@@ -201,27 +201,43 @@ class TestErrorEnvelopes:
         assert excinfo.value.reason == "invalid_request"
         assert "exactly one" in excinfo.value.envelope["error"]["message"]
 
-    def test_execution_failure_is_500(self, shared):
-        """A request that validates but fails during execution returns a
-        structured 500 — the worker thread survives."""
-        _server, client = shared
-        pipeline = PipelineConfig(use_quantum=False)
+    @staticmethod
+    def _observe_body(session, window_length):
+        return ObserveRequest(
+            session=session,
+            window_length=window_length,
+            stride=16,
+            epsilons=(0.5,),
+            pipeline=PipelineConfig(use_quantum=False),
+        ).as_dict()
 
-        def observe_body(window_length):
-            return ObserveRequest(
-                session="mismatch-session",
-                window_length=window_length,
-                stride=16,
-                epsilons=(0.5,),
-                pipeline=pipeline,
-            ).as_dict()
+    def test_execution_failure_is_500(self, shared, monkeypatch):
+        """A request that validates but fails in the server during execution
+        returns a structured 500 — the worker thread survives."""
+        server, client = shared
 
-        client.observe(observe_body(32))  # creates the session
+        def broken(request):
+            raise RuntimeError("injected execution fault")
+
+        monkeypatch.setattr(server.service, "run", broken)
         with pytest.raises(ServiceError) as excinfo:
-            client.observe(observe_body(64))  # config mismatch: _session_for raises
+            client.observe(self._observe_body("fault-session", 32))
         assert excinfo.value.status == 500
         assert excinfo.value.reason == "internal_error"
+        monkeypatch.undo()
         assert client.health()["status"] == "ok"  # server is still alive
+
+    def test_session_config_mismatch_is_400(self, shared):
+        """An observe request whose configuration does not match its session
+        is the client's fault, found only at execution: a 400, not a 500."""
+        _server, client = shared
+        client.observe(self._observe_body("mismatch-session", 32))  # creates the session
+        with pytest.raises(ServiceError) as excinfo:
+            client.observe(self._observe_body("mismatch-session", 64))
+        assert excinfo.value.status == 400
+        assert excinfo.value.reason == "invalid_request"
+        assert "does not match" in excinfo.value.envelope["error"]["message"]
+        assert client.health()["status"] == "ok"
 
 
 def raw_exchange(server, head: bytes, body: bytes = b""):

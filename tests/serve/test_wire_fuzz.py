@@ -9,9 +9,11 @@ whose vertex labels are not integers in ``[0, 2**63)``,
 ``precision_qubits`` past ``MAX_PRECISION_QUBITS`` or, on an explicit
 ``ptm`` route, at ``PTM_AUTO_QUBIT_THRESHOLD``, non-square distance
 matrices and time series or observe windows shorter than the Takens span.
-Every one must come back as a 4xx error envelope: never a 500 and never an
-exception out of the adapter.  Examples are derandomised, so every run
-checks the same inputs.
+Two faults show only at execution: an explicit ``ptm`` whose ``t + q``
+exceeds the threshold once the complex is built, and an observe request
+that does not match its session.  Every one must come back as a 4xx error
+envelope: never a 500 and never an exception out of the adapter.  Examples
+are derandomised, so every run checks the same inputs.
 """
 
 import json
@@ -26,13 +28,16 @@ from repro.core.api import (
     EstimationRequest,
     ObserveRequest,
     PipelineRequest,
+    QTDAService,
     SweepRequest,
+    request_from_dict,
 )
 from repro.core.backends.statevector import PTM_AUTO_QUBIT_THRESHOLD
 from repro.core.config import MAX_PRECISION_QUBITS, QTDAConfig
 from repro.core.pipeline import PipelineConfig
 from repro.datasets.point_clouds import circle_cloud
 from repro.serve import MAX_BODY_BYTES, QTDAServer, ServeConfig
+from repro.utils.validation import InvalidRequestError
 
 FUZZ = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -260,6 +265,38 @@ def test_explicit_ptm_that_can_never_run(server, precision_qubits):
         with pytest.raises(ValueError, match="precision_qubits"):
             QTDAConfig(**{**ptm, "backend": backend})
     assert QTDAConfig(**{**ptm, "precision_qubits": PTM_AUTO_QUBIT_THRESHOLD - 1}).circuit_engine == "ptm"
+
+
+def test_explicit_ptm_over_the_qubit_budget_at_execution(server):
+    """``t = 11`` passes validation, but the hollow triangle's ``Δ_1`` adds
+    ``q = 2``: ``t + q = 13`` exceeds ``PTM_AUTO_QUBIT_THRESHOLD``.  Route
+    resolution refuses it once the complex is built, and the wire answers
+    400, not 500; in process the service raises ``InvalidRequestError``."""
+    ptm = {
+        "precision_qubits": PTM_AUTO_QUBIT_THRESHOLD - 1,
+        "backend": "statevector",
+        "circuit_engine": "ptm",
+        "noise_channel": "depolarizing",
+        "noise_strength": 0.01,
+    }
+    document = json.loads(json.dumps(VALID["estimate"]))
+    document["config"].update(ptm)
+    assert assert_client_error(server, "estimate", json.dumps(document).encode()) == "invalid_request"
+    with pytest.raises(InvalidRequestError, match="circuit_engine='ptm'"):
+        QTDAService().run(request_from_dict(document))
+
+
+def test_observe_config_that_does_not_match_its_session(server):
+    """The first observe request makes the session; a later one with another
+    window length is refused at execution with a 400, and the session keeps
+    serving requests that match it."""
+    first = replaced(VALID["observe"], ("session",), "fuzz-mismatch")
+    other = replaced(first, ("window_length",), first["window_length"] * 2)
+    status, _, _ = server.handle_post("observe", json.dumps(first).encode(), "fuzz")
+    assert status == 200
+    assert assert_client_error(server, "observe", json.dumps(other).encode()) == "invalid_request"
+    status, _, _ = server.handle_post("observe", json.dumps(first).encode(), "fuzz")
+    assert status == 200
 
 
 @FUZZ

@@ -168,3 +168,35 @@ def test_legacy_quickstart_snippet_still_runs():
             )
         )
     assert via_service.payload == result.as_dict()
+
+
+def test_estimates_on_every_route_leave_networkx_unloaded():
+    """``networkx`` (~12 MB, ~80 ms to import) loads only where a graph is
+    built or read; no request route builds one."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = Path(__file__).resolve().parents[1] / "src"
+    path = os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])
+    env = {**os.environ, "PYTHONPATH": path}
+    script = (
+        "import sys\n"
+        "import repro, repro.serve\n"
+        "from repro.core.api import EstimationRequest, QTDAService\n"
+        "noise = {'noise_channel': 'depolarizing', 'noise_strength': 0.01}\n"
+        "configs = [{'backend': 'exact'}, {'circuit_engine': 'ensemble'},\n"
+        "           {'circuit_engine': 'ptm', **noise},\n"
+        "           {'circuit_engine': 'trajectory', **noise}]\n"
+        "service = QTDAService()\n"
+        "for extra in configs:\n"
+        "    config = {'backend': 'statevector', 'precision_qubits': 3, 'shots': 100, **extra}\n"
+        "    service.run(EstimationRequest(points=[[0, 0], [1, 0], [0, 1], [1, 1]],\n"
+        "                                  epsilon=1.2, k=1, config=config))\n"
+        "assert 'networkx' not in sys.modules, 'networkx was imported'\n"
+        "from repro.tda.complexes import SimplicialComplex\n"
+        "assert SimplicialComplex([(0,), (1,), (0, 1)]).is_connected()\n"
+        "assert 'networkx' in sys.modules\n"
+    )
+    subprocess.run([sys.executable, "-c", script], env=env, check=True, timeout=120)
